@@ -98,13 +98,22 @@ def space_increment_coefficient(hurst: float) -> float:
     return gamma_fn(1.0 - 2.0 * hurst) * math.cos(math.pi * hurst) / (2.0 * hurst)
 
 
+def _holder_scale(c_h: float, c_1h: float, c_2h: float, c_3h: float) -> float:
+    """c_V = sqrt(3 C_H max(c_1H + c_2H, c_3H)) from its four coefficients."""
+    return math.sqrt(3.0 * c_h * max(c_1h + c_2h, c_3h))
+
+
 def increment_constant(hurst: float, tol: float = 1e-10) -> float:
     """c_V = sqrt(3 C_H max(c_1H + c_2H, c_3H)); the Holder scale of V in
 
         ||V(t,x) - V(s,y)||_2 <= c_V (|t-s|^(H/2) + |x-y|^H).
     """
-    c12 = variance_coefficient(hurst) + time_increment_coefficient(hurst, tol)
-    return math.sqrt(3.0 * noise_constant(hurst) * max(c12, space_increment_coefficient(hurst)))
+    return _holder_scale(
+        noise_constant(hurst),
+        variance_coefficient(hurst),
+        time_increment_coefficient(hurst, tol),
+        space_increment_coefficient(hurst),
+    )
 
 
 def sup_norm_coefficient(hurst: float) -> float:
@@ -173,11 +182,7 @@ class SheModel:
         object.__setattr__(self, "c_1h", variance_coefficient(self.hurst))
         object.__setattr__(self, "c_2h", time_increment_coefficient(self.hurst, self.quad_tol))
         object.__setattr__(self, "c_3h", space_increment_coefficient(self.hurst))
-        object.__setattr__(
-            self,
-            "c_v",
-            math.sqrt(3.0 * self.c_h * max(self.c_1h + self.c_2h, self.c_3h)),
-        )
+        object.__setattr__(self, "c_v", _holder_scale(self.c_h, self.c_1h, self.c_2h, self.c_3h))
         object.__setattr__(self, "a_h", math.sqrt(self.c_h * self.c_1h))
         object.__setattr__(self, "c_1", kernel_moment_constant(self.rho))
         object.__setattr__(self, "c_omega", omega_holder_constant(self.holder_const, self.rho))

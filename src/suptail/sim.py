@@ -1,11 +1,29 @@
 """Exact-covariance Gaussian Monte Carlo for the heat-equation fields.
 
-Covariances of the stochastic convolution V and of the stationary smoothed
-field omega are computed by spectral quadrature:
+The stochastic convolution V has the spectral covariance
 
-    Cov V(t,x) V(s,y)   = C_H int_R (e^{-|t-s| xi^2} - e^{-(t+s) xi^2})
-                          / (2 xi^2) * cos(xi (x-y)) |xi|^{1-2H} dxi,
-    Cov w(t,x) w(s,y)   = int_R cos(lambda (x-y)) e^{-mu (t+s) lambda^2} F(dlambda).
+    Cov V(t,x) V(s,y) = C_H int_R (e^{-|t-s| xi^2} - e^{-(t+s) xi^2})
+                        / (2 xi^2) * cos(xi z) |xi|^{1-2H} dxi,    z = x - y,
+
+which is evaluated in closed form.  Writing the time factor as
+(1/2) int_{|t-s|}^{t+s} e^{-r xi^2} dr and using the Gaussian Fourier moment
+int_R e^{-r xi^2} cos(xi z) |xi|^{1-2H} dxi = Gamma(1-H) r^{H-1} M(1-H; 1/2; -z^2/4r)
+leaves a 1-D integral over r; with w = z^2/4r and the term-by-term antiderivative
+int w^{-1-H} M(1-H; 1/2; -w) dw = -w^{-H} M(-H; 1/2; -w) / H it becomes
+
+    Cov V = C_H Gamma(1-H) / (2H) * [ (t+s)^H M(-H; 1/2; -z^2/(4(t+s)))
+                                      - |t-s|^H M(-H; 1/2; -z^2/(4|t-s|)) ],
+
+with M = scipy.special.hyp1f1.  At |t-s| = 0 the second term is its limit
+(z^2/4)^H sqrt(pi) / Gamma(H+1/2); at z = 0 the bracket is (2t)^H and gives the
+variance identity C_H c_1H t^H.  No quadrature is involved, so quad_tol does
+not apply to V.
+
+The stationary smoothed field omega keeps its spectral quadrature
+
+    Cov w(t,x) w(s,y) = int_R cos(lambda (x-y)) e^{-mu (t+s) lambda^2} F(dlambda),
+
+since F is a generic spectral measure.
 
 Sampling draws i.i.d. Gaussian vectors through a symmetric square root of the
 covariance matrix with escalating diagonal jitter; each replica's stream is
@@ -22,6 +40,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn
+from scipy.special import hyp1f1
 from scipy.stats import beta as beta_dist
 
 from .curves import TailCurve
@@ -35,21 +55,38 @@ class FactorizationError(RuntimeError):
 
 
 def _split_quad(smooth, oscillation: float, tol: float) -> float:
-    """int_0^inf smooth(xi) * cos(oscillation*xi) dxi, split at 1, mapped tails."""
+    """int_0^inf smooth(xi) * cos(oscillation*xi) dxi: adaptive head, Fourier tail.
+
+    The tail is QUADPACK's QAWF, which works in cycles of about pi/oscillation
+    and starts each with one 15-point rule.  When a cycle is much longer than
+    the scale on which smooth varies, every node misses the mass and QAWF
+    returns a wrong value with a tiny error estimate.  So the head runs up to
+    the first power of 2 with head * oscillation >= pi, with breakpoints at
+    the powers of 2 below it, and the tail starts there.  A head beyond
+    2^1000 would overflow QAWF's cycle length (it crashes), so smaller
+    nonzero oscillations raise.
+    """
+    if 0.0 < oscillation < math.pi * 2.0 ** -1000:
+        raise QuadratureError(f"oscillation {oscillation} is too small to resolve")
+    doublings = 0
+    if 0.0 < oscillation < math.pi:
+        doublings = math.ceil(math.log2(math.pi / oscillation))
+    head = 2.0 ** doublings
     core, e1 = quad(
         lambda xi: smooth(xi) * math.cos(oscillation * xi),
         0.0,
-        1.0,
+        head,
         epsabs=tol / 4,
         epsrel=1e-12,
-        limit=300,
+        limit=300 + doublings,
+        points=[2.0 ** k for k in range(doublings)] or None,
     )
     if oscillation == 0.0:
-        tail, e2 = quad(smooth, 1.0, np.inf, epsabs=tol / 4, epsrel=1e-12, limit=300)
+        tail, e2 = quad(smooth, head, np.inf, epsabs=tol / 4, epsrel=1e-12, limit=300)
     else:
         tail, e2 = quad(
             smooth,
-            1.0,
+            head,
             np.inf,
             weight="cos",
             wvar=oscillation,
@@ -64,33 +101,57 @@ def _split_quad(smooth, oscillation: float, tol: float) -> float:
     return core + tail
 
 
-def v_covariance(
-    t: float, x: float, s: float, y: float, hurst: float, tol: float = 1e-10
-) -> float:
-    """Covariance of the stochastic convolution V at (t,x), (s,y).
+# Outside [_W_SERIES, _W_ASYMPTOTIC] scipy's hyp1f1(-H, 1/2, -w) can return
+# inf or nan at small H; there two terms of the power series, or of the
+# large-w expansion sqrt(pi)/Gamma(H+1/2) w^H (1 - H(1/2-H)/w), are exact to
+# rounding.
+_W_SERIES = 1e-10
+_W_ASYMPTOTIC = 1e12
 
-    Symmetric, depends on x, y only through x - y; satisfies the variance
-    identity v_covariance(t,x,t,x) = C_H * c_1H * t^H.  Zero when either time
-    is 0.  The integrand's 0/0 at xi = 0 has the finite limit min(t,s); expm1
-    keeps it stable.
+
+def _kummer_term(r: np.ndarray, z2: np.ndarray, hurst: float) -> np.ndarray:
+    """r^H M(-H; 1/2; -z2/r) elementwise, with its limit z2^H sqrt(pi)/Gamma(H+1/2) at r = 0."""
+    w = np.divide(z2, r, out=np.full(r.shape, np.inf), where=r > 0)
+    small = w < _W_SERIES
+    large = w > _W_ASYMPTOTIC
+    mid = ~(small | large)
+    out = np.empty(r.shape)
+    out[small] = r[small] ** hurst * (1.0 + 2.0 * hurst * w[small])
+    out[mid] = r[mid] ** hurst * hyp1f1(-hurst, 0.5, -w[mid])
+    out[large] = (
+        z2[large] ** hurst
+        * math.sqrt(math.pi)
+        / gamma_fn(hurst + 0.5)
+        * (1.0 - hurst * (0.5 - hurst) / w[large])
+    )
+    return out
+
+
+def _v_kernel(lo: np.ndarray, hi: np.ndarray, dist: np.ndarray, hurst: float) -> np.ndarray:
+    """Cov V elementwise from min(t,s), max(t,s) and |x-y| (module docstring).
+
+    At lo = 0 both terms coincide, so the covariance is exactly 0.
+    """
+    z2 = dist * dist / 4.0
+    scale = noise_constant(hurst) * gamma_fn(1.0 - hurst) / (2.0 * hurst)
+    return scale * (_kummer_term(lo + hi, z2, hurst) - _kummer_term(hi - lo, z2, hurst))
+
+
+def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
+    """Covariance of the stochastic convolution V at (t,x), (s,y), in closed form.
+
+    C_H Gamma(1-H)/(2H) [(t+s)^H M(-H; 1/2; -z^2/(4(t+s)))
+    - |t-s|^H M(-H; 1/2; -z^2/(4|t-s|))] with z = x - y and M the Kummer
+    function, from integrating the spectral form term by term (see the module
+    docstring).  Symmetric, depends on x, y only through |x - y|, zero when
+    either time is 0, and v_covariance(t,x,t,x) = C_H * c_1H * t^H exactly.
     """
     if t < 0 or s < 0:
         raise ValueError("times must be nonnegative")
     if not (0.0 < hurst <= 0.5):
         raise ValueError(f"Hurst index must lie in (0, 1/2], got {hurst}")
-    if t == 0.0 or s == 0.0:
-        return 0.0
-    a = abs(t - s)
-    gap = 2.0 * min(t, s)  # (t+s) - |t-s|
-    c_h = noise_constant(hurst)
-    expo = 1.0 - 2.0 * hurst
-
-    def smooth(xi: float) -> float:
-        x2 = xi * xi
-        time_factor = -math.expm1(-gap * x2) * math.exp(-a * x2) / (2.0 * x2)
-        return c_h * time_factor * xi ** expo
-
-    return 2.0 * _split_quad(smooth, abs(x - y), tol)
+    lo, hi, dist = (np.array([v]) for v in (min(t, s), max(t, s), abs(x - y)))
+    return float(_v_kernel(lo, hi, dist, hurst)[0])
 
 
 def omega_covariance(
@@ -123,6 +184,8 @@ class GaussianFieldModel:
 
     kind "v" needs the Hurst index; kind "omega" needs a spectral measure.
     Grid points are (t, x) pairs inside the declared box (t >= 0 for "v").
+    quad_tol is the omega quadrature tolerance; the V kernel is exact to
+    rounding and takes none.
     """
 
     kind: str
@@ -152,7 +215,7 @@ class GaussianFieldModel:
 
     def kernel(self, t: float, x: float, s: float, y: float) -> float:
         if self.kind == "v":
-            return v_covariance(t, x, s, y, self.hurst, self.quad_tol)
+            return v_covariance(t, x, s, y, self.hurst)
         return omega_covariance(t, x, s, y, self.measure, self.quad_tol, self.mu)
 
 
@@ -168,22 +231,34 @@ def make_grid(box: AnisotropicBox, nt: int, nx: int) -> tuple[tuple[float, float
 def covariance_matrix(model: GaussianFieldModel) -> np.ndarray:
     """Dense covariance matrix over the model grid.
 
-    Kernel calls are memoized on (min(t,s), max(t,s), |x-y|) — for "omega" on
-    (t+s, |x-y|) — so product grids cost O(n_t^2 * n_x) quadratures, not
-    O((n_t n_x)^2).
+    For "v" the kernel depends on (min(t,s), max(t,s), |x-y|): the distinct
+    keys are evaluated in one array call and scattered back.  For "omega"
+    quadratures are memoized on (t+s, |x-y|), so product grids cost
+    O(n_t^2 * n_x) of them, not O((n_t n_x)^2).
     """
     pts = model.grid
     m = len(pts)
+    if model.kind == "v":
+        t, x = np.asarray(pts, dtype=float).T
+        # Each key component is replaced by the index of its value among the
+        # distinct values, so a key is one integer: np.unique over rows of
+        # floats (axis=0) sorts void views and is ten times slower at 24x24.
+        times, t_idx = np.unique(t, return_inverse=True)
+        dists, d_idx = np.unique(np.abs(np.subtract.outer(x, x)), return_inverse=True)
+        lo = np.minimum.outer(t_idx, t_idx)
+        hi = np.maximum.outer(t_idx, t_idx)
+        code = (lo * len(times) + hi) * len(dists) + d_idx.reshape(m, m)
+        uniq, inverse = np.unique(code, return_inverse=True)
+        pair, d = np.divmod(uniq, len(dists))
+        vals = _v_kernel(times[pair // len(times)], times[pair % len(times)], dists[d], model.hurst)
+        return vals[inverse].reshape(m, m)
     cov = np.empty((m, m))
     cache: dict = {}
     for i in range(m):
         t, x = pts[i]
         for j in range(i, m):
             s, y = pts[j]
-            if model.kind == "v":
-                key = (min(t, s), max(t, s), abs(x - y))
-            else:
-                key = (t + s, abs(x - y))
+            key = (t + s, abs(x - y))
             val = cache.get(key)
             if val is None:
                 val = model.kernel(t, x, s, y)

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion lines on passing runs).  Criterion 1 samples 20000 fields on a
-24 x 24 grid and dominates the runtime (about a minute).
+24 x 24 grid in about 1 s.  Criterion 3 dominates the runtime (about 15 s on
+a 2-vCPU x86-64 host): it builds one random-number stream per replica.
 """
 
 import json
@@ -85,10 +86,10 @@ def test_criterion_02_variance_identity():
         hurst = float(rng.uniform(0.1, 0.5))
         t = float(rng.uniform(0.05, 2.0))
         x = float(rng.uniform(-2.0, 2.0))
-        got = v_covariance(t, x, t, x, hurst, tol=1e-10)
+        got = v_covariance(t, x, t, x, hurst)
         want = noise_constant(hurst) * variance_coefficient(hurst) * t ** hurst
         worst = max(worst, abs(got - want))
-    report(2, worst <= 1e-8, f"max |quadrature - closed| = {worst:.2e} <= 1e-8")
+    report(2, worst <= 1e-8, f"max |kernel - closed| = {worst:.2e} <= 1e-8")
 
 
 def test_criterion_03_increment_bound():

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import erf, gamma, hyp1f1
 
+from suptail import sim
 from suptail.curves import TailCurve
+from suptail.entropy import QuadratureError
 from suptail.heat import (
     SpectralMeasure,
     increment_constant,
@@ -32,6 +36,19 @@ BOX = AnisotropicBox(0.1, 1.0, 0.0, 1.0)
 
 def small_model(nt=3, nx=3, hurst=0.5):
     return GaussianFieldModel(kind="v", grid=make_grid(BOX, nt, nx), hurst=hurst, box=BOX)
+
+
+def v_covariance_spectral(t, x, s, y, hurst, tol=1e-10):
+    """Cov V by quadrature of its spectral form, the oracle for the closed form."""
+    a = abs(t - s)
+    gap = 2.0 * min(t, s)
+    c_h = noise_constant(hurst)
+
+    def smooth(xi):
+        x2 = xi * xi
+        return c_h * -math.expm1(-gap * x2) * math.exp(-a * x2) / (2.0 * x2) * xi ** (1.0 - 2.0 * hurst)
+
+    return 2.0 * sim._split_quad(smooth, abs(x - y), tol)
 
 
 class TestVCovariance:
@@ -69,6 +86,63 @@ class TestVCovariance:
         with pytest.raises(ValueError):
             v_covariance(1.0, 0.0, 1.0, 0.0, 0.7)
 
+    @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25, 0.1])
+    def test_closed_form_matches_spectral_quadrature(self, hurst):
+        rng = np.random.default_rng(15)
+        for k in range(200):
+            t = rng.uniform(0.02, 2.0)
+            s = t if k % 4 == 0 else rng.uniform(0.02, 2.0)
+            x = rng.uniform(-1.5, 1.5)
+            y = x + rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0)
+            scale = noise_constant(hurst) * variance_coefficient(hurst) * max(t, s) ** hurst
+            got = v_covariance(t, x, s, y, hurst)
+            assert abs(got - v_covariance_spectral(t, x, s, y, hurst)) <= 1e-10 * scale
+
+    def test_elementary_form_at_half(self):
+        # M(-1/2; 1/2; -w) = e^{-w} + sqrt(pi w) erf(sqrt(w)), C_{1/2} = 1/(2 pi)
+        def term(r, z):
+            if r == 0.0:
+                return math.sqrt(math.pi) * abs(z) / 2.0
+            w = z * z / (4.0 * r)
+            return math.sqrt(r) * (math.exp(-w) + math.sqrt(math.pi * w) * erf(math.sqrt(w)))
+
+        rng = np.random.default_rng(16)
+        for k in range(100):
+            t = rng.uniform(0.01, 3.0)
+            s = t if k % 5 == 0 else rng.uniform(0.01, 3.0)
+            z = rng.uniform(0.0, 4.0)
+            want = (term(t + s, z) - term(abs(t - s), z)) / (2.0 * math.sqrt(math.pi))
+            assert v_covariance(t, 0.0, s, z, 0.5) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.25])
+    def test_continuous_at_zero_separation(self, hurst):
+        # |C(z) - C(0)| <= (z^2/2) C_H int_R (e^{-a xi^2} - e^{-b xi^2})/2 |xi|^{1-2H} dxi
+        #             = z^2 C_H Gamma(1-H) (a^{H-1} - b^{H-1}) / 4,
+        # sharp to leading order, so rounding of C(0) is allowed on top
+        t, s = 0.5, 0.7
+        a, b = abs(t - s), t + s
+        c0 = v_covariance(t, 0.0, s, 0.0, hurst)
+        curvature = noise_constant(hurst) * gamma(1.0 - hurst) * (a ** (hurst - 1) - b ** (hurst - 1)) / 4
+        for z in (1e-5, 1e-4, 1e-3):
+            assert abs(v_covariance(t, 0.0, s, z, hurst) - c0) <= z * z * curvature + 1e-14 * c0
+
+    def test_kummer_term_branches(self):
+        # the series and large-w branches agree with hyp1f1 where they meet it
+        for hurst in (1e-3, 0.1, 0.35, 0.5):
+            for w in (sim._W_SERIES, sim._W_ASYMPTOTIC):
+                ws = w * np.array([1 - 1e-9, 1 + 1e-9])
+                got = sim._kummer_term(np.ones(2), ws, hurst)
+                want = hyp1f1(-hurst, 0.5, -ws)
+                assert np.allclose(got, want, rtol=1e-13, atol=0)
+        # and reach the exact limits M -> 1 (w -> 0) and r^H M -> z2^H sqrt(pi)/Gamma(H+1/2)
+        hurst = 1e-3
+        limit = math.sqrt(math.pi) / gamma(hurst + 0.5)
+        assert sim._kummer_term(np.array([1.0]), np.array([1e-200]), hurst)[0] == pytest.approx(1.0, rel=1e-15)
+        for r in (1e-200, 0.0):
+            got = sim._kummer_term(np.array([r]), np.array([1.0]), hurst)[0]
+            assert got == pytest.approx(limit, rel=1e-15)
+        assert np.isfinite(v_covariance(1e-10, 0.0, 1e-10 + 1e-25, 1.0, hurst))
+
 
 class TestOmegaCovariance:
     def test_reduces_to_initial_covariance_at_zero_time(self):
@@ -90,6 +164,26 @@ class TestOmegaCovariance:
         a = omega_covariance(0.3, 0.2, 0.5, 0.9, m)
         b = omega_covariance(0.3, 1.2, 0.5, 1.9, m)
         assert a == pytest.approx(b, rel=1e-11)
+
+    @pytest.mark.parametrize("z", [1e-5, 1e-4, 1e-3, 2e-3])
+    def test_continuous_at_small_separation(self, z):
+        # |C(z) - C(0)| <= z^2 int_0^inf lam^2 e^{-mu (t+s) lam^2} f(lam) dlam, plus
+        # the quadrature tolerance of the two covariances
+        m = SpectralMeasure.matern(1.0, 0.3)
+        t = s = 0.05
+        second_moment, _ = quad(
+            lambda lam: lam * lam * math.exp(-(t + s) * lam * lam) * m.density_at(lam), 0.0, np.inf
+        )
+        c0 = omega_covariance(t, 0.0, s, 0.0, m)
+        assert abs(omega_covariance(t, 0.0, s, z, m) - c0) <= z * z * second_moment + 1e-9
+
+    def test_unresolvable_separation_raises(self):
+        m = SpectralMeasure.matern(1.0, 0.3)
+        assert omega_covariance(0.05, 0.0, 0.05, 1e-300, m) == pytest.approx(
+            omega_covariance(0.05, 0.0, 0.05, 0.0, m), abs=1e-9
+        )
+        with pytest.raises(QuadratureError, match="too small"):
+            omega_covariance(0.05, 0.0, 0.05, 5e-324, m)
 
     def test_diffusivity_parameter(self):
         m = SpectralMeasure.matern(1.0, 1.0)
