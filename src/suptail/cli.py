@@ -34,8 +34,7 @@ class ConfigError(ValueError):
 _MODEL_KEYS = {"hurst", "rho", "holder_const", "init_sup", "det_const", "alpha"}
 _BOX_KEYS = {"a1", "b1", "a2", "b2", "h1", "h2"}
 _PROFILE_KEYS = {"scale", "exponent"}
-_UGRID_KEYS = {"min", "max", "count", "scale"}
-_MEASURE_KEYS = {"sigma2", "alpha_m"}
+_UGRID_KEYS = {"max", "count"}
 
 _SCHEMAS = {
     "constants": {"model"},
@@ -52,8 +51,6 @@ _SCHEMAS = {
         "u_auto",
         "theta",
         "workers",
-        "measure",
-        "mu",
     },
 }
 
@@ -79,8 +76,6 @@ def load_config(path: str, command: str) -> dict:
         _require_keys(cfg["box"], _BOX_KEYS, "box", required={"a1", "b1", "a2", "b2"})
     if "profile" in cfg:
         _require_keys(cfg["profile"], _PROFILE_KEYS, "profile", required=_PROFILE_KEYS)
-    if "measure" in cfg:
-        _require_keys(cfg["measure"], _MEASURE_KEYS, "measure", required=_MEASURE_KEYS)
     if isinstance(cfg.get("u_auto"), dict):
         _require_keys(cfg["u_auto"], _UGRID_KEYS, "u_auto")
     return cfg
@@ -102,7 +97,7 @@ def _box_from(cfg: dict) -> AnisotropicBox:
     return AnisotropicBox(**cfg["box"])
 
 
-def _u_grid(cfg: dict, inputs: supbound.FieldBoundInputs | None) -> list[float]:
+def _u_grid(cfg: dict, inputs: supbound.FieldBoundInputs) -> list[float]:
     if "u_grid" in cfg and cfg["u_grid"] is not None:
         us = [float(u) for u in cfg["u_grid"]]
         if any(b <= a for a, b in zip(us, us[1:])):
@@ -111,23 +106,13 @@ def _u_grid(cfg: dict, inputs: supbound.FieldBoundInputs | None) -> list[float]:
     auto = cfg.get("u_auto") or {}
     count = int(auto.get("count", 12))
     span = float(auto.get("max", 2.0))  # multiple of the minimal threshold
-    if inputs is None:
-        raise ConfigError("u_auto requires a bound context; give u_grid explicitly")
-    # minimal validity threshold over theta, found on the same concave scale
-    # the optimizer uses; pad the low end so a couple of entries are invalid.
-    cap = inputs.theta_cap * (1.0 - 1e-9)
-    thetas = np.geomspace(1e-6, cap, 256)
-    thr = min(u_threshold_safe(float(t), inputs) for t in thetas)
-    lo = 0.9 * thr
-    hi = span * thr
-    return [float(u) for u in np.linspace(lo, hi, count)]
-
-
-def u_threshold_safe(theta: float, inputs: supbound.FieldBoundInputs) -> float:
-    try:
-        return supbound.u_threshold(theta, inputs)
-    except ValueError:
-        return math.inf
+    # The threshold is log-convex in theta with its minimum at (1-q)/(2-q), so
+    # capping that point gives the minimal threshold over the valid range; pad
+    # the low end so a couple of entries are invalid.
+    q = inputs.q
+    theta = min((1.0 - q) / (2.0 - q), inputs.theta_cap * (1.0 - 1e-9))
+    thr = supbound.u_threshold(theta, inputs)
+    return [float(u) for u in np.linspace(0.9 * thr, span * thr, count)]
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +220,7 @@ def _bound_curve(us: list[float], theta_cfg, inputs) -> list[tuple]:
     return rows
 
 
-def cmd_bound_sup(cfg: dict, out: Path, seed, fmt: str, tol: float | None) -> int:
+def cmd_bound_sup(cfg: dict, out: Path, seed, fmt: str) -> int:
     inputs = _bound_inputs(cfg)
     us = _u_grid(cfg, inputs)
     rows = _bound_curve(us, cfg.get("theta"), inputs)
@@ -251,7 +236,7 @@ def cmd_bound_sup(cfg: dict, out: Path, seed, fmt: str, tol: float | None) -> in
     return 0
 
 
-def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str, tol: float | None) -> int:
+def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
     model = _model_from(cfg)
     p = float(cfg.get("p", 2.0))
     halfwidth = float(cfg.get("halfwidth", 1.0))
@@ -267,7 +252,7 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str, tol: float | None) ->
     for u, env in zip(result.curve.u, result.curve.value):
         try:
             theta, opt = growth.optimize_theta_growth(
-                u, spec, result.c_tilde.value, result.s_tilde.value
+                u, spec, result.c_tilde.value, result.s_tilde.value, result.theta_cap
             )
         except ValueError:
             theta, opt = math.nan, math.nan
@@ -298,7 +283,7 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str, tol: float | None) ->
     return 0
 
 
-def cmd_covering(cfg: dict, out: Path, seed, fmt: str, tol: float | None) -> int:
+def cmd_covering(cfg: dict, out: Path, seed, fmt: str) -> int:
     box = _box_from(cfg)
     eps = float(cfg["eps"])
     resolution = int(cfg.get("resolution", 101))
@@ -319,7 +304,7 @@ def cmd_covering(cfg: dict, out: Path, seed, fmt: str, tol: float | None) -> int
     return 0 if oracle <= bound else 1
 
 
-def cmd_simulate_verify(cfg: dict, out: Path, seed, fmt: str, tol: float | None) -> int:
+def cmd_simulate_verify(cfg: dict, out: Path, seed, fmt: str) -> int:
     if seed is None:
         raise ConfigError("simulate-verify requires an explicit --seed")
     model = _model_from(cfg)
@@ -343,7 +328,6 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed, fmt: str, tol: float | None)
         grid=sim.make_grid(box, nt, nx),
         hurst=model.hurst,
         box=box,
-        quad_tol=tol if tol is not None else 1e-10,
     )
     fields = sim.sample_fields(field_model, n_samples, seed=seed, workers=workers)
     empirical = sim.empirical_sup_tail(fields, us)
@@ -406,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (required for verify)")
-        p.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
         p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name == "constants":
+            p.add_argument("--tol", type=float, default=None, help="c_2H quadrature tolerance")
     return parser
 
 
@@ -417,7 +402,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.seed, args.format, args.tol)
+        options = {"tol": args.tol} if "tol" in args else {}
+        return _COMMANDS[args.command](cfg, out, args.seed, args.format, **options)
     except (ConfigError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"suptail {args.command}: error: {exc}", file=sys.stderr)
         return 1

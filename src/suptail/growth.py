@@ -438,44 +438,27 @@ def optimize_theta_growth(
     spec: GrowthSpec,
     c_value: float,
     s_value: float,
-    n_grid: int = 512,
-    theta_tol: float = 1e-10,
-    k_probe: int = 512,
+    theta_cap: Optional[float] = None,
 ) -> tuple[float, float]:
-    """Minimize the growth tail bound over theta for precomputed (C, S).
+    """Minimize the growth tail bound over theta for precomputed (C, S), in closed form.
 
-    Same concave-argument search as the bounded-domain optimizer: maximize
-    arg(theta) = u*(1-theta) - 2*S*theta^(-1/(gamma*beta)).
+    The bound decreases in arg(theta) = u*(1-theta) - 2*S*theta^(-1/(gamma*beta)),
+    which is concave; d arg/d theta = -u + (2S/(gamma*beta)) theta^(-1/(gamma*beta) - 1)
+    vanishes at
+
+        theta* = (2S/(gamma*beta*u))^(gamma*beta/(gamma*beta+1)),
+
+    capped just below theta_cap = min(1, theta_sup(spec)).  Pass theta_cap
+    when it is already known (it depends on the spec only, not on u).
     """
+    if u <= 0.0:
+        raise ValueError(f"no valid theta: u = {u} is below every validity threshold")
     gb = spec.gamma_beta
     beta = spec.fam.beta
-    cap = min(1.0, theta_sup(spec, k_probe)) * (1.0 - 1e-12)
-
-    def arg(t: float) -> float:
-        return u * (1.0 - t) - 2.0 * s_value * t ** (-1.0 / gb)
-
-    grid = np.geomspace(min(1e-8, cap * 1e-3), cap, n_grid)
-    vals = np.array([arg(float(t)) for t in grid])
-    k = int(np.argmax(vals))
-    a = grid[k - 1] if k > 0 else grid[0] * 0.5
-    b = grid[k + 1] if k < n_grid - 1 else cap
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = arg(c), arg(d)
-    while b - a > theta_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = arg(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = arg(d)
-    theta_star = 0.5 * (a + b)
-    best = max([(arg(theta_star), theta_star)] + [(float(v), float(t)) for v, t in zip(vals, grid)])
-    a_star, theta_star = best
-    if a_star <= 0.0:
+    if theta_cap is None:
+        theta_cap = min(1.0, theta_sup(spec))
+    theta = min((2.0 * s_value / (gb * u)) ** (gb / (gb + 1.0)), theta_cap * (1.0 - 1e-12))
+    arg = u * (1.0 - theta) - 2.0 * s_value * theta ** (-1.0 / gb)
+    if arg <= 0.0:
         raise ValueError(f"no valid theta: u = {u} is below every validity threshold")
-    bound = min(1.0, 2.0 * math.exp(-(a_star ** beta) / (beta * c_value ** beta)))
-    return theta_star, bound
+    return theta, min(1.0, 2.0 * math.exp(-(arg ** beta) / (beta * c_value ** beta)))

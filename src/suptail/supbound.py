@@ -1,4 +1,4 @@
-"""Supremum bounds over a bounded anisotropic box: MGF bound, tail bound, theta search.
+"""Supremum bounds over a bounded anisotropic box: MGF bound, tail bound, optimal theta.
 
 All bounds share the structure 2*exp(-phi*(z(theta))) with
 
@@ -6,7 +6,15 @@ All bounds share the structure 2*exp(-phi*(z(theta))) with
 
 I the entropy integral (closed form or numeric).  The bound is asserted only
 for z > 0, i.e. u above ``u_threshold``; it is decreasing in z, so the optimal
-theta maximizes z, which is concave in theta.
+theta maximizes z.  With the closed-form integral I(eps) = c1 eps^q,
+q = 1 - 1/(gamma*beta), z is a concave power function of theta, and
+dz/dtheta = 0 gives the explicit maximizer
+
+    theta* = (2(1-q) c1 eps0^q / u)^(1/(2-q)),
+
+used by ``optimize_theta`` after capping it just below theta_cap.  The
+threshold 2 c1 eps0^q theta^(q-1) / (1-theta) is log-convex in theta and
+smallest at theta = (1-q)/(2-q), again capped.
 
 Separability of the field on the box is a modeling assumption the caller must
 supply; it is not checkable numerically.
@@ -16,8 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .entropy import HolderProfile, c1_constant, entropy_integral_closed, entropy_integral_numeric
 from .metric import AnisotropicBox
@@ -49,6 +55,11 @@ class FieldBoundInputs:
     @property
     def c1(self) -> float:
         return c1_constant(self.box, self.prof, self.fam)
+
+    @property
+    def q(self) -> float:
+        """Exponent of the closed-form entropy integral c1 eps^q: 1 - 1/(gamma*beta)."""
+        return 1.0 - 1.0 / (self.prof.exponent * self.fam.beta)
 
     @property
     def theta_cap(self) -> float:
@@ -129,55 +140,36 @@ def sup_mgf_bound(lam: float, theta: float, inputs: FieldBoundInputs) -> float:
     return 2.0 * math.exp(exponent)
 
 
-def _z_of_theta(u: float, theta: float, inputs: FieldBoundInputs) -> float:
-    itil = inputs.entropy_closed(theta * inputs.eps0)
-    return (u * (1.0 - theta) - 2.0 / theta * itil) / inputs.eps0
+def optimize_theta(u: float, inputs: FieldBoundInputs) -> tuple[float, float]:
+    """Minimize the closed-form tail bound over valid theta, in closed form.
 
+    With I(eps) = c1 eps^q, q = 1 - 1/(gamma*beta) in (0, 1),
 
-def optimize_theta(
-    u: float,
-    inputs: FieldBoundInputs,
-    n_grid: int = 512,
-    theta_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Minimize the closed-form tail bound over valid theta.
+        z(theta) = (u*(1-theta) - 2 c1 eps0^q theta^(q-1)) / eps0
 
-    The bound is decreasing in z(theta), which is concave, so the search
-    maximizes z: a log-spaced coarse grid over (0, theta_cap) followed by
-    golden-section refinement to ``theta_tol``.  Deterministic.
+    is concave in theta, and dz/dtheta = (-u + 2(1-q) c1 eps0^q theta^(q-2)) / eps0
+    vanishes at
 
-    Returns (theta_star, bound).  Raises if no theta satisfies
-    u > u_threshold(theta) ("no valid theta").
+        theta* = (2(1-q) c1 eps0^q / u)^(1/(2-q)).
+
+    The bound decreases in z, so the optimum over the valid range is theta*
+    capped just below theta_cap (z increases up to theta*, so the cap is the
+    constrained maximizer when theta* lies beyond it).
+
+    Returns (theta_star, bound).  Raises if z(theta_star) <= 0, i.e. no theta
+    satisfies u > u_threshold(theta) ("no valid theta").
     """
-    cap = inputs.theta_cap
-    hi = cap * (1.0 - 1e-12)
-    lo = min(1e-8, hi * 1e-3)
-    grid = np.geomspace(lo, hi, n_grid)
-    zs = np.array([_z_of_theta(u, float(t), inputs) for t in grid])
-    k = int(np.argmax(zs))
-
-    lo_b = grid[k - 1] if k > 0 else grid[0] * 0.5
-    hi_b = grid[k + 1] if k < n_grid - 1 else hi
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo_b, hi_b
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _z_of_theta(u, c, inputs)
-    fd = _z_of_theta(u, d, inputs)
-    while b - a > theta_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _z_of_theta(u, c, inputs)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _z_of_theta(u, d, inputs)
-    theta_star = 0.5 * (a + b)
-    z_star = _z_of_theta(u, theta_star, inputs)
-    best = max([(z_star, theta_star)] + [(float(z), float(t)) for z, t in zip(zs, grid)])
-    z_star, theta_star = best
-    if z_star <= 0.0:
+    if u <= 0.0:
         raise ValueError(f"no valid theta: u = {u} is below every validity threshold")
-    bound = min(1.0, 2.0 * math.exp(-phi_conjugate(z_star, inputs.fam)))
-    return theta_star, bound
+    c1 = inputs.c1
+    eps0 = inputs.eps0
+    q = inputs.q
+    theta = min(
+        (2.0 * (1.0 - q) * c1 * eps0 ** q / u) ** (1.0 / (2.0 - q)),
+        inputs.theta_cap * (1.0 - 1e-12),
+    )
+    itil = entropy_integral_closed(theta * eps0, c1, inputs.prof, inputs.fam)
+    z = (u * (1.0 - theta) - 2.0 / theta * itil) / eps0
+    if z <= 0.0:
+        raise ValueError(f"no valid theta: u = {u} is below every validity threshold")
+    return theta, min(1.0, 2.0 * math.exp(-phi_conjugate(z, inputs.fam)))

@@ -3,10 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from suptail.cli import main
-from suptail.heat import SheModel
+from suptail import supbound
+from suptail.cli import ConfigError, load_config, main
+from suptail.entropy import HolderProfile
+from suptail.heat import SheModel, v_bound_inputs
+from suptail.metric import AnisotropicBox
+from suptail.orlicz import PhiFamily
 
 MODEL = {"hurst": 0.5, "rho": 0.5, "holder_const": 1.0, "init_sup": 1.0, "det_const": 1.0, "alpha": 2.0}
 BOX = {"a1": 0.1, "b1": 1.0, "a2": 0.0, "b2": 1.0}
@@ -50,6 +55,12 @@ class TestConstants:
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = run(tmp_path, "constants", {"model": MODEL, "bogus": 1})
         assert code == 1
+
+    def test_tol_override(self, tmp_path):
+        code, out = run(tmp_path, "constants", {"model": MODEL}, "--tol", "1e-12")
+        assert code == 0
+        payload = json.loads((out / "constants.json").read_text())
+        assert payload["provenance"]["quad_tol"] == 1e-12
 
     def test_byte_stable(self, tmp_path):
         cfg = write_config(tmp_path, {"model": MODEL})
@@ -97,6 +108,80 @@ class TestBoundSup:
         assert code == 0
         lines = (out / "bound_sup.csv").read_text().splitlines()
         assert lines[1] == "u,theta,bound,validity"
+
+    @pytest.mark.parametrize(
+        "payload, inputs",
+        [
+            (
+                {"field": "v", "model": MODEL, "box": BOX},
+                v_bound_inputs(AnisotropicBox(**BOX), SheModel(**MODEL)),
+            ),
+            # eps0 = 10 puts theta_cap = 0.2 below the unconstrained minimizer 1/3
+            (
+                {
+                    "field": "generic",
+                    "fam": 2.0,
+                    "eps0": 10.0,
+                    "profile": {"scale": 1.0, "exponent": 1.0},
+                    "box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0},
+                },
+                supbound.FieldBoundInputs(
+                    eps0=10.0,
+                    box=AnisotropicBox(0.0, 1.0, 0.0, 1.0),
+                    prof=HolderProfile.power(1.0, 1.0),
+                    fam=PhiFamily(2.0),
+                ),
+            ),
+        ],
+    )
+    def test_u_auto_starts_below_exact_minimal_threshold(self, tmp_path, payload, inputs):
+        payload = {**payload, "u_auto": {"count": 5, "max": 2.0}}
+        code, out = run(tmp_path, "bound-sup", payload)
+        assert code == 0
+        rows = json.loads((out / "bound_sup.json").read_text())["curve"]
+        thetas = np.linspace(1e-4, inputs.theta_cap * (1 - 1e-9), 20001)
+        scanned = min(supbound.u_threshold(float(t), inputs) for t in thetas)
+        threshold = rows[0]["u"] / 0.9
+        assert threshold <= scanned
+        assert threshold > 0.999 * scanned
+        assert rows[-1]["u"] == pytest.approx(2.0 * threshold, rel=1e-12)
+        assert rows[0]["validity"] == "INVALID"
+        assert rows[-1]["validity"] == "VALID"
+
+    def test_u_auto_divergent_entropy_errors(self, tmp_path):
+        # gamma*beta = 0.8 <= 1: no threshold exists, so no u grid can be built
+        payload = {
+            "field": "generic",
+            "fam": 2.0,
+            "eps0": 1.0,
+            "profile": {"scale": 1.0, "exponent": 0.4},
+            "box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0},
+            "u_auto": {"count": 3},
+        }
+        code, _ = run(tmp_path, "bound-sup", payload)
+        assert code == 1
+
+    def test_tol_rejected(self, tmp_path):
+        payload = {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0]}
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "bound-sup", payload, "--tol", "1e-6")
+        assert exc.value.code == 2
+
+
+class TestDeadKeys:
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("bound-sup", {"u_auto": {"count": 4, "min": 1.0}}, "min"),
+            ("bound-sup", {"u_auto": {"count": 4, "scale": "log"}}, "scale"),
+            ("simulate-verify", {"measure": {"sigma2": 1.0, "alpha_m": 0.3}}, "measure"),
+            ("simulate-verify", {"mu": 0.5}, "mu"),
+        ],
+    )
+    def test_ignored_keys_rejected(self, tmp_path, command, payload, key):
+        path = write_config(tmp_path, {"field": "v", "model": MODEL, "box": BOX, **payload})
+        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+            load_config(path, command)
 
 
 class TestBoundGrowth:

@@ -261,3 +261,57 @@ class TestOptimizeThetaGrowth:
         spec = linear_spec()
         with pytest.raises(ValueError, match="no valid theta"):
             optimize_theta_growth(0.5, spec, 1.0, 1.0)
+
+    def test_closed_form_beats_dense_grid_random_specs(self):
+        # Oracle: arg(theta) on a 10000-point grid, vectorized from the
+        # defining formula, with growth_tail_bound at the grid's best theta.
+        # Small Holder scales put theta_sup below the unconstrained theta*.
+        rng = np.random.default_rng(20240503)
+        n_capped = n_free = 0
+        for _ in range(40):
+            fam = PhiFamily(float(rng.choice([2.0, 1.5])))
+            gamma = float(rng.uniform(1.1 / fam.beta, 1.0))
+            holder = float(rng.choice([rng.uniform(0.005, 0.05), rng.uniform(0.5, 2.0)]))
+            spec = linear_spec(
+                q=float(rng.uniform(0.2, 0.8)),
+                r=float(rng.uniform(0.1, 0.8)),
+                halfwidth=float(rng.uniform(0.3, 2.0)),
+                cell_holder=lambda k, c=holder: c,
+                gamma=gamma,
+                h1=float(rng.uniform(0.3, 1.0)),
+                fam=fam,
+            )
+            gb = spec.gamma_beta
+            C, S = series_C(spec), series_S(spec)
+            cap = min(1.0, theta_sup(spec))
+            thetas = np.geomspace(1e-6, cap * (1 - 1e-9), 10000)
+            thr = np.min(2.0 * S / ((1 - thetas) * thetas ** (1.0 / gb)))
+            for factor in (1.01, 1.5, 3.0, 20.0):
+                u = factor * thr
+                arg = u * (1 - thetas) - 2.0 * S * thetas ** (-1.0 / gb)
+                theta_star, bound = optimize_theta_growth(u, spec, C, S)
+                best = float(thetas[np.argmax(arg)])
+                other = growth_tail_bound(u, best, spec, c_value=C, s_value=S)
+                assert bound <= other * (1 + 1e-9)
+                assert 0.0 < theta_star < cap
+                if (2.0 * S / (gb * u)) ** (gb / (gb + 1.0)) >= cap:
+                    n_capped += 1
+                    assert theta_star == pytest.approx(cap, rel=1e-11)
+                else:
+                    n_free += 1
+            with pytest.raises(ValueError, match="no valid theta"):
+                optimize_theta_growth(0.99 * thr, spec, C, S)
+        assert min(n_capped, n_free) >= 10, (n_capped, n_free)
+
+    def test_nonpositive_u_has_no_valid_theta(self):
+        spec = linear_spec()
+        for u in (0.0, -3.0):
+            with pytest.raises(ValueError, match="no valid theta"):
+                optimize_theta_growth(u, spec, 1.0, 1.0)
+
+    def test_precomputed_cap_matches(self):
+        spec = linear_spec(cell_holder=lambda k: 0.05)
+        C, S = series_C(spec), series_S(spec)
+        cap = min(1.0, theta_sup(spec))
+        for u in (50.0, 500.0):
+            assert optimize_theta_growth(u, spec, C, S, cap) == optimize_theta_growth(u, spec, C, S)

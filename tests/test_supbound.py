@@ -175,6 +175,11 @@ class TestOptimizeTheta:
         with pytest.raises(ValueError, match="no valid theta"):
             optimize_theta(1.0, STD)
 
+    def test_nonpositive_u_has_no_valid_theta(self):
+        for u in (0.0, -3.0):
+            with pytest.raises(ValueError, match="no valid theta"):
+                optimize_theta(u, STD)
+
     def test_heuristic_theta_never_better(self):
         # theta = u^(-gb/(gb+1)) is a valid choice but never beats the optimum
         gb = 2.0
@@ -188,3 +193,44 @@ class TestOptimizeTheta:
         a = optimize_theta(40.0, STD)
         b = optimize_theta(40.0, STD)
         assert a == b
+
+    def test_closed_form_beats_dense_grid_random_cases(self):
+        # Oracle: z(theta) on a 10000-point grid, vectorized from the defining
+        # formula; the library bound at the grid's best theta must not beat
+        # the closed-form optimum.  Large eps0 pushes theta_cap below the
+        # unconstrained theta*, so both branches of the cap are covered.
+        rng = np.random.default_rng(20240502)
+        n_capped = n_free = n_invalid = 0
+        for _ in range(200):
+            fam = PhiFamily(float(rng.uniform(1.2, 2.0)))
+            gamma = float(rng.uniform(1.05 / fam.beta, 1.0))
+            inp = FieldBoundInputs(
+                eps0=float(rng.choice([rng.uniform(0.2, 2.0), rng.uniform(5.0, 40.0)])),
+                box=AnisotropicBox(
+                    0, float(rng.uniform(0.1, 3.0)), 0, float(rng.uniform(0.1, 3.0)),
+                    float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 1.0)),
+                ),
+                prof=HolderProfile.power(float(rng.uniform(0.2, 3.0)), gamma),
+                fam=fam,
+            )
+            q = 1.0 - 1.0 / (gamma * fam.beta)
+            thetas = np.geomspace(1e-6, inp.theta_cap * (1 - 1e-9), 10000)
+            scale = 2.0 * inp.c1 * inp.eps0 ** q
+            u = float(rng.uniform(0.5, 4.0)) * np.min(scale * thetas ** (q - 1) / (1 - thetas))
+            z = (u * (1 - thetas) - scale * thetas ** (q - 1)) / inp.eps0
+            if np.max(z) <= 0:
+                n_invalid += 1
+                with pytest.raises(ValueError, match="no valid theta"):
+                    optimize_theta(u, inp)
+                continue
+            theta_star, bound = optimize_theta(u, inp)
+            best = float(thetas[np.argmax(z)])
+            assert bound <= sup_tail_bound(u, best, inp) * (1.0 + 1e-9)
+            assert theta_star * inp.eps0 < inp.gamma0
+            unconstrained = ((1 - q) * scale / u) ** (1.0 / (2.0 - q))
+            if unconstrained >= inp.theta_cap:
+                n_capped += 1
+                assert theta_star == pytest.approx(inp.theta_cap, rel=1e-11)
+            else:
+                n_free += 1
+        assert min(n_capped, n_free, n_invalid) >= 10, (n_capped, n_free, n_invalid)
