@@ -247,12 +247,11 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
     result = heat.she_growth_envelope(
         model, p, us, halfwidth=halfwidth, series_tol=series_tol
     )
-    spec = heat.growth_spec_for_v(model, p, halfwidth)
     rows = []
     for u, env in zip(result.curve.u, result.curve.value):
         try:
             theta, opt = growth.optimize_theta_growth(
-                u, spec, result.c_tilde.value, result.s_tilde.value, result.theta_cap
+                u, result.spec, result.c_tilde.value, result.s_tilde.value, result.theta_cap
             )
         except ValueError:
             theta, opt = math.nan, math.nan

@@ -40,10 +40,6 @@ class GrowthSpec:
 
     power_delta/power_scale describe the envelope variant with
     cell_sup(k) = power_scale * b_{k+1}^power_delta.
-
-    log_term_c / log_term_s optionally give ln of the series terms directly;
-    they let partitions like b_k = e^k be summed far past float overflow and
-    must agree with the plain terms where both are finite.
     """
 
     partition: Callable[[int], float]
@@ -57,8 +53,6 @@ class GrowthSpec:
     fam: PhiFamily
     power_delta: Optional[float] = None
     power_scale: Optional[float] = None
-    log_term_c: Optional[Callable] = None
-    log_term_s: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma <= 1.0):
@@ -113,32 +107,19 @@ class SeriesSum:
     n_terms: int
 
 
-def _eval_terms(term, lo: int, hi: int, log_term=None) -> np.ndarray:
+def _eval_terms(term, lo: int, hi: int) -> np.ndarray:
     """Evaluate terms on [lo, hi); vectorized when the closure allows it."""
     ks = np.arange(lo, hi)
-    f = log_term if log_term is not None else term
     try:
-        out = np.asarray(f(ks), dtype=float)
+        out = np.asarray(term(ks), dtype=float)
         if out.shape != ks.shape:
             raise TypeError
     except (TypeError, ValueError):
-        out = np.array([float(f(int(k))) for k in ks])
-    if log_term is not None:
-        with np.errstate(over="ignore"):
-            out = np.exp(out)
+        out = np.array([float(term(int(k))) for k in ks])
     return out
 
 
-def _eval_one(term, k: int, log_term=None) -> float:
-    if log_term is not None:
-        lv = float(log_term(k))
-        if lv <= -745.0:
-            return 0.0
-        return math.exp(lv) if lv <= 709.0 else math.inf
-    return float(term(k))
-
-
-def _remainder_bracket(term, start: int, log_term=None) -> tuple[float, float] | None:
+def _remainder_bracket(term, start: int) -> tuple[float, float] | None:
     """Bracket sum_{k >= start} a_k for positive, eventually decreasing terms.
 
     Blocks of length ~s/4 (growing by ~5/4): each block sum lies between
@@ -152,13 +133,13 @@ def _remainder_bracket(term, start: int, log_term=None) -> tuple[float, float] |
     upper = 0.0
     lower = 0.0
     s = start
-    a_s = _eval_one(term, s, log_term)
+    a_s = float(term(s))
     if not np.isfinite(a_s) or a_s < 0:
         return None
     block_ups: list[float] = []
     for _ in range(128):
         length = max(s // 4, 1)  # blocks grow by ~5/4; tighter than doubling
-        a_next = _eval_one(term, s + length, log_term)
+        a_next = float(term(s + length))
         if not np.isfinite(a_next) or a_next < 0 or a_next > a_s:
             return None  # terms not decreasing here; cannot certify yet
         block_up = length * a_s
@@ -182,22 +163,22 @@ def sum_series(
     term,
     tol: float = 1e-9,
     k_max: int = 10 ** 6,
-    log_term=None,
-    chunk: int = 4096,
 ) -> SeriesSum:
     """Sum a positive series with a certified remainder at most ``tol``.
 
     Terms are accumulated in chunks; at doubling checkpoints the remainder is
     bracketed by ``_remainder_bracket`` and the midpoint correction is applied
     once the bracket half-width is within tol.  Raises SeriesError when no
-    certificate is reached within k_max terms (divergence or too-slow decay).
+    certificate is reached within k_max terms (divergence or too-slow decay);
+    its message gives the smallest bracket half-width reached, and where.
     """
     total = 0.0
     k = 0
     next_check = 64
+    best: tuple[float, int] | None = None  # tightest (half-width, k) bracket seen
     while k < k_max:
-        hi = min(k + chunk, k_max, next_check)
-        vals = _eval_terms(term, k, hi, log_term)
+        hi = min(k + 4096, k_max, next_check)
+        vals = _eval_terms(term, k, hi)
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise SeriesError(
                 f"series terms must be finite and nonnegative; offending block at k = {k}"
@@ -205,15 +186,22 @@ def sum_series(
         total += float(np.sum(vals))
         k = hi
         if k >= next_check or k >= k_max:
-            bracket = _remainder_bracket(term, k, log_term)
+            bracket = _remainder_bracket(term, k)
             if bracket is not None:
                 lower, upper = bracket
                 half = 0.5 * (upper - lower)
                 if half <= tol and np.isfinite(upper):
                     return SeriesSum(total + 0.5 * (upper + lower), half, k)
+                if best is None or half < best[0]:
+                    best = (half, k)
             next_check = max(next_check * 2, k + 1)
+    reached = (
+        f"smallest remainder bracket half-width {best[0]:.3g} at k = {best[1]}"
+        if best is not None
+        else "no remainder bracket formed"
+    )
     raise SeriesError(
-        f"series did not certify convergence within {k_max} terms (tol = {tol})"
+        f"series did not certify convergence within {k_max} terms (tol = {tol}); {reached}"
     )
 
 
@@ -269,13 +257,13 @@ def _series_s_term(spec: GrowthSpec):
 
 
 def series_c_sum(spec: GrowthSpec, tol: float = 1e-9, k_max: int = 10 ** 6) -> SeriesSum:
-    return sum_series(_series_c_term(spec), tol=tol, k_max=k_max, log_term=spec.log_term_c)
+    return sum_series(_series_c_term(spec), tol=tol, k_max=k_max)
 
 
 def series_s_sum(spec: GrowthSpec, tol: float = 1e-9, k_max: int = 10 ** 6) -> SeriesSum:
     if spec.gamma_beta <= 1.0:
         raise ValueError(f"series S requires gamma*beta > 1, got {spec.gamma_beta}")
-    return sum_series(_series_s_term(spec), tol=tol, k_max=k_max, log_term=spec.log_term_s)
+    return sum_series(_series_s_term(spec), tol=tol, k_max=k_max)
 
 
 def series_C(spec: GrowthSpec, tol: float = 1e-9, k_max: int = 10 ** 6) -> float:
@@ -350,13 +338,7 @@ def growth_tail_bound(
 
 
 def power_substituted(spec: GrowthSpec) -> GrowthSpec:
-    """Spec with the envelope cells eps_k = power_scale * b_{k+1}^power_delta.
-
-    The log-term closures are dropped: they describe the original spec's
-    series.  Partitions that overflow the float range (so that plain terms
-    cannot be summed) should be built with the substituted cell norms and
-    matching log terms from the start, or pass precomputed series values.
-    """
+    """Spec with the envelope cells eps_k = power_scale * b_{k+1}^power_delta."""
     if spec.power_delta is None or spec.power_scale is None:
         raise ValueError("spec has no power envelope parameters (power_delta/power_scale)")
     delta, scale = spec.power_delta, spec.power_scale
@@ -366,7 +348,7 @@ def power_substituted(spec: GrowthSpec) -> GrowthSpec:
     def cell_sup(k: int) -> float:
         return scale * spec.partition(k + 1) ** delta
 
-    return replace(spec, cell_sup=cell_sup, log_term_c=None, log_term_s=None)
+    return replace(spec, cell_sup=cell_sup)
 
 
 def growth_tail_bound_power(

@@ -6,7 +6,8 @@ condition omega(t,x) and the stochastic convolution V(t,x).  This module
 computes every constant of their second-moment bounds in closed form (with
 quadrature only where no closed form exists), maps both fields onto the
 generic bounded-domain supremum bounds, and builds the almost-sure growth
-envelope of V over the strip [0, inf) x [-A, A].
+envelope of V over the strip [0, inf) x [-A, A] from the zeta and polylog
+closed forms of its series.
 
 Conventions fixed here:
 
@@ -30,10 +31,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
+from scipy.special import zeta
 
 from .curves import TailCurve
 from .entropy import HolderProfile, QuadratureError
-from .growth import GrowthSpec, SeriesSum, series_c_sum, series_s_sum, envelope_tail, theta_sup
+from .growth import GrowthSpec, SeriesError, SeriesSum, envelope_tail
 from .metric import AnisotropicBox
 from .orlicz import PhiFamily
 from . import supbound
@@ -347,12 +349,13 @@ def omega_spectral_increment_bound(
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """Envelope tail curve plus the certified series behind it."""
+    """Envelope tail curve plus the series values and spec behind it."""
 
     curve: TailCurve
     c_tilde: SeriesSum
     s_tilde: SeriesSum
     theta_cap: float
+    spec: GrowthSpec
 
 
 def growth_spec_for_v(model: SheModel, p: float, halfwidth: float) -> GrowthSpec:
@@ -360,17 +363,15 @@ def growth_spec_for_v(model: SheModel, p: float, halfwidth: float) -> GrowthSpec
 
     Partition b_k = e^k, weight f(t) = (t^(H/2) (log t)^p) v 1, per-cell norm
     sup A(H) b_{k+1}^(H/2), Holder scale c_V, metric exponents (H/2, H),
-    Gaussian family.  Log-space term closures keep the ~1e6-term series free
-    of float overflow.
+    Gaussian family.  ``she_growth_envelope`` sums its series in closed form.
     """
-    if p <= 1.0:
+    if not p > 1.0:  # also rejects nan
         raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")
     if halfwidth <= 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     hurst = model.hurst
     a_h = model.a_h
     c_v = model.c_v
-    beta = 2.0  # V is Gaussian
 
     def partition(k):
         return np.exp(np.asarray(k, dtype=float)) if np.ndim(k) else math.exp(k)
@@ -380,28 +381,6 @@ def growth_spec_for_v(model: SheModel, p: float, halfwidth: float) -> GrowthSpec
 
     def cell_sup(k: int) -> float:
         return a_h * math.exp((k + 1) * hurst / 2.0)
-
-    # For b_k = e^k the exponential factors cancel analytically:
-    #   ln(eps_k / f_k)              = ln A + H/2 - p ln k            (k >= 1)
-    #   ln(sqrt(eps_k) c1(k) / f_k)  = logaddexp of two branches, the second
-    #                                  decaying like e^(-k H/4);
-    # the k = 0 cell has f_0 = f(1) = 1 and both formulas extend to it.
-    ln_a = math.log(a_h)
-    ln_front = math.log(2.0 ** (1.0 / beta) * c_v ** (1.0 / beta) / (1.0 - 1.0 / beta))
-    ln_axis1 = math.log(2.0 / hurst) + (hurst / (2.0 * beta)) * math.log((math.e - 1.0) / 2.0)
-    ln_axis2 = math.log(1.0 / hurst) + (hurst / beta) * math.log(halfwidth)
-    base = 0.5 * ln_a + hurst / 4.0 + ln_front
-
-    def log_term_c(k):
-        k = np.asarray(k, dtype=float)
-        return ln_a + hurst / 2.0 - p * np.log(np.maximum(k, 1.0))
-
-    def log_term_s(k):
-        k = np.asarray(k, dtype=float)
-        lnk = np.log(np.maximum(k, 1.0))
-        branch1 = base + ln_axis1 - p * lnk
-        branch2 = base + ln_axis2 - (hurst / 4.0) * k - p * lnk
-        return np.logaddexp(branch1, branch2)
 
     return GrowthSpec(
         partition=partition,
@@ -415,9 +394,36 @@ def growth_spec_for_v(model: SheModel, p: float, halfwidth: float) -> GrowthSpec
         fam=PhiFamily(2.0),
         power_delta=hurst / 2.0,
         power_scale=a_h,
-        log_term_c=log_term_c,
-        log_term_s=log_term_s,
     )
+
+
+_EPS = float(np.finfo(float).eps)
+_POLYLOG_MAX_TERMS = 2 ** 24
+# Relative rounding bound on scipy's zeta (a few ulps for p > 1) and the
+# products around it.
+_CLOSED_FORM_RTOL = 16.0 * _EPS
+
+
+def _polylog(p: float, ln_x: float) -> SeriesSum:
+    """Li_p(x) = sum_{k>=1} x^k / k^p for 0 < x < 1, given ln x < 0.
+
+    Terms exp(a_k), a_k = k ln x - p ln k, are summed in doubling chunks until
+    the geometric tail bound x^(n+1) / ((n+1)^p (1-x)) falls below the
+    rounding of the sum, or for at most 2^24 terms.  The remainder adds to that
+    tail a rounding bound: a_k is off by at most 3 ulps of |a_k|, largest at
+    the last term, and summing n terms loses at most n ulps of the sum.
+    """
+    total, n, chunk = 0.0, 0, 1024
+    while True:
+        ks = np.arange(n + 1, n + chunk + 1, dtype=float)
+        args = ks * ln_x - p * np.log(ks)
+        total += float(np.sum(np.exp(args)))
+        n += chunk
+        rounding = (n + 3.0 * abs(float(args[-1])) + 2.0) * _EPS * total
+        tail = math.exp((n + 1) * ln_x - p * math.log(n + 1)) / -math.expm1(ln_x)
+        if tail <= rounding or n >= _POLYLOG_MAX_TERMS:
+            return SeriesSum(total, tail + rounding, n)
+        chunk = min(2 * chunk, 2 ** 20, _POLYLOG_MAX_TERMS - n)
 
 
 def she_growth_envelope(
@@ -426,32 +432,44 @@ def she_growth_envelope(
     u_grid,
     halfwidth: float = 1.0,
     series_tol: float = 1e-6,
-    k_max: int = 10 ** 6,
 ) -> EnvelopeResult:
     """Almost-sure growth envelope of V: tail curve of xi in |V| <= f(t) xi.
 
-    Sums the substituted series C~, S~ with certified remainders and evaluates
-    the envelope tail on the u grid; entries below the validity threshold are
-    marked nan.
+    On b_k = e^k the factors e^(kH/2) of eps_k and f_k = e^(kH/2) k^p (f_0 = 1)
+    cancel, so with T + X = sqrt(eps_0) c1(0) split by axis and x = e^(-H/4)
+
+        C~ = A(H) e^(H/2) (1 + zeta(p)),   S~ = T (1 + zeta(p)) + X (1 + Li_p(x)).
+
+    Remainders bound tail and rounding, n_terms counts the Li_p terms summed,
+    and SeriesError is raised when a remainder exceeds series_tol.  theta_cap
+    is the exact min(1, inf_k gamma_k / eps_k).  Envelope tail entries below
+    the validity threshold are nan.
     """
     spec = growth_spec_for_v(model, p, halfwidth)
-    # cell_sup already equals power_scale * b_{k+1}^power_delta, so the plain
-    # series of this spec are the substituted ones.
-    c_sum = series_c_sum(spec, tol=series_tol, k_max=k_max)
-    s_sum = series_s_sum(spec, tol=max(series_tol, 1e-5), k_max=k_max)
+    hurst = model.hurst
+    zeta_p = float(zeta(p))
+    c_value = model.a_h * math.exp(hurst / 2.0) * (1.0 + zeta_p)
+    c_sum = SeriesSum(c_value, _CLOSED_FORM_RTOL * c_value, 0)
+    # c1(0) = (axis terms) * 2^(1/2) c_V^(1/2) / (1 - 1/2) for beta = 2
+    front = math.sqrt(model.a_h * math.exp(hurst / 2.0)) * 2.0 * math.sqrt(2.0 * model.c_v)
+    time_axis = front * (2.0 / hurst) * ((math.e - 1.0) / 2.0) ** (hurst / 4.0)
+    space_axis = front * halfwidth ** (hurst / 2.0) / hurst
+    li = _polylog(p, -hurst / 4.0)
+    s_value = time_axis * (1.0 + zeta_p) + space_axis * (1.0 + li.value)
+    s_sum = SeriesSum(s_value, _CLOSED_FORM_RTOL * s_value + space_axis * li.remainder, li.n_terms)
+    for name, res in (("C~", c_sum), ("S~", s_sum)):
+        if res.remainder > series_tol:
+            raise SeriesError(
+                f"{name} remainder {res.remainder:.3g} exceeds series_tol = {series_tol}"
+            )
+    # gamma_k / eps_k = (c_V / A) (((e-1)/e)^(H/2) + (2A)^H e^(-(k+1)H/2))
+    # decreases strictly in k, so its infimum is the k -> inf limit.
+    theta_cap = min(1.0, model.c_v / model.a_h * ((math.e - 1.0) / math.e) ** (hurst / 2.0))
     us = tuple(float(u) for u in u_grid)
     values = []
     for u in us:
         try:
-            values.append(
-                envelope_tail(u, spec, c_value=c_sum.value, s_value=s_sum.value)
-            )
+            values.append(envelope_tail(u, spec, c_value=c_value, s_value=s_value))
         except ValueError:
             values.append(math.nan)
-    curve = TailCurve(u=us, value=tuple(values))
-    return EnvelopeResult(
-        curve=curve,
-        c_tilde=c_sum,
-        s_tilde=s_sum,
-        theta_cap=min(1.0, theta_sup(spec)),
-    )
+    return EnvelopeResult(TailCurve(us, tuple(values)), c_sum, s_sum, theta_cap, spec)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from suptail import supbound
 from suptail.cli import ConfigError, load_config, main
@@ -197,6 +198,17 @@ class TestBoundGrowth:
         for row in data["curve"]:
             assert row["validity"] == "VALID"
             assert row["optimized_bound"] <= row["envelope_bound"] * (1 + 1e-9)
+
+    def test_slow_decay_p_succeeds(self, tmp_path):
+        # 1 < p < 2: slow power-law decay of the envelope series
+        payload = {"model": MODEL, "p": 1.5, "halfwidth": 1.0, "u_grid": [900.0, 1500.0]}
+        code, out = run(tmp_path, "bound-growth", payload)
+        assert code == 0
+        series = json.loads((out / "bound_growth.json").read_text())["series"]
+        model = SheModel(**MODEL)
+        target = model.a_h * math.exp(model.hurst / 2) * (1 + zeta(1.5))
+        assert series["c_tilde"] == pytest.approx(target, rel=1e-13)
+        assert series["c_tilde_terms"] == 0 and series["s_tilde_terms"] > 0
 
     def test_divergent_config_errors(self, tmp_path):
         payload = {"model": MODEL, "p": 0.9, "halfwidth": 1.0, "u_grid": [10.0]}

@@ -1,6 +1,7 @@
 """Growth bounds over the strip: cell constants, series engine, tail forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,8 +99,17 @@ class TestSeriesEngine:
 
     def test_divergent_series_error(self):
         spec = linear_spec(cell_sup=lambda k: k + 1.0, weight=lambda t: t + 1.0)
-        with pytest.raises(SeriesError, match="did not certify"):
+        with pytest.raises(SeriesError, match="did not certify.*no remainder bracket formed"):
             series_C(spec, k_max=20000)
+        # 1/(k+1)^2 brackets its tail, but only to a fixed fraction of the tail
+        # ~1/k; the error gives that tolerance, reached at the last checkpoint
+        with pytest.raises(SeriesError, match="did not certify") as err:
+            sum_series(lambda k: (np.asarray(k, dtype=float) + 1.0) ** -2, tol=1e-12, k_max=20000)
+        m = re.search(r"smallest remainder bracket half-width (\S+) at k = (\d+)", str(err.value))
+        assert m is not None
+        half, k = float(m.group(1)), int(m.group(2))
+        assert k == 20000
+        assert 0.05 / k < half < 0.5 / k
 
     def test_nonpositive_weight_rejected(self):
         spec = linear_spec(weight=lambda t: t)  # f_0 = 0

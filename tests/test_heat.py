@@ -5,10 +5,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import zeta
+from scipy.special import gamma, zeta
 
 from suptail import supbound
-from suptail.growth import power_substituted, _series_c_term, _series_s_term
+from suptail.growth import (
+    SeriesError,
+    _series_c_term,
+    _series_s_term,
+    power_substituted,
+    sum_series,
+    theta_sup,
+)
 from suptail.heat import (
     SheModel,
     SpectralMeasure,
@@ -32,6 +39,45 @@ from suptail.heat import (
 )
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily
+
+
+def _axis_terms(model, halfwidth):
+    """Time- and space-axis parts of sqrt(eps_0) c1(0) for the V envelope spec
+    (beta = 2, gamma = 1, cell 0 = [1, e] x [-A, A])."""
+    h = model.hurst
+    front = math.sqrt(model.a_h * math.exp(h / 2)) * math.sqrt(2 * model.c_v) / 0.5
+    return (
+        front * (2 / h) * ((math.e - 1) / 2) ** (h / 4),
+        front * (1 / h) * halfwidth ** (h / 2),
+    )
+
+
+def _envelope_summands(model, p, halfwidth):
+    """k-th summands of C~ = A e^(H/2) sum k^-p and
+    S~ = sum (T + X e^(-kH/4)) k^-p, with k^-p read as 1 at k = 0."""
+    h = model.hurst
+    time_axis, space_axis = _axis_terms(model, halfwidth)
+
+    def k_pow(k):
+        return np.maximum(np.asarray(k, dtype=float), 1.0) ** -p
+
+    def c_summand(k):
+        return model.a_h * math.exp(h / 2) * k_pow(k)
+
+    def s_summand(k):
+        k = np.asarray(k, dtype=float)
+        return (time_axis + space_axis * np.exp(-k * h / 4)) * k_pow(k)
+
+    return c_summand, s_summand
+
+
+def _polylog_quad(p, hurst):
+    """Li_p(e^(-H/4)) from Li_p(x) = x / Gamma(p) int_0^inf t^(p-1) / (e^t - x) dt."""
+    x = math.exp(-hurst / 4)
+    f = lambda t: t ** (p - 1) * math.exp(-t) / (1 - x * math.exp(-t))
+    head, _ = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    tail, _ = quad(f, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return x / gamma(p) * (head + tail)
 
 
 class TestNoiseConstant:
@@ -316,8 +362,9 @@ class TestGrowthEnvelope:
 
     def test_p_at_most_one_rejected(self):
         model = SheModel(hurst=0.5)
-        with pytest.raises(ValueError, match="p must exceed 1"):
-            she_growth_envelope(model, p=1.0, u_grid=[10.0])
+        for p in (1.0, math.nan):
+            with pytest.raises(ValueError, match="p must exceed 1"):
+                she_growth_envelope(model, p=p, u_grid=[10.0])
 
     def test_invalid_u_marked_nan(self):
         model = SheModel(hurst=0.5)
@@ -325,14 +372,56 @@ class TestGrowthEnvelope:
         assert math.isnan(res.curve.value[0])
         assert 0.0 <= res.curve.value[1] <= 1.0
 
-    def test_log_terms_match_plain_terms(self):
+    def test_plain_terms_match_closed_form_summands(self):
+        # the spec's generic terms (through cell_constant) against the k-th
+        # summand of the zeta / Li_p decomposition
+        for hurst, p in ((0.5, 2.0), (0.25, 2.5), (0.35, 1.5)):
+            model = SheModel(hurst=hurst)
+            spec = growth_spec_for_v(model, p=p, halfwidth=0.7)
+            c_summand, s_summand = _envelope_summands(model, p, 0.7)
+            term_c = _series_c_term(spec)
+            term_s = _series_s_term(spec)
+            for k in (0, 1, 2, 7, 50, 300):
+                assert term_c(k) == pytest.approx(c_summand(k), rel=1e-12)
+                assert term_s(k) == pytest.approx(s_summand(k), rel=1e-12)
+
+    @pytest.mark.parametrize("hurst, p", [(0.5, 3.0), (0.25, 2.5), (0.35, 2.0)])
+    def test_certified_sum_of_summands_matches_closed_form(self, hurst, p):
+        # independent route: the block-bracket certifier over the summands
+        model = SheModel(hurst=hurst)
+        res = she_growth_envelope(model, p=p, u_grid=[1000.0], halfwidth=0.7)
+        c_summand, s_summand = _envelope_summands(model, p, 0.7)
+        for summand, closed in ((c_summand, res.c_tilde), (s_summand, res.s_tilde)):
+            certified = sum_series(summand, tol=1e-5)
+            assert abs(certified.value - closed.value) <= certified.remainder + closed.remainder
+
+    @pytest.mark.parametrize("hurst, p", [(0.5, 1.2), (0.5, 1.5), (0.5, 1.8), (0.01, 2.0)])
+    def test_closed_forms_at_slow_decay_and_small_hurst(self, hurst, p):
+        model = SheModel(hurst=hurst)
+        res = she_growth_envelope(model, p=p, u_grid=[1000.0], halfwidth=1.0)
+        c_target = model.a_h * math.exp(hurst / 2) * (1 + zeta(p))
+        time_axis, space_axis = _axis_terms(model, 1.0)
+        s_target = time_axis * (1 + zeta(p)) + space_axis * (1 + _polylog_quad(p, hurst))
+        assert math.isfinite(res.c_tilde.value) and math.isfinite(res.s_tilde.value)
+        assert res.c_tilde.value == pytest.approx(c_target, rel=1e-13)
+        assert res.s_tilde.value == pytest.approx(s_target, rel=1e-12)
+        assert res.c_tilde.remainder <= 1e-6 and res.s_tilde.remainder <= 1e-6
+
+    def test_unreachable_series_tol_names_remainder(self):
         model = SheModel(hurst=0.5)
-        spec = growth_spec_for_v(model, p=2.0, halfwidth=1.0)
-        term_c = _series_c_term(spec)
-        term_s = _series_s_term(spec)
-        for k in (0, 1, 2, 7, 50, 300):
-            assert math.exp(spec.log_term_c(k)) == pytest.approx(term_c(k), rel=1e-12)
-            assert math.exp(spec.log_term_s(k)) == pytest.approx(term_s(k), rel=1e-12)
+        reached = r"C~ remainder \d\.\d+e-\d+ exceeds series_tol = 1e-20"
+        with pytest.raises(SeriesError, match=reached):
+            she_growth_envelope(model, p=2.0, u_grid=[1000.0], series_tol=1e-20)
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25])
+    def test_theta_cap_is_exact_infimum(self, hurst):
+        model = SheModel(hurst=hurst)
+        res = she_growth_envelope(model, p=2.0, u_grid=[1000.0], halfwidth=1.0)
+        assert res.theta_cap == min(1.0, theta_sup(res.spec))
+        # the uncapped k -> inf limit of gamma_k / eps_k against the 512-cell probe
+        limit = model.c_v / model.a_h * ((math.e - 1) / math.e) ** (hurst / 2)
+        assert theta_sup(res.spec) == pytest.approx(limit, rel=1e-12)
+        assert limit > 1.0  # c_V / A(H) >= sqrt(3), so the V cap is always 1
 
     def test_curve_matches_auto_theta_form_on_series(self):
         from suptail.growth import auto_theta_bound
