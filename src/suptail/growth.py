@@ -164,13 +164,16 @@ def sum_series(
     tol: float = 1e-9,
     k_max: int = 10 ** 6,
 ) -> SeriesSum:
-    """Sum a positive series with a certified remainder at most ``tol``.
+    """Sum a positive series with a remainder bracket of half-width at most ``tol``.
 
     Terms are accumulated in chunks; at doubling checkpoints the remainder is
     bracketed by ``_remainder_bracket`` and the midpoint correction is applied
-    once the bracket half-width is within tol.  Raises SeriesError when no
-    certificate is reached within k_max terms (divergence or too-slow decay);
-    its message gives the smallest bracket half-width reached, and where.
+    once the bracket half-width is within tol.  The bracket closes the tail
+    geometrically from the last block-bound ratio, so it certifies the sum
+    only when that ratio is nonincreasing (as for power-law, exponential and
+    mixed decay).  Raises SeriesError when no bracket is reached within k_max
+    terms (divergence or too-slow decay); its message gives the smallest
+    bracket half-width reached, and where.
     """
     total = 0.0
     k = 0

@@ -442,7 +442,7 @@ def she_growth_envelope(
 
     Remainders bound tail and rounding, n_terms counts the Li_p terms summed,
     and SeriesError is raised when a remainder exceeds series_tol.  theta_cap
-    is the exact min(1, inf_k gamma_k / eps_k).  Envelope tail entries below
+    = min(1, inf_k gamma_k / eps_k) is exactly 1.  Envelope tail entries below
     the validity threshold are nan.
     """
     spec = growth_spec_for_v(model, p, halfwidth)
@@ -463,8 +463,9 @@ def she_growth_envelope(
                 f"{name} remainder {res.remainder:.3g} exceeds series_tol = {series_tol}"
             )
     # gamma_k / eps_k = (c_V / A) (((e-1)/e)^(H/2) + (2A)^H e^(-(k+1)H/2))
-    # decreases strictly in k, so its infimum is the k -> inf limit.
-    theta_cap = min(1.0, model.c_v / model.a_h * ((math.e - 1.0) / math.e) ** (hurst / 2.0))
+    # decreases to its k -> inf limit (c_V / A) ((e-1)/e)^(H/2), which is
+    # >= sqrt(3) ((e-1)/e)^(1/4) > 1 since c_V^2 >= 3 A^2, so the cap is 1.
+    theta_cap = 1.0
     us = tuple(float(u) for u in u_grid)
     values = []
     for u in us:

@@ -26,9 +26,9 @@ The stationary smoothed field omega keeps its spectral quadrature
 since F is a generic spectral measure.
 
 Sampling draws i.i.d. Gaussian vectors through a symmetric square root of the
-covariance matrix with escalating diagonal jitter; each replica's stream is
-derived from (seed, replica index), so serial and parallel runs agree to the
-byte.
+covariance matrix with escalating diagonal jitter.  Replicas come in fixed
+blocks of SAMPLE_BLOCK rows, and block b's normals are drawn from the stream
+(seed, b), so serial and threaded runs agree to the byte.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
-from scipy.special import hyp1f1
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, hyp1f1
 
 from .curves import TailCurve
 from .entropy import QuadratureError
@@ -294,9 +293,9 @@ def factor_covariance(cov: np.ndarray, max_rel_jitter: float = 1e-8) -> np.ndarr
     )
 
 
-def _replica_normals(seed: int, index: int, m: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    return rng.standard_normal(m)
+# Rows per block of the replica axis.  Block b draws its normals from the
+# stream (seed, b), so this constant is part of the output bytes.
+SAMPLE_BLOCK = 512
 
 
 def sample_fields(
@@ -304,13 +303,12 @@ def sample_fields(
     n: int,
     seed: int,
     workers: int = 1,
-    block_size: int = 512,
 ) -> np.ndarray:
     """n i.i.d. zero-mean Gaussian vectors with the model covariance, (n, m).
 
-    Replica i's normals come from the stream (seed, i) regardless of worker
-    count or block layout, and blocks are fixed-size slices of the replica
-    axis, so serial and threaded runs produce identical bytes.
+    Rows [b*SAMPLE_BLOCK, (b+1)*SAMPLE_BLOCK) come from the stream (seed, b),
+    whatever n or the worker count, so serial and threaded runs produce
+    identical bytes and a shorter run is a prefix of a longer one.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -319,20 +317,16 @@ def sample_fields(
     m = len(model.grid)
     root = factor_covariance(covariance_matrix(model), model.max_rel_jitter)
     out = np.empty((n, m))
-    if n == 0:
-        return out
-    blocks = [(lo, min(lo + block_size, n)) for lo in range(0, n, block_size)]
 
-    def fill(block: tuple[int, int]) -> None:
-        lo, hi = block
-        z = np.empty((hi - lo, m))
-        for i in range(lo, hi):
-            z[i - lo] = _replica_normals(seed, i, m)
-        out[lo:hi] = z @ root
+    def fill(lo: int) -> None:
+        hi = min(lo + SAMPLE_BLOCK, n)
+        key = np.random.SeedSequence(seed, spawn_key=(lo // SAMPLE_BLOCK,))
+        out[lo:hi] = np.random.default_rng(key).standard_normal((hi - lo, m)) @ root
 
+    blocks = range(0, n, SAMPLE_BLOCK)
     if workers <= 1:
-        for block in blocks:
-            fill(block)
+        for lo in blocks:
+            fill(lo)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, blocks))
@@ -344,8 +338,8 @@ def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     if not (0 <= k <= n) or n <= 0:
         raise ValueError(f"need 0 <= k <= n with n > 0, got k={k}, n={n}")
     alpha = 1.0 - confidence
-    lo = 0.0 if k == 0 else float(beta_dist.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta_dist.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 

@@ -261,8 +261,11 @@ class TestSimulateVerify:
         assert code == 1
 
     def test_worker_count_byte_identical(self, tmp_path):
-        cfg1 = write_config(tmp_path, {**self.PAYLOAD, "workers": 1}, "c1.json")
-        cfg3 = write_config(tmp_path, {**self.PAYLOAD, "workers": 3}, "c3.json")
+        # three sampling blocks, and u values the sampled suprema reach
+        payload = {k: v for k, v in self.PAYLOAD.items() if k != "u_auto"}
+        payload.update(samples=1300, u_grid=[0.5, 1.0, 1.5, 2.0])
+        cfg1 = write_config(tmp_path, {**payload, "workers": 1}, "c1.json")
+        cfg3 = write_config(tmp_path, {**payload, "workers": 3}, "c3.json")
         out1, out3 = tmp_path / "w1", tmp_path / "w3"
         assert main(["simulate-verify", "--config", cfg1, "--out", str(out1), "--seed", "7"]) == 0
         assert main(["simulate-verify", "--config", cfg3, "--out", str(out3), "--seed", "7"]) == 0

@@ -423,6 +423,13 @@ class TestGrowthEnvelope:
         assert theta_sup(res.spec) == pytest.approx(limit, rel=1e-12)
         assert limit > 1.0  # c_V / A(H) >= sqrt(3), so the V cap is always 1
 
+    def test_theta_cap_limit_exceeds_one_for_every_hurst(self):
+        # she_growth_envelope returns theta_cap = 1 on the strength of this
+        for hurst in np.linspace(0.005, 0.5, 100):
+            ratio = increment_constant(hurst) / sup_norm_coefficient(hurst)
+            assert ratio >= math.sqrt(3.0)
+            assert ratio * ((math.e - 1) / math.e) ** (hurst / 2) >= 1.0
+
     def test_curve_matches_auto_theta_form_on_series(self):
         from suptail.growth import auto_theta_bound
 

@@ -1,12 +1,17 @@
 """Covariance kernels, Gaussian sampling, empirical tails, bound verification."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erf, gamma, hyp1f1
 
+import suptail
 from suptail import sim
 from suptail.curves import TailCurve
 from suptail.entropy import QuadratureError
@@ -244,10 +249,21 @@ class TestSampleFields:
         assert not np.array_equal(a, c)
 
     def test_workers_and_blocks_byte_identical(self):
+        # three blocks, the last one partial
         model = small_model()
-        a = sample_fields(model, 100, seed=5, workers=1, block_size=512)
-        b = sample_fields(model, 100, seed=5, workers=4, block_size=512)
-        assert np.array_equal(a, b)
+        a = sample_fields(model, 1300, seed=5, workers=1)
+        for workers in (2, 3):
+            assert np.array_equal(a, sample_fields(model, 1300, seed=5, workers=workers))
+
+    def test_streams_keyed_by_block_not_n(self):
+        model = small_model()
+        short = sample_fields(model, 700, seed=5)
+        assert np.array_equal(short, sample_fields(model, 1300, seed=5)[:700])
+
+    def test_blocks_draw_distinct_streams(self):
+        rows = sim.SAMPLE_BLOCK
+        fields = sample_fields(small_model(), 2 * rows, seed=5)
+        assert not np.isin(fields[:rows], fields[rows:]).any()
 
     def test_empty(self):
         assert sample_fields(small_model(), 0, seed=1).shape == (0, 9)
@@ -303,6 +319,29 @@ class TestEmpiricalSupTail:
         lon, hin = clopper_pearson(50, 50)
         assert hin == 1.0
         assert lon == pytest.approx(0.005 ** (1.0 / 50.0), rel=1e-10)
+
+    def test_clopper_pearson_matches_beta_quantiles(self):
+        from scipy.stats import beta
+
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n = int(rng.integers(1, 30001))
+            k = int(rng.integers(0, n + 1))
+            alpha = 1.0 - 0.99
+            lo = 0.0 if k == 0 else beta.ppf(alpha / 2, k, n - k + 1)
+            hi = 1.0 if k == n else beta.ppf(1 - alpha / 2, k + 1, n - k)
+            assert clopper_pearson(k, n) == (lo, hi)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes a few hundred ms to import; no CLI path needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
+    probe = "import sys, suptail.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestVerifyBound:
