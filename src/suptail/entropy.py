@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .metric import AnisotropicBox, covering_upper_bound
 from .orlicz import PhiFamily, psi_kernel
@@ -148,6 +147,9 @@ def entropy_integral_numeric(
     The integrable log-power singularity at u -> 0 is left to adaptive
     subdivision.
     """
+    # scipy.integrate costs ~0.25 s to import and only this numeric route needs it.
+    from scipy.integrate import quad
+
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     diam = box.diameter

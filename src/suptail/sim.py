@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import betaincinv, hyp1f1
 
@@ -65,6 +64,8 @@ def _split_quad(smooth, oscillation: float, tol: float) -> float:
     2^1000 would overflow QAWF's cycle length (it crashes), so smaller
     nonzero oscillations raise.
     """
+    from scipy.integrate import quad
+
     if 0.0 < oscillation < math.pi * 2.0 ** -1000:
         raise QuadratureError(f"oscillation {oscillation} is too small to resolve")
     doublings = 0

@@ -48,6 +48,8 @@ class TestConstants:
         assert lines[0].startswith("# config_hash=")
         assert lines[1] == "name,value"
         assert len(lines) == 2 + len(SheModel(**MODEL).constants())
+        for line in lines[2:]:
+            float(line.split(",")[1])
 
     def test_invalid_hurst_nonzero_exit(self, tmp_path):
         code, _ = run(tmp_path, "constants", {"model": {**MODEL, "hurst": 0.7}})
@@ -56,12 +58,6 @@ class TestConstants:
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = run(tmp_path, "constants", {"model": MODEL, "bogus": 1})
         assert code == 1
-
-    def test_tol_override(self, tmp_path):
-        code, out = run(tmp_path, "constants", {"model": MODEL}, "--tol", "1e-12")
-        assert code == 0
-        payload = json.loads((out / "constants.json").read_text())
-        assert payload["provenance"]["quad_tol"] == 1e-12
 
     def test_byte_stable(self, tmp_path):
         cfg = write_config(tmp_path, {"model": MODEL})
@@ -162,11 +158,31 @@ class TestBoundSup:
         code, _ = run(tmp_path, "bound-sup", payload)
         assert code == 1
 
-    def test_tol_rejected(self, tmp_path):
-        payload = {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0]}
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("constants", {"model": MODEL}),
+            ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0]}),
+        ],
+        ids=["constants", "bound-sup"],
+    )
+    def test_tol_rejected(self, tmp_path, command, payload):
         with pytest.raises(SystemExit) as exc:
-            run(tmp_path, "bound-sup", payload, "--tol", "1e-6")
+            run(tmp_path, command, payload, "--tol", "1e-6")
         assert exc.value.code == 2
+
+    def test_parser_reuse_after_rejected_call(self, tmp_path):
+        # the parser is built once per process; a rejected call must not leak
+        # state into the next one
+        payload = {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0, 120.0]}
+        cfg = write_config(tmp_path, payload)
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert main(["bound-sup", "--config", cfg, "--out", str(before)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bound-sup", "--config", cfg, "--format", "xml"])
+        assert exc.value.code == 2
+        assert main(["bound-sup", "--config", cfg, "--out", str(after)]) == 0
+        assert (after / "bound_sup.json").read_bytes() == (before / "bound_sup.json").read_bytes()
 
 
 class TestDeadKeys:

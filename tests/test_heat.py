@@ -122,11 +122,13 @@ class TestTimeIncrementCoefficient:
         closed = 2 * math.sqrt(math.pi) - math.sqrt(2 * math.pi)
         assert time_increment_coefficient(0.5) == pytest.approx(closed, abs=1e-10)
 
-    def test_two_resolution_agreement(self):
-        for hurst in (0.1, 0.25, 0.4, 0.5):
-            coarse = time_increment_coefficient(hurst, tol=1e-6)
-            fine = time_increment_coefficient(hurst, tol=1e-12)
-            assert coarse == pytest.approx(fine, abs=1e-6)
+    def test_matches_quadrature_oracle(self):
+        # int_0^inf (1 - e^{-u^2})^2 u^{-1-2H} du by two QUADPACK pieces
+        for hurst in (0.01, 0.1, 0.25, 0.35, 0.4, 0.5):
+            f = lambda u: (-math.expm1(-u * u)) ** 2 * u ** (-1.0 - 2.0 * hurst)
+            core = quad(f, 0.0, 1.0, epsabs=5e-11, epsrel=1e-12, limit=200)[0]
+            tail = quad(f, 1.0, np.inf, epsabs=5e-11, epsrel=1e-12, limit=200)[0]
+            assert time_increment_coefficient(hurst) == pytest.approx(core + tail, rel=1e-9)
 
     def test_frozen_quarter(self):
         assert time_increment_coefficient(0.25) == pytest.approx(1.9871182870301753, rel=1e-9)

@@ -334,14 +334,18 @@ class TestEmpiricalSupTail:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes a few hundred ms to import; no CLI path needs it
+    # scipy.stats and scipy.integrate take a few hundred ms to import; no CLI
+    # path needs either
     env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
-    probe = "import sys, suptail.cli; print('scipy.stats' in sys.modules)"
+    probe = (
+        "import sys, suptail.cli; "
+        "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate')])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"
 
 
 class TestVerifyBound:
