@@ -12,7 +12,7 @@ from .growth import GrowthSpec, SeriesError, SeriesSum, cell_constant, envelope_
 from .heat import EnvelopeResult, SheModel, SpectralMeasure, she_growth_envelope, spectral_moment
 from .metric import AnisotropicBox, aniso_dist, covering_oracle, covering_upper_bound
 from .orlicz import GAUSSIAN, PhiFamily, phi_conjugate, phi_inverse, phi_value, psi_kernel, rv_tail_bound
-from .sim import FactorizationError, GaussianFieldModel, VerifyReport, empirical_sup_tail, make_grid, sample_fields, v_covariance, omega_covariance, verify_bound
+from .sim import FactorizationError, GaussianFieldModel, VerifyReport, empirical_sup_tail, make_grid, sample_fields, v_covariance, verify_bound
 from .supbound import FieldBoundInputs, optimize_theta, sup_mgf_bound, sup_tail_bound, sup_tail_bound_numeric, u_threshold
 
 __version__ = "0.1.0"

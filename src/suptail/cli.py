@@ -104,8 +104,14 @@ def _u_grid(cfg: dict, inputs: supbound.FieldBoundInputs) -> list[float]:
             raise ConfigError("u_grid must be strictly increasing")
         return us
     auto = cfg.get("u_auto") or {}
-    count = int(auto.get("count", 12))
-    span = float(auto.get("max", 2.0))  # multiple of the minimal threshold
+    count = auto.get("count", 12)
+    if type(count) is not int or count < 1:  # bool is an int subclass
+        raise ConfigError(f"u_auto 'count' must be an integer >= 1, got {count!r}")
+    # max multiplies the minimal threshold; above 0.9 the grid increases
+    # strictly, as an explicit u_grid must
+    span = auto.get("max", 2.0)
+    if type(span) not in (int, float) or not 0.9 < span < math.inf:
+        raise ConfigError(f"u_auto 'max' must be a finite number above 0.9, got {span!r}")
     # The threshold is log-convex in theta with its minimum at (1-q)/(2-q), so
     # capping that point gives the minimal threshold over the valid range; pad
     # the low end so a couple of entries are invalid.
@@ -315,15 +321,12 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed, fmt: str) -> int:
 
     kind = cfg.get("field", "v")
     if kind != "v":
-        raise ConfigError("simulate-verify currently drives the 'v' field")
+        raise ConfigError(f"simulate-verify samples only the 'v' field, got {kind!r}")
     inputs = heat.v_bound_inputs(box, model)
     us = _u_grid(cfg, inputs)
 
     field_model = sim.GaussianFieldModel(
-        kind="v",
-        grid=sim.make_grid(box, nt, nx),
-        hurst=model.hurst,
-        box=box,
+        grid=sim.make_grid(box, nt, nx), hurst=model.hurst, box=box
     )
     fields = sim.sample_fields(field_model, n_samples, seed=seed, workers=workers)
     empirical = sim.empirical_sup_tail(fields, us)

@@ -17,8 +17,9 @@ Conventions fixed here:
 * ``time_increment_coefficient`` is the exact value
   c_2H = (1/2) int_R (1 - e^(-u^2))^2 |u|^(-1-2H) du = Gamma(1-H) (2 - 2^H) / (2H),
   with the even integrand read through |u|.
-* the supremum tail bounds carry the minus sign of the generic bound's
-  exponent argument and are pure delegations to :mod:`suptail.supbound`.
+* the supremum tail bounds are :func:`suptail.supbound.sup_tail_bound` on
+  ``omega_bound_inputs`` or ``v_bound_inputs``, with the minus sign of the
+  generic bound's exponent argument.
 """
 
 from __future__ import annotations
@@ -228,16 +229,6 @@ def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.FieldBoundI
         prof=HolderProfile.power(model.c_v, 1.0),
         fam=PhiFamily(2.0),
     )
-
-
-def omega_sup_tail(u: float, theta: float, box: AnisotropicBox, model: SheModel) -> float:
-    """Tail bound for sup |omega| over the box; delegates to the generic bound."""
-    return supbound.sup_tail_bound(u, theta, omega_bound_inputs(box, model))
-
-
-def v_sup_tail(u: float, theta: float, box: AnisotropicBox, model: SheModel) -> float:
-    """Tail bound for sup |V| over the box; delegates to the generic bound."""
-    return supbound.sup_tail_bound(u, theta, v_bound_inputs(box, model))
 
 
 # ---------------------------------------------------------------------------

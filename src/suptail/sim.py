@@ -1,4 +1,4 @@
-"""Exact-covariance Gaussian Monte Carlo for the heat-equation fields.
+"""Exact-covariance Gaussian Monte Carlo for the heat-equation field V.
 
 The stochastic convolution V has the spectral covariance
 
@@ -16,14 +16,10 @@ int w^{-1-H} M(1-H; 1/2; -w) dw = -w^{-H} M(-H; 1/2; -w) / H it becomes
 
 with M = scipy.special.hyp1f1.  At |t-s| = 0 the second term is its limit
 (z^2/4)^H sqrt(pi) / Gamma(H+1/2); at z = 0 the bracket is (2t)^H and gives the
-variance identity C_H c_1H t^H.  No quadrature is involved, so quad_tol does
-not apply to V.
+variance identity C_H c_1H t^H.
 
-The stationary smoothed field omega keeps its spectral quadrature
-
-    Cov w(t,x) w(s,y) = int_R cos(lambda (x-y)) e^{-mu (t+s) lambda^2} F(dlambda),
-
-since F is a generic spectral measure.
+Only V is sampled; the bound for the smoothed field omega comes from its
+Holder constants (heat.omega_bound_inputs) and needs no covariance.
 
 Sampling draws i.i.d. Gaussian vectors through a symmetric square root of the
 covariance matrix with escalating diagonal jitter.  Replicas come in fixed
@@ -43,62 +39,12 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import betaincinv, hyp1f1
 
 from .curves import TailCurve
-from .entropy import QuadratureError
-from .heat import SpectralMeasure, noise_constant
+from .heat import noise_constant
 from .metric import AnisotropicBox
 
 
 class FactorizationError(RuntimeError):
     """Covariance matrix not positive semidefinite within the jitter budget."""
-
-
-def _split_quad(smooth, oscillation: float, tol: float) -> float:
-    """int_0^inf smooth(xi) * cos(oscillation*xi) dxi: adaptive head, Fourier tail.
-
-    The tail is QUADPACK's QAWF, which works in cycles of about pi/oscillation
-    and starts each with one 15-point rule.  When a cycle is much longer than
-    the scale on which smooth varies, every node misses the mass and QAWF
-    returns a wrong value with a tiny error estimate.  So the head runs up to
-    the first power of 2 with head * oscillation >= pi, with breakpoints at
-    the powers of 2 below it, and the tail starts there.  A head beyond
-    2^1000 would overflow QAWF's cycle length (it crashes), so smaller
-    nonzero oscillations raise.
-    """
-    from scipy.integrate import quad
-
-    if 0.0 < oscillation < math.pi * 2.0 ** -1000:
-        raise QuadratureError(f"oscillation {oscillation} is too small to resolve")
-    doublings = 0
-    if 0.0 < oscillation < math.pi:
-        doublings = math.ceil(math.log2(math.pi / oscillation))
-    head = 2.0 ** doublings
-    core, e1 = quad(
-        lambda xi: smooth(xi) * math.cos(oscillation * xi),
-        0.0,
-        head,
-        epsabs=tol / 4,
-        epsrel=1e-12,
-        limit=300 + doublings,
-        points=[2.0 ** k for k in range(doublings)] or None,
-    )
-    if oscillation == 0.0:
-        tail, e2 = quad(smooth, head, np.inf, epsabs=tol / 4, epsrel=1e-12, limit=300)
-    else:
-        tail, e2 = quad(
-            smooth,
-            head,
-            np.inf,
-            weight="cos",
-            wvar=oscillation,
-            epsabs=tol / 4,
-            limit=300,
-            limlst=300,
-        )
-    if e1 + e2 > 10.0 * max(tol, 1e-14):
-        raise QuadratureError(
-            f"covariance quadrature error {e1 + e2} exceeds tolerance {tol}"
-        )
-    return core + tail
 
 
 # Outside [_W_SERIES, _W_ASYMPTOTIC] scipy's hyp1f1(-H, 1/2, -w) can return
@@ -154,69 +100,26 @@ def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
     return float(_v_kernel(lo, hi, dist, hurst)[0])
 
 
-def omega_covariance(
-    t: float,
-    x: float,
-    s: float,
-    y: float,
-    measure: SpectralMeasure,
-    tol: float = 1e-10,
-    mu: float = 1.0,
-) -> float:
-    """Covariance of the smoothed stationary field omega at (t,x), (s,y).
-
-    int_R cos(lambda (x-y)) e^{-mu (t+s) lambda^2} F(dlambda); at t = s = 0 it
-    reduces to the initial covariance B(x-y).  mu is the diffusivity.
-    """
-    if t < 0 or s < 0:
-        raise ValueError("times must be nonnegative")
-    decay = mu * (t + s)
-
-    def smooth(lam: float) -> float:
-        return math.exp(-decay * lam * lam) * measure.density_at(lam)
-
-    return 2.0 * _split_quad(smooth, abs(x - y), tol)
-
-
 @dataclass(frozen=True)
 class GaussianFieldModel:
-    """Gaussian field on a fixed grid with an exact covariance kernel.
+    """The stochastic convolution V with Hurst index hurst on a fixed grid.
 
-    kind "v" needs the Hurst index; kind "omega" needs a spectral measure.
-    Grid points are (t, x) pairs inside the declared box (t >= 0 for "v").
-    quad_tol is the omega quadrature tolerance; the V kernel is exact to
-    rounding and takes none.
+    Grid points are (t, x) pairs with t >= 0, inside the box if one is given.
     """
 
-    kind: str
     grid: tuple[tuple[float, float], ...]
-    hurst: Optional[float] = None
-    measure: Optional[SpectralMeasure] = None
+    hurst: float
     box: Optional[AnisotropicBox] = None
-    quad_tol: float = 1e-10
-    max_rel_jitter: float = 1e-8
-    mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("v", "omega"):
-            raise ValueError(f"kind must be 'v' or 'omega', got {self.kind!r}")
-        if self.kind == "v" and self.hurst is None:
-            raise ValueError("kind 'v' requires a Hurst index")
-        if self.kind == "omega" and self.measure is None:
-            raise ValueError("kind 'omega' requires a spectral measure")
         if not self.grid:
             raise ValueError("grid must be nonempty")
         for t, x in self.grid:
-            if self.kind == "v" and t < 0:
+            if t < 0:
                 raise ValueError(f"grid times must be nonnegative, got {t}")
             if self.box is not None:
                 if not (self.box.a1 <= t <= self.box.b1 and self.box.a2 <= x <= self.box.b2):
                     raise ValueError(f"grid point ({t}, {x}) outside the declared box")
-
-    def kernel(self, t: float, x: float, s: float, y: float) -> float:
-        if self.kind == "v":
-            return v_covariance(t, x, s, y, self.hurst)
-        return omega_covariance(t, x, s, y, self.measure, self.quad_tol, self.mu)
 
 
 def make_grid(box: AnisotropicBox, nt: int, nx: int) -> tuple[tuple[float, float], ...]:
@@ -231,51 +134,35 @@ def make_grid(box: AnisotropicBox, nt: int, nx: int) -> tuple[tuple[float, float
 def covariance_matrix(model: GaussianFieldModel) -> np.ndarray:
     """Dense covariance matrix over the model grid.
 
-    For "v" the kernel depends on (min(t,s), max(t,s), |x-y|): the distinct
-    keys are evaluated in one array call and scattered back.  For "omega"
-    quadratures are memoized on (t+s, |x-y|), so product grids cost
-    O(n_t^2 * n_x) of them, not O((n_t n_x)^2).
+    The kernel depends on (min(t,s), max(t,s), |x-y|): the distinct keys are
+    evaluated in one array call and scattered back.
     """
     pts = model.grid
     m = len(pts)
-    if model.kind == "v":
-        t, x = np.asarray(pts, dtype=float).T
-        # Each key component is replaced by the index of its value among the
-        # distinct values, so a key is one integer: np.unique over rows of
-        # floats (axis=0) sorts void views and is ten times slower at 24x24.
-        times, t_idx = np.unique(t, return_inverse=True)
-        dists, d_idx = np.unique(np.abs(np.subtract.outer(x, x)), return_inverse=True)
-        lo = np.minimum.outer(t_idx, t_idx)
-        hi = np.maximum.outer(t_idx, t_idx)
-        code = (lo * len(times) + hi) * len(dists) + d_idx.reshape(m, m)
-        uniq, inverse = np.unique(code, return_inverse=True)
-        pair, d = np.divmod(uniq, len(dists))
-        vals = _v_kernel(times[pair // len(times)], times[pair % len(times)], dists[d], model.hurst)
-        return vals[inverse].reshape(m, m)
-    cov = np.empty((m, m))
-    cache: dict = {}
-    for i in range(m):
-        t, x = pts[i]
-        for j in range(i, m):
-            s, y = pts[j]
-            key = (t + s, abs(x - y))
-            val = cache.get(key)
-            if val is None:
-                val = model.kernel(t, x, s, y)
-                cache[key] = val
-            cov[i, j] = cov[j, i] = val
-    return cov
+    t, x = np.asarray(pts, dtype=float).T
+    # Each key component is replaced by the index of its value among the
+    # distinct values, so a key is one integer: np.unique over rows of
+    # floats (axis=0) sorts void views and is ten times slower at 24x24.
+    times, t_idx = np.unique(t, return_inverse=True)
+    dists, d_idx = np.unique(np.abs(np.subtract.outer(x, x)), return_inverse=True)
+    lo = np.minimum.outer(t_idx, t_idx)
+    hi = np.maximum.outer(t_idx, t_idx)
+    code = (lo * len(times) + hi) * len(dists) + d_idx.reshape(m, m)
+    uniq, inverse = np.unique(code, return_inverse=True)
+    pair, d = np.divmod(uniq, len(dists))
+    vals = _v_kernel(times[pair // len(times)], times[pair % len(times)], dists[d], model.hurst)
+    return vals[inverse].reshape(m, m)
 
 
 _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
 
-def factor_covariance(cov: np.ndarray, max_rel_jitter: float = 1e-8) -> np.ndarray:
+def factor_covariance(cov: np.ndarray) -> np.ndarray:
     """Symmetric square root of cov with escalating diagonal jitter.
 
-    Jitter levels are relative to the largest variance and capped at
-    max_rel_jitter; if the smallest eigenvalue is still negative after the
-    cap, raises FactorizationError rather than regularizing silently.
+    Jitter levels are relative to the largest variance and capped at the last
+    rung of _JITTER_LADDER; if the smallest eigenvalue is still negative after
+    the cap, raises FactorizationError rather than regularizing silently.
     """
     scale = float(np.max(np.diag(cov)))
     if scale <= 0.0:
@@ -283,14 +170,12 @@ def factor_covariance(cov: np.ndarray, max_rel_jitter: float = 1e-8) -> np.ndarr
     w, vecs = np.linalg.eigh(cov)
     lam_min = float(w[0])
     for level in _JITTER_LADDER:
-        if level > max_rel_jitter:
-            break
         jitter = level * scale
         if lam_min + jitter >= 0.0:
             return (vecs * np.sqrt(w + jitter)) @ vecs.T
     raise FactorizationError(
         f"covariance not PSD within jitter budget: min eigenvalue {lam_min}, "
-        f"max variance {scale}, cap {max_rel_jitter}"
+        f"max variance {scale}, cap {_JITTER_LADDER[-1]}"
     )
 
 
@@ -316,7 +201,7 @@ def sample_fields(
     if seed is None:
         raise ValueError("a seed is required for reproducible sampling")
     m = len(model.grid)
-    root = factor_covariance(covariance_matrix(model), model.max_rel_jitter)
+    root = factor_covariance(covariance_matrix(model))
     out = np.empty((n, m))
 
     def fill(lo: int) -> None:

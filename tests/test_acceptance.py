@@ -61,7 +61,7 @@ def test_criterion_01_bound_vs_simulation():
     us = [float(u) for u in np.linspace(1.02 * u_min, 2.0 * u_min, 12)]
 
     field_model = GaussianFieldModel(
-        kind="v", grid=make_grid(box, 24, 24), hurst=0.5, box=box
+        grid=make_grid(box, 24, 24), hurst=0.5, box=box
     )
     fields = sample_fields(field_model, 20000, seed=20240501, workers=1)
     empirical = empirical_sup_tail(fields, us)
@@ -104,7 +104,7 @@ def test_criterion_03_increment_bound():
             t, s = rng.uniform(0.05, 1.0, size=2)
             x, y = rng.uniform(0.0, 1.0, size=2)
             gfm = GaussianFieldModel(
-                kind="v", grid=((float(t), float(x)), (float(s), float(y))), hurst=hurst
+                grid=((float(t), float(x)), (float(s), float(y))), hurst=hurst
             )
             fields = sample_fields(gfm, n, seed=int(rng.integers(1 << 31)))
             diff2 = (fields[:, 0] - fields[:, 1]) ** 2

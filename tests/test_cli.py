@@ -286,3 +286,33 @@ class TestSimulateVerify:
         assert main(["simulate-verify", "--config", cfg1, "--out", str(out1), "--seed", "7"]) == 0
         assert main(["simulate-verify", "--config", cfg3, "--out", str(out3), "--seed", "7"]) == 0
         assert (out1 / "verify_curve.csv").read_bytes() == (out3 / "verify_curve.csv").read_bytes()
+
+    def test_omega_field_rejected(self, tmp_path, capsys):
+        # the sampler covers V only; omega's bound comes from bound-sup
+        payload = {**self.PAYLOAD, "field": "omega"}
+        code, out = run(tmp_path, "simulate-verify", payload, "--seed", "1")
+        assert code == 1
+        assert "'omega'" in capsys.readouterr().err
+        assert not (out / "verify_report.json").exists()
+
+
+class TestUAutoValidation:
+    @pytest.mark.parametrize("command", ["bound-sup", "simulate-verify"])
+    @pytest.mark.parametrize(
+        "u_auto, key",
+        [
+            ({"max": 0.5, "count": 4}, "max"),
+            ({"max": 2.0, "count": 0}, "count"),
+            ({"max": 2.0, "count": 2.7}, "count"),
+            ({"max": 2.0, "count": -3}, "count"),
+        ],
+        ids=["max-below-0.9", "count-zero", "count-fractional", "count-negative"],
+    )
+    def test_invalid_u_auto_rejected(self, tmp_path, capsys, command, u_auto, key):
+        payload = {**TestSimulateVerify.PAYLOAD, "u_auto": u_auto}
+        if command == "bound-sup":
+            payload = {k: payload[k] for k in ("field", "model", "box", "u_auto")}
+        code, out = run(tmp_path, command, payload, "--seed", "1")
+        assert code == 1
+        assert f"u_auto '{key}'" in capsys.readouterr().err
+        assert not any(out.iterdir())

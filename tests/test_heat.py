@@ -27,14 +27,12 @@ from suptail.heat import (
     omega_holder_constant,
     omega_spectral_increment_bound,
     omega_spectral_sup_norm,
-    omega_sup_tail,
     she_growth_envelope,
     space_increment_coefficient,
     spectral_moment,
     sup_norm_coefficient,
     time_increment_coefficient,
     v_bound_inputs,
-    v_sup_tail,
     variance_coefficient,
 )
 from suptail.metric import AnisotropicBox
@@ -251,12 +249,8 @@ class TestFieldMappings:
                 )
                 ** beta
             )
-            assert omega_sup_tail(u, theta, box, model) == pytest.approx(
+            assert supbound.sup_tail_bound(u, theta, inputs) == pytest.approx(
                 min(1.0, expected), rel=1e-11
-            )
-            # bit-identical delegation
-            assert omega_sup_tail(u, theta, box, model) == supbound.sup_tail_bound(
-                u, theta, inputs
             )
 
     def test_v_mapping_constant_identity(self):
@@ -287,7 +281,7 @@ class TestFieldMappings:
         box = AnisotropicBox(0.1, 1.0, 0.0, 1.0)
         inputs = v_bound_inputs(box, model)
         thr = supbound.u_threshold(0.5, inputs)
-        vals = [v_sup_tail(u, 0.5, box, model) for u in np.linspace(1.01 * thr, 2 * thr, 20)]
+        vals = [supbound.sup_tail_bound(u, 0.5, inputs) for u in np.linspace(1.01 * thr, 2 * thr, 20)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < vals[0]
 
@@ -295,7 +289,7 @@ class TestFieldMappings:
         model = SheModel(hurst=0.5, rho=0.5)
         box = AnisotropicBox(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="threshold"):
-            omega_sup_tail(0.1, 0.5, box, model)
+            supbound.sup_tail_bound(0.1, 0.5, omega_bound_inputs(box, model))
 
 
 class TestSpectralBranch:

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import erf, gamma, hyp1f1
 
 import suptail
@@ -16,7 +15,6 @@ from suptail import sim
 from suptail.curves import TailCurve
 from suptail.entropy import QuadratureError
 from suptail.heat import (
-    SpectralMeasure,
     increment_constant,
     noise_constant,
     variance_coefficient,
@@ -30,7 +28,6 @@ from suptail.sim import (
     empirical_sup_tail,
     factor_covariance,
     make_grid,
-    omega_covariance,
     sample_fields,
     v_covariance,
     verify_bound,
@@ -40,7 +37,56 @@ BOX = AnisotropicBox(0.1, 1.0, 0.0, 1.0)
 
 
 def small_model(nt=3, nx=3, hurst=0.5):
-    return GaussianFieldModel(kind="v", grid=make_grid(BOX, nt, nx), hurst=hurst, box=BOX)
+    return GaussianFieldModel(grid=make_grid(BOX, nt, nx), hurst=hurst, box=BOX)
+
+
+def _split_quad(smooth, oscillation: float, tol: float) -> float:
+    """int_0^inf smooth(xi) * cos(oscillation*xi) dxi: adaptive head, Fourier tail.
+
+    The tail is QUADPACK's QAWF, which works in cycles of about pi/oscillation
+    and starts each with one 15-point rule.  When a cycle is much longer than
+    the scale on which smooth varies, every node misses the mass and QAWF
+    returns a wrong value with a tiny error estimate.  So the head runs up to
+    the first power of 2 with head * oscillation >= pi, with breakpoints at
+    the powers of 2 below it, and the tail starts there.  A head beyond
+    2^1000 would overflow QAWF's cycle length (it crashes), so smaller
+    nonzero oscillations raise.
+    """
+    from scipy.integrate import quad
+
+    if 0.0 < oscillation < math.pi * 2.0 ** -1000:
+        raise QuadratureError(f"oscillation {oscillation} is too small to resolve")
+    doublings = 0
+    if 0.0 < oscillation < math.pi:
+        doublings = math.ceil(math.log2(math.pi / oscillation))
+    head = 2.0 ** doublings
+    core, e1 = quad(
+        lambda xi: smooth(xi) * math.cos(oscillation * xi),
+        0.0,
+        head,
+        epsabs=tol / 4,
+        epsrel=1e-12,
+        limit=300 + doublings,
+        points=[2.0 ** k for k in range(doublings)] or None,
+    )
+    if oscillation == 0.0:
+        tail, e2 = quad(smooth, head, np.inf, epsabs=tol / 4, epsrel=1e-12, limit=300)
+    else:
+        tail, e2 = quad(
+            smooth,
+            head,
+            np.inf,
+            weight="cos",
+            wvar=oscillation,
+            epsabs=tol / 4,
+            limit=300,
+            limlst=300,
+        )
+    if e1 + e2 > 10.0 * max(tol, 1e-14):
+        raise QuadratureError(
+            f"covariance quadrature error {e1 + e2} exceeds tolerance {tol}"
+        )
+    return core + tail
 
 
 def v_covariance_spectral(t, x, s, y, hurst, tol=1e-10):
@@ -51,9 +97,11 @@ def v_covariance_spectral(t, x, s, y, hurst, tol=1e-10):
 
     def smooth(xi):
         x2 = xi * xi
-        return c_h * -math.expm1(-gap * x2) * math.exp(-a * x2) / (2.0 * x2) * xi ** (1.0 - 2.0 * hurst)
+        # a * x2 is nan at a = 0 once x2 overflows, and QAWF crashes on nan
+        damp = math.exp(-a * x2) if a > 0.0 else 1.0
+        return c_h * -math.expm1(-gap * x2) * damp / (2.0 * x2) * xi ** (1.0 - 2.0 * hurst)
 
-    return 2.0 * sim._split_quad(smooth, abs(x - y), tol)
+    return 2.0 * _split_quad(smooth, abs(x - y), tol)
 
 
 class TestVCovariance:
@@ -94,14 +142,29 @@ class TestVCovariance:
     @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25, 0.1])
     def test_closed_form_matches_spectral_quadrature(self, hurst):
         rng = np.random.default_rng(15)
+        cases = []
         for k in range(200):
             t = rng.uniform(0.02, 2.0)
             s = t if k % 4 == 0 else rng.uniform(0.02, 2.0)
             x = rng.uniform(-1.5, 1.5)
             y = x + rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0)
+            cases.append((t, x, s, y))
+        # separations below about 2e-3 once drew silently wrong oracle values
+        for z in (1e-5, 1e-4, 1e-3, 2e-3):
+            for t, s in ((0.05, 0.05), (0.5, 0.7), (1.3, 1.3)):
+                cases.append((t, 0.3, s, 0.3 + z))
+        for t, x, s, y in cases:
             scale = noise_constant(hurst) * variance_coefficient(hurst) * max(t, s) ** hurst
             got = v_covariance(t, x, s, y, hurst)
             assert abs(got - v_covariance_spectral(t, x, s, y, hurst)) <= 1e-10 * scale
+
+    def test_unresolvable_separation_raises(self):
+        # the oracle resolves separations down to pi 2^-1000 and refuses below
+        assert v_covariance_spectral(0.05, 0.0, 0.05, 1e-300, 0.5) == pytest.approx(
+            v_covariance_spectral(0.05, 0.0, 0.05, 0.0, 0.5), abs=1e-9
+        )
+        with pytest.raises(QuadratureError, match="too small"):
+            v_covariance_spectral(0.05, 0.0, 0.05, 5e-324, 0.5)
 
     def test_elementary_form_at_half(self):
         # M(-1/2; 1/2; -w) = e^{-w} + sqrt(pi w) erf(sqrt(w)), C_{1/2} = 1/(2 pi)
@@ -149,54 +212,6 @@ class TestVCovariance:
         assert np.isfinite(v_covariance(1e-10, 0.0, 1e-10 + 1e-25, 1.0, hurst))
 
 
-class TestOmegaCovariance:
-    def test_reduces_to_initial_covariance_at_zero_time(self):
-        # Matern with alpha_m = 1: B(d) = pi (1 + |d|) e^{-|d|} sigma2 / 2
-        m = SpectralMeasure.matern(1.0, 1.0)
-        for d in (0.0, 0.4, 1.3):
-            expected = math.pi * (1 + d) * math.exp(-d) / 2
-            assert omega_covariance(0.0, d, 0.0, 0.0, m) == pytest.approx(expected, abs=1e-9)
-
-    def test_variance_below_total_mass(self):
-        m = SpectralMeasure.matern(1.0, 1.0)
-        mass = math.pi / 2
-        for t in (0.1, 0.5, 2.0):
-            var = omega_covariance(t, 0.0, t, 0.0, m)
-            assert 0 < var <= mass + 1e-12
-
-    def test_space_stationarity(self):
-        m = SpectralMeasure.matern(0.7, 1.3)
-        a = omega_covariance(0.3, 0.2, 0.5, 0.9, m)
-        b = omega_covariance(0.3, 1.2, 0.5, 1.9, m)
-        assert a == pytest.approx(b, rel=1e-11)
-
-    @pytest.mark.parametrize("z", [1e-5, 1e-4, 1e-3, 2e-3])
-    def test_continuous_at_small_separation(self, z):
-        # |C(z) - C(0)| <= z^2 int_0^inf lam^2 e^{-mu (t+s) lam^2} f(lam) dlam, plus
-        # the quadrature tolerance of the two covariances
-        m = SpectralMeasure.matern(1.0, 0.3)
-        t = s = 0.05
-        second_moment, _ = quad(
-            lambda lam: lam * lam * math.exp(-(t + s) * lam * lam) * m.density_at(lam), 0.0, np.inf
-        )
-        c0 = omega_covariance(t, 0.0, s, 0.0, m)
-        assert abs(omega_covariance(t, 0.0, s, z, m) - c0) <= z * z * second_moment + 1e-9
-
-    def test_unresolvable_separation_raises(self):
-        m = SpectralMeasure.matern(1.0, 0.3)
-        assert omega_covariance(0.05, 0.0, 0.05, 1e-300, m) == pytest.approx(
-            omega_covariance(0.05, 0.0, 0.05, 0.0, m), abs=1e-9
-        )
-        with pytest.raises(QuadratureError, match="too small"):
-            omega_covariance(0.05, 0.0, 0.05, 5e-324, m)
-
-    def test_diffusivity_parameter(self):
-        m = SpectralMeasure.matern(1.0, 1.0)
-        fast = omega_covariance(0.5, 0.0, 0.5, 0.0, m, mu=4.0)
-        slow = omega_covariance(0.5, 0.0, 0.5, 0.0, m, mu=1.0)
-        assert fast < slow
-
-
 class TestCovarianceMatrix:
     def test_symmetric_psd(self):
         cov = covariance_matrix(small_model())
@@ -213,7 +228,7 @@ class TestCovarianceMatrix:
 
     def test_grid_outside_box_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            GaussianFieldModel(kind="v", grid=((2.0, 0.5),), hurst=0.5, box=BOX)
+            GaussianFieldModel(grid=((2.0, 0.5),), hurst=0.5, box=BOX)
 
 
 class TestFactorCovariance:
@@ -287,7 +302,7 @@ class TestSampleFields:
         for _ in range(5):
             t, s = rng.uniform(0.05, 1.0, size=2)
             x, y = rng.uniform(0.0, 1.0, size=2)
-            model = GaussianFieldModel(kind="v", grid=((t, x), (s, y)), hurst=hurst)
+            model = GaussianFieldModel(grid=((t, x), (s, y)), hurst=hurst)
             fields = sample_fields(model, 4000, seed=int(rng.integers(1 << 31)))
             diff2 = (fields[:, 0] - fields[:, 1]) ** 2
             bound = (c_v * (abs(t - s) ** (hurst / 2) + abs(x - y) ** hurst)) ** 2
