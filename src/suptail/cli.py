@@ -35,6 +35,7 @@ _MODEL_KEYS = {"hurst", "rho", "holder_const", "init_sup", "det_const", "alpha"}
 _BOX_KEYS = {"a1", "b1", "a2", "b2", "h1", "h2"}
 _PROFILE_KEYS = {"scale", "exponent"}
 _UGRID_KEYS = {"max", "count"}
+_GRID_KEYS = {"nt", "nx"}
 
 _SCHEMAS = {
     "constants": {"model"},
@@ -78,6 +79,10 @@ def load_config(path: str, command: str) -> dict:
         _require_keys(cfg["profile"], _PROFILE_KEYS, "profile", required=_PROFILE_KEYS)
     if isinstance(cfg.get("u_auto"), dict):
         _require_keys(cfg["u_auto"], _UGRID_KEYS, "u_auto")
+    if "grid" in cfg:
+        _require_keys(cfg["grid"], _GRID_KEYS, "grid")
+    if "u_grid" in cfg and "u_auto" in cfg:
+        raise ConfigError("'u_grid' and 'u_auto' are exclusive; give one of them")
     return cfg
 
 
@@ -97,6 +102,13 @@ def _box_from(cfg: dict) -> AnisotropicBox:
     return AnisotropicBox(**cfg["box"])
 
 
+def _positive_int(value, name: str) -> int:
+    """value itself if it is an integer >= 1; fractions are not truncated."""
+    if type(value) is not int or value < 1:  # bool is an int subclass
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _u_grid(cfg: dict, inputs: supbound.FieldBoundInputs) -> list[float]:
     if "u_grid" in cfg and cfg["u_grid"] is not None:
         us = [float(u) for u in cfg["u_grid"]]
@@ -104,9 +116,7 @@ def _u_grid(cfg: dict, inputs: supbound.FieldBoundInputs) -> list[float]:
             raise ConfigError("u_grid must be strictly increasing")
         return us
     auto = cfg.get("u_auto") or {}
-    count = auto.get("count", 12)
-    if type(count) is not int or count < 1:  # bool is an int subclass
-        raise ConfigError(f"u_auto 'count' must be an integer >= 1, got {count!r}")
+    count = _positive_int(auto.get("count", 12), "u_auto 'count'")
     # max multiplies the minimal threshold; above 0.9 the grid increases
     # strictly, as an explicit u_grid must
     span = auto.get("max", 2.0)
@@ -288,7 +298,7 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
 def cmd_covering(cfg: dict, out: Path, seed, fmt: str) -> int:
     box = _box_from(cfg)
     eps = float(cfg["eps"])
-    resolution = int(cfg.get("resolution", 101))
+    resolution = _positive_int(cfg.get("resolution", 101), "'resolution'")
     bound = covering_upper_bound(box, eps)
     oracle = covering_oracle(box, eps, resolution)
     meta = _meta(cfg, seed)
@@ -312,12 +322,10 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed, fmt: str) -> int:
     model = _model_from(cfg)
     box = _box_from(cfg)
     grid_cfg = cfg.get("grid", {})
-    nt = int(grid_cfg.get("nt", 24))
-    nx = int(grid_cfg.get("nx", 24))
-    n_samples = int(cfg.get("samples", 0))
-    if n_samples <= 0:
-        raise ConfigError("simulate-verify requires a positive 'samples'")
-    workers = int(cfg.get("workers", 1))
+    nt = _positive_int(grid_cfg.get("nt", 24), "grid 'nt'")
+    nx = _positive_int(grid_cfg.get("nx", 24), "grid 'nx'")
+    n_samples = _positive_int(cfg.get("samples"), "'samples'")
+    workers = _positive_int(cfg.get("workers", 1), "'workers'")
 
     kind = cfg.get("field", "v")
     if kind != "v":

@@ -7,7 +7,9 @@ computes every constant of their second-moment bounds in closed form (with
 quadrature only where no closed form exists), maps both fields onto the
 generic bounded-domain supremum bounds, and builds the almost-sure growth
 envelope of V over the strip [0, inf) x [-A, A] from the zeta and polylog
-closed forms of its series.
+closed forms of its series.  Gamma and Beta values come from the math module
+and zeta(p) from a short Euler-Maclaurin sum, so nothing here loads SciPy
+except the numeric spectral quadrature, at its first call.
 
 Conventions fixed here:
 
@@ -29,9 +31,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import gamma as gamma_fn
-from scipy.special import zeta
 
 from .curves import TailCurve
 from .entropy import HolderProfile, QuadratureError
@@ -52,7 +51,7 @@ def noise_constant(hurst: float) -> float:
         C_H = Gamma(2H+1) sin(pi H) / (2 pi).
     """
     _check_hurst(hurst)
-    return gamma_fn(2.0 * hurst + 1.0) * math.sin(math.pi * hurst) / (2.0 * math.pi)
+    return math.gamma(2.0 * hurst + 1.0) * math.sin(math.pi * hurst) / (2.0 * math.pi)
 
 
 def variance_coefficient(hurst: float) -> float:
@@ -63,7 +62,7 @@ def variance_coefficient(hurst: float) -> float:
         c_1H = Gamma(1-H) * 2^(H-1) / H.
     """
     _check_hurst(hurst)
-    return gamma_fn(1.0 - hurst) * 2.0 ** (hurst - 1.0) / hurst
+    return math.gamma(1.0 - hurst) * 2.0 ** (hurst - 1.0) / hurst
 
 
 def time_increment_coefficient(hurst: float) -> float:
@@ -78,7 +77,7 @@ def time_increment_coefficient(hurst: float) -> float:
     At H = 1/2 it is 2*sqrt(pi) - sqrt(2*pi).
     """
     _check_hurst(hurst)
-    return gamma_fn(1.0 - hurst) * (2.0 - 2.0 ** hurst) / (2.0 * hurst)
+    return math.gamma(1.0 - hurst) * (2.0 - 2.0 ** hurst) / (2.0 * hurst)
 
 
 def space_increment_coefficient(hurst: float) -> float:
@@ -91,7 +90,7 @@ def space_increment_coefficient(hurst: float) -> float:
     _check_hurst(hurst)
     if hurst == 0.5:
         return math.pi / 2.0
-    return gamma_fn(1.0 - 2.0 * hurst) * math.cos(math.pi * hurst) / (2.0 * hurst)
+    return math.gamma(1.0 - 2.0 * hurst) * math.cos(math.pi * hurst) / (2.0 * hurst)
 
 
 def _holder_scale(c_h: float, c_1h: float, c_2h: float, c_3h: float) -> float:
@@ -124,7 +123,7 @@ def kernel_moment_constant(rho: float) -> float:
     """
     if not (0.0 < rho <= 1.0):
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    return 4.0 ** rho / math.sqrt(math.pi) * gamma_fn(rho + 0.5)
+    return 4.0 ** rho / math.sqrt(math.pi) * math.gamma(rho + 0.5)
 
 
 def omega_holder_constant(holder_const: float, rho: float) -> float:
@@ -271,6 +270,16 @@ class SpectralMeasure:
         return self.density(lam)
 
 
+def _beta(a: float, b: float) -> float:
+    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b > 0.
+
+    Gamma(a + b) overflows past 171.6, so larger arguments go through lgamma.
+    """
+    if a + b < 170.0:
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 def _improper_even_integral(f, tol: float) -> float:
     """2 * int_0^inf f, split at 1, with an error check."""
     from scipy.integrate import quad
@@ -297,7 +306,7 @@ def spectral_moment(measure: SpectralMeasure, eps_exp: float, tol: float = 1e-10
             raise ValueError(
                 f"moment constraint violated: 2*alpha_m - eps - 1/2 = {second} <= 0"
             )
-        return measure.sigma2 * beta_fn(eps_exp + 0.5, second)
+        return measure.sigma2 * _beta(eps_exp + 0.5, second)
     return _improper_even_integral(
         lambda lam: lam ** (2.0 * eps_exp) * measure.density_at(lam), tol
     )
@@ -306,7 +315,7 @@ def spectral_moment(measure: SpectralMeasure, eps_exp: float, tol: float = 1e-10
 def omega_spectral_sup_norm(measure: SpectralMeasure, tol: float = 1e-10) -> float:
     """Uniform L2 bound (int_R F(dlambda))^(1/2) on the stationary omega field."""
     if measure.is_matern:
-        mass = measure.sigma2 * beta_fn(0.5, 2.0 * measure.alpha_m - 0.5)
+        mass = measure.sigma2 * _beta(0.5, 2.0 * measure.alpha_m - 0.5)
     else:
         mass = _improper_even_integral(measure.density_at, tol)
     return math.sqrt(mass)
@@ -384,9 +393,44 @@ def growth_spec_for_v(model: SheModel, p: float, halfwidth: float) -> GrowthSpec
 
 _EPS = float(np.finfo(float).eps)
 _POLYLOG_MAX_TERMS = 2 ** 24
-# Relative rounding bound on scipy's zeta (a few ulps for p > 1) and the
-# products around it.
+# Relative rounding bound on the products and sums that combine zeta(p) and
+# Li_p with the model constants; the series' own errors are their remainders.
 _CLOSED_FORM_RTOL = 16.0 * _EPS
+
+# Euler-Maclaurin summation of zeta(p) from k = _ZETA_N, with the Bernoulli
+# numbers B_2 .. B_22 as (numerator, denominator); B_22 gives the first
+# omitted term, which bounds the truncation error.
+_ZETA_N = 12
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+)
+_BERNOULLI_OVER_FACTORIAL = tuple(
+    num / (den * math.factorial(2 * j)) for j, (num, den) in enumerate(_BERNOULLI, start=1)
+)
+
+
+def _zeta(p: float) -> SeriesSum:
+    """Riemann zeta(p) for real p > 1 by Euler-Maclaurin summation:
+
+        zeta(p) = sum_{k<N} k^-p + N^(1-p)/(p-1) + N^-p/2
+                  + sum_{j=1}^{10} B_2j/(2j)! (p)_(2j-1) N^(-p-2j+1) + R
+
+    with N = 12 and (p)_m the rising factorial.  All derivatives of k^-p
+    have constant sign, so R lies between 0 and the first omitted (j = 11)
+    term.  The remainder adds to |R| a rounding bound of eps times the value
+    per term, as _polylog does for its sum.
+    """
+    n = _ZETA_N
+    terms = [k ** -p for k in range(1, n)]
+    terms += [n ** (1.0 - p) / (p - 1.0), 0.5 * n ** -p]
+    scale = p * n ** (-p - 1.0)  # (p)_(2j-1) N^(-p-2j+1), kept as one factor
+    for j, ratio in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
+        terms.append(ratio * scale)
+        scale = scale * (p + 2 * j - 1) / n * (p + 2 * j) / n
+    omitted = abs(terms.pop())
+    value = math.fsum(terms)
+    return SeriesSum(value, omitted + len(terms) * _EPS * value, len(terms))
 
 
 def _polylog(p: float, ln_x: float) -> SeriesSum:
@@ -432,16 +476,18 @@ def she_growth_envelope(
     """
     spec = growth_spec_for_v(model, p, halfwidth)
     hurst = model.hurst
-    zeta_p = float(zeta(p))
-    c_value = model.a_h * math.exp(hurst / 2.0) * (1.0 + zeta_p)
-    c_sum = SeriesSum(c_value, _CLOSED_FORM_RTOL * c_value, 0)
+    zeta_p = _zeta(p)
+    c_front = model.a_h * math.exp(hurst / 2.0)
+    c_value = c_front * (1.0 + zeta_p.value)
+    c_sum = SeriesSum(c_value, _CLOSED_FORM_RTOL * c_value + c_front * zeta_p.remainder, 0)
     # c1(0) = (axis terms) * 2^(1/2) c_V^(1/2) / (1 - 1/2) for beta = 2
-    front = math.sqrt(model.a_h * math.exp(hurst / 2.0)) * 2.0 * math.sqrt(2.0 * model.c_v)
+    front = math.sqrt(c_front) * 2.0 * math.sqrt(2.0 * model.c_v)
     time_axis = front * (2.0 / hurst) * ((math.e - 1.0) / 2.0) ** (hurst / 4.0)
     space_axis = front * halfwidth ** (hurst / 2.0) / hurst
     li = _polylog(p, -hurst / 4.0)
-    s_value = time_axis * (1.0 + zeta_p) + space_axis * (1.0 + li.value)
-    s_sum = SeriesSum(s_value, _CLOSED_FORM_RTOL * s_value + space_axis * li.remainder, li.n_terms)
+    s_value = time_axis * (1.0 + zeta_p.value) + space_axis * (1.0 + li.value)
+    s_error = time_axis * zeta_p.remainder + space_axis * li.remainder
+    s_sum = SeriesSum(s_value, _CLOSED_FORM_RTOL * s_value + s_error, li.n_terms)
     for name, res in (("C~", c_sum), ("S~", s_sum)):
         if res.remainder > series_tol:
             raise SeriesError(

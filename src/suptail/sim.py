@@ -18,6 +18,9 @@ with M = scipy.special.hyp1f1.  At |t-s| = 0 the second term is its limit
 (z^2/4)^H sqrt(pi) / Gamma(H+1/2); at z = 0 the bracket is (2t)^H and gives the
 variance identity C_H c_1H t^H.
 
+SciPy is imported at the first kernel or Clopper-Pearson call, not with this
+module, so the analytic commands never load it.
+
 Only V is sampled; the bound for the smoothed field omega comes from its
 Holder constants (heat.omega_bound_inputs) and needs no covariance.
 
@@ -35,8 +38,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import betaincinv, hyp1f1
 
 from .curves import TailCurve
 from .heat import noise_constant
@@ -57,6 +58,8 @@ _W_ASYMPTOTIC = 1e12
 
 def _kummer_term(r: np.ndarray, z2: np.ndarray, hurst: float) -> np.ndarray:
     """r^H M(-H; 1/2; -z2/r) elementwise, with its limit z2^H sqrt(pi)/Gamma(H+1/2) at r = 0."""
+    from scipy.special import hyp1f1
+
     w = np.divide(z2, r, out=np.full(r.shape, np.inf), where=r > 0)
     small = w < _W_SERIES
     large = w > _W_ASYMPTOTIC
@@ -67,7 +70,7 @@ def _kummer_term(r: np.ndarray, z2: np.ndarray, hurst: float) -> np.ndarray:
     out[large] = (
         z2[large] ** hurst
         * math.sqrt(math.pi)
-        / gamma_fn(hurst + 0.5)
+        / math.gamma(hurst + 0.5)
         * (1.0 - hurst * (0.5 - hurst) / w[large])
     )
     return out
@@ -79,7 +82,7 @@ def _v_kernel(lo: np.ndarray, hi: np.ndarray, dist: np.ndarray, hurst: float) ->
     At lo = 0 both terms coincide, so the covariance is exactly 0.
     """
     z2 = dist * dist / 4.0
-    scale = noise_constant(hurst) * gamma_fn(1.0 - hurst) / (2.0 * hurst)
+    scale = noise_constant(hurst) * math.gamma(1.0 - hurst) / (2.0 * hurst)
     return scale * (_kummer_term(lo + hi, z2, hurst) - _kummer_term(hi - lo, z2, hurst))
 
 
@@ -221,6 +224,8 @@ def sample_fields(
 
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Two-sided Clopper-Pearson interval for a binomial proportion."""
+    from scipy.special import betaincinv
+
     if not (0 <= k <= n) or n <= 0:
         raise ValueError(f"need 0 <= k <= n with n > 0, got k={k}, n={n}")
     alpha = 1.0 - confidence

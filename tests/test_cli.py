@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
+import suptail
 from suptail import supbound
 from suptail.cli import ConfigError, load_config, main
 from suptail.entropy import HolderProfile
@@ -245,6 +250,14 @@ class TestCovering:
         assert data["oracle_count"] <= data["upper_bound"]
         assert data["oracle_leq_bound"] is True
 
+    @pytest.mark.parametrize("value", [80.5, True], ids=["fractional", "bool"])
+    def test_non_integer_resolution_rejected(self, tmp_path, capsys, value):
+        payload = {"box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0}, "eps": 0.5}
+        code, out = run(tmp_path, "covering", {**payload, "resolution": value})
+        assert code == 1
+        assert "'resolution' must be an integer >= 1" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 class TestSimulateVerify:
     PAYLOAD = {
@@ -275,6 +288,23 @@ class TestSimulateVerify:
         payload = {**self.PAYLOAD, "samples": 0}
         code, _ = run(tmp_path, "simulate-verify", payload, "--seed", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("value", [3.7, True], ids=["fractional", "bool"])
+    @pytest.mark.parametrize("key", ["samples", "grid.nt", "grid.nx", "workers"])
+    def test_non_integer_sizes_rejected(self, tmp_path, capsys, key, value):
+        payload = {**self.PAYLOAD, "grid": dict(self.PAYLOAD["grid"])}
+        block, _, name = key.rpartition(".")
+        (payload[block] if block else payload)[name] = value
+        code, out = run(tmp_path, "simulate-verify", payload, "--seed", "1")
+        assert code == 1
+        where = f"{block} '{name}'" if block else f"'{name}'"
+        assert f"{where} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_unknown_grid_key_rejected(self, tmp_path):
+        payload = {**self.PAYLOAD, "grid": {"nt": 5, "nx": 5, "nz": 5}}
+        with pytest.raises(ConfigError, match=r"unknown keys \['nz'\] in grid"):
+            load_config(write_config(tmp_path, payload), "simulate-verify")
 
     def test_worker_count_byte_identical(self, tmp_path):
         # three sampling blocks, and u values the sampled suprema reach
@@ -316,3 +346,67 @@ class TestUAutoValidation:
         assert code == 1
         assert f"u_auto '{key}'" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+
+class TestUGridUAutoExclusive:
+    @pytest.mark.parametrize("command", ["bound-sup", "simulate-verify"])
+    def test_both_keys_rejected(self, tmp_path, capsys, command):
+        # an invalid u_auto next to u_grid used to be ignored without a word
+        payload = {**TestSimulateVerify.PAYLOAD, "u_grid": [80.0, 100.0], "u_auto": {"count": 0}}
+        if command == "bound-sup":
+            payload = {k: payload[k] for k in ("field", "model", "box", "u_grid", "u_auto")}
+        code, out = run(tmp_path, command, payload, "--seed", "1")
+        assert code == 1
+        assert "'u_grid' and 'u_auto' are exclusive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Runs in a fresh interpreter: imports suptail.cli, then each analytic command
+# through cli.main, and prints the scipy modules loaded after each step.
+_NO_SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+import suptail.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+report = [["import", 0, scipy_modules()]]
+work = Path(sys.argv[1])
+for i, (command, cfg) in enumerate(json.loads(sys.argv[2])):
+    path = work / f"cfg{i}.json"
+    path.write_text(json.dumps(cfg))
+    code = suptail.cli.main([command, "--config", str(path), "--out", str(work / f"out{i}")])
+    report.append([command, code, scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def test_analytic_commands_load_no_scipy(tmp_path):
+    # scipy.special alone costs about two thirds of the CLI's import time;
+    # only simulate-verify and the numeric quadrature routes need SciPy
+    generic = {
+        "field": "generic",
+        "fam": 2.0,
+        "eps0": 1.0,
+        "profile": {"scale": 1.0, "exponent": 1.0},
+        "box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0},
+    }
+    runs = [
+        ["constants", {"model": MODEL}],
+        ["bound-sup", {"field": "v", "model": MODEL, "box": BOX, "u_auto": {"count": 4}}],
+        ["bound-sup", {"field": "omega", "model": MODEL, "box": BOX, "u_grid": [5.0, 50.0]}],
+        ["bound-sup", {**generic, "u_auto": {"count": 4}}],
+        ["bound-growth", {"model": MODEL, "p": 1.5, "u_grid": [900.0, 1500.0]}],
+        ["covering", {"box": generic["box"], "eps": 0.5, "resolution": 41}],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path), json.dumps(runs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [["import", 0, []]] + [[cmd, 0, []] for cmd, _ in runs]

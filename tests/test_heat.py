@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma, zeta
+from scipy.special import beta, gamma, zeta
 
 from suptail import supbound
 from suptail.growth import (
@@ -19,6 +19,7 @@ from suptail.growth import (
 from suptail.heat import (
     SheModel,
     SpectralMeasure,
+    _zeta,
     growth_spec_for_v,
     increment_constant,
     kernel_moment_constant,
@@ -183,6 +184,64 @@ class TestKernelMomentConstant:
             f = lambda y: 2 * math.exp(-y * y / 4) / math.sqrt(4 * math.pi) * y ** (2 * rho)
             oracle = quad(f, 0, np.inf, epsabs=1e-13)[0]
             assert kernel_moment_constant(rho) == pytest.approx(oracle, rel=1e-9)
+
+
+class TestSpecialFunctionOracles:
+    """math.gamma / math.lgamma forms and the Euler-Maclaurin zeta against scipy.special."""
+
+    def test_hurst_constants_match_scipy_gamma(self):
+        for hurst in np.linspace(0.005, 0.4999, 50):
+            pairs = (
+                (noise_constant, gamma(2 * hurst + 1) * math.sin(math.pi * hurst) / (2 * math.pi)),
+                (variance_coefficient, gamma(1 - hurst) * 2 ** (hurst - 1) / hurst),
+                (time_increment_coefficient, gamma(1 - hurst) * (2 - 2 ** hurst) / (2 * hurst)),
+                (
+                    space_increment_coefficient,
+                    gamma(1 - 2 * hurst) * math.cos(math.pi * hurst) / (2 * hurst),
+                ),
+            )
+            for fn, want in pairs:
+                assert fn(float(hurst)) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_kernel_moment_matches_scipy_gamma(self):
+        for rho in np.linspace(0.02, 1.0, 50):
+            want = 4 ** rho / math.sqrt(math.pi) * gamma(rho + 0.5)
+            assert kernel_moment_constant(float(rho)) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_rational_spectral_moment_matches_scipy_beta(self):
+        eps64 = np.finfo(float).eps
+
+        def rel(a, b):
+            # a + b < 170 uses math.gamma; above, exp of an lgamma sum loses
+            # about eps * |lgamma| to cancellation
+            if a + b < 170:
+                return 1e-14
+            return 4 * eps64 * sum(abs(math.lgamma(v)) for v in (a, b, a + b))
+
+        for alpha_m in (0.3, 0.6, 1.0, 3.0, 10.0, 40.0, 84.0, 86.0, 500.0, 5000.0):
+            measure = SpectralMeasure.matern(2.0, alpha_m)
+            for eps in (0.05, 0.3, 0.5):
+                a, b = eps + 0.5, 2 * alpha_m - eps - 0.5
+                if b > 0:
+                    got = spectral_moment(measure, eps)
+                    assert got == pytest.approx(2.0 * beta(a, b), rel=rel(a, b), abs=0.0)
+            # the sup norm is the root of the mass 2 B(1/2, 2 alpha_m - 1/2)
+            b = 2 * alpha_m - 0.5
+            mass = omega_spectral_sup_norm(measure) ** 2
+            assert mass == pytest.approx(2.0 * beta(0.5, b), rel=rel(0.5, b) + 4 * eps64, abs=0.0)
+
+    def test_zeta_matches_scipy_within_remainder(self):
+        for p in 1.0 + np.logspace(-6, math.log10(59.0), 200):
+            got, want = _zeta(float(p)), float(zeta(p))
+            assert abs(got.value - want) <= got.remainder
+            assert abs(got.value - want) <= 8 * math.ulp(want)
+
+    @pytest.mark.parametrize(
+        "p, exact", [(2.0, math.pi ** 2 / 6), (4.0, math.pi ** 4 / 90), (6.0, math.pi ** 6 / 945)]
+    )
+    def test_zeta_remainder_covers_exact_values(self, p, exact):
+        got = _zeta(p)
+        assert abs(got.value - exact) <= got.remainder <= 64 * math.ulp(exact)
 
 
 class TestOmegaHolderConstant:

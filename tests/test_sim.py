@@ -1,16 +1,11 @@
 """Covariance kernels, Gaussian sampling, empirical tails, bound verification."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf, gamma, hyp1f1
 
-import suptail
 from suptail import sim
 from suptail.curves import TailCurve
 from suptail.entropy import QuadratureError
@@ -346,21 +341,6 @@ class TestEmpiricalSupTail:
             lo = 0.0 if k == 0 else beta.ppf(alpha / 2, k, n - k + 1)
             hi = 1.0 if k == n else beta.ppf(1 - alpha / 2, k + 1, n - k)
             assert clopper_pearson(k, n) == (lo, hi)
-
-
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.integrate take a few hundred ms to import; no CLI
-    # path needs either
-    env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
-    probe = (
-        "import sys, suptail.cli; "
-        "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate')])"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[False, False]"
 
 
 class TestVerifyBound:
