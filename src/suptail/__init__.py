@@ -1,18 +1,19 @@
 """Explicit supremum tail bounds for sub-Gaussian-type random fields.
 
 Generic layer: power Orlicz families, anisotropic box metrics, entropy
-integrals, and bounded-domain / growth-rate supremum bounds.  Application
-layer: the stochastic heat equation with fractional spatial noise, plus
+integrals, and bounded-domain / growth-rate supremum tail bounds, which share
+one entropy constant and one closed-form theta optimum.  Application layer:
+the stochastic heat equation with fractional spatial noise, plus
 exact-covariance Monte Carlo to verify the bounds empirically.
 """
 
 from .curves import TailCurve
-from .entropy import HolderProfile, QuadratureError, c1_constant, entropy_integral_closed, entropy_integral_numeric
-from .growth import GrowthSpec, SeriesError, SeriesSum, cell_constant, envelope_tail, growth_tail_bound, growth_tail_bound_power, auto_theta_bound, series_C, series_S, theta_sup
+from .entropy import HolderProfile, QuadratureError, c1_axis_terms, c1_constant, entropy_integral_closed, entropy_integral_numeric
+from .growth import GrowthSpec, SeriesError, SeriesSum, auto_theta_bound, cell_constant, cell_inputs, growth_tail_bound, optimize_theta_growth, series_C, series_S, theta_sup
 from .heat import EnvelopeResult, SheModel, SpectralMeasure, she_growth_envelope, spectral_moment
-from .metric import AnisotropicBox, aniso_dist, covering_oracle, covering_upper_bound
+from .metric import AnisotropicBox, covering_oracle, covering_upper_bound
 from .orlicz import GAUSSIAN, PhiFamily, phi_conjugate, phi_inverse, phi_value, psi_kernel, rv_tail_bound
 from .sim import FactorizationError, GaussianFieldModel, VerifyReport, empirical_sup_tail, make_grid, sample_fields, v_covariance, verify_bound
-from .supbound import FieldBoundInputs, optimize_theta, sup_mgf_bound, sup_tail_bound, sup_tail_bound_numeric, u_threshold
+from .supbound import FieldBoundInputs, optimize_theta, sup_tail_bound, u_threshold
 
 __version__ = "0.1.0"

@@ -124,11 +124,18 @@ def _u_grid(cfg: dict, inputs: supbound.FieldBoundInputs) -> list[float]:
         raise ConfigError(f"u_auto 'max' must be a finite number above 0.9, got {span!r}")
     # The threshold is log-convex in theta with its minimum at (1-q)/(2-q), so
     # capping that point gives the minimal threshold over the valid range; pad
-    # the low end so a couple of entries are invalid.
+    # the low end so the first entries are invalid.
     q = inputs.q
     theta = min((1.0 - q) / (2.0 - q), inputs.theta_cap * (1.0 - 1e-9))
     thr = supbound.u_threshold(theta, inputs)
-    return [float(u) for u in np.linspace(0.9 * thr, span * thr, count)]
+    fracs = np.linspace(0.9, span, count)
+    # An entry on the threshold would be VALID or INVALID by the last ulp of
+    # the constants, so the one within half a step of it moves half a step
+    # further away (down from the threshold itself); the first entry stays.
+    half = 0.5 * (span - 0.9) / max(count - 1, 1)
+    dist = fracs[1:] - 1.0
+    fracs[1:] += np.where(np.abs(dist) < half, np.where(dist > 0.0, half, -half), 0.0)
+    return [float(f * thr) for f in fracs]
 
 
 # --------------------------------------------------------------------------

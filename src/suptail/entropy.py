@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .metric import AnisotropicBox, covering_upper_bound
 from .orlicz import PhiFamily, psi_kernel
 
@@ -23,97 +21,69 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class HolderProfile:
-    """Monotone modulus sigma(h) bounding the field's Orlicz-norm increments.
+    """Power modulus sigma(h) = scale * h^exponent, exponent in (0, 1], bounding
+    the field's Orlicz-norm increments."""
 
-    Either the power form sigma(h) = scale * h^exponent with exponent in (0, 1],
-    or a tabulated strictly increasing modulus inverted by bisection.
-    """
+    scale: float
+    exponent: float
 
-    scale: float | None = None
-    exponent: float | None = None
-    table_h: tuple[float, ...] | None = None
-    table_sigma: tuple[float, ...] | None = None
+    def __post_init__(self) -> None:
+        if not self.scale > 0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (0.0 < self.exponent <= 1.0):
+            raise ValueError(f"exponent must lie in (0, 1], got {self.exponent}")
 
     @classmethod
     def power(cls, scale: float, exponent: float) -> "HolderProfile":
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        if not (0.0 < exponent <= 1.0):
-            raise ValueError(f"exponent must lie in (0, 1], got {exponent}")
-        return cls(scale=scale, exponent=exponent)
-
-    @classmethod
-    def tabulated(cls, hs, sigmas) -> "HolderProfile":
-        hs = tuple(float(h) for h in hs)
-        sigmas = tuple(float(s) for s in sigmas)
-        if len(hs) != len(sigmas) or len(hs) < 2:
-            raise ValueError("tabulated profile needs two equal-length tables")
-        if any(b <= a for a, b in zip(hs, hs[1:])) or any(
-            b <= a for a, b in zip(sigmas, sigmas[1:])
-        ):
-            raise ValueError("tabulated profile must be strictly increasing")
-        if hs[0] < 0 or sigmas[0] < 0:
-            raise ValueError("tabulated profile must be nonnegative")
-        return cls(table_h=hs, table_sigma=sigmas)
-
-    @property
-    def is_power(self) -> bool:
-        return self.scale is not None
+        return cls(scale, exponent)
 
     def sigma(self, h: float) -> float:
         if h < 0:
             raise ValueError(f"sigma requires h >= 0, got {h}")
-        if self.is_power:
-            return self.scale * h ** self.exponent
-        return float(np.interp(h, self.table_h, self.table_sigma))
+        return self.scale * h ** self.exponent
 
     def sigma_inv(self, u: float) -> float:
-        """Inverse modulus; bisection to 1e-12 for tabulated profiles."""
         if u < 0:
             raise ValueError(f"sigma_inv requires u >= 0, got {u}")
-        if self.is_power:
-            return (u / self.scale) ** (1.0 / self.exponent)
-        lo, hi = self.table_h[0], self.table_h[-1]
-        if u <= self.table_sigma[0]:
-            return lo
-        if u >= self.table_sigma[-1]:
-            return hi
-        while hi - lo > 1e-12 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if self.sigma(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return (u / self.scale) ** (1.0 / self.exponent)
 
 
 def _gamma_beta(prof: HolderProfile, fam: PhiFamily) -> float:
-    if not prof.is_power:
-        raise ValueError("closed-form entropy constants require a power profile")
-    return prof.exponent * fam.beta
-
-
-def c1_constant(box: AnisotropicBox, prof: HolderProfile, fam: PhiFamily) -> float:
-    """Closed-form entropy constant
-
-        c1 = 2^(1/beta) c^(1/(gamma*beta)) / (1 - 1/(gamma*beta))
-             * sum_i (1/h_i) (T_i/2)^(h_i/beta).
-
-    Requires gamma*beta > 1; otherwise the entropy integral diverges at 0 and
-    the closed form is invalid.
-    """
-    gb = _gamma_beta(prof, fam)
+    gb = prof.exponent * fam.beta
     if gb <= 1.0:
         raise ValueError(
             f"entropy integral diverges / closed form invalid: gamma*beta = {gb} <= 1"
         )
+    return gb
+
+
+def c1_axis_terms(
+    box: AnisotropicBox, prof: HolderProfile, fam: PhiFamily
+) -> tuple[float, float]:
+    """Time- and space-axis terms c1_1, c1_2 of the closed-form entropy constant
+    c1 = c1_1 + c1_2, with
+
+        c1_i = 2^(1/beta) c^(1/(gamma*beta)) / (1 - 1/(gamma*beta))
+               * (1/h_i) (T_i/2)^(h_i/beta)
+
+    and c1_i = 0 for a degenerate axis.  Requires gamma*beta > 1; otherwise the entropy
+    integral diverges at 0 and the closed form is invalid.
+    """
+    gb = _gamma_beta(prof, fam)
     if box.diameter == 0.0:
         raise ValueError("box is a single point; entropy constant undefined")
-    axis_sum = 0.0
-    for t_i, h_i in ((box.t1, box.h1), (box.t2, box.h2)):
-        if t_i > 0:
-            axis_sum += (t_i / 2.0) ** (h_i / fam.beta) / h_i
-    return 2.0 ** (1.0 / fam.beta) * prof.scale ** (1.0 / gb) / (1.0 - 1.0 / gb) * axis_sum
+    front = 2.0 ** (1.0 / fam.beta) * prof.scale ** (1.0 / gb) / (1.0 - 1.0 / gb)
+    time_axis, space_axis = (
+        front * (t_i / 2.0) ** (h_i / fam.beta) / h_i if t_i > 0 else 0.0
+        for t_i, h_i in ((box.t1, box.h1), (box.t2, box.h2))
+    )
+    return time_axis, space_axis
+
+
+def c1_constant(box: AnisotropicBox, prof: HolderProfile, fam: PhiFamily) -> float:
+    """Closed-form entropy constant c1, the sum of ``c1_axis_terms``."""
+    time_axis, space_axis = c1_axis_terms(box, prof, fam)
+    return time_axis + space_axis
 
 
 def entropy_integral_closed(
@@ -121,10 +91,6 @@ def entropy_integral_closed(
 ) -> float:
     """Closed-form entropy integral bound c1 * eps^(1 - 1/(gamma*beta))."""
     gb = _gamma_beta(prof, fam)
-    if gb <= 1.0:
-        raise ValueError(
-            f"entropy integral diverges / closed form invalid: gamma*beta = {gb} <= 1"
-        )
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if c1 <= 0:

@@ -6,21 +6,24 @@ over a partition of the time axis into cells [b_k, b_{k+1}] x [-A, A]:
     C = sum_k eps_k / f_k,
     S = sum_k eps_k^(1 - 1/(gamma*beta)) * c1(k) / f_k,
 
-with c1(k) the per-cell entropy constant.  Both series are summed with a
-certified remainder; the tail bound, its power-envelope variant (eps_k
-substituted by scale * b_{k+1}^delta), the fixed-theta closed form, and the
-almost-sure envelope tail all reduce to (C, S) or their substituted versions.
+with c1(k) the entropy constant ``entropy.c1_constant`` of cell k, the same
+one the bounded-box bound uses.  Both series are summed with a certified
+remainder; the tail bound at fixed theta, its closed-form optimum over theta
+(shared with ``supbound``) and the auto-theta form all reduce to (C, S).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .orlicz import PhiFamily
+from .entropy import HolderProfile, c1_constant
+from .metric import AnisotropicBox
+from .orlicz import PhiFamily, rv_tail_bound
+from .supbound import _optimal_theta
 
 
 class SeriesError(RuntimeError):
@@ -37,9 +40,6 @@ class GrowthSpec:
     cell_holder(k) is the Holder scale c_k of the increment modulus
     c_k * h^gamma on cell k.  h1/h2 are the metric exponents, halfwidth the
     strip half-width A.
-
-    power_delta/power_scale describe the envelope variant with
-    cell_sup(k) = power_scale * b_{k+1}^power_delta.
     """
 
     partition: Callable[[int], float]
@@ -51,8 +51,6 @@ class GrowthSpec:
     h1: float
     h2: float
     fam: PhiFamily
-    power_delta: Optional[float] = None
-    power_scale: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma <= 1.0):
@@ -79,23 +77,17 @@ class GrowthSpec:
         return f_k
 
 
-def cell_constant(k: int, spec: GrowthSpec) -> float:
-    """Per-cell entropy constant
+def cell_inputs(k: int, spec: GrowthSpec) -> tuple[AnisotropicBox, HolderProfile]:
+    """Cell k as a box [b_k, b_{k+1}] x [-A, A] with the modulus c_k h^gamma."""
+    spec.cell_length(k)  # rejects a cell of length <= 0
+    a, w = spec.partition(k), spec.halfwidth
+    box = AnisotropicBox(a, spec.partition(k + 1), -w, w, spec.h1, spec.h2)
+    return box, HolderProfile.power(spec.cell_holder(k), spec.gamma)
 
-        c1(k) = ((1/h1)(l_k/2)^(h1/beta) + (1/h2) A^(h2/beta))
-                * 2^(1/beta) c_k^(1/(gamma*beta)) / (1 - 1/(gamma*beta)).
-    """
-    gb = spec.gamma_beta
-    if gb <= 1.0:
-        raise ValueError(f"cell constant requires gamma*beta > 1, got {gb}")
-    beta = spec.fam.beta
-    l_k = spec.cell_length(k)
-    c_k = spec.cell_holder(k)
-    if c_k <= 0:
-        raise ValueError(f"cell_holder must be positive, got {c_k} at k = {k}")
-    axis = (l_k / 2.0) ** (spec.h1 / beta) / spec.h1
-    axis += spec.halfwidth ** (spec.h2 / beta) / spec.h2
-    return axis * 2.0 ** (1.0 / beta) * c_k ** (1.0 / gb) / (1.0 - 1.0 / gb)
+
+def cell_constant(k: int, spec: GrowthSpec) -> float:
+    """Entropy constant c1(k) = ``c1_constant`` of cell k's box and modulus."""
+    return c1_constant(*cell_inputs(k, spec), spec.fam)
 
 
 @dataclass(frozen=True)
@@ -282,8 +274,8 @@ def series_S(spec: GrowthSpec, tol: float = 1e-9, k_max: int = 10 ** 6) -> float
 def theta_sup(spec: GrowthSpec, k_probe: int = 512) -> float:
     """Numeric inf_k gamma_k / eps_k over the leading cells.
 
-    gamma_k = c_k * (diam_d of cell k)^gamma with the closed-cell diameter
-    l_k^h1 + (2A)^h2.  Probing stops at the first nonfinite value (partitions
+    gamma_k = sigma_k(diam_d of cell k), with the box and modulus of
+    ``cell_inputs``.  Probing stops at the first nonfinite value (partitions
     like b_k = e^k overflow float range long after the inf has stabilized).
     """
     best = math.inf
@@ -294,8 +286,8 @@ def theta_sup(spec: GrowthSpec, k_probe: int = 512) -> float:
             break
         if not np.isfinite(l_k):
             break
-        diam = l_k ** spec.h1 + (2.0 * spec.halfwidth) ** spec.h2
-        g_k = spec.cell_holder(k) * diam ** spec.gamma
+        box, prof = cell_inputs(k, spec)
+        g_k = prof.sigma(box.diameter)
         e_k = spec.cell_sup(k)
         if not (np.isfinite(g_k) and np.isfinite(e_k)) or e_k <= 0:
             break
@@ -321,61 +313,23 @@ def growth_tail_bound(
     c_value: Optional[float] = None,
     s_value: Optional[float] = None,
 ) -> float:
-    """Bound on P{sup |X(t1,t2)|/f(t1) > u}:
+    """Bound on P{sup |X(t1,t2)|/f(t1) > u}: the clamped tail ``rv_tail_bound``
+    of a variable of norm C at level
 
-        2*exp( -(1/(beta*C^beta)) * (u*(1-theta) - 2*S*theta^(-1/(gamma*beta)))^beta )
+        u*(1-theta) - 2*S*theta^(-1/(gamma*beta))
 
     for theta in (0, min(1, theta_sup)) and u > 2S/((1-theta) theta^(1/(gamma*beta))).
     Precomputed series values can be passed to avoid resummation.
     """
     _check_growth_theta(theta, spec, k_probe)
     gb = spec.gamma_beta
-    beta = spec.fam.beta
     C = series_C(spec, tol=series_tol, k_max=k_max) if c_value is None else c_value
     S = series_S(spec, tol=series_tol, k_max=k_max) if s_value is None else s_value
     threshold = 2.0 * S / ((1.0 - theta) * theta ** (1.0 / gb))
     if u <= threshold:
         raise ValueError(f"u = {u} is below validity threshold {threshold}")
     arg = u * (1.0 - theta) - 2.0 * S * theta ** (-1.0 / gb)
-    return min(1.0, 2.0 * math.exp(-(arg ** beta) / (beta * C ** beta)))
-
-
-def power_substituted(spec: GrowthSpec) -> GrowthSpec:
-    """Spec with the envelope cells eps_k = power_scale * b_{k+1}^power_delta."""
-    if spec.power_delta is None or spec.power_scale is None:
-        raise ValueError("spec has no power envelope parameters (power_delta/power_scale)")
-    delta, scale = spec.power_delta, spec.power_scale
-    if scale <= 0:
-        raise ValueError(f"power_scale must be positive, got {scale}")
-
-    def cell_sup(k: int) -> float:
-        return scale * spec.partition(k + 1) ** delta
-
-    return replace(spec, cell_sup=cell_sup)
-
-
-def growth_tail_bound_power(
-    u: float,
-    theta: float,
-    spec: GrowthSpec,
-    series_tol: float = 1e-9,
-    k_max: int = 10 ** 6,
-    k_probe: int = 512,
-) -> float:
-    """Power-envelope variant: the growth bound with eps_k = scale * b_{k+1}^delta."""
-    return growth_tail_bound(
-        u, theta, power_substituted(spec), series_tol=series_tol, k_max=k_max, k_probe=k_probe
-    )
-
-
-def _auto_theta_form(u: float, C: float, S: float, gb: float, beta: float) -> float:
-    threshold = (1.0 + 2.0 * S) ** (gb / (gb + 1.0))
-    if u <= threshold:
-        raise ValueError(f"u = {u} is below validity threshold {threshold}")
-    arg = u - u ** (1.0 / (gb + 1.0)) * (1.0 + 2.0 * S)
-    if arg <= 0.0:
-        return 1.0  # exponent argument not yet positive; only the trivial bound holds
-    return min(1.0, 2.0 * math.exp(-(arg ** beta) / (beta * C ** beta)))
+    return rv_tail_bound(arg, C, spec.fam)
 
 
 def auto_theta_bound(
@@ -387,8 +341,9 @@ def auto_theta_bound(
     s_value: Optional[float] = None,
 ) -> float:
     """Growth bound at the closed-form choice theta = u^(-gamma*beta/(gamma*beta+1)):
+    the clamped tail of a variable of norm C at level
 
-        2*exp( -(1/(beta*C^beta)) * (u - u^(1/(gamma*beta+1)) (1+2S))^beta ),
+        u - u^(1/(gamma*beta+1)) (1+2S),
 
     asserted for u > (1+2S)^(gamma*beta/(gamma*beta+1)).  Equals
     ``growth_tail_bound`` at the substituted theta wherever both apply.
@@ -396,26 +351,13 @@ def auto_theta_bound(
     gb = spec.gamma_beta
     C = series_C(spec, tol=series_tol, k_max=k_max) if c_value is None else c_value
     S = series_S(spec, tol=series_tol, k_max=k_max) if s_value is None else s_value
-    return _auto_theta_form(u, C, S, gb, spec.fam.beta)
-
-
-def envelope_tail(
-    u: float,
-    spec: GrowthSpec,
-    series_tol: float = 1e-9,
-    k_max: int = 10 ** 6,
-    c_value: Optional[float] = None,
-    s_value: Optional[float] = None,
-) -> float:
-    """Tail of the a.s. envelope variable xi with |X(t1,t2)| <= f(t1)*xi.
-
-    The auto-theta bound evaluated on the power-substituted series (C~, S~).
-    """
-    sub = power_substituted(spec)
-    gb = sub.gamma_beta
-    C = series_C(sub, tol=series_tol, k_max=k_max) if c_value is None else c_value
-    S = series_S(sub, tol=series_tol, k_max=k_max) if s_value is None else s_value
-    return _auto_theta_form(u, C, S, gb, sub.fam.beta)
+    threshold = (1.0 + 2.0 * S) ** (gb / (gb + 1.0))
+    if u <= threshold:
+        raise ValueError(f"u = {u} is below validity threshold {threshold}")
+    arg = u - u ** (1.0 / (gb + 1.0)) * (1.0 + 2.0 * S)
+    if arg <= 0.0:
+        return 1.0  # exponent argument not yet positive; only the trivial bound holds
+    return rv_tail_bound(arg, C, spec.fam)
 
 
 def optimize_theta_growth(
@@ -428,22 +370,10 @@ def optimize_theta_growth(
     """Minimize the growth tail bound over theta for precomputed (C, S), in closed form.
 
     The bound decreases in arg(theta) = u*(1-theta) - 2*S*theta^(-1/(gamma*beta)),
-    which is concave; d arg/d theta = -u + (2S/(gamma*beta)) theta^(-1/(gamma*beta) - 1)
-    vanishes at
-
-        theta* = (2S/(gamma*beta*u))^(gamma*beta/(gamma*beta+1)),
-
-    capped just below theta_cap = min(1, theta_sup(spec)).  Pass theta_cap
-    when it is already known (it depends on the spec only, not on u).
+    which ``supbound._optimal_theta`` maximizes with k = S and scale C below
+    theta_cap = min(1, theta_sup(spec)).  Pass theta_cap when it is already
+    known (it depends on the spec only, not on u).
     """
-    if u <= 0.0:
-        raise ValueError(f"no valid theta: u = {u} is below every validity threshold")
-    gb = spec.gamma_beta
-    beta = spec.fam.beta
     if theta_cap is None:
         theta_cap = min(1.0, theta_sup(spec))
-    theta = min((2.0 * s_value / (gb * u)) ** (gb / (gb + 1.0)), theta_cap * (1.0 - 1e-12))
-    arg = u * (1.0 - theta) - 2.0 * s_value * theta ** (-1.0 / gb)
-    if arg <= 0.0:
-        raise ValueError(f"no valid theta: u = {u} is below every validity threshold")
-    return theta, min(1.0, 2.0 * math.exp(-(arg ** beta) / (beta * c_value ** beta)))
+    return _optimal_theta(u, s_value, c_value, spec.gamma_beta, theta_cap, spec.fam)

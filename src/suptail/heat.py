@@ -33,8 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curves import TailCurve
-from .entropy import HolderProfile, QuadratureError
-from .growth import GrowthSpec, SeriesError, SeriesSum, envelope_tail
+from .entropy import HolderProfile, QuadratureError, c1_axis_terms
+from .growth import GrowthSpec, SeriesError, SeriesSum, auto_theta_bound, cell_inputs
 from .metric import AnisotropicBox
 from .orlicz import PhiFamily
 from . import supbound
@@ -386,8 +386,6 @@ def growth_spec_for_v(model: SheModel, p: float, halfwidth: float) -> GrowthSpec
         h1=hurst / 2.0,
         h2=hurst,
         fam=PhiFamily(2.0),
-        power_delta=hurst / 2.0,
-        power_scale=a_h,
     )
 
 
@@ -440,15 +438,21 @@ def _polylog(p: float, ln_x: float) -> SeriesSum:
     the geometric tail bound x^(n+1) / ((n+1)^p (1-x)) falls below the
     rounding of the sum, or for at most 2^24 terms.  The remainder adds to that
     tail a rounding bound: a_k is off by at most 3 ulps of |a_k|, largest at
-    the last term, and summing n terms loses at most n ulps of the sum.
+    the last term that did not underflow to 0, and summing n terms loses at
+    most n ulps of the sum, which also covers the underflowed terms (each
+    below 5e-324, against a sum of at least x).
     """
-    total, n, chunk = 0.0, 0, 1024
+    total, n, chunk, a_max = 0.0, 0, 1024, 0.0
     while True:
         ks = np.arange(n + 1, n + chunk + 1, dtype=float)
         args = ks * ln_x - p * np.log(ks)
-        total += float(np.sum(np.exp(args)))
+        terms = np.exp(args)
+        total += float(np.sum(terms))
         n += chunk
-        rounding = (n + 3.0 * abs(float(args[-1])) + 2.0) * _EPS * total
+        live = np.count_nonzero(terms)  # the terms decrease, so the nonzero ones lead
+        if live:
+            a_max = -float(args[live - 1])
+        rounding = (n + 3.0 * a_max + 2.0) * _EPS * total
         tail = math.exp((n + 1) * ln_x - p * math.log(n + 1)) / -math.expm1(ln_x)
         if tail <= rounding or n >= _POLYLOG_MAX_TERMS:
             return SeriesSum(total, tail + rounding, n)
@@ -475,16 +479,14 @@ def she_growth_envelope(
     the validity threshold are nan.
     """
     spec = growth_spec_for_v(model, p, halfwidth)
-    hurst = model.hurst
     zeta_p = _zeta(p)
-    c_front = model.a_h * math.exp(hurst / 2.0)
+    c_front = spec.cell_sup(0)  # eps_0 = A(H) e^(H/2)
     c_value = c_front * (1.0 + zeta_p.value)
     c_sum = SeriesSum(c_value, _CLOSED_FORM_RTOL * c_value + c_front * zeta_p.remainder, 0)
-    # c1(0) = (axis terms) * 2^(1/2) c_V^(1/2) / (1 - 1/2) for beta = 2
-    front = math.sqrt(c_front) * 2.0 * math.sqrt(2.0 * model.c_v)
-    time_axis = front * (2.0 / hurst) * ((math.e - 1.0) / 2.0) ** (hurst / 4.0)
-    space_axis = front * halfwidth ** (hurst / 2.0) / hurst
-    li = _polylog(p, -hurst / 4.0)
+    time_axis, space_axis = (
+        math.sqrt(c_front) * term for term in c1_axis_terms(*cell_inputs(0, spec), spec.fam)
+    )
+    li = _polylog(p, -model.hurst / 4.0)
     s_value = time_axis * (1.0 + zeta_p.value) + space_axis * (1.0 + li.value)
     s_error = time_axis * zeta_p.remainder + space_axis * li.remainder
     s_sum = SeriesSum(s_value, _CLOSED_FORM_RTOL * s_value + s_error, li.n_terms)
@@ -501,7 +503,7 @@ def she_growth_envelope(
     values = []
     for u in us:
         try:
-            values.append(envelope_tail(u, spec, c_value=c_value, s_value=s_value))
+            values.append(auto_theta_bound(u, spec, c_value=c_value, s_value=s_value))
         except ValueError:
             values.append(math.nan)
     return EnvelopeResult(TailCurve(us, tuple(values)), c_sum, s_sum, theta_cap, spec)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -48,11 +47,6 @@ class AnisotropicBox:
         if self.t2 > 0:
             d += self.t2 ** self.h2
         return d
-
-
-def aniso_dist(t: Sequence[float], s: Sequence[float], box: AnisotropicBox) -> float:
-    """d(t, s) = |t1-s1|^h1 + |t2-s2|^h2."""
-    return abs(t[0] - s[0]) ** box.h1 + abs(t[1] - s[1]) ** box.h2
 
 
 def covering_upper_bound(box: AnisotropicBox, eps: float) -> float:

@@ -13,7 +13,7 @@ from scipy.special import zeta
 
 import suptail
 from suptail import supbound
-from suptail.cli import ConfigError, load_config, main
+from suptail.cli import ConfigError, _u_grid, load_config, main
 from suptail.entropy import HolderProfile
 from suptail.heat import SheModel, v_bound_inputs
 from suptail.metric import AnisotropicBox
@@ -150,6 +150,30 @@ class TestBoundSup:
         assert rows[0]["validity"] == "INVALID"
         assert rows[-1]["validity"] == "VALID"
 
+    def test_u_auto_keeps_off_the_threshold(self):
+        # every entry sits clearly on one side of the minimal threshold, so its
+        # VALID/INVALID mark cannot hang on the last ulp of the constants
+        for hurst in np.linspace(0.02, 0.5, 25):
+            inputs = v_bound_inputs(AnisotropicBox(**BOX), SheModel(hurst=float(hurst)))
+            q = inputs.q
+            theta = min((1 - q) / (2 - q), inputs.theta_cap * (1 - 1e-9))
+            thr = supbound.u_threshold(theta, inputs)
+            for count in range(2, 21):
+                for span in (1.1, 1.5, 2.0, 3.0):
+                    us = _u_grid({"u_auto": {"count": count, "max": span}}, inputs)
+                    assert len(us) == count
+                    assert all(b > a for a, b in zip(us, us[1:]))
+                    assert us[0] == pytest.approx(0.9 * thr, rel=1e-15)
+                    assert min(abs(u / thr - 1.0) for u in us) > 1e-6
+                    assert us[0] < thr
+                    for u in us:
+                        try:
+                            supbound.optimize_theta(u, inputs)
+                            valid = True
+                        except ValueError:
+                            valid = False
+                        assert valid == (u > thr)
+
     def test_u_auto_divergent_entropy_errors(self, tmp_path):
         # gamma*beta = 0.8 <= 1: no threshold exists, so no u grid can be built
         payload = {
@@ -230,6 +254,15 @@ class TestBoundGrowth:
         target = model.a_h * math.exp(model.hurst / 2) * (1 + zeta(1.5))
         assert series["c_tilde"] == pytest.approx(target, rel=1e-13)
         assert series["c_tilde_terms"] == 0 and series["s_tilde_terms"] > 0
+
+    @pytest.mark.parametrize("p", [1e6, 1e100, 1e300])
+    def test_huge_p_certifies(self, tmp_path, p):
+        # the Li_p terms past k = 1 underflow to 0 and add no rounding
+        payload = {"model": MODEL, "p": p, "halfwidth": 1.0, "u_grid": [900.0, 1500.0]}
+        code, out = run(tmp_path, "bound-growth", payload)
+        assert code == 0
+        series = json.loads((out / "bound_growth.json").read_text())["series"]
+        assert series["s_tilde_remainder"] <= 1e-6  # the default series_tol
 
     def test_divergent_config_errors(self, tmp_path):
         payload = {"model": MODEL, "p": 0.9, "halfwidth": 1.0, "u_grid": [10.0]}

@@ -7,6 +7,7 @@ import pytest
 
 from suptail.entropy import (
     HolderProfile,
+    c1_axis_terms,
     c1_constant,
     entropy_integral_closed,
     entropy_integral_numeric,
@@ -31,16 +32,12 @@ class TestHolderProfile:
         with pytest.raises(ValueError):
             HolderProfile.power(1.0, 1.5)
 
-    def test_tabulated_inverse_bisection(self):
-        hs = np.linspace(0.0, 4.0, 4001)
-        prof = HolderProfile.tabulated(hs, 2.0 * hs ** 0.7)
-        for u in (0.1, 0.9, 2.3):
-            h = prof.sigma_inv(u)
-            assert prof.sigma(h) == pytest.approx(u, abs=1e-9)
-
-    def test_tabulated_must_increase(self):
-        with pytest.raises(ValueError):
-            HolderProfile.tabulated([0.0, 1.0, 0.5], [0.0, 1.0, 2.0])
+    def test_direct_construction_validates(self):
+        with pytest.raises(ValueError, match="scale"):
+            HolderProfile(-1.0, 0.5)
+        with pytest.raises(ValueError, match="exponent"):
+            HolderProfile(1.0, 0.0)
+        assert HolderProfile(2.0, 0.7) == HolderProfile.power(2.0, 0.7)
 
 
 class TestC1Constant:
@@ -56,6 +53,17 @@ class TestC1Constant:
         prof = HolderProfile.power(1.0, 0.4)  # gamma*beta = 0.8
         with pytest.raises(ValueError, match="diverges|invalid"):
             c1_constant(UNIT_SQUARE, prof, GAUSS)
+
+    def test_axis_terms_sum_to_c1(self):
+        box = AnisotropicBox(0, 3, -1, 1, 0.4, 0.8)
+        prof = HolderProfile.power(1.7, 0.9)
+        fam = PhiFamily(1.6)
+        time_axis, space_axis = c1_axis_terms(box, prof, fam)
+        gb = 0.9 * fam.beta
+        front = 2 ** (1 / fam.beta) * 1.7 ** (1 / gb) / (1 - 1 / gb)
+        assert time_axis == pytest.approx(front * 1.5 ** (0.4 / fam.beta) / 0.4, rel=1e-14)
+        assert space_axis == pytest.approx(front / 0.8, rel=1e-14)
+        assert time_axis + space_axis == c1_constant(box, prof, fam)
 
     def test_degenerate_axis_drops_term(self):
         seg = AnisotropicBox(0, 1, 0, 0)
@@ -124,10 +132,3 @@ class TestNumericIntegral:
                         numeric = entropy_integral_numeric(eps, box, prof, fam)
                         closed = entropy_integral_closed(eps, c1, prof, fam)
                         assert numeric <= closed + 1e-6
-
-    def test_tabulated_profile_usable(self):
-        hs = np.linspace(0.0, 3.0, 3001)
-        tab = HolderProfile.tabulated(hs, hs)  # sigma(h) = h, tabulated
-        a = entropy_integral_numeric(0.25, UNIT_SQUARE, tab, GAUSS)
-        b = entropy_integral_numeric(0.25, UNIT_SQUARE, LINEAR, GAUSS)
-        assert a == pytest.approx(b, abs=1e-6)

@@ -6,15 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from suptail.entropy import HolderProfile
 from suptail.growth import (
     GrowthSpec,
     SeriesError,
     cell_constant,
-    envelope_tail,
     growth_tail_bound,
-    growth_tail_bound_power,
     optimize_theta_growth,
-    power_substituted,
     auto_theta_bound,
     series_C,
     series_S,
@@ -22,7 +20,9 @@ from suptail.growth import (
     sum_series,
     theta_sup,
 )
+from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily
+from suptail.supbound import FieldBoundInputs, optimize_theta
 
 GAUSS = PhiFamily(2.0)
 
@@ -217,41 +217,19 @@ class TestAutoThetaForm:
 
 
 class TestPowerVariant:
-    def test_equals_explicit_substitution(self):
-        spec = linear_spec(
-            partition=lambda k: float(k),
-            power_delta=0.3,
-            power_scale=0.4,
-        )
-        explicit = linear_spec(cell_sup=lambda k: 0.4 * (k + 1.0) ** 0.3)
-        theta = 0.4
-        s_val = series_S(explicit)
-        u = 1.5 * 2.0 * s_val / ((1 - theta) * theta ** 0.5)
-        assert growth_tail_bound_power(u, theta, spec) == growth_tail_bound(
-            u, theta, explicit
-        )
-
-    def test_requires_power_fields(self):
-        with pytest.raises(ValueError, match="power"):
-            power_substituted(linear_spec())
-
     def test_scale_to_zero_shrinks_bound(self):
-        spec_small = linear_spec(power_delta=0.3, power_scale=1e-4)
-        spec_large = linear_spec(power_delta=0.3, power_scale=0.3)
+        # envelope cells eps_k = scale * b_{k+1}^0.3 on b_k = k
+        def power_cells(scale):
+            return linear_spec(cell_sup=lambda k: scale * (k + 1.0) ** 0.3)
+
+        spec_small, spec_large = power_cells(1e-4), power_cells(0.3)
         # u valid for both; the larger-scale series dominate so its threshold rules
         theta = 0.4
-        s_large = series_S(power_substituted(spec_large))
+        s_large = series_S(spec_large)
         u = 1.5 * 2.0 * s_large / ((1 - theta) * theta ** 0.5)
-        b_small = growth_tail_bound_power(u, theta, spec_small)
-        b_large = growth_tail_bound_power(u, theta, spec_large)
+        b_small = growth_tail_bound(u, theta, spec_small)
+        b_large = growth_tail_bound(u, theta, spec_large)
         assert b_small < b_large
-
-    def test_envelope_matches_auto_theta_on_substituted_series(self):
-        spec = linear_spec(power_delta=0.3, power_scale=0.4)
-        sub = power_substituted(spec)
-        s_val = series_S(sub)
-        u = 2.0 * (1.0 + 2.0 * s_val) ** 1.5
-        assert envelope_tail(u, spec) == auto_theta_bound(u, sub)
 
 
 class TestOptimizeThetaGrowth:
@@ -318,6 +296,31 @@ class TestOptimizeThetaGrowth:
         for u in (0.0, -3.0):
             with pytest.raises(ValueError, match="no valid theta"):
                 optimize_theta_growth(u, spec, 1.0, 1.0)
+
+    def test_same_optimum_as_bounded_box(self):
+        # one theta* routine: with S = c1 eps0^q, C = eps0 and the box's cap,
+        # the growth optimum is the bounded-box optimum
+        fam = PhiFamily(1.7)
+        inputs = FieldBoundInputs(
+            eps0=0.7,
+            box=AnisotropicBox(0, 1, 0, 2, 0.6, 0.9),
+            prof=HolderProfile.power(1.3, 0.8),
+            fam=fam,
+        )
+        spec = linear_spec(gamma=0.8, fam=fam)
+        s_value = inputs.c1 * inputs.eps0 ** inputs.q
+        n_valid = 0
+        for u in np.geomspace(1.0, 1e3, 40):
+            try:
+                expected = optimize_theta(u, inputs)
+            except ValueError:
+                with pytest.raises(ValueError, match="no valid theta"):
+                    optimize_theta_growth(u, spec, inputs.eps0, s_value, inputs.theta_cap)
+                continue
+            n_valid += 1
+            got = optimize_theta_growth(u, spec, inputs.eps0, s_value, inputs.theta_cap)
+            assert got == expected
+        assert 10 <= n_valid < 40
 
     def test_precomputed_cap_matches(self):
         spec = linear_spec(cell_holder=lambda k: 0.05)

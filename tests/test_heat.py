@@ -12,13 +12,14 @@ from suptail.growth import (
     SeriesError,
     _series_c_term,
     _series_s_term,
-    power_substituted,
+    cell_constant,
     sum_series,
     theta_sup,
 )
 from suptail.heat import (
     SheModel,
     SpectralMeasure,
+    _polylog,
     _zeta,
     growth_spec_for_v,
     increment_constant,
@@ -498,9 +499,44 @@ class TestGrowthEnvelope:
             assert v == direct
 
     def test_power_cells_already_substituted(self):
-        # cell_sup of the envelope spec is the power form by construction
+        # cell_sup of the envelope spec is the power form A(H) b_{k+1}^(H/2)
         model = SheModel(hurst=0.5)
         spec = growth_spec_for_v(model, p=2.0, halfwidth=1.0)
-        sub = power_substituted(spec)
         for k in (0, 1, 5, 40):
-            assert sub.cell_sup(k) == pytest.approx(spec.cell_sup(k), rel=1e-12)
+            power = model.a_h * spec.partition(k + 1) ** (model.hurst / 2.0)
+            assert spec.cell_sup(k) == pytest.approx(power, rel=1e-12)
+
+    def test_entropy_constants_match_former_closed_forms(self):
+        # Oracles: the per-cell constant and the envelope's T, X as written
+        # out before both went through entropy.c1_axis_terms.
+        def cell_constant_oracle(k, spec):
+            gb, beta = spec.gamma_beta, spec.fam.beta
+            l_k = spec.partition(k + 1) - spec.partition(k)
+            axis = (l_k / 2.0) ** (spec.h1 / beta) / spec.h1
+            axis += spec.halfwidth ** (spec.h2 / beta) / spec.h2
+            c_k = spec.cell_holder(k)
+            return axis * 2.0 ** (1.0 / beta) * c_k ** (1.0 / gb) / (1.0 - 1.0 / gb)
+
+        def axis_terms_oracle(model, halfwidth):
+            h = model.hurst
+            front = math.sqrt(model.a_h * math.exp(h / 2.0)) * 2.0 * math.sqrt(2.0 * model.c_v)
+            time_axis = front * (2.0 / h) * ((math.e - 1.0) / 2.0) ** (h / 4.0)
+            return time_axis, front * halfwidth ** (h / 2.0) / h
+
+        worst_cell = worst_s = 0.0
+        p = 2.0
+        zeta_p = _zeta(p).value
+        for hurst in np.linspace(0.02, 0.5, 25):
+            model = SheModel(hurst=float(hurst))
+            li = _polylog(p, -model.hurst / 4.0).value
+            for halfwidth in (0.3, 1.0, 4.0):
+                spec = growth_spec_for_v(model, p=p, halfwidth=halfwidth)
+                for k in (0, 1, 5, 40):
+                    rel = cell_constant(k, spec) / cell_constant_oracle(k, spec) - 1.0
+                    worst_cell = max(worst_cell, abs(rel))
+                time_axis, space_axis = axis_terms_oracle(model, halfwidth)
+                s_oracle = time_axis * (1.0 + zeta_p) + space_axis * (1.0 + li)
+                res = she_growth_envelope(model, p, [1000.0], halfwidth=halfwidth)
+                worst_s = max(worst_s, abs(res.s_tilde.value / s_oracle - 1.0))
+        assert worst_cell <= 1e-15
+        assert worst_s <= 1e-15

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from suptail.metric import AnisotropicBox, aniso_dist, covering_oracle, covering_upper_bound
+from suptail.metric import AnisotropicBox, covering_oracle, covering_upper_bound
 
 UNIT_SQUARE = AnisotropicBox(0, 1, 0, 1)
+
+
+def aniso_dist(t, s, box):
+    """The box metric d(t, s) = |t1-s1|^h1 + |t2-s2|^h2."""
+    return abs(t[0] - s[0]) ** box.h1 + abs(t[1] - s[1]) ** box.h2
 
 
 def random_feasible_config(rng, resolution=81):

@@ -1,4 +1,4 @@
-"""Bounded-domain supremum bounds: thresholds, tail/MGF bounds, theta search."""
+"""Bounded-domain supremum bounds: thresholds, tail bound, theta optimum."""
 
 import math
 
@@ -11,9 +11,7 @@ from suptail.orlicz import PhiFamily, phi_conjugate
 from suptail.supbound import (
     FieldBoundInputs,
     optimize_theta,
-    sup_mgf_bound,
     sup_tail_bound,
-    sup_tail_bound_numeric,
     u_threshold,
 )
 
@@ -102,43 +100,6 @@ class TestSupTailBound:
         logs = [math.log(sup_tail_bound(u, 0.5, STD)) for u in us]
         d2 = np.diff(logs, 2)
         assert np.all(d2 <= 1e-9)
-
-
-class TestSupTailNumeric:
-    def test_never_exceeds_closed_form(self):
-        for alpha, gamma, h in [(2.0, 1.0, 1.0), (1.5, 0.8, 0.5), (1.25, 1.0, 0.25)]:
-            inp = make_inputs(alpha=alpha, gamma=gamma, h1=h, h2=h)
-            theta = 0.4
-            u = 2.0 * u_threshold(theta, inp)
-            closed = sup_tail_bound(u, theta, inp)
-            numeric = sup_tail_bound_numeric(u, theta, inp)
-            assert numeric <= closed + 1e-12
-
-    def test_vanishes_at_infinity(self):
-        assert sup_tail_bound_numeric(1e5, 0.5, STD) == 0.0
-
-    def test_theta_validity(self):
-        tight = make_inputs(alpha=2.0, gamma=1.0, h1=1.0, h2=1.0, eps0=10.0)
-        with pytest.raises(ValueError, match="gamma0"):
-            sup_tail_bound_numeric(1e4, 0.5, tight)
-
-
-class TestSupMgfBound:
-    def test_small_lambda_limit(self):
-        assert sup_mgf_bound(1e-12, 0.5, STD) == pytest.approx(2.0, abs=1e-9)
-
-    def test_frozen_value(self):
-        expected = 2 * math.exp(2.0 + 8.0 * math.sqrt(0.5) * 4.0)
-        assert sup_mgf_bound(1.0, 0.5, STD) == pytest.approx(expected, rel=1e-12)
-
-    def test_monotone_in_lambda(self):
-        lams = np.linspace(0.01, 3.0, 50)
-        vals = [sup_mgf_bound(l, 0.5, STD) for l in lams]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_invalid_lambda(self):
-        with pytest.raises(ValueError):
-            sup_mgf_bound(0.0, 0.5, STD)
 
 
 class TestOptimizeTheta:
