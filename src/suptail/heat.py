@@ -370,10 +370,21 @@ def growth_spec_for_v(model: SheModel, p: float, halfwidth: float) -> GrowthSpec
     def partition(k):
         return np.exp(np.asarray(k, dtype=float)) if np.ndim(k) else math.exp(k)
 
-    def weight(t: float) -> float:
+    # partition, weight and cell_sup take index or time arrays as well as
+    # scalars, so growth._eval_terms evaluates a block of C terms in one
+    # call.  S terms still go one by one: cell_constant builds a box per cell.
+    # Scalars keep the math route, whose last bits the envelope's outputs carry.
+    def weight(t):
+        if np.ndim(t):
+            t = np.asarray(t, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                f = np.maximum(t ** (hurst / 2.0) * np.log(t) ** p, 1.0)
+            return np.where(t > 0, f, 1.0)
         return max(t ** (hurst / 2.0) * math.log(t) ** p, 1.0) if t > 0 else 1.0
 
-    def cell_sup(k: int) -> float:
+    def cell_sup(k):
+        if np.ndim(k):
+            return a_h * np.exp((np.asarray(k, dtype=float) + 1) * hurst / 2.0)
         return a_h * math.exp((k + 1) * hurst / 2.0)
 
     return GrowthSpec(

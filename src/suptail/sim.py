@@ -24,10 +24,13 @@ module, so the analytic commands never load it.
 Only V is sampled; the bound for the smoothed field omega comes from its
 Holder constants (heat.omega_bound_inputs) and needs no covariance.
 
-Sampling draws i.i.d. Gaussian vectors through a symmetric square root of the
-covariance matrix with escalating diagonal jitter.  Replicas come in fixed
-blocks of SAMPLE_BLOCK rows, and block b's normals are drawn from the stream
-(seed, b), so serial and threaded runs agree to the byte.
+Sampling draws i.i.d. Gaussian vectors through the lower-triangular Cholesky
+factor of the covariance matrix, with escalating diagonal jitter where the
+matrix is singular or slightly indefinite.  Replicas come in fixed blocks of
+SAMPLE_BLOCK, and block b's normals are drawn from the stream (seed, b), so
+serial and threaded runs agree to the byte.  The samples are stored replica
+axis last, so the per-replica supremum of the empirical tail reduces over
+contiguous rows.
 """
 
 from __future__ import annotations
@@ -146,11 +149,15 @@ def covariance_matrix(model: GaussianFieldModel) -> np.ndarray:
     # Each key component is replaced by the index of its value among the
     # distinct values, so a key is one integer: np.unique over rows of
     # floats (axis=0) sorts void views and is ten times slower at 24x24.
+    # The distances are sorted between distinct x values (nx^2 of them, not
+    # m^2) and mapped back through x's index.
     times, t_idx = np.unique(t, return_inverse=True)
-    dists, d_idx = np.unique(np.abs(np.subtract.outer(x, x)), return_inverse=True)
+    xs, x_idx = np.unique(x, return_inverse=True)
+    dists, d_idx = np.unique(np.abs(np.subtract.outer(xs, xs)), return_inverse=True)
+    d_idx = d_idx.reshape(len(xs), -1)[x_idx[:, None], x_idx]
     lo = np.minimum.outer(t_idx, t_idx)
     hi = np.maximum.outer(t_idx, t_idx)
-    code = (lo * len(times) + hi) * len(dists) + d_idx.reshape(m, m)
+    code = (lo * len(times) + hi) * len(dists) + d_idx
     uniq, inverse = np.unique(code, return_inverse=True)
     pair, d = np.divmod(uniq, len(dists))
     vals = _v_kernel(times[pair // len(times)], times[pair % len(times)], dists[d], model.hurst)
@@ -161,29 +168,36 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
 
 def factor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root of cov with escalating diagonal jitter.
+    """Lower-triangular L with L L^T = cov + jitter I, by Cholesky.
 
-    Jitter levels are relative to the largest variance and capped at the last
-    rung of _JITTER_LADDER; if the smallest eigenvalue is still negative after
-    the cap, raises FactorizationError rather than regularizing silently.
+    Jitter levels are relative to the largest variance: the first rung of
+    _JITTER_LADDER at which np.linalg.cholesky succeeds is used.  If the last
+    rung fails, raises FactorizationError rather than regularizing further.
+    An all-zero matrix has the all-zero factor; any other matrix without a
+    positive variance cannot be PSD and raises.
     """
-    scale = float(np.max(np.diag(cov)))
+    scale = float(cov.diagonal().max())
     if scale <= 0.0:
-        return np.zeros_like(cov)
-    w, vecs = np.linalg.eigh(cov)
-    lam_min = float(w[0])
+        if not np.any(cov):
+            return np.zeros_like(cov)
+        raise FactorizationError(
+            f"covariance not PSD: nonzero matrix with max variance {scale}"
+        )
     for level in _JITTER_LADDER:
-        jitter = level * scale
-        if lam_min + jitter >= 0.0:
-            return (vecs * np.sqrt(w + jitter)) @ vecs.T
+        # rung 0 factors cov itself, with no jittered copy
+        jittered = cov + (level * scale) * np.eye(len(cov)) if level else cov
+        try:
+            return np.linalg.cholesky(jittered)
+        except np.linalg.LinAlgError:
+            pass
     raise FactorizationError(
-        f"covariance not PSD within jitter budget: min eigenvalue {lam_min}, "
-        f"max variance {scale}, cap {_JITTER_LADDER[-1]}"
+        f"covariance not PSD within jitter budget: Cholesky fails at jitter "
+        f"cap {_JITTER_LADDER[-1]} x max variance {scale}"
     )
 
 
-# Rows per block of the replica axis.  Block b draws its normals from the
-# stream (seed, b), so this constant is part of the output bytes.
+# Replicas per block.  Block b draws its normals from the stream (seed, b),
+# so this constant is part of the output bytes.
 SAMPLE_BLOCK = 512
 
 
@@ -195,22 +209,25 @@ def sample_fields(
 ) -> np.ndarray:
     """n i.i.d. zero-mean Gaussian vectors with the model covariance, (n, m).
 
-    Rows [b*SAMPLE_BLOCK, (b+1)*SAMPLE_BLOCK) come from the stream (seed, b),
-    whatever n or the worker count, so serial and threaded runs produce
-    identical bytes and a shorter run is a prefix of a longer one.
+    Replica i is L z_i with L the Cholesky factor of ``factor_covariance``.
+    The z_i of replicas [b*SAMPLE_BLOCK, (b+1)*SAMPLE_BLOCK) are the rows of
+    one standard_normal draw from the stream (seed, b), whatever n or the
+    worker count, so serial and threaded runs produce identical bytes and a
+    shorter run is a prefix of a longer one.  The result is the transpose of
+    an (m, n) C-ordered buffer, so each grid point's samples are contiguous.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if seed is None:
         raise ValueError("a seed is required for reproducible sampling")
     m = len(model.grid)
-    root = factor_covariance(covariance_matrix(model))
-    out = np.empty((n, m))
+    chol = factor_covariance(covariance_matrix(model))
+    out = np.empty((m, n))
 
     def fill(lo: int) -> None:
         hi = min(lo + SAMPLE_BLOCK, n)
         key = np.random.SeedSequence(seed, spawn_key=(lo // SAMPLE_BLOCK,))
-        out[lo:hi] = np.random.default_rng(key).standard_normal((hi - lo, m)) @ root
+        out[:, lo:hi] = chol @ np.random.default_rng(key).standard_normal((hi - lo, m)).T
 
     blocks = range(0, n, SAMPLE_BLOCK)
     if workers <= 1:
@@ -219,7 +236,7 @@ def sample_fields(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, blocks))
-    return out
+    return out.T
 
 
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:

@@ -441,6 +441,20 @@ class TestGrowthEnvelope:
                 assert term_c(k) == pytest.approx(c_summand(k), rel=1e-12)
                 assert term_s(k) == pytest.approx(s_summand(k), rel=1e-12)
 
+    def test_spec_closures_take_arrays(self):
+        # cell_sup, weight and the C term evaluate a block of cells in one
+        # call; numpy's exp and power may differ from math's by an ulp or two
+        rtol = 4 * np.finfo(float).eps
+        ks = np.arange(700)  # b_k = e^k stays finite
+        for hurst, p in ((0.5, 2.0), (0.25, 2.5), (0.35, 1.5)):
+            spec = growth_spec_for_v(SheModel(hurst=hurst), p=p, halfwidth=0.7)
+            term_c = _series_c_term(spec)
+            for f, args in ((spec.cell_sup, ks), (spec.weight, spec.partition(ks)), (term_c, ks)):
+                got = f(args)
+                assert got.shape == args.shape
+                np.testing.assert_allclose(got, [f(a.item()) for a in args], rtol=rtol, atol=0)
+            assert np.array_equal(spec.weight(np.array([0.0, -1.0])), [1.0, 1.0])
+
     @pytest.mark.parametrize("hurst, p", [(0.5, 3.0), (0.25, 2.5), (0.35, 2.0)])
     def test_certified_sum_of_summands_matches_closed_form(self, hurst, p):
         # independent route: the block-bracket certifier over the summands

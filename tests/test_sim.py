@@ -226,27 +226,77 @@ class TestCovarianceMatrix:
             GaussianFieldModel(grid=((2.0, 0.5),), hurst=0.5, box=BOX)
 
 
+def eigh_factor(cov):
+    """(symmetric root, jitter rung) by eigh on the jitter ladder: the oracle
+    for the Cholesky route of factor_covariance.
+
+    The rung is the first whose jitter lifts the smallest eigenvalue to >= 0.
+    """
+    scale = float(np.max(np.diag(cov)))
+    w, vecs = np.linalg.eigh(cov)
+    for rung, level in enumerate(sim._JITTER_LADDER):
+        jitter = level * scale
+        if w[0] + jitter >= 0.0:
+            return (vecs * np.sqrt(w + jitter)) @ vecs.T, rung
+    raise FactorizationError(f"min eigenvalue {w[0]} beyond the jitter cap")
+
+
+def slightly_indefinite():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((6, 6))
+    w, v = np.linalg.eigh(a @ a.T)
+    w[0] = -1e-11 * w[-1]
+    return (v * w) @ v.T
+
+
 class TestFactorCovariance:
     def test_reconstructs(self):
         cov = covariance_matrix(small_model())
-        root = factor_covariance(cov)
-        assert np.allclose(root @ root.T, cov, atol=1e-10)
-        assert np.allclose(root, root.T, atol=1e-12)
+        chol = factor_covariance(cov)
+        assert np.array_equal(chol, np.tril(chol))
+        assert np.allclose(chol @ chol.T, cov, atol=1e-10)
 
     def test_escalating_jitter_fixes_tiny_negatives(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((6, 6))
-        cov = a @ a.T
-        w, v = np.linalg.eigh(cov)
-        w[0] = -1e-11 * w[-1]  # slightly indefinite
-        bad = (v * w) @ v.T
-        root = factor_covariance(bad)
-        assert np.allclose(root @ root.T, bad, atol=1e-8 * w[-1])
+        bad = slightly_indefinite()
+        chol = factor_covariance(bad)
+        assert np.allclose(chol @ chol.T, bad, atol=1e-8 * np.abs(bad).max())
+
+    @pytest.mark.parametrize("fixture", ["random_psd", "slightly_indefinite", "zero_time_rows"])
+    def test_rung_against_eigh_oracle(self, fixture):
+        if fixture == "random_psd":
+            a = np.random.default_rng(17).standard_normal((8, 8))
+            cov = a @ a.T
+        elif fixture == "slightly_indefinite":
+            cov = slightly_indefinite()
+        else:  # a1 = 0: the six t = 0 rows and columns are exactly zero
+            box = AnisotropicBox(0.0, 1.0, 0.0, 1.0)
+            cov = covariance_matrix(GaussianFieldModel(grid=make_grid(box, 6, 6), hurst=0.5))
+            assert np.count_nonzero(np.diag(cov) == 0.0) == 6
+        scale = float(np.max(np.diag(cov)))
+        chol = factor_covariance(cov)
+        # the rung is read back from the jitter on the reconstructed diagonal
+        jitter = float(np.median(np.diag(chol @ chol.T) - np.diag(cov))) / scale
+        rung = int(np.argmin([abs(jitter - level) for level in sim._JITTER_LADDER]))
+        root, eigh_rung = eigh_factor(cov)
+        assert eigh_rung <= rung <= eigh_rung + 1
+        level = sim._JITTER_LADDER[rung] * scale
+        assert np.allclose(chol @ chol.T, cov + level * np.eye(len(cov)), rtol=0, atol=1e-12 * scale)
+        assert np.allclose(chol @ chol.T, root @ root.T, rtol=0, atol=2e-12 * scale)
 
     def test_materially_indefinite_rejected(self):
         cov = np.array([[1.0, 0.0], [0.0, -0.5]])
-        with pytest.raises(FactorizationError):
+        with pytest.raises(FactorizationError, match="cap"):
             factor_covariance(cov)
+
+    @pytest.mark.parametrize(
+        "cov", [[[-1.0, 0.0], [0.0, -2.0]], [[0.0, 1.0], [1.0, 0.0]]], ids=["negative", "zero_diagonal"]
+    )
+    def test_no_positive_variance_rejected(self, cov):
+        with pytest.raises(FactorizationError, match="not PSD"):
+            factor_covariance(np.array(cov))
+
+    def test_zero_matrix_has_zero_factor(self):
+        assert np.array_equal(factor_covariance(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 class TestSampleFields:
@@ -312,6 +362,13 @@ class TestEmpiricalSupTail:
         assert curve.value[0] == 1.0
         assert curve.value[-1] == 0.0
         assert curve.ci_lo[-1] == 0.0
+
+    def test_replica_layout_does_not_change_curve(self):
+        fields = sample_fields(small_model(), 1300, seed=9)
+        assert fields.T.flags.c_contiguous  # each grid point's samples are contiguous
+        us = np.linspace(0.0, 3.0, 13)
+        want = empirical_sup_tail(np.ascontiguousarray(fields), us)
+        assert empirical_sup_tail(np.asfortranarray(fields), us) == want
 
     def test_monotone_nonincreasing(self):
         fields = sample_fields(small_model(), 500, seed=9)
