@@ -346,14 +346,8 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed, fmt: str) -> int:
     fields = sim.sample_fields(field_model, n_samples, seed=seed, workers=workers)
     empirical = sim.empirical_sup_tail(fields, us)
 
-    bounds = []
-    for u in us:
-        try:
-            _, b = supbound.optimize_theta(u, inputs)
-        except ValueError:
-            b = math.nan
-        bounds.append(b)
-    theoretical = TailCurve(u=tuple(us), value=tuple(bounds))
+    bounds = tuple(row[2] for row in _bound_curve(us, cfg.get("theta"), inputs))
+    theoretical = TailCurve(u=tuple(us), value=bounds)
     report = sim.verify_bound(empirical, theoretical)
 
     meta = _meta(cfg, seed)

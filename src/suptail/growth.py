@@ -7,23 +7,26 @@ over a partition of the time axis into cells [b_k, b_{k+1}] x [-A, A]:
     S = sum_k eps_k^(1 - 1/(gamma*beta)) * c1(k) / f_k,
 
 with c1(k) the entropy constant ``entropy.c1_constant`` of cell k, the same
-one the bounded-box bound uses.  Both series are summed with a certified
-remainder; the tail bound at fixed theta, its closed-form optimum over theta
-(shared with ``supbound``) and the auto-theta form all reduce to (C, S).
+one the bounded-box bound uses.  ``series_c_sum`` and ``series_s_sum`` sum
+them with a certified remainder; a partition point b_k that overflows fails
+the sum, since the terms past it would be unknown.  The tail bound at fixed
+theta, its closed-form optimum over theta and the auto-theta form take C, S
+and the theta cap min(1, ``theta_sup``) from the caller, who computes each
+once; the first two share their formulas with ``supbound``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .entropy import HolderProfile, c1_constant
 from .metric import AnisotropicBox
 from .orlicz import PhiFamily, rv_tail_bound
-from .supbound import _optimal_theta
+from .supbound import _optimal_theta, _tail_at_theta
 
 
 class SeriesError(RuntimeError):
@@ -70,12 +73,6 @@ class GrowthSpec:
             raise ValueError(f"partition must be strictly increasing; l_{k} = {l_k}")
         return l_k
 
-    def weight_at(self, k: int) -> float:
-        f_k = self.weight(self.partition(k))
-        if not f_k > 0:
-            raise ValueError(f"weight must be positive at partition points; f_{k} = {f_k}")
-        return f_k
-
 
 def cell_inputs(k: int, spec: GrowthSpec) -> tuple[AnisotropicBox, HolderProfile]:
     """Cell k as a box [b_k, b_{k+1}] x [-A, A] with the modulus c_k h^gamma."""
@@ -111,6 +108,14 @@ def _eval_terms(term, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _probe(term, k: int) -> float:
+    """Term k, or nan where it cannot be evaluated (SeriesError)."""
+    try:
+        return float(term(k))
+    except SeriesError:
+        return math.nan
+
+
 def _remainder_bracket(term, start: int) -> tuple[float, float] | None:
     """Bracket sum_{k >= start} a_k for positive, eventually decreasing terms.
 
@@ -120,18 +125,19 @@ def _remainder_bracket(term, start: int) -> tuple[float, float] | None:
     geometrically from the observed block-bound ratio (valid when the ratio
     is nonincreasing, which holds for power-law, exponential, and mixed
     decay).  Returns None when no certificate is possible at this checkpoint
-    (e.g. terms still increasing).
+    (e.g. terms still increasing, or a probe past an overflowing partition
+    point).
     """
     upper = 0.0
     lower = 0.0
     s = start
-    a_s = float(term(s))
+    a_s = _probe(term, s)
     if not np.isfinite(a_s) or a_s < 0:
         return None
     block_ups: list[float] = []
     for _ in range(128):
         length = max(s // 4, 1)  # blocks grow by ~5/4; tighter than doubling
-        a_next = float(term(s + length))
+        a_next = _probe(term, s + length)
         if not np.isfinite(a_next) or a_next < 0 or a_next > a_s:
             return None  # terms not decreasing here; cannot certify yet
         block_up = length * a_s
@@ -211,13 +217,19 @@ def _safe_eval(f, arg):
 def _term_pieces(spec: GrowthSpec, k):
     """cell_sup and weight at cell k; negative norms and nonpositive weights raise.
 
-    Underflow of cell_sup to exact 0 and overflow of the weight to inf are
-    allowed: both send the term to 0, which is its true limit.
+    Underflow of cell_sup to exact 0 and overflow of the weight to inf at a
+    finite b_k are allowed: both send the term to 0, which is its true limit.
+    A partition point b_k that overflows raises SeriesError: the term there is
+    unknown, and reading it as 0 would drop the rest of the series.
     """
     e_k = _safe_eval(spec.cell_sup, k)
     if np.any(np.asarray(e_k) < 0):
         raise ValueError(f"cell_sup must be nonnegative, got {e_k} at k = {k}")
     b_k = _safe_eval(spec.partition, k)
+    overflow = ~np.isfinite(b_k)
+    if np.any(overflow):
+        first = np.asarray(k)[overflow].flat[0]
+        raise SeriesError(f"partition point b_k overflows at k = {first}")
     w_k = _safe_eval(spec.weight, b_k)
     if np.any(np.asarray(w_k) <= 0):
         raise ValueError(f"weight must be positive at partition points; got {w_k} at k = {k}")
@@ -261,16 +273,6 @@ def series_s_sum(spec: GrowthSpec, tol: float = 1e-9, k_max: int = 10 ** 6) -> S
     return sum_series(_series_s_term(spec), tol=tol, k_max=k_max)
 
 
-def series_C(spec: GrowthSpec, tol: float = 1e-9, k_max: int = 10 ** 6) -> float:
-    """C = sum_k eps_k / f_k with certified remainder <= tol."""
-    return series_c_sum(spec, tol=tol, k_max=k_max).value
-
-
-def series_S(spec: GrowthSpec, tol: float = 1e-9, k_max: int = 10 ** 6) -> float:
-    """S = sum_k eps_k^(1-1/(gamma*beta)) c1(k) / f_k with certified remainder <= tol."""
-    return series_s_sum(spec, tol=tol, k_max=k_max).value
-
-
 def theta_sup(spec: GrowthSpec, k_probe: int = 512) -> float:
     """Numeric inf_k gamma_k / eps_k over the leading cells.
 
@@ -297,83 +299,53 @@ def theta_sup(spec: GrowthSpec, k_probe: int = 512) -> float:
     return best
 
 
-def _check_growth_theta(theta: float, spec: GrowthSpec, k_probe: int) -> None:
-    cap = min(1.0, theta_sup(spec, k_probe))
-    if not (0.0 < theta < cap):
-        raise ValueError(f"theta must lie in (0, {cap}) for this spec, got {theta}")
-
-
 def growth_tail_bound(
-    u: float,
-    theta: float,
-    spec: GrowthSpec,
-    series_tol: float = 1e-9,
-    k_max: int = 10 ** 6,
-    k_probe: int = 512,
-    c_value: Optional[float] = None,
-    s_value: Optional[float] = None,
+    u: float, theta: float, spec: GrowthSpec, c_value: float, s_value: float, theta_cap: float
 ) -> float:
     """Bound on P{sup |X(t1,t2)|/f(t1) > u}: the clamped tail ``rv_tail_bound``
     of a variable of norm C at level
 
         u*(1-theta) - 2*S*theta^(-1/(gamma*beta))
 
-    for theta in (0, min(1, theta_sup)) and u > 2S/((1-theta) theta^(1/(gamma*beta))).
-    Precomputed series values can be passed to avoid resummation.
+    for theta in (0, theta_cap) and u > 2S/((1-theta) theta^(1/(gamma*beta))),
+    with C = c_value, S = s_value and theta_cap = min(1, theta_sup(spec)).
     """
-    _check_growth_theta(theta, spec, k_probe)
-    gb = spec.gamma_beta
-    C = series_C(spec, tol=series_tol, k_max=k_max) if c_value is None else c_value
-    S = series_S(spec, tol=series_tol, k_max=k_max) if s_value is None else s_value
-    threshold = 2.0 * S / ((1.0 - theta) * theta ** (1.0 / gb))
-    if u <= threshold:
-        raise ValueError(f"u = {u} is below validity threshold {threshold}")
-    arg = u * (1.0 - theta) - 2.0 * S * theta ** (-1.0 / gb)
-    return rv_tail_bound(arg, C, spec.fam)
+    if not (0.0 < theta < min(1.0, theta_cap)):
+        raise ValueError(f"theta must lie in (0, min(1, theta_cap = {theta_cap})), got {theta}")
+    return _tail_at_theta(u, theta, s_value, c_value, spec.gamma_beta, spec.fam)
 
 
 def auto_theta_bound(
-    u: float,
-    spec: GrowthSpec,
-    series_tol: float = 1e-9,
-    k_max: int = 10 ** 6,
-    c_value: Optional[float] = None,
-    s_value: Optional[float] = None,
+    u: float, spec: GrowthSpec, c_value: float, s_value: float, theta_cap: float
 ) -> float:
     """Growth bound at the closed-form choice theta = u^(-gamma*beta/(gamma*beta+1)):
     the clamped tail of a variable of norm C at level
 
         u - u^(1/(gamma*beta+1)) (1+2S),
 
-    asserted for u > (1+2S)^(gamma*beta/(gamma*beta+1)).  Equals
-    ``growth_tail_bound`` at the substituted theta wherever both apply.
+    asserted for u > (1+2S)^(gamma*beta/(gamma*beta+1)) and theta < theta_cap.
+    Equals ``growth_tail_bound`` at the substituted theta wherever both apply.
     """
     gb = spec.gamma_beta
-    C = series_C(spec, tol=series_tol, k_max=k_max) if c_value is None else c_value
-    S = series_S(spec, tol=series_tol, k_max=k_max) if s_value is None else s_value
-    threshold = (1.0 + 2.0 * S) ** (gb / (gb + 1.0))
+    threshold = (1.0 + 2.0 * s_value) ** (gb / (gb + 1.0))
     if u <= threshold:
         raise ValueError(f"u = {u} is below validity threshold {threshold}")
-    arg = u - u ** (1.0 / (gb + 1.0)) * (1.0 + 2.0 * S)
+    theta = u ** (-gb / (gb + 1.0))
+    if theta >= theta_cap:
+        raise ValueError(f"theta = u^(-gb/(gb+1)) = {theta} is not below theta_cap = {theta_cap}")
+    arg = u - u ** (1.0 / (gb + 1.0)) * (1.0 + 2.0 * s_value)
     if arg <= 0.0:
         return 1.0  # exponent argument not yet positive; only the trivial bound holds
-    return rv_tail_bound(arg, C, spec.fam)
+    return rv_tail_bound(arg, c_value, spec.fam)
 
 
 def optimize_theta_growth(
-    u: float,
-    spec: GrowthSpec,
-    c_value: float,
-    s_value: float,
-    theta_cap: Optional[float] = None,
+    u: float, spec: GrowthSpec, c_value: float, s_value: float, theta_cap: float
 ) -> tuple[float, float]:
     """Minimize the growth tail bound over theta for precomputed (C, S), in closed form.
 
     The bound decreases in arg(theta) = u*(1-theta) - 2*S*theta^(-1/(gamma*beta)),
     which ``supbound._optimal_theta`` maximizes with k = S and scale C below
-    theta_cap = min(1, theta_sup(spec)).  Pass theta_cap when it is already
-    known (it depends on the spec only, not on u).
+    theta_cap = min(1, theta_sup(spec)).
     """
-    if theta_cap is None:
-        theta_cap = min(1.0, theta_sup(spec))
     return _optimal_theta(u, s_value, c_value, spec.gamma_beta, theta_cap, spec.fam)

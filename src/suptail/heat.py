@@ -367,28 +367,14 @@ def growth_spec_for_v(model: SheModel, p: float, halfwidth: float) -> GrowthSpec
     a_h = model.a_h
     c_v = model.c_v
 
-    def partition(k):
-        return np.exp(np.asarray(k, dtype=float)) if np.ndim(k) else math.exp(k)
-
-    # partition, weight and cell_sup take index or time arrays as well as
-    # scalars, so growth._eval_terms evaluates a block of C terms in one
-    # call.  S terms still go one by one: cell_constant builds a box per cell.
-    # Scalars keep the math route, whose last bits the envelope's outputs carry.
-    def weight(t):
-        if np.ndim(t):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                f = np.maximum(t ** (hurst / 2.0) * np.log(t) ** p, 1.0)
-            return np.where(t > 0, f, 1.0)
+    def weight(t: float) -> float:
         return max(t ** (hurst / 2.0) * math.log(t) ** p, 1.0) if t > 0 else 1.0
 
-    def cell_sup(k):
-        if np.ndim(k):
-            return a_h * np.exp((np.asarray(k, dtype=float) + 1) * hurst / 2.0)
+    def cell_sup(k: int) -> float:
         return a_h * math.exp((k + 1) * hurst / 2.0)
 
     return GrowthSpec(
-        partition=partition,
+        partition=math.exp,
         weight=weight,
         halfwidth=halfwidth,
         cell_sup=cell_sup,
@@ -514,7 +500,7 @@ def she_growth_envelope(
     values = []
     for u in us:
         try:
-            values.append(auto_theta_bound(u, spec, c_value=c_value, s_value=s_value))
+            values.append(auto_theta_bound(u, spec, c_value, s_value, theta_cap))
         except ValueError:
             values.append(math.nan)
     return EnvelopeResult(TailCurve(us, tuple(values)), c_sum, s_sum, theta_cap, spec)

@@ -7,8 +7,9 @@ eps0 at level eps0 * z(theta), with
 
 I(eps) = c1 eps^q the closed-form entropy integral, q = 1 - 1/(gamma*beta).
 It is asserted only for z > 0, i.e. u above ``u_threshold``; it decreases in
-z, so the optimal theta maximizes z.  ``_optimal_theta`` gives that maximizer
-in closed form; the growth bounds of ``suptail.growth`` share it.  The
+z, so the optimal theta maximizes z.  ``_tail_at_theta`` evaluates the bound
+and ``_optimal_theta`` gives that maximizer in closed form; the growth bounds
+of ``suptail.growth`` share both.  The
 threshold 2 c1 eps0^q theta^(q-1) / (1-theta) is log-convex in theta and
 smallest at theta = (1-q)/(2-q), capped just below theta_cap.
 
@@ -57,6 +58,11 @@ class FieldBoundInputs:
         return 1.0 - 1.0 / (self.prof.exponent * self.fam.beta)
 
     @property
+    def tail_terms(self) -> tuple[float, float, float]:
+        """(k, scale, gamma*beta) of ``_tail_at_theta``: k = c1 eps0^q, scale eps0."""
+        return self.c1 * self.eps0 ** self.q, self.eps0, self.prof.exponent * self.fam.beta
+
+    @property
     def theta_cap(self) -> float:
         """Upper end of the valid theta range, min(1, gamma0/eps0)."""
         return min(1.0, self.gamma0 / self.eps0)
@@ -85,17 +91,29 @@ def u_threshold(theta: float, inputs: FieldBoundInputs) -> float:
     return 2.0 / (theta * (1.0 - theta)) * itil
 
 
+def _tail_at_theta(
+    u: float, theta: float, k: float, scale: float, gb: float, fam: PhiFamily
+) -> float:
+    """rv_tail_bound(arg, scale, fam) at arg = u*(1-theta) - 2 k theta^(-1/gb).
+
+    Raises unless u exceeds the threshold 2 k theta^(-1/gb) / (1-theta), where
+    arg turns positive.  The bounded-box bound has k = c1 eps0^q and scale
+    eps0; the growth bound has k = S and scale C.
+    """
+    entropy = 2.0 * k * theta ** (-1.0 / gb)
+    threshold = entropy / (1.0 - theta)
+    if u <= threshold:
+        raise ValueError(f"u = {u} is below validity threshold {threshold}")
+    return rv_tail_bound(u * (1.0 - theta) - entropy, scale, fam)
+
+
 def sup_tail_bound(u: float, theta: float, inputs: FieldBoundInputs) -> float:
     """Closed-form tail bound on P{sup |X| > u}; requires u > u_threshold(theta).
 
     Strictly decreasing in u on the valid range, clamped to [0, 1].
     """
     _check_theta(theta, inputs)
-    itil = inputs.entropy_closed(theta * inputs.eps0)
-    threshold = 2.0 / (theta * (1.0 - theta)) * itil
-    if u <= threshold:
-        raise ValueError(f"u = {u} is below validity threshold {threshold}")
-    return rv_tail_bound(u * (1.0 - theta) - 2.0 / theta * itil, inputs.eps0, inputs.fam)
+    return _tail_at_theta(u, theta, *inputs.tail_terms, inputs.fam)
 
 
 def _optimal_theta(
@@ -126,15 +144,8 @@ def optimize_theta(u: float, inputs: FieldBoundInputs) -> tuple[float, float]:
     """Minimize the closed-form tail bound over valid theta, in closed form.
 
     eps0 * z(theta) = u*(1-theta) - 2 c1 eps0^q theta^(q-1), so this is
-    ``_optimal_theta`` with k = c1 eps0^q, scale eps0 and cap theta_cap.
-    Returns (theta_star, bound).  Raises if z(theta_star) <= 0, i.e. no theta
+    ``_optimal_theta`` on ``tail_terms`` (k = c1 eps0^q, scale eps0) below
+    theta_cap.  Returns (theta_star, bound).  Raises if z(theta_star) <= 0, i.e. no theta
     satisfies u > u_threshold(theta) ("no valid theta").
     """
-    return _optimal_theta(
-        u,
-        inputs.c1 * inputs.eps0 ** inputs.q,
-        inputs.eps0,
-        inputs.prof.exponent * inputs.fam.beta,
-        inputs.theta_cap,
-        inputs.fam,
-    )
+    return _optimal_theta(u, *inputs.tail_terms, inputs.theta_cap, inputs.fam)

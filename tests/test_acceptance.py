@@ -18,7 +18,7 @@ from suptail import supbound
 from suptail.cli import main
 from suptail.curves import TailCurve
 from suptail.entropy import HolderProfile, c1_constant, entropy_integral_closed, entropy_integral_numeric
-from suptail.growth import growth_tail_bound, series_C, series_S, theta_sup
+from suptail.growth import growth_tail_bound, series_c_sum, series_s_sum, theta_sup
 from suptail.heat import (
     SheModel,
     SpectralMeasure,
@@ -219,15 +219,16 @@ def test_criterion_06_theta_optimization():
         from suptail.growth import GrowthSpec, auto_theta_bound
 
         spec = GrowthSpec(**spec_kwargs)
-        C, S = series_C(spec), series_S(spec)
+        C, S = series_c_sum(spec).value, series_s_sum(spec).value
+        cap = min(1.0, theta_sup(spec))
         gb = spec.gamma_beta
         for factor in (1.3, 1.8, 2.5, 4.0):
             u = factor * (1.0 + 2.0 * S) ** ((gb + 1.0) / gb)
             theta_sub = u ** (-gb / (gb + 1.0))
-            if theta_sub >= min(1.0, theta_sup(spec)):
+            if theta_sub >= cap:
                 continue
-            a = auto_theta_bound(u, spec, c_value=C, s_value=S)
-            b = growth_tail_bound(u, theta_sub, spec, c_value=C, s_value=S)
+            a = auto_theta_bound(u, spec, C, S, cap)
+            b = growth_tail_bound(u, theta_sub, spec, C, S, cap)
             if b > 0:
                 worst_rel = max(worst_rel, abs(a - b) / b)
     ok = worst_rel <= 1e-12

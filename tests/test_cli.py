@@ -350,6 +350,22 @@ class TestSimulateVerify:
         assert main(["simulate-verify", "--config", cfg3, "--out", str(out3), "--seed", "7"]) == 0
         assert (out1 / "verify_curve.csv").read_bytes() == (out3 / "verify_curve.csv").read_bytes()
 
+    def test_fixed_theta_bound_matches_bound_sup(self, tmp_path):
+        # a fixed theta sets the bound column, as in bound-sup; it is not
+        # replaced by the optimized theta's (smaller) bound
+        payload = {k: v for k, v in self.PAYLOAD.items() if k != "u_auto"}
+        payload.update(theta=0.3, u_grid=[80.0, 200.0])
+        sup_payload = {k: payload[k] for k in ("field", "model", "box", "theta", "u_grid")}
+        sup_cfg = write_config(tmp_path, sup_payload, "sup.json")
+        assert main(["bound-sup", "--config", sup_cfg, "--out", str(tmp_path / "sup")]) == 0
+        code, out = run(tmp_path, "simulate-verify", payload, "--seed", "3")
+        assert code == 0
+        fixed = [r["bound"] for r in json.loads((tmp_path / "sup" / "bound_sup.json").read_text())["curve"]]
+        verify = [r["bound"] for r in json.loads((out / "verify_report.json").read_text())["rows"]]
+        assert verify == fixed
+        optimized = supbound.optimize_theta(80.0, v_bound_inputs(AnisotropicBox(**BOX), SheModel(**MODEL)))
+        assert fixed[0] > optimized[1]
+
     def test_omega_field_rejected(self, tmp_path, capsys):
         # the sampler covers V only; omega's bound comes from bound-sup
         payload = {**self.PAYLOAD, "field": "omega"}

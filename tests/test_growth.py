@@ -14,9 +14,8 @@ from suptail.growth import (
     growth_tail_bound,
     optimize_theta_growth,
     auto_theta_bound,
-    series_C,
-    series_S,
     series_c_sum,
+    series_s_sum,
     sum_series,
     theta_sup,
 )
@@ -81,7 +80,7 @@ class TestSeriesEngine:
             cell_sup=lambda k: 1.0,
             weight=lambda t: 2.0 ** t,
         )
-        assert series_C(spec) == pytest.approx(2.0, abs=1e-11)
+        assert series_c_sum(spec).value == pytest.approx(2.0, abs=1e-11)
 
     def test_zeta_tail_fixture(self):
         # terms c/k^p for k >= 1: certified midpoint matches c*zeta(p)
@@ -100,7 +99,7 @@ class TestSeriesEngine:
     def test_divergent_series_error(self):
         spec = linear_spec(cell_sup=lambda k: k + 1.0, weight=lambda t: t + 1.0)
         with pytest.raises(SeriesError, match="did not certify.*no remainder bracket formed"):
-            series_C(spec, k_max=20000)
+            series_c_sum(spec, k_max=20000)
         # 1/(k+1)^2 brackets its tail, but only to a fixed fraction of the tail
         # ~1/k; the error gives that tolerance, reached at the last checkpoint
         with pytest.raises(SeriesError, match="did not certify") as err:
@@ -114,11 +113,11 @@ class TestSeriesEngine:
     def test_nonpositive_weight_rejected(self):
         spec = linear_spec(weight=lambda t: t)  # f_0 = 0
         with pytest.raises(ValueError, match="weight"):
-            series_C(spec)
+            series_c_sum(spec)
 
     def test_series_s_finite(self):
         spec = linear_spec()
-        s = series_S(spec)
+        s = series_s_sum(spec).value
         assert 0 < s < math.inf
 
     def test_certificate_object(self):
@@ -145,7 +144,7 @@ class TestThetaSup:
 class TestGrowthTailBound:
     def test_frozen_value_unit_series(self):
         spec = linear_spec()
-        val = growth_tail_bound(10.0, 0.5, spec, c_value=1.0, s_value=1.0)
+        val = growth_tail_bound(10.0, 0.5, spec, 1.0, 1.0, 1.0)
         expected = 2 * math.exp(-0.5 * (5.0 - 2.0 * math.sqrt(2.0)) ** 2)
         assert val == pytest.approx(expected, rel=1e-13)
 
@@ -154,47 +153,61 @@ class TestGrowthTailBound:
         # u threshold for C=S=1, theta=0.5, gb=2: 2/(0.5 * sqrt(0.5)) = 4 sqrt(2)
         thr = 2.0 / (0.5 * math.sqrt(0.5))
         with pytest.raises(ValueError, match="threshold"):
-            growth_tail_bound(thr, 0.5, spec, c_value=1.0, s_value=1.0)
+            growth_tail_bound(thr, 0.5, spec, 1.0, 1.0, 1.0)
         # theta_sup = 3/10 < 1 for eps_0 = 10, so theta = 0.5 is out of range
         big = linear_spec(cell_sup=lambda k: 10.0 * 0.5 ** k)
         with pytest.raises(ValueError, match="theta"):
-            growth_tail_bound(1e4, 0.5, big, c_value=1.0, s_value=1.0)
+            growth_tail_bound(1e4, 0.5, big, 1.0, 1.0, min(1.0, theta_sup(big)))
 
     def test_decreasing_in_u_and_series(self):
         spec = linear_spec()
         us = np.linspace(8, 30, 40)
-        vals = [growth_tail_bound(u, 0.5, spec, c_value=1.0, s_value=1.0) for u in us]
+        vals = [growth_tail_bound(u, 0.5, spec, 1.0, 1.0, 1.0) for u in us]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
-        lo_s = growth_tail_bound(10.0, 0.5, spec, c_value=1.0, s_value=0.5)
-        hi_s = growth_tail_bound(10.0, 0.5, spec, c_value=1.0, s_value=1.0)
+        lo_s = growth_tail_bound(10.0, 0.5, spec, 1.0, 0.5, 1.0)
+        hi_s = growth_tail_bound(10.0, 0.5, spec, 1.0, 1.0, 1.0)
         assert lo_s < hi_s
-        lo_c = growth_tail_bound(10.0, 0.5, spec, c_value=0.8, s_value=1.0)
+        lo_c = growth_tail_bound(10.0, 0.5, spec, 0.8, 1.0, 1.0)
         assert lo_c < hi_s
 
     def test_vanishes_at_infinity(self):
         spec = linear_spec()
-        assert growth_tail_bound(1e5, 0.5, spec, c_value=1.0, s_value=1.0) == 0.0
+        assert growth_tail_bound(1e5, 0.5, spec, 1.0, 1.0, 1.0) == 0.0
 
 
 class TestAutoThetaForm:
     def test_frozen_value(self):
         spec = linear_spec()
         # C = S = 1, gb = 2, u = 27: u^(1/3) = 3, bound = 2 exp(-162)
-        val = auto_theta_bound(27.0, spec, c_value=1.0, s_value=1.0)
+        val = auto_theta_bound(27.0, spec, 1.0, 1.0, 1.0)
         assert val == pytest.approx(2 * math.exp(-162.0), rel=1e-12)
 
     def test_boundary_error(self):
         spec = linear_spec()
         thr = 3.0 ** (2.0 / 3.0)
         with pytest.raises(ValueError, match="threshold"):
-            auto_theta_bound(thr, spec, c_value=1.0, s_value=1.0)
+            auto_theta_bound(thr, spec, 1.0, 1.0, 1.0)
 
     def test_trivial_region_clamped(self):
         # between the printed threshold and the positivity threshold the
         # argument is negative and only the trivial bound holds
         spec = linear_spec()
-        val = auto_theta_bound(3.0, spec, c_value=1.0, s_value=1.0)
+        val = auto_theta_bound(3.0, spec, 1.0, 1.0, 1.0)
         assert val == 1.0
+
+    def test_substituted_theta_at_or_above_cap_raises(self):
+        # theta_sup = 0.03 here, while u = 10 substitutes theta = u^(-2/3) =
+        # 0.215: the theorem gives no bound there (the best valid one, from
+        # optimize_theta_growth, is 0.377), so no value may be returned
+        spec = linear_spec(cell_holder=lambda k: 0.005)
+        C, S = series_c_sum(spec).value, series_s_sum(spec).value
+        cap = min(1.0, theta_sup(spec))
+        assert cap == pytest.approx(0.03, rel=1e-12)
+        assert optimize_theta_growth(10.0, spec, C, S, cap)[1] == pytest.approx(0.377, abs=1e-3)
+        with pytest.raises(ValueError, match="theta_cap"):
+            auto_theta_bound(10.0, spec, C, S, cap)
+        # above u = cap^(-3/2) the substituted theta is below the cap
+        assert auto_theta_bound(1.01 * cap ** -1.5, spec, C, S, cap) == 0.0
 
     def test_equals_growth_bound_at_substituted_theta(self):
         rng = np.random.default_rng(7)
@@ -203,15 +216,16 @@ class TestAutoThetaForm:
             q = rng.uniform(0.3, 0.7)
             r = rng.uniform(0.3, 0.8)
             spec = linear_spec(q=q, r=r)
-            C = series_C(spec)
-            S = series_S(spec)
+            C = series_c_sum(spec).value
+            S = series_s_sum(spec).value
+            cap = min(1.0, theta_sup(spec))
             gb = spec.gamma_beta
             u = 1.5 * (1.0 + 2.0 * S) ** ((gb + 1.0) / gb)
             theta_sub = u ** (-gb / (gb + 1.0))
-            if theta_sub >= min(1.0, theta_sup(spec)):
+            if theta_sub >= cap:
                 continue
-            a = auto_theta_bound(u, spec, c_value=C, s_value=S)
-            b = growth_tail_bound(u, theta_sub, spec, c_value=C, s_value=S)
+            a = auto_theta_bound(u, spec, C, S, cap)
+            b = growth_tail_bound(u, theta_sub, spec, C, S, cap)
             assert a == pytest.approx(b, rel=1e-12)
             checked += 1
 
@@ -225,22 +239,28 @@ class TestPowerVariant:
         spec_small, spec_large = power_cells(1e-4), power_cells(0.3)
         # u valid for both; the larger-scale series dominate so its threshold rules
         theta = 0.4
-        s_large = series_S(spec_large)
+        s_large = series_s_sum(spec_large).value
         u = 1.5 * 2.0 * s_large / ((1 - theta) * theta ** 0.5)
-        b_small = growth_tail_bound(u, theta, spec_small)
-        b_large = growth_tail_bound(u, theta, spec_large)
+
+        def bound(spec):
+            c, s = series_c_sum(spec).value, series_s_sum(spec).value
+            return growth_tail_bound(u, theta, spec, c, s, min(1.0, theta_sup(spec)))
+
+        b_small = bound(spec_small)
+        b_large = bound(spec_large)
         assert b_small < b_large
 
 
 class TestOptimizeThetaGrowth:
     def test_beats_fixed_theta(self):
         spec = linear_spec()
-        C, S = series_C(spec), series_S(spec)
+        C, S = series_c_sum(spec).value, series_s_sum(spec).value
+        cap = min(1.0, theta_sup(spec))
         u = 3.0 * 2.0 * S / (0.5 * 0.5 ** 0.5)
-        theta_star, bound = optimize_theta_growth(u, spec, C, S)
+        theta_star, bound = optimize_theta_growth(u, spec, C, S, cap)
         for theta in (0.2, 0.5, 0.8):
             try:
-                other = growth_tail_bound(u, theta, spec, c_value=C, s_value=S)
+                other = growth_tail_bound(u, theta, spec, C, S, cap)
             except ValueError:
                 continue
             assert bound <= other * (1 + 1e-9) + 1e-300
@@ -248,7 +268,7 @@ class TestOptimizeThetaGrowth:
     def test_no_valid_theta(self):
         spec = linear_spec()
         with pytest.raises(ValueError, match="no valid theta"):
-            optimize_theta_growth(0.5, spec, 1.0, 1.0)
+            optimize_theta_growth(0.5, spec, 1.0, 1.0, 1.0)
 
     def test_closed_form_beats_dense_grid_random_specs(self):
         # Oracle: arg(theta) on a 10000-point grid, vectorized from the
@@ -270,16 +290,16 @@ class TestOptimizeThetaGrowth:
                 fam=fam,
             )
             gb = spec.gamma_beta
-            C, S = series_C(spec), series_S(spec)
+            C, S = series_c_sum(spec).value, series_s_sum(spec).value
             cap = min(1.0, theta_sup(spec))
             thetas = np.geomspace(1e-6, cap * (1 - 1e-9), 10000)
             thr = np.min(2.0 * S / ((1 - thetas) * thetas ** (1.0 / gb)))
             for factor in (1.01, 1.5, 3.0, 20.0):
                 u = factor * thr
                 arg = u * (1 - thetas) - 2.0 * S * thetas ** (-1.0 / gb)
-                theta_star, bound = optimize_theta_growth(u, spec, C, S)
+                theta_star, bound = optimize_theta_growth(u, spec, C, S, cap)
                 best = float(thetas[np.argmax(arg)])
-                other = growth_tail_bound(u, best, spec, c_value=C, s_value=S)
+                other = growth_tail_bound(u, best, spec, C, S, cap)
                 assert bound <= other * (1 + 1e-9)
                 assert 0.0 < theta_star < cap
                 if (2.0 * S / (gb * u)) ** (gb / (gb + 1.0)) >= cap:
@@ -288,14 +308,14 @@ class TestOptimizeThetaGrowth:
                 else:
                     n_free += 1
             with pytest.raises(ValueError, match="no valid theta"):
-                optimize_theta_growth(0.99 * thr, spec, C, S)
+                optimize_theta_growth(0.99 * thr, spec, C, S, cap)
         assert min(n_capped, n_free) >= 10, (n_capped, n_free)
 
     def test_nonpositive_u_has_no_valid_theta(self):
         spec = linear_spec()
         for u in (0.0, -3.0):
             with pytest.raises(ValueError, match="no valid theta"):
-                optimize_theta_growth(u, spec, 1.0, 1.0)
+                optimize_theta_growth(u, spec, 1.0, 1.0, 1.0)
 
     def test_same_optimum_as_bounded_box(self):
         # one theta* routine: with S = c1 eps0^q, C = eps0 and the box's cap,
@@ -321,10 +341,3 @@ class TestOptimizeThetaGrowth:
             got = optimize_theta_growth(u, spec, inputs.eps0, s_value, inputs.theta_cap)
             assert got == expected
         assert 10 <= n_valid < 40
-
-    def test_precomputed_cap_matches(self):
-        spec = linear_spec(cell_holder=lambda k: 0.05)
-        C, S = series_C(spec), series_S(spec)
-        cap = min(1.0, theta_sup(spec))
-        for u in (50.0, 500.0):
-            assert optimize_theta_growth(u, spec, C, S, cap) == optimize_theta_growth(u, spec, C, S)

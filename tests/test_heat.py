@@ -10,6 +10,7 @@ from scipy.special import beta, gamma, zeta
 from suptail import supbound
 from suptail.growth import (
     SeriesError,
+    _remainder_bracket,
     _series_c_term,
     _series_s_term,
     cell_constant,
@@ -441,19 +442,14 @@ class TestGrowthEnvelope:
                 assert term_c(k) == pytest.approx(c_summand(k), rel=1e-12)
                 assert term_s(k) == pytest.approx(s_summand(k), rel=1e-12)
 
-    def test_spec_closures_take_arrays(self):
-        # cell_sup, weight and the C term evaluate a block of cells in one
-        # call; numpy's exp and power may differ from math's by an ulp or two
-        rtol = 4 * np.finfo(float).eps
-        ks = np.arange(700)  # b_k = e^k stays finite
-        for hurst, p in ((0.5, 2.0), (0.25, 2.5), (0.35, 1.5)):
-            spec = growth_spec_for_v(SheModel(hurst=hurst), p=p, halfwidth=0.7)
-            term_c = _series_c_term(spec)
-            for f, args in ((spec.cell_sup, ks), (spec.weight, spec.partition(ks)), (term_c, ks)):
-                got = f(args)
-                assert got.shape == args.shape
-                np.testing.assert_allclose(got, [f(a.item()) for a in args], rtol=rtol, atol=0)
-            assert np.array_equal(spec.weight(np.array([0.0, -1.0])), [1.0, 1.0])
+    def test_generic_sum_fails_where_partition_overflows(self):
+        # b_k = e^k overflows at k = 710 while eps_k / f_k ~ A e^(H/2) k^-2 is
+        # still 1.6e-6; reading the terms from there on as 0 certified a sum
+        # short of the closed form by 1.1e-3 with remainder 0
+        spec = growth_spec_for_v(SheModel(hurst=0.5), p=2.0, halfwidth=1.0)
+        with pytest.raises(SeriesError, match="overflows at k = 710"):
+            sum_series(_series_c_term(spec), tol=1e-4)
+        assert _remainder_bracket(_series_c_term(spec), 512) is None
 
     @pytest.mark.parametrize("hurst, p", [(0.5, 3.0), (0.25, 2.5), (0.35, 2.0)])
     def test_certified_sum_of_summands_matches_closed_form(self, hurst, p):
@@ -507,9 +503,7 @@ class TestGrowthEnvelope:
         spec = growth_spec_for_v(model, p=2.0, halfwidth=1.0)
         res = she_growth_envelope(model, p=2.0, u_grid=[900.0, 1500.0], halfwidth=1.0)
         for u, v in zip(res.curve.u, res.curve.value):
-            direct = auto_theta_bound(
-                u, spec, c_value=res.c_tilde.value, s_value=res.s_tilde.value
-            )
+            direct = auto_theta_bound(u, spec, res.c_tilde.value, res.s_tilde.value, 1.0)
             assert v == direct
 
     def test_power_cells_already_substituted(self):
