@@ -36,6 +36,8 @@ _BOX_KEYS = {"a1", "b1", "a2", "b2", "h1", "h2"}
 _PROFILE_KEYS = {"scale", "exponent"}
 _UGRID_KEYS = {"max", "count"}
 _GRID_KEYS = {"nt", "nx"}
+# bound-sup keys read only for "field": "generic", which reads no "model"
+_GENERIC_KEYS = {"fam", "eps0", "profile"}
 
 _SCHEMAS = {
     "constants": {"model"},
@@ -201,6 +203,9 @@ def cmd_constants(cfg: dict, out: Path, seed, fmt: str) -> int:
 
 def _bound_inputs(cfg: dict) -> supbound.FieldBoundInputs:
     kind = cfg.get("field", "v")
+    unread = set(cfg) & ({"model"} if kind == "generic" else _GENERIC_KEYS)
+    if unread:
+        raise ConfigError(f"keys {sorted(unread)} are not read for field {kind!r}")
     if kind == "generic":
         box = _box_from(cfg)
         prof_cfg = cfg.get("profile")
@@ -302,7 +307,7 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
     return 0
 
 
-def cmd_covering(cfg: dict, out: Path, seed, fmt: str) -> int:
+def cmd_covering(cfg: dict, out: Path, seed) -> int:
     box = _box_from(cfg)
     eps = float(cfg["eps"])
     resolution = _positive_int(cfg.get("resolution", 101), "'resolution'")
@@ -323,7 +328,7 @@ def cmd_covering(cfg: dict, out: Path, seed, fmt: str) -> int:
     return 0 if oracle <= bound else 1
 
 
-def cmd_simulate_verify(cfg: dict, out: Path, seed, fmt: str) -> int:
+def cmd_simulate_verify(cfg: dict, out: Path, seed) -> int:
     if seed is None:
         raise ConfigError("simulate-verify requires an explicit --seed")
     model = _model_from(cfg)
@@ -384,6 +389,8 @@ _COMMANDS = {
     "covering": cmd_covering,
     "simulate-verify": cmd_simulate_verify,
 }
+# Commands that take --format; the others write fixed file types.
+_FORMATTED = {"constants", "bound-sup", "bound-growth"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (required for verify)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name in _FORMATTED:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -412,8 +420,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.seed, args.format)
-    except (ConfigError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+        fmt = (args.format,) if args.command in _FORMATTED else ()
+        return _COMMANDS[args.command](cfg, out, args.seed, *fmt)
+    # ConfigError and JSONDecodeError are ValueErrors; TypeError is a wrongly typed value
+    except (ValueError, TypeError, RuntimeError, OSError) as exc:
         print(f"suptail {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

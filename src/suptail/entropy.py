@@ -19,6 +19,10 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+# Absolute tolerance of the numeric entropy integral.
+_QUAD_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class HolderProfile:
     """Power modulus sigma(h) = scale * h^exponent, exponent in (0, 1], bounding
@@ -99,11 +103,7 @@ def entropy_integral_closed(
 
 
 def entropy_integral_numeric(
-    eps: float,
-    box: AnisotropicBox,
-    prof: HolderProfile,
-    fam: PhiFamily,
-    tol: float = 1e-8,
+    eps: float, box: AnisotropicBox, prof: HolderProfile, fam: PhiFamily
 ) -> float:
     """Quadrature of the entropy integrand Psi(ln Nbar(sigma^(-1)(u))) on (0, eps].
 
@@ -133,10 +133,10 @@ def entropy_integral_numeric(
         nbar = covering_upper_bound(box, eps_d)
         return psi_kernel(math.log(nbar), fam)
 
-    value, err = quad(integrand, 0.0, upper, epsabs=tol, epsrel=1e-10, limit=300)
-    if err > 10.0 * max(tol, 1e-14):
+    value, err = quad(integrand, 0.0, upper, epsabs=_QUAD_TOL, epsrel=1e-10, limit=300)
+    if err > 10.0 * _QUAD_TOL:
         raise QuadratureError(
             f"entropy quadrature did not converge: estimate {value!r}, "
-            f"error {err!r}, requested tol {tol!r}, interval (0, {upper!r}]"
+            f"error {err!r}, requested tol {_QUAD_TOL!r}, interval (0, {upper!r}]"
         )
     return value

@@ -7,9 +7,12 @@ over a partition of the time axis into cells [b_k, b_{k+1}] x [-A, A]:
     S = sum_k eps_k^(1 - 1/(gamma*beta)) * c1(k) / f_k,
 
 with c1(k) the entropy constant ``entropy.c1_constant`` of cell k, the same
-one the bounded-box bound uses.  ``series_c_sum`` and ``series_s_sum`` sum
-them with a certified remainder; a partition point b_k that overflows fails
-the sum, since the terms past it would be unknown.  The tail bound at fixed
+one the bounded-box bound uses.  A spec's closures take and return scalars,
+and a series term maps an index array to a float array, one scalar term per
+index.  ``series_c_sum`` and ``series_s_sum`` sum them with a certified
+remainder; a partition point b_k that overflows fails the sum, since the
+terms past it would be unknown.  ``theta_sup`` raises where the ratio
+gamma_k / eps_k still falls over its probed cells.  The tail bound at fixed
 theta, its closed-form optimum over theta and the auto-theta form take C, S
 and the theta cap min(1, ``theta_sup``) from the caller, who computes each
 once; the first two share their formulas with ``supbound``.
@@ -96,22 +99,10 @@ class SeriesSum:
     n_terms: int
 
 
-def _eval_terms(term, lo: int, hi: int) -> np.ndarray:
-    """Evaluate terms on [lo, hi); vectorized when the closure allows it."""
-    ks = np.arange(lo, hi)
-    try:
-        out = np.asarray(term(ks), dtype=float)
-        if out.shape != ks.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        out = np.array([float(term(int(k))) for k in ks])
-    return out
-
-
 def _probe(term, k: int) -> float:
     """Term k, or nan where it cannot be evaluated (SeriesError)."""
     try:
-        return float(term(k))
+        return float(term(np.array([k]))[0])
     except SeriesError:
         return math.nan
 
@@ -164,7 +155,8 @@ def sum_series(
 ) -> SeriesSum:
     """Sum a positive series with a remainder bracket of half-width at most ``tol``.
 
-    Terms are accumulated in chunks; at doubling checkpoints the remainder is
+    ``term`` maps an index array to the float array of those terms.  Terms are
+    accumulated in chunks; at doubling checkpoints the remainder is
     bracketed by ``_remainder_bracket`` and the midpoint correction is applied
     once the bracket half-width is within tol.  The bracket closes the tail
     geometrically from the last block-bound ratio, so it certifies the sum
@@ -179,7 +171,7 @@ def sum_series(
     best: tuple[float, int] | None = None  # tightest (half-width, k) bracket seen
     while k < k_max:
         hi = min(k + 4096, k_max, next_check)
-        vals = _eval_terms(term, k, hi)
+        vals = term(np.arange(k, hi))
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise SeriesError(
                 f"series terms must be finite and nonnegative; offending block at k = {k}"
@@ -214,7 +206,7 @@ def _safe_eval(f, arg):
         return math.inf
 
 
-def _term_pieces(spec: GrowthSpec, k):
+def _term_pieces(spec: GrowthSpec, k: int) -> tuple[float, float]:
     """cell_sup and weight at cell k; negative norms and nonpositive weights raise.
 
     Underflow of cell_sup to exact 0 and overflow of the weight to inf at a
@@ -223,44 +215,39 @@ def _term_pieces(spec: GrowthSpec, k):
     unknown, and reading it as 0 would drop the rest of the series.
     """
     e_k = _safe_eval(spec.cell_sup, k)
-    if np.any(np.asarray(e_k) < 0):
+    if e_k < 0:
         raise ValueError(f"cell_sup must be nonnegative, got {e_k} at k = {k}")
     b_k = _safe_eval(spec.partition, k)
-    overflow = ~np.isfinite(b_k)
-    if np.any(overflow):
-        first = np.asarray(k)[overflow].flat[0]
-        raise SeriesError(f"partition point b_k overflows at k = {first}")
+    if not math.isfinite(b_k):
+        raise SeriesError(f"partition point b_k overflows at k = {k}")
     w_k = _safe_eval(spec.weight, b_k)
-    if np.any(np.asarray(w_k) <= 0):
+    if w_k <= 0:
         raise ValueError(f"weight must be positive at partition points; got {w_k} at k = {k}")
     return e_k, w_k
 
 
-def _series_c_term(spec: GrowthSpec):
-    def term(k):
-        e_k, w_k = _term_pieces(spec, k)
-        with np.errstate(invalid="ignore"):
-            out = np.asarray(e_k, dtype=float) / np.asarray(w_k, dtype=float)
-        return out if np.ndim(out) else float(out)
+def _per_index(one):
+    """Series term over an index array from ``one``, the term at a single index."""
+    return lambda ks: np.array([one(int(k)) for k in ks], dtype=float)
 
-    return term
+
+def _series_c_term(spec: GrowthSpec):
+    def one(k: int) -> float:
+        e_k, w_k = _term_pieces(spec, k)
+        return e_k / w_k
+
+    return _per_index(one)
 
 
 def _series_s_term(spec: GrowthSpec):
     gb = spec.gamma_beta
 
-    def term(k):
+    def one(k: int) -> float:
         e_k, w_k = _term_pieces(spec, k)
         c1k = _safe_eval(lambda kk: cell_constant(kk, spec), k)
-        with np.errstate(invalid="ignore"):
-            out = (
-                np.asarray(e_k, dtype=float) ** (1.0 - 1.0 / gb)
-                * np.asarray(c1k, dtype=float)
-                / np.asarray(w_k, dtype=float)
-            )
-        return out if np.ndim(out) else float(out)
+        return e_k ** (1.0 - 1.0 / gb) * c1k / w_k
 
-    return term
+    return _per_index(one)
 
 
 def series_c_sum(spec: GrowthSpec, tol: float = 1e-9, k_max: int = 10 ** 6) -> SeriesSum:
@@ -273,30 +260,42 @@ def series_s_sum(spec: GrowthSpec, tol: float = 1e-9, k_max: int = 10 ** 6) -> S
     return sum_series(_series_s_term(spec), tol=tol, k_max=k_max)
 
 
-def theta_sup(spec: GrowthSpec, k_probe: int = 512) -> float:
-    """Numeric inf_k gamma_k / eps_k over the leading cells.
+# Cells over which theta_sup reads inf_k gamma_k / eps_k.
+_THETA_PROBE = 512
+
+
+def theta_sup(spec: GrowthSpec) -> float:
+    """inf_k gamma_k / eps_k, read from the first _THETA_PROBE cells.
 
     gamma_k = sigma_k(diam_d of cell k), with the box and modulus of
-    ``cell_inputs``.  Probing stops at the first nonfinite value (partitions
-    like b_k = e^k overflow float range long after the inf has stabilized).
+    ``cell_inputs``, so a cell of length <= 0 raises.  Probing ends early only
+    where a partition point or a norm overflows (b_k = e^k does at k = 710).
+    The probed minimum is the infimum only if the ratio has stopped falling,
+    so ValueError is raised when the later half of the probed cells falls
+    below the earlier half's minimum by more than rounding: a cap above the
+    infimum would assert the growth bounds at theta the theorem does not cover.
     """
-    best = math.inf
-    for k in range(k_probe):
-        try:
-            l_k = spec.cell_length(k)
-        except (OverflowError, ValueError):
+    ratios = []
+    for k in range(_THETA_PROBE):
+        b_next, e_k = _safe_eval(spec.partition, k + 1), _safe_eval(spec.cell_sup, k)
+        if not (math.isfinite(b_next) and math.isfinite(e_k)):
             break
-        if not np.isfinite(l_k):
-            break
+        if e_k < 0:
+            raise ValueError(f"cell_sup must be nonnegative, got {e_k} at k = {k}")
         box, prof = cell_inputs(k, spec)
         g_k = prof.sigma(box.diameter)
-        e_k = spec.cell_sup(k)
-        if not (np.isfinite(g_k) and np.isfinite(e_k)) or e_k <= 0:
-            break
-        best = min(best, g_k / e_k)
-    if not np.isfinite(best):
+        ratios.append(g_k / e_k if e_k > 0 else math.inf)
+    half = len(ratios) // 2
+    early = min(ratios[:half], default=math.inf)
+    late = min(ratios[half:], default=math.inf)
+    if not math.isfinite(min(early, late)):
         raise ValueError("could not evaluate theta_sup on any cell")
-    return best
+    if late < early * (1.0 - 1e-12):
+        raise ValueError(
+            f"gamma_k / eps_k still falls over the {len(ratios)} probed cells: the "
+            f"later half's minimum {late!r} is below the earlier half's {early!r}"
+        )
+    return min(early, late)
 
 
 def growth_tail_bound(

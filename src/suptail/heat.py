@@ -13,6 +13,8 @@ except the numeric spectral quadrature, at its first call.
 
 Conventions fixed here:
 
+* each constant has one formula, its public function below; ``SheModel``
+  stores only the three that its bounds read (a_h, c_v, c_omega).
 * ``variance_coefficient`` is the exact value Gamma(1-H) 2^(H-1) / H of the
   time-integrated spectral integral, so Var V(t,x) = C_H * c_1H * t^H is an
   identity (cross-checked against space-time white noise at H = 1/2).
@@ -93,22 +95,14 @@ def space_increment_coefficient(hurst: float) -> float:
     return math.gamma(1.0 - 2.0 * hurst) * math.cos(math.pi * hurst) / (2.0 * hurst)
 
 
-def _holder_scale(c_h: float, c_1h: float, c_2h: float, c_3h: float) -> float:
-    """c_V = sqrt(3 C_H max(c_1H + c_2H, c_3H)) from its four coefficients."""
-    return math.sqrt(3.0 * c_h * max(c_1h + c_2h, c_3h))
-
-
 def increment_constant(hurst: float) -> float:
     """c_V = sqrt(3 C_H max(c_1H + c_2H, c_3H)); the Holder scale of V in
 
         ||V(t,x) - V(s,y)||_2 <= c_V (|t-s|^(H/2) + |x-y|^H).
     """
-    return _holder_scale(
-        noise_constant(hurst),
-        variance_coefficient(hurst),
-        time_increment_coefficient(hurst),
-        space_increment_coefficient(hurst),
-    )
+    time_part = variance_coefficient(hurst) + time_increment_coefficient(hurst)
+    space_part = space_increment_coefficient(hurst)
+    return math.sqrt(3.0 * noise_constant(hurst) * max(time_part, space_part))
 
 
 def sup_norm_coefficient(hurst: float) -> float:
@@ -139,7 +133,7 @@ def omega_holder_constant(holder_const: float, rho: float) -> float:
 
 @dataclass(frozen=True)
 class SheModel:
-    """Heat-equation instance with all derived constants precomputed.
+    """Heat-equation instance with the derived constants its bounds read.
 
     hurst: spatial noise index H in (0, 1/2].
     rho: Holder exponent of the initial condition, in (0, 1].
@@ -148,6 +142,9 @@ class SheModel:
     det_const: determining constant c_phi of the initial condition's
         sub-Gaussian family (1.0 for Gaussian).
     alpha: Orlicz exponent of that family.
+
+    a_h, c_v and c_omega are ``sup_norm_coefficient``, ``increment_constant``
+    and ``omega_holder_constant``; those also validate hurst, rho, holder_const.
     """
 
     hurst: float
@@ -156,30 +153,17 @@ class SheModel:
     init_sup: float = 1.0
     det_const: float = 1.0
     alpha: float = 2.0
-    c_h: float = field(init=False)
-    c_1h: float = field(init=False)
-    c_2h: float = field(init=False)
-    c_3h: float = field(init=False)
-    c_v: float = field(init=False)
     a_h: float = field(init=False)
-    c_1: float = field(init=False)
+    c_v: float = field(init=False)
     c_omega: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_hurst(self.hurst)
-        if not (0.0 < self.rho <= 1.0):
-            raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-        for name in ("holder_const", "init_sup", "det_const"):
+        object.__setattr__(self, "a_h", sup_norm_coefficient(self.hurst))
+        object.__setattr__(self, "c_v", increment_constant(self.hurst))
+        object.__setattr__(self, "c_omega", omega_holder_constant(self.holder_const, self.rho))
+        for name in ("init_sup", "det_const"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        object.__setattr__(self, "c_h", noise_constant(self.hurst))
-        object.__setattr__(self, "c_1h", variance_coefficient(self.hurst))
-        object.__setattr__(self, "c_2h", time_increment_coefficient(self.hurst))
-        object.__setattr__(self, "c_3h", space_increment_coefficient(self.hurst))
-        object.__setattr__(self, "c_v", _holder_scale(self.c_h, self.c_1h, self.c_2h, self.c_3h))
-        object.__setattr__(self, "a_h", math.sqrt(self.c_h * self.c_1h))
-        object.__setattr__(self, "c_1", kernel_moment_constant(self.rho))
-        object.__setattr__(self, "c_omega", omega_holder_constant(self.holder_const, self.rho))
 
     @property
     def fam(self) -> PhiFamily:
@@ -187,13 +171,13 @@ class SheModel:
 
     def constants(self) -> dict[str, float]:
         return {
-            "noise_constant": self.c_h,
-            "variance_coefficient": self.c_1h,
-            "time_increment_coefficient": self.c_2h,
-            "space_increment_coefficient": self.c_3h,
+            "noise_constant": noise_constant(self.hurst),
+            "variance_coefficient": variance_coefficient(self.hurst),
+            "time_increment_coefficient": time_increment_coefficient(self.hurst),
+            "space_increment_coefficient": space_increment_coefficient(self.hurst),
             "increment_constant": self.c_v,
             "sup_norm_coefficient": self.a_h,
-            "kernel_moment_constant": self.c_1,
+            "kernel_moment_constant": kernel_moment_constant(self.rho),
             "omega_holder_constant": self.c_omega,
         }
 
@@ -280,10 +264,15 @@ def _beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def _improper_even_integral(f, tol: float) -> float:
+# Absolute tolerance of the numeric spectral integrals.
+_SPECTRAL_TOL = 1e-10
+
+
+def _improper_even_integral(f) -> float:
     """2 * int_0^inf f, split at 1, with an error check."""
     from scipy.integrate import quad
 
+    tol = _SPECTRAL_TOL
     core, e1 = quad(f, 0.0, 1.0, epsabs=tol / 2, epsrel=1e-12, limit=200)
     tail, e2 = quad(f, 1.0, np.inf, epsabs=tol / 2, epsrel=1e-12, limit=200)
     if e1 + e2 > 10.0 * tol:
@@ -291,7 +280,7 @@ def _improper_even_integral(f, tol: float) -> float:
     return 2.0 * (core + tail)
 
 
-def spectral_moment(measure: SpectralMeasure, eps_exp: float, tol: float = 1e-10) -> float:
+def spectral_moment(measure: SpectralMeasure, eps_exp: float) -> float:
     """c^2(eps) = int_R lambda^(2 eps) F(dlambda).
 
     For the rational family: sigma2 * B(eps + 1/2, 2 alpha_m - eps - 1/2),
@@ -307,31 +296,23 @@ def spectral_moment(measure: SpectralMeasure, eps_exp: float, tol: float = 1e-10
                 f"moment constraint violated: 2*alpha_m - eps - 1/2 = {second} <= 0"
             )
         return measure.sigma2 * _beta(eps_exp + 0.5, second)
-    return _improper_even_integral(
-        lambda lam: lam ** (2.0 * eps_exp) * measure.density_at(lam), tol
-    )
+    return _improper_even_integral(lambda lam: lam ** (2.0 * eps_exp) * measure.density_at(lam))
 
 
-def omega_spectral_sup_norm(measure: SpectralMeasure, tol: float = 1e-10) -> float:
+def omega_spectral_sup_norm(measure: SpectralMeasure) -> float:
     """Uniform L2 bound (int_R F(dlambda))^(1/2) on the stationary omega field."""
     if measure.is_matern:
         mass = measure.sigma2 * _beta(0.5, 2.0 * measure.alpha_m - 0.5)
     else:
-        mass = _improper_even_integral(measure.density_at, tol)
+        mass = _improper_even_integral(measure.density_at)
     return math.sqrt(mass)
 
 
 def omega_spectral_increment_bound(
-    t: float,
-    x: float,
-    s: float,
-    y: float,
-    measure: SpectralMeasure,
-    eps_exp: float,
-    tol: float = 1e-10,
+    t: float, x: float, s: float, y: float, measure: SpectralMeasure, eps_exp: float
 ) -> float:
     """L2 increment bound c(eps) (4^(1-eps) |x-y|^(2 eps) + |t-s|^eps)^(1/2)."""
-    c_eps = math.sqrt(spectral_moment(measure, eps_exp, tol))
+    c_eps = math.sqrt(spectral_moment(measure, eps_exp))
     inner = 4.0 ** (1.0 - eps_exp) * abs(x - y) ** (2.0 * eps_exp) + abs(t - s) ** eps_exp
     return c_eps * math.sqrt(inner)
 

@@ -100,8 +100,6 @@ def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
     """
     if t < 0 or s < 0:
         raise ValueError("times must be nonnegative")
-    if not (0.0 < hurst <= 0.5):
-        raise ValueError(f"Hurst index must lie in (0, 1/2], got {hurst}")
     lo, hi, dist = (np.array([v]) for v in (min(t, s), max(t, s), abs(x - y)))
     return float(_v_kernel(lo, hi, dist, hurst)[0])
 
@@ -239,24 +237,26 @@ def sample_fields(
     return out.T
 
 
-def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Two-sided Clopper-Pearson interval for a binomial proportion."""
+# Two-sided confidence level of the Clopper-Pearson limits.
+CONFIDENCE = 0.99
+
+
+def clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Two-sided Clopper-Pearson interval at level CONFIDENCE for a binomial proportion."""
     from scipy.special import betaincinv
 
     if not (0 <= k <= n) or n <= 0:
         raise ValueError(f"need 0 <= k <= n with n > 0, got k={k}, n={n}")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 
-def empirical_sup_tail(
-    fields: np.ndarray, u_grid: Sequence[float], confidence: float = 0.99
-) -> TailCurve:
+def empirical_sup_tail(fields: np.ndarray, u_grid: Sequence[float]) -> TailCurve:
     """Empirical tail of the grid supremum: fraction of replicas with max |field| > u.
 
-    Carries two-sided Clopper-Pearson limits at the given confidence.
+    Carries two-sided Clopper-Pearson limits at level CONFIDENCE.
     """
     fields = np.asarray(fields)
     if fields.ndim != 2 or fields.shape[0] == 0:
@@ -266,7 +266,7 @@ def empirical_sup_tail(
     us, values, lows, highs = [], [], [], []
     for u in u_grid:
         k = int(np.sum(sups > u))
-        lo, hi = clopper_pearson(k, n, confidence)
+        lo, hi = clopper_pearson(k, n)
         us.append(float(u))
         values.append(k / n)
         lows.append(lo)

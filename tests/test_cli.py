@@ -214,6 +214,68 @@ class TestBoundSup:
         assert (after / "bound_sup.json").read_bytes() == (before / "bound_sup.json").read_bytes()
 
 
+class TestFormatScope:
+    @pytest.mark.parametrize("command", ["covering", "simulate-verify"])
+    def test_format_rejected_where_unread(self, tmp_path, command):
+        # covering wrote covering.json for --format csv and exited 0
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, {"box": BOX}, "--format", "csv")
+        assert exc.value.code == 2
+
+
+class TestUnreadFieldKeys:
+    GENERIC = {
+        "field": "generic",
+        "fam": 2.0,
+        "eps0": 1.0,
+        "profile": {"scale": 1.0, "exponent": 1.0},
+        "box": BOX,
+        "u_grid": [80.0],
+    }
+
+    @pytest.mark.parametrize("field", ["v", "omega"])
+    def test_generic_keys_rejected_for_heat_fields(self, tmp_path, capsys, field):
+        # a v config with these keys wrote the same curve as one without them
+        payload = {
+            "field": field,
+            "model": MODEL,
+            "box": BOX,
+            "u_grid": [80.0, 100.0],
+            "eps0": 1000.0,
+            "fam": 1.5,
+            "profile": {"scale": 2.0, "exponent": 0.5},
+        }
+        code, out = run(tmp_path, "bound-sup", payload)
+        assert code == 1
+        assert "['eps0', 'fam', 'profile'] are not read" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_model_rejected_for_generic_field(self, tmp_path, capsys):
+        code, out = run(tmp_path, "bound-sup", {**self.GENERIC, "model": MODEL})
+        assert code == 1
+        assert "['model'] are not read for field 'generic'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
+class TestWrongValueType:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("bound-growth", {"model": MODEL, "p": None, "u_grid": [900.0]}),
+            ("bound-growth", {"model": MODEL, "u_grid": 900}),
+            ("covering", {"box": BOX, "eps": None}),
+            ("constants", {"model": {"hurst": "x"}}),
+        ],
+        ids=["p-null", "u_grid-number", "eps-null", "hurst-string"],
+    )
+    def test_one_line_error(self, tmp_path, capsys, command, payload):
+        code, _ = run(tmp_path, command, payload)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"suptail {command}: error: ")
+        assert err.count("\n") == 1
+
+
 class TestDeadKeys:
     @pytest.mark.parametrize(
         "command, payload, key",

@@ -136,9 +136,33 @@ class TestThetaSup:
 
     def test_increasing_cells_attain_later(self):
         spec = linear_spec(cell_sup=lambda k: 2.0 * 2.0 ** k)  # eps grows
-        # ratio 3 / (2 * 2^k) decreases without bound over the probe window
-        probed = theta_sup(spec, k_probe=64)
-        assert probed == pytest.approx(3.0 / (2.0 * 2.0 ** 63), rel=1e-9)
+        # ratio 3 / (2 * 2^k) decreases without bound: the probed minimum,
+        # its value at the last probed cell, would overstate the infimum 0
+        with pytest.raises(ValueError, match="still falls over the 512 probed cells"):
+            theta_sup(spec)
+
+    @pytest.mark.parametrize(
+        "cell_sup",
+        [lambda k: 2.0 * 1.01 ** k, lambda k: (k + 1.0) ** 0.3],
+        ids=["ratio-falls-as-1.01^-k", "ratio-falls-as-k^-0.3"],
+    )
+    def test_slowly_falling_ratio_raises(self, cell_sup):
+        with pytest.raises(ValueError, match="still falls"):
+            theta_sup(linear_spec(cell_sup=cell_sup))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # b_k = min(k, 3) has l_3 = 0: the cap was the minimum over cells 0-2
+            ({"partition": lambda k: float(min(k, 3))}, "strictly increasing; l_3 = 0.0"),
+            # eps_5 = 0 gives the ratio inf; eps_6 < 0 is no norm
+            ({"cell_sup": lambda k: 0.5 - 0.1 * k}, "nonnegative, got -0.1.* at k = 6"),
+        ],
+        ids=["empty-cell", "negative-norm"],
+    )
+    def test_invalid_cells_raise(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            theta_sup(linear_spec(**overrides))
 
 
 class TestGrowthTailBound:
@@ -232,9 +256,13 @@ class TestAutoThetaForm:
 
 class TestPowerVariant:
     def test_scale_to_zero_shrinks_bound(self):
-        # envelope cells eps_k = scale * b_{k+1}^0.3 on b_k = k
+        # envelope cells eps_k = scale * b_{k+1}^0.3 on b_k = k, with Holder
+        # scales c_k = b_{k+1}^0.3, so gamma_k / eps_k = 3 / scale for every k
         def power_cells(scale):
-            return linear_spec(cell_sup=lambda k: scale * (k + 1.0) ** 0.3)
+            return linear_spec(
+                cell_sup=lambda k: scale * (k + 1.0) ** 0.3,
+                cell_holder=lambda k: (k + 1.0) ** 0.3,
+            )
 
         spec_small, spec_large = power_cells(1e-4), power_cells(0.3)
         # u valid for both; the larger-scale series dominate so its threshold rules

@@ -436,11 +436,9 @@ class TestGrowthEnvelope:
             model = SheModel(hurst=hurst)
             spec = growth_spec_for_v(model, p=p, halfwidth=0.7)
             c_summand, s_summand = _envelope_summands(model, p, 0.7)
-            term_c = _series_c_term(spec)
-            term_s = _series_s_term(spec)
-            for k in (0, 1, 2, 7, 50, 300):
-                assert term_c(k) == pytest.approx(c_summand(k), rel=1e-12)
-                assert term_s(k) == pytest.approx(s_summand(k), rel=1e-12)
+            ks = np.array([0, 1, 2, 7, 50, 300])
+            assert _series_c_term(spec)(ks) == pytest.approx(c_summand(ks), rel=1e-12)
+            assert _series_s_term(spec)(ks) == pytest.approx(s_summand(ks), rel=1e-12)
 
     def test_generic_sum_fails_where_partition_overflows(self):
         # b_k = e^k overflows at k = 710 while eps_k / f_k ~ A e^(H/2) k^-2 is
