@@ -3,13 +3,14 @@
 Generic layer: power Orlicz families, anisotropic box metrics, entropy
 integrals, and bounded-domain / growth-rate supremum tail bounds, which share
 one entropy constant and one closed-form theta optimum.  Application layer:
-the stochastic heat equation with fractional spatial noise, plus
-exact-covariance Monte Carlo to verify the bounds empirically.
+the stochastic heat equation with fractional spatial noise, the closed-form
+zeta/polylog series of its growth envelope, plus exact-covariance Monte Carlo
+to verify the bounds empirically.
 """
 
 from .curves import TailCurve
 from .entropy import HolderProfile, QuadratureError, c1_axis_terms, c1_constant, entropy_integral_closed, entropy_integral_numeric
-from .growth import GrowthSpec, SeriesError, SeriesSum, auto_theta_bound, cell_constant, cell_inputs, growth_tail_bound, optimize_theta_growth, series_c_sum, series_s_sum, theta_sup
+from .growth import SeriesError, SeriesSum, auto_theta_bound, growth_tail_bound, optimize_theta_growth, series_c_sum, series_s_sum, theta_sup
 from .heat import EnvelopeResult, SheModel, SpectralMeasure, she_growth_envelope, spectral_moment
 from .metric import AnisotropicBox, covering_oracle, covering_upper_bound
 from .orlicz import GAUSSIAN, PhiFamily, phi_conjugate, phi_inverse, phi_value, psi_kernel, rv_tail_bound

@@ -104,6 +104,17 @@ def _box_from(cfg: dict) -> AnisotropicBox:
     return AnisotropicBox(**cfg["box"])
 
 
+def _field_box(cfg: dict, kind: str) -> AnisotropicBox:
+    """The box of a heat field, whose metric exponents come from the model."""
+    replaced = sorted(set(cfg["box"]) & {"h1", "h2"})
+    if replaced:
+        raise ConfigError(
+            f"box keys {replaced} are not read for field {kind!r}; "
+            "its metric exponents come from the model"
+        )
+    return _box_from(cfg)
+
+
 def _positive_int(value, name: str) -> int:
     """value itself if it is an integer >= 1; fractions are not truncated."""
     if type(value) is not int or value < 1:  # bool is an int subclass
@@ -217,13 +228,11 @@ def _bound_inputs(cfg: dict) -> supbound.FieldBoundInputs:
             prof=HolderProfile.power(float(prof_cfg["scale"]), float(prof_cfg["exponent"])),
             fam=PhiFamily(float(cfg["fam"])),
         )
+    if kind not in ("v", "omega"):
+        raise ConfigError(f"unknown field kind {kind!r}")
     model = _model_from(cfg)
-    box = _box_from(cfg)
-    if kind == "v":
-        return heat.v_bound_inputs(box, model)
-    if kind == "omega":
-        return heat.omega_bound_inputs(box, model)
-    raise ConfigError(f"unknown field kind {kind!r}")
+    box = _field_box(cfg, kind)
+    return (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(box, model)
 
 
 def _bound_curve(us: list[float], theta_cfg, inputs) -> list[tuple]:
@@ -269,36 +278,32 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
     if "u_grid" not in cfg:
         raise ConfigError("bound-growth requires an explicit u_grid")
     us = [float(u) for u in cfg["u_grid"]]
-    result = heat.she_growth_envelope(
-        model, p, us, halfwidth=halfwidth, series_tol=series_tol
-    )
+    result = heat.she_growth_envelope(model, p, us, halfwidth=halfwidth, series_tol=series_tol)
+    c_tilde, s_tilde = result.c_tilde, result.s_tilde
     rows = []
     for u, env in zip(result.curve.u, result.curve.value):
         try:
             theta, opt = growth.optimize_theta_growth(
-                u, result.spec, result.c_tilde.value, result.s_tilde.value, result.theta_cap
+                u, c_tilde.value, s_tilde.value, result.gamma_beta, result.fam, result.theta_cap
             )
         except ValueError:
             theta, opt = math.nan, math.nan
         rows.append((u, env, opt, theta, "VALID" if not math.isnan(env) else "INVALID"))
     meta = _meta(cfg, seed)
+    header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
     payload = {
         "series": {
-            "c_tilde": result.c_tilde.value,
-            "c_tilde_remainder": result.c_tilde.remainder,
-            "c_tilde_terms": result.c_tilde.n_terms,
-            "s_tilde": result.s_tilde.value,
-            "s_tilde_remainder": result.s_tilde.remainder,
-            "s_tilde_terms": result.s_tilde.n_terms,
+            "c_tilde": c_tilde.value,
+            "c_tilde_remainder": c_tilde.remainder,
+            "c_tilde_terms": c_tilde.n_terms,
+            "s_tilde": s_tilde.value,
+            "s_tilde_remainder": s_tilde.remainder,
+            "s_tilde_terms": s_tilde.n_terms,
             "theta_cap": result.theta_cap,
         },
-        "curve": [
-            dict(zip(["u", "envelope_bound", "optimized_bound", "theta_star", "validity"], r))
-            for r in rows
-        ],
+        "curve": [dict(zip(header, r)) for r in rows],
         **meta,
     }
-    header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
     if fmt == "csv":
         write_csv(out / "bound_growth.csv", header, rows, meta)
         write_json(out / "bound_growth_series.json", {"series": payload["series"], **meta})
@@ -331,17 +336,17 @@ def cmd_covering(cfg: dict, out: Path, seed) -> int:
 def cmd_simulate_verify(cfg: dict, out: Path, seed) -> int:
     if seed is None:
         raise ConfigError("simulate-verify requires an explicit --seed")
+    kind = cfg.get("field", "v")
+    if kind != "v":
+        raise ConfigError(f"simulate-verify samples only the 'v' field, got {kind!r}")
     model = _model_from(cfg)
-    box = _box_from(cfg)
+    box = _field_box(cfg, kind)
     grid_cfg = cfg.get("grid", {})
     nt = _positive_int(grid_cfg.get("nt", 24), "grid 'nt'")
     nx = _positive_int(grid_cfg.get("nx", 24), "grid 'nx'")
     n_samples = _positive_int(cfg.get("samples"), "'samples'")
     workers = _positive_int(cfg.get("workers", 1), "'workers'")
 
-    kind = cfg.get("field", "v")
-    if kind != "v":
-        raise ConfigError(f"simulate-verify samples only the 'v' field, got {kind!r}")
     inputs = heat.v_bound_inputs(box, model)
     us = _u_grid(cfg, inputs)
 

@@ -6,9 +6,9 @@ condition omega(t,x) and the stochastic convolution V(t,x).  This module
 computes every constant of their second-moment bounds in closed form (with
 quadrature only where no closed form exists), maps both fields onto the
 generic bounded-domain supremum bounds, and builds the almost-sure growth
-envelope of V over the strip [0, inf) x [-A, A] from the zeta and polylog
-closed forms of its series.  Gamma and Beta values come from the math module
-and zeta(p) from a short Euler-Maclaurin sum, so nothing here loads SciPy
+envelope of V over the strip [0, inf) x [-A, A] from its first cell, a box
+of ``v_bound_inputs``, and the closed-form series of ``suptail.growth``.
+Gamma and Beta values come from the math module, so nothing here loads SciPy
 except the numeric spectral quadrature, at its first call.
 
 Conventions fixed here:
@@ -36,7 +36,7 @@ import numpy as np
 
 from .curves import TailCurve
 from .entropy import HolderProfile, QuadratureError, c1_axis_terms
-from .growth import GrowthSpec, SeriesError, SeriesSum, auto_theta_bound, cell_inputs
+from .growth import SeriesError, SeriesSum, auto_theta_bound, series_c_sum, series_s_sum, theta_sup
 from .metric import AnisotropicBox
 from .orlicz import PhiFamily
 from . import supbound
@@ -144,7 +144,8 @@ class SheModel:
     alpha: Orlicz exponent of that family.
 
     a_h, c_v and c_omega are ``sup_norm_coefficient``, ``increment_constant``
-    and ``omega_holder_constant``; those also validate hurst, rho, holder_const.
+    and ``omega_holder_constant``; those also validate hurst, rho, holder_const,
+    and ``PhiFamily`` validates alpha, whether or not a bound reads it.
     """
 
     hurst: float
@@ -161,6 +162,7 @@ class SheModel:
         object.__setattr__(self, "a_h", sup_norm_coefficient(self.hurst))
         object.__setattr__(self, "c_v", increment_constant(self.hurst))
         object.__setattr__(self, "c_omega", omega_holder_constant(self.holder_const, self.rho))
+        PhiFamily(self.alpha)
         for name in ("init_sup", "det_const"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -324,117 +326,14 @@ def omega_spectral_increment_bound(
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """Envelope tail curve plus the series values and spec behind it."""
+    """Envelope tail curve plus the series values and the other growth-bound inputs."""
 
     curve: TailCurve
     c_tilde: SeriesSum
     s_tilde: SeriesSum
     theta_cap: float
-    spec: GrowthSpec
-
-
-def growth_spec_for_v(model: SheModel, p: float, halfwidth: float) -> GrowthSpec:
-    """Growth spec for |V(t,x)| <= (t^(H/2) (log t)^p v 1) * xi over the strip.
-
-    Partition b_k = e^k, weight f(t) = (t^(H/2) (log t)^p) v 1, per-cell norm
-    sup A(H) b_{k+1}^(H/2), Holder scale c_V, metric exponents (H/2, H),
-    Gaussian family.  ``she_growth_envelope`` sums its series in closed form.
-    """
-    if not p > 1.0:  # also rejects nan
-        raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")
-    if halfwidth <= 0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-    hurst = model.hurst
-    a_h = model.a_h
-    c_v = model.c_v
-
-    def weight(t: float) -> float:
-        return max(t ** (hurst / 2.0) * math.log(t) ** p, 1.0) if t > 0 else 1.0
-
-    def cell_sup(k: int) -> float:
-        return a_h * math.exp((k + 1) * hurst / 2.0)
-
-    return GrowthSpec(
-        partition=math.exp,
-        weight=weight,
-        halfwidth=halfwidth,
-        cell_sup=cell_sup,
-        cell_holder=lambda k: c_v,
-        gamma=1.0,
-        h1=hurst / 2.0,
-        h2=hurst,
-        fam=PhiFamily(2.0),
-    )
-
-
-_EPS = float(np.finfo(float).eps)
-_POLYLOG_MAX_TERMS = 2 ** 24
-# Relative rounding bound on the products and sums that combine zeta(p) and
-# Li_p with the model constants; the series' own errors are their remainders.
-_CLOSED_FORM_RTOL = 16.0 * _EPS
-
-# Euler-Maclaurin summation of zeta(p) from k = _ZETA_N, with the Bernoulli
-# numbers B_2 .. B_22 as (numerator, denominator); B_22 gives the first
-# omitted term, which bounds the truncation error.
-_ZETA_N = 12
-_BERNOULLI = (
-    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
-)
-_BERNOULLI_OVER_FACTORIAL = tuple(
-    num / (den * math.factorial(2 * j)) for j, (num, den) in enumerate(_BERNOULLI, start=1)
-)
-
-
-def _zeta(p: float) -> SeriesSum:
-    """Riemann zeta(p) for real p > 1 by Euler-Maclaurin summation:
-
-        zeta(p) = sum_{k<N} k^-p + N^(1-p)/(p-1) + N^-p/2
-                  + sum_{j=1}^{10} B_2j/(2j)! (p)_(2j-1) N^(-p-2j+1) + R
-
-    with N = 12 and (p)_m the rising factorial.  All derivatives of k^-p
-    have constant sign, so R lies between 0 and the first omitted (j = 11)
-    term.  The remainder adds to |R| a rounding bound of eps times the value
-    per term, as _polylog does for its sum.
-    """
-    n = _ZETA_N
-    terms = [k ** -p for k in range(1, n)]
-    terms += [n ** (1.0 - p) / (p - 1.0), 0.5 * n ** -p]
-    scale = p * n ** (-p - 1.0)  # (p)_(2j-1) N^(-p-2j+1), kept as one factor
-    for j, ratio in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
-        terms.append(ratio * scale)
-        scale = scale * (p + 2 * j - 1) / n * (p + 2 * j) / n
-    omitted = abs(terms.pop())
-    value = math.fsum(terms)
-    return SeriesSum(value, omitted + len(terms) * _EPS * value, len(terms))
-
-
-def _polylog(p: float, ln_x: float) -> SeriesSum:
-    """Li_p(x) = sum_{k>=1} x^k / k^p for 0 < x < 1, given ln x < 0.
-
-    Terms exp(a_k), a_k = k ln x - p ln k, are summed in doubling chunks until
-    the geometric tail bound x^(n+1) / ((n+1)^p (1-x)) falls below the
-    rounding of the sum, or for at most 2^24 terms.  The remainder adds to that
-    tail a rounding bound: a_k is off by at most 3 ulps of |a_k|, largest at
-    the last term that did not underflow to 0, and summing n terms loses at
-    most n ulps of the sum, which also covers the underflowed terms (each
-    below 5e-324, against a sum of at least x).
-    """
-    total, n, chunk, a_max = 0.0, 0, 1024, 0.0
-    while True:
-        ks = np.arange(n + 1, n + chunk + 1, dtype=float)
-        args = ks * ln_x - p * np.log(ks)
-        terms = np.exp(args)
-        total += float(np.sum(terms))
-        n += chunk
-        live = np.count_nonzero(terms)  # the terms decrease, so the nonzero ones lead
-        if live:
-            a_max = -float(args[live - 1])
-        rounding = (n + 3.0 * a_max + 2.0) * _EPS * total
-        tail = math.exp((n + 1) * ln_x - p * math.log(n + 1)) / -math.expm1(ln_x)
-        if tail <= rounding or n >= _POLYLOG_MAX_TERMS:
-            return SeriesSum(total, tail + rounding, n)
-        chunk = min(2 * chunk, 2 ** 20, _POLYLOG_MAX_TERMS - n)
+    gamma_beta: float
+    fam: PhiFamily
 
 
 def she_growth_envelope(
@@ -446,42 +345,41 @@ def she_growth_envelope(
 ) -> EnvelopeResult:
     """Almost-sure growth envelope of V: tail curve of xi in |V| <= f(t) xi.
 
-    On b_k = e^k the factors e^(kH/2) of eps_k and f_k = e^(kH/2) k^p (f_0 = 1)
-    cancel, so with T + X = sqrt(eps_0) c1(0) split by axis and x = e^(-H/4)
+    f(t) = (t^(H/2) (log t)^p) v 1 over the cells [e^k, e^(k+1)] x [-A, A],
+    A = halfwidth.  Cell 0 is the box [1, e] x [-A, A] of ``v_bound_inputs``,
+    with eps_0 = A(H) e^(H/2); T + X = sqrt(eps_0) c1(0) split by axis give
 
-        C~ = A(H) e^(H/2) (1 + zeta(p)),   S~ = T (1 + zeta(p)) + X (1 + Li_p(x)).
+        C~ = eps_0 (1 + zeta(p)),   S~ = T (1 + zeta(p)) + X (1 + Li_p(e^(-H/4)))
 
-    Remainders bound tail and rounding, n_terms counts the Li_p terms summed,
-    and SeriesError is raised when a remainder exceeds series_tol.  theta_cap
-    = min(1, inf_k gamma_k / eps_k) is exactly 1.  Envelope tail entries below
-    the validity threshold are nan.
+    (``growth.series_c_sum``, ``growth.series_s_sum``).  SeriesError is raised
+    when a remainder exceeds series_tol.  theta_cap = min(1, ``growth.theta_sup``)
+    is exactly 1.  Envelope tail entries below the validity threshold are nan.
     """
-    spec = growth_spec_for_v(model, p, halfwidth)
-    zeta_p = _zeta(p)
-    c_front = spec.cell_sup(0)  # eps_0 = A(H) e^(H/2)
-    c_value = c_front * (1.0 + zeta_p.value)
-    c_sum = SeriesSum(c_value, _CLOSED_FORM_RTOL * c_value + c_front * zeta_p.remainder, 0)
+    if not p > 1.0:  # also rejects nan
+        raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")
+    if halfwidth <= 0:
+        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    cell0 = v_bound_inputs(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth), model)
+    # not cell0.eps0: its math.e ** (H/2) can differ from exp(H/2) in the last bit
+    eps0 = model.a_h * math.exp(model.hurst / 2.0)
+    c_sum = series_c_sum(eps0, p)
     time_axis, space_axis = (
-        math.sqrt(c_front) * term for term in c1_axis_terms(*cell_inputs(0, spec), spec.fam)
+        math.sqrt(eps0) * term for term in c1_axis_terms(cell0.box, cell0.prof, cell0.fam)
     )
-    li = _polylog(p, -model.hurst / 4.0)
-    s_value = time_axis * (1.0 + zeta_p.value) + space_axis * (1.0 + li.value)
-    s_error = time_axis * zeta_p.remainder + space_axis * li.remainder
-    s_sum = SeriesSum(s_value, _CLOSED_FORM_RTOL * s_value + s_error, li.n_terms)
+    s_sum = series_s_sum(time_axis, space_axis, p, model.hurst)
     for name, res in (("C~", c_sum), ("S~", s_sum)):
         if res.remainder > series_tol:
             raise SeriesError(
                 f"{name} remainder {res.remainder:.3g} exceeds series_tol = {series_tol}"
             )
-    # gamma_k / eps_k = (c_V / A) (((e-1)/e)^(H/2) + (2A)^H e^(-(k+1)H/2))
-    # decreases to its k -> inf limit (c_V / A) ((e-1)/e)^(H/2), which is
-    # >= sqrt(3) ((e-1)/e)^(1/4) > 1 since c_V^2 >= 3 A^2, so the cap is 1.
-    theta_cap = 1.0
+    # c_V^2 >= 3 A(H)^2, so theta_sup >= sqrt(3) ((e-1)/e)^(1/4) > 1
+    theta_cap = min(1.0, theta_sup(model.c_v, model.a_h, model.hurst))
+    gb = cell0.prof.exponent * cell0.fam.beta
     us = tuple(float(u) for u in u_grid)
     values = []
     for u in us:
         try:
-            values.append(auto_theta_bound(u, spec, c_value, s_value, theta_cap))
+            values.append(auto_theta_bound(u, c_sum.value, s_sum.value, gb, cell0.fam, theta_cap))
         except ValueError:
             values.append(math.nan)
-    return EnvelopeResult(TailCurve(us, tuple(values)), c_sum, s_sum, theta_cap, spec)
+    return EnvelopeResult(TailCurve(us, tuple(values)), c_sum, s_sum, theta_cap, gb, cell0.fam)

@@ -18,7 +18,7 @@ from suptail import supbound
 from suptail.cli import main
 from suptail.curves import TailCurve
 from suptail.entropy import HolderProfile, c1_constant, entropy_integral_closed, entropy_integral_numeric
-from suptail.growth import growth_tail_bound, series_c_sum, series_s_sum, theta_sup
+from suptail.growth import auto_theta_bound, growth_tail_bound
 from suptail.heat import (
     SheModel,
     SpectralMeasure,
@@ -39,6 +39,7 @@ from suptail.sim import (
     v_covariance,
     verify_bound,
 )
+from test_growth import linear_series
 from test_metric import random_feasible_config
 
 
@@ -205,30 +206,16 @@ def test_criterion_06_theta_optimization():
     # auto-theta form equals the growth bound at the substituted theta
     worst_rel = 0.0
     for q, r in [(0.4, 0.5), (0.5, 0.4), (0.6, 0.7), (0.35, 0.6), (0.55, 0.45)]:
-        spec_kwargs = dict(
-            partition=lambda k: float(k),
-            weight=lambda t, _r=r: math.exp(_r * t),
-            halfwidth=1.0,
-            cell_sup=lambda k, _q=q: 0.5 * _q ** k,
-            cell_holder=lambda k: 1.0,
-            gamma=1.0,
-            h1=0.5,
-            h2=1.0,
-            fam=PhiFamily(2.0),
-        )
-        from suptail.growth import GrowthSpec, auto_theta_bound
-
-        spec = GrowthSpec(**spec_kwargs)
-        C, S = series_c_sum(spec).value, series_s_sum(spec).value
-        cap = min(1.0, theta_sup(spec))
-        gb = spec.gamma_beta
+        # cells [k, k+1] x [-1, 1], eps_k = 0.5 q^k, f_k = e^(r k): closed-form
+        # geometric C and S
+        C, S, gb, fam, cap = linear_series(q=q, r=r)
         for factor in (1.3, 1.8, 2.5, 4.0):
             u = factor * (1.0 + 2.0 * S) ** ((gb + 1.0) / gb)
             theta_sub = u ** (-gb / (gb + 1.0))
             if theta_sub >= cap:
                 continue
-            a = auto_theta_bound(u, spec, C, S, cap)
-            b = growth_tail_bound(u, theta_sub, spec, C, S, cap)
+            a = auto_theta_bound(u, C, S, gb, fam, cap)
+            b = growth_tail_bound(u, theta_sub, C, S, gb, fam, cap)
             if b > 0:
                 worst_rel = max(worst_rel, abs(a - b) / b)
     ok = worst_rel <= 1e-12

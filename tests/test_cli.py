@@ -250,6 +250,30 @@ class TestUnreadFieldKeys:
         assert "['eps0', 'fam', 'profile'] are not read" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, field, extra",
+        [
+            ("bound-sup", "v", ["--format", "json"]),
+            ("bound-sup", "omega", ["--format", "json"]),
+            ("simulate-verify", "v", ["--seed", "7"]),
+        ],
+    )
+    def test_box_exponents_rejected_for_heat_fields(self, tmp_path, capsys, command, field, extra):
+        # the model's exponents replaced these, and the curve came out as without them
+        payload = {
+            "field": field,
+            "model": MODEL,
+            "box": {**BOX, "h1": 0.9, "h2": 0.2},
+            "u_grid": [80.0, 100.0],
+            "samples": 100,
+        }
+        if command == "bound-sup":
+            del payload["samples"]
+        code, out = run(tmp_path, command, payload, *extra)
+        assert code == 1
+        assert f"box keys ['h1', 'h2'] are not read for field '{field}'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_model_rejected_for_generic_field(self, tmp_path, capsys):
         code, out = run(tmp_path, "bound-sup", {**self.GENERIC, "model": MODEL})
         assert code == 1
@@ -265,8 +289,11 @@ class TestWrongValueType:
             ("bound-growth", {"model": MODEL, "u_grid": 900}),
             ("covering", {"box": BOX, "eps": None}),
             ("constants", {"model": {"hurst": "x"}}),
+            # alpha is checked when the model is built, read or not
+            ("constants", {"model": {**MODEL, "alpha": 7.0}}),
+            ("bound-growth", {"model": {**MODEL, "alpha": 7.0}, "u_grid": [900.0]}),
         ],
-        ids=["p-null", "u_grid-number", "eps-null", "hurst-string"],
+        ids=["p-null", "u_grid-number", "eps-null", "hurst-string", "alpha-constants", "alpha-growth"],
     )
     def test_one_line_error(self, tmp_path, capsys, command, payload):
         code, _ = run(tmp_path, command, payload)

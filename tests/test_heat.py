@@ -7,22 +7,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta, gamma, zeta
 
+from series_oracle import sum_series
 from suptail import supbound
-from suptail.growth import (
-    SeriesError,
-    _remainder_bracket,
-    _series_c_term,
-    _series_s_term,
-    cell_constant,
-    sum_series,
-    theta_sup,
-)
+from suptail.entropy import HolderProfile, c1_constant
+from suptail.growth import SeriesError, _polylog, _zeta, auto_theta_bound, theta_sup
 from suptail.heat import (
     SheModel,
     SpectralMeasure,
-    _polylog,
-    _zeta,
-    growth_spec_for_v,
     increment_constant,
     kernel_moment_constant,
     noise_constant,
@@ -43,7 +34,7 @@ from suptail.orlicz import PhiFamily
 
 
 def _axis_terms(model, halfwidth):
-    """Time- and space-axis parts of sqrt(eps_0) c1(0) for the V envelope spec
+    """Time- and space-axis parts of sqrt(eps_0) c1(0) for the V envelope
     (beta = 2, gamma = 1, cell 0 = [1, e] x [-A, A])."""
     h = model.hurst
     front = math.sqrt(model.a_h * math.exp(h / 2)) * math.sqrt(2 * model.c_v) / 0.5
@@ -70,6 +61,23 @@ def _envelope_summands(model, p, halfwidth):
         return (time_axis + space_axis * np.exp(-k * h / 4)) * k_pow(k)
 
     return c_summand, s_summand
+
+
+def _cell(model, k, halfwidth):
+    """Box and modulus of the V envelope's cell [e^k, e^(k+1)] x [-A, A]."""
+    h = model.hurst
+    box = AnisotropicBox(math.exp(k), math.exp(k + 1), -halfwidth, halfwidth, h / 2, h)
+    return box, HolderProfile.power(model.c_v, 1.0)
+
+
+def _cell_summands(model, p, halfwidth, k):
+    """k-th summands eps_k / f_k and eps_k^(1/2) c1(k) / f_k of C~ and S~ from
+    their definitions: eps_k = A(H) e^((k+1)H/2), f_k = (e^(kH/2) k^p) v 1."""
+    h = model.hurst
+    eps_k = model.a_h * math.exp((k + 1) * h / 2)
+    f_k = max(math.exp(k * h / 2) * float(k) ** p, 1.0)
+    c1_k = c1_constant(*_cell(model, k, halfwidth), PhiFamily(2.0))
+    return eps_k / f_k, math.sqrt(eps_k) * c1_k / f_k
 
 
 def _polylog_quad(p, hurst):
@@ -430,24 +438,15 @@ class TestGrowthEnvelope:
         assert 0.0 <= res.curve.value[1] <= 1.0
 
     def test_plain_terms_match_closed_form_summands(self):
-        # the spec's generic terms (through cell_constant) against the k-th
-        # summand of the zeta / Li_p decomposition
+        # the summands from the per-cell definitions (through c1_constant)
+        # against the k-th summand of the zeta / Li_p decomposition
         for hurst, p in ((0.5, 2.0), (0.25, 2.5), (0.35, 1.5)):
             model = SheModel(hurst=hurst)
-            spec = growth_spec_for_v(model, p=p, halfwidth=0.7)
             c_summand, s_summand = _envelope_summands(model, p, 0.7)
-            ks = np.array([0, 1, 2, 7, 50, 300])
-            assert _series_c_term(spec)(ks) == pytest.approx(c_summand(ks), rel=1e-12)
-            assert _series_s_term(spec)(ks) == pytest.approx(s_summand(ks), rel=1e-12)
-
-    def test_generic_sum_fails_where_partition_overflows(self):
-        # b_k = e^k overflows at k = 710 while eps_k / f_k ~ A e^(H/2) k^-2 is
-        # still 1.6e-6; reading the terms from there on as 0 certified a sum
-        # short of the closed form by 1.1e-3 with remainder 0
-        spec = growth_spec_for_v(SheModel(hurst=0.5), p=2.0, halfwidth=1.0)
-        with pytest.raises(SeriesError, match="overflows at k = 710"):
-            sum_series(_series_c_term(spec), tol=1e-4)
-        assert _remainder_bracket(_series_c_term(spec), 512) is None
+            for k in (0, 1, 2, 7, 50, 300):
+                c_k, s_k = _cell_summands(model, p, 0.7, k)
+                assert c_k == pytest.approx(float(c_summand(k)), rel=1e-12)
+                assert s_k == pytest.approx(float(s_summand(k)), rel=1e-12)
 
     @pytest.mark.parametrize("hurst, p", [(0.5, 3.0), (0.25, 2.5), (0.35, 2.0)])
     def test_certified_sum_of_summands_matches_closed_form(self, hurst, p):
@@ -481,11 +480,13 @@ class TestGrowthEnvelope:
     def test_theta_cap_is_exact_infimum(self, hurst):
         model = SheModel(hurst=hurst)
         res = she_growth_envelope(model, p=2.0, u_grid=[1000.0], halfwidth=1.0)
-        assert res.theta_cap == min(1.0, theta_sup(res.spec))
-        # the uncapped k -> inf limit of gamma_k / eps_k against the 512-cell probe
-        limit = model.c_v / model.a_h * ((math.e - 1) / math.e) ** (hurst / 2)
-        assert theta_sup(res.spec) == pytest.approx(limit, rel=1e-12)
-        assert limit > 1.0  # c_V / A(H) >= sqrt(3), so the V cap is always 1
+        cap = theta_sup(model.c_v, model.a_h, hurst)
+        assert res.theta_cap == min(1.0, cap) == 1.0
+        # the k -> inf limit of gamma_k / eps_k, read off the cells' diameters
+        box, prof = _cell(model, 700, 1.0)
+        ratio = prof.sigma(box.diameter) / (model.a_h * math.exp(701 * hurst / 2))
+        assert cap == pytest.approx(ratio, rel=1e-12)
+        assert cap > 1.0  # c_V / A(H) >= sqrt(3), so the V cap is always 1
 
     def test_theta_cap_limit_exceeds_one_for_every_hurst(self):
         # she_growth_envelope returns theta_cap = 1 on the strength of this
@@ -495,33 +496,29 @@ class TestGrowthEnvelope:
             assert ratio * ((math.e - 1) / math.e) ** (hurst / 2) >= 1.0
 
     def test_curve_matches_auto_theta_form_on_series(self):
-        from suptail.growth import auto_theta_bound
-
         model = SheModel(hurst=0.5)
-        spec = growth_spec_for_v(model, p=2.0, halfwidth=1.0)
         res = she_growth_envelope(model, p=2.0, u_grid=[900.0, 1500.0], halfwidth=1.0)
+        assert (res.gamma_beta, res.fam) == (2.0, PhiFamily(2.0))
         for u, v in zip(res.curve.u, res.curve.value):
-            direct = auto_theta_bound(u, spec, res.c_tilde.value, res.s_tilde.value, 1.0)
+            direct = auto_theta_bound(u, res.c_tilde.value, res.s_tilde.value, 2.0, res.fam, 1.0)
             assert v == direct
 
     def test_power_cells_already_substituted(self):
-        # cell_sup of the envelope spec is the power form A(H) b_{k+1}^(H/2)
+        # the bounded-box norm of cell k is the power form A(H) e^((k+1)H/2)
+        # that the envelope's eps_k uses
         model = SheModel(hurst=0.5)
-        spec = growth_spec_for_v(model, p=2.0, halfwidth=1.0)
         for k in (0, 1, 5, 40):
-            power = model.a_h * spec.partition(k + 1) ** (model.hurst / 2.0)
-            assert spec.cell_sup(k) == pytest.approx(power, rel=1e-12)
+            eps_k = v_bound_inputs(_cell(model, k, 1.0)[0], model).eps0
+            assert eps_k == pytest.approx(model.a_h * math.exp((k + 1) * 0.25), rel=1e-12)
 
     def test_entropy_constants_match_former_closed_forms(self):
         # Oracles: the per-cell constant and the envelope's T, X as written
         # out before both went through entropy.c1_axis_terms.
-        def cell_constant_oracle(k, spec):
-            gb, beta = spec.gamma_beta, spec.fam.beta
-            l_k = spec.partition(k + 1) - spec.partition(k)
-            axis = (l_k / 2.0) ** (spec.h1 / beta) / spec.h1
-            axis += spec.halfwidth ** (spec.h2 / beta) / spec.h2
-            c_k = spec.cell_holder(k)
-            return axis * 2.0 ** (1.0 / beta) * c_k ** (1.0 / gb) / (1.0 - 1.0 / gb)
+        def cell_constant_oracle(model, k, halfwidth):
+            h1, h2, beta = model.hurst / 2.0, model.hurst, 2.0
+            l_k = math.exp(k + 1) - math.exp(k)
+            axis = (l_k / 2.0) ** (h1 / beta) / h1 + halfwidth ** (h2 / beta) / h2
+            return axis * 2.0 ** (1.0 / beta) * model.c_v ** (1.0 / beta) / (1.0 - 1.0 / beta)
 
         def axis_terms_oracle(model, halfwidth):
             h = model.hurst
@@ -536,9 +533,9 @@ class TestGrowthEnvelope:
             model = SheModel(hurst=float(hurst))
             li = _polylog(p, -model.hurst / 4.0).value
             for halfwidth in (0.3, 1.0, 4.0):
-                spec = growth_spec_for_v(model, p=p, halfwidth=halfwidth)
                 for k in (0, 1, 5, 40):
-                    rel = cell_constant(k, spec) / cell_constant_oracle(k, spec) - 1.0
+                    got = c1_constant(*_cell(model, k, halfwidth), PhiFamily(2.0))
+                    rel = got / cell_constant_oracle(model, k, halfwidth) - 1.0
                     worst_cell = max(worst_cell, abs(rel))
                 time_axis, space_axis = axis_terms_oracle(model, halfwidth)
                 s_oracle = time_axis * (1.0 + zeta_p) + space_axis * (1.0 + li)
