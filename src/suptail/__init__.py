@@ -1,19 +1,20 @@
 """Explicit supremum tail bounds for sub-Gaussian-type random fields.
 
-Generic layer: power Orlicz families, anisotropic box metrics, entropy
-integrals, and bounded-domain / growth-rate supremum tail bounds, which share
-one entropy constant and one closed-form theta optimum.  Application layer:
-the stochastic heat equation with fractional spatial noise, the closed-form
-zeta/polylog series of its growth envelope, plus exact-covariance Monte Carlo
-to verify the bounds empirically.
+Generic layer: power Orlicz families, anisotropic box metrics, the
+closed-form entropy-integral bound, and bounded-domain / growth-rate supremum
+tail bounds, which share one entropy constant and one closed-form theta
+optimum.  Application layer: the stochastic heat equation with fractional
+spatial noise, the closed-form zeta/polylog series of its growth envelope,
+plus exact-covariance Monte Carlo to verify the bounds empirically.  Importing
+the package loads no SciPy; the sampler loads ``scipy.special`` at first use.
 """
 
 from .curves import TailCurve
-from .entropy import HolderProfile, QuadratureError, c1_axis_terms, c1_constant, entropy_integral_closed, entropy_integral_numeric
-from .growth import SeriesError, SeriesSum, auto_theta_bound, growth_tail_bound, optimize_theta_growth, series_c_sum, series_s_sum, theta_sup
-from .heat import EnvelopeResult, SheModel, SpectralMeasure, she_growth_envelope, spectral_moment
+from .entropy import HolderProfile, c1_axis_terms, c1_constant, entropy_integral_closed
+from .growth import SeriesError, SeriesSum, auto_theta_bound, optimize_theta_growth, series_c_sum, series_s_sum, theta_sup
+from .heat import EnvelopeResult, SheModel, she_growth_envelope
 from .metric import AnisotropicBox, covering_oracle, covering_upper_bound
-from .orlicz import GAUSSIAN, PhiFamily, phi_conjugate, phi_inverse, phi_value, psi_kernel, rv_tail_bound
+from .orlicz import PhiFamily, phi_conjugate, rv_tail_bound
 from .sim import FactorizationError, GaussianFieldModel, VerifyReport, empirical_sup_tail, make_grid, sample_fields, v_covariance, verify_bound
 from .supbound import FieldBoundInputs, optimize_theta, sup_tail_bound, u_threshold
 

@@ -39,22 +39,20 @@ _GRID_KEYS = {"nt", "nx"}
 # bound-sup keys read only for "field": "generic", which reads no "model"
 _GENERIC_KEYS = {"fam", "eps0", "profile"}
 
+# command -> (allowed keys, required keys); bound-sup also needs "model" for
+# the heat fields and "fam", "eps0", "profile" for the generic one
 _SCHEMAS = {
-    "constants": {"model"},
-    "bound-sup": {"field", "model", "box", "u_grid", "u_auto", "theta", "fam", "eps0", "profile"},
-    "bound-growth": {"model", "p", "halfwidth", "u_grid", "series_tol"},
-    "covering": {"box", "eps", "resolution"},
-    "simulate-verify": {
-        "field",
-        "model",
-        "box",
-        "grid",
-        "samples",
-        "u_grid",
-        "u_auto",
-        "theta",
-        "workers",
-    },
+    "constants": ({"model"}, {"model"}),
+    "bound-sup": (
+        {"field", "model", "box", "u_grid", "u_auto", "theta", "fam", "eps0", "profile"},
+        {"box"},
+    ),
+    "bound-growth": ({"model", "p", "halfwidth", "u_grid", "series_tol"}, {"model", "u_grid"}),
+    "covering": ({"box", "eps", "resolution"}, {"box", "eps"}),
+    "simulate-verify": (
+        {"field", "model", "box", "grid", "samples", "u_grid", "u_auto", "theta", "workers"},
+        {"model", "box", "samples"},
+    ),
 }
 
 
@@ -72,7 +70,8 @@ def _require_keys(block: dict, allowed: set, where: str, required: set = frozens
 def load_config(path: str, command: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    _require_keys(cfg, _SCHEMAS[command], f"config for {command}")
+    allowed, required = _SCHEMAS[command]
+    _require_keys(cfg, allowed, f"config for {command}", required=required)
     if "model" in cfg:
         _require_keys(cfg["model"], _MODEL_KEYS, "model", required={"hurst"})
     if "box" in cfg:
@@ -199,7 +198,6 @@ def cmd_constants(cfg: dict, out: Path, seed, fmt: str) -> int:
                 "time_increment_coefficient is Gamma(1-H) (2 - 2^H) / (2H)",
                 "tail bounds use the subtracted entropy term in the exponent "
                 "argument and are clamped to [0, 1]",
-                "rational spectral moments use the beta-function value",
             ],
         },
         **meta,
@@ -225,11 +223,13 @@ def _bound_inputs(cfg: dict) -> supbound.FieldBoundInputs:
         return supbound.FieldBoundInputs(
             eps0=float(cfg["eps0"]),
             box=box,
-            prof=HolderProfile.power(float(prof_cfg["scale"]), float(prof_cfg["exponent"])),
+            prof=HolderProfile(float(prof_cfg["scale"]), float(prof_cfg["exponent"])),
             fam=PhiFamily(float(cfg["fam"])),
         )
     if kind not in ("v", "omega"):
         raise ConfigError(f"unknown field kind {kind!r}")
+    if "model" not in cfg:
+        raise ConfigError(f"field {kind!r} needs 'model'")
     model = _model_from(cfg)
     box = _field_box(cfg, kind)
     return (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(box, model)
@@ -275,8 +275,6 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
     p = float(cfg.get("p", 2.0))
     halfwidth = float(cfg.get("halfwidth", 1.0))
     series_tol = float(cfg.get("series_tol", 1e-6))
-    if "u_grid" not in cfg:
-        raise ConfigError("bound-growth requires an explicit u_grid")
     us = [float(u) for u in cfg["u_grid"]]
     result = heat.she_growth_envelope(model, p, us, halfwidth=halfwidth, series_tol=series_tol)
     c_tilde, s_tilde = result.c_tilde, result.s_tilde
@@ -344,7 +342,7 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed) -> int:
     grid_cfg = cfg.get("grid", {})
     nt = _positive_int(grid_cfg.get("nt", 24), "grid 'nt'")
     nx = _positive_int(grid_cfg.get("nx", 24), "grid 'nx'")
-    n_samples = _positive_int(cfg.get("samples"), "'samples'")
+    n_samples = _positive_int(cfg["samples"], "'samples'")
     workers = _positive_int(cfg.get("workers", 1), "'workers'")
 
     inputs = heat.v_bound_inputs(box, model)

@@ -12,10 +12,11 @@ The factors e^(kH/2) of eps_k and f_k = e^(kH/2) k^p (f_0 = 1) cancel, so
 both series are closed forms in zeta(p) and Li_p(e^(-H/4)):
 ``series_c_sum`` and ``series_s_sum`` return them with remainders that bound
 tail and rounding error, and ``theta_sup`` returns inf_k gamma_k / eps_k.
-The tail bound at fixed theta, its closed-form optimum over theta and the
-auto-theta form take C, S, gamma*beta, the family and the theta cap
-min(1, ``theta_sup``) from the caller, who computes each once; the first two
-share their formulas with ``supbound``.
+The closed-form optimum over theta and the auto-theta form take C, S,
+gamma*beta, the family and the theta cap min(1, ``theta_sup``) from the
+caller, who computes each once.  At a fixed theta the growth bound is
+``supbound._tail_at_theta`` with k = S and scale C, and its optimum is
+``supbound._optimal_theta`` with the same k and scale.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orlicz import PhiFamily, rv_tail_bound
-from .supbound import _optimal_theta, _tail_at_theta
+from .supbound import _optimal_theta
 
 
 class SeriesError(RuntimeError):
@@ -151,23 +152,6 @@ def theta_sup(c_v: float, a_h: float, hurst: float) -> float:
     return c_v / a_h * ((math.e - 1.0) / math.e) ** (hurst / 2.0)
 
 
-def growth_tail_bound(
-    u: float, theta: float, c_value: float, s_value: float, gamma_beta: float, fam: PhiFamily,
-    theta_cap: float,
-) -> float:
-    """Bound on P{sup |X(t1,t2)|/f(t1) > u}: the clamped tail ``rv_tail_bound``
-    of a variable of norm C at level
-
-        u*(1-theta) - 2*S*theta^(-1/(gamma*beta))
-
-    for theta in (0, theta_cap) and u > 2S/((1-theta) theta^(1/(gamma*beta))),
-    with C = c_value, S = s_value and theta_cap = min(1, ``theta_sup``).
-    """
-    if not (0.0 < theta < min(1.0, theta_cap)):
-        raise ValueError(f"theta must lie in (0, min(1, theta_cap = {theta_cap})), got {theta}")
-    return _tail_at_theta(u, theta, s_value, c_value, gamma_beta, fam)
-
-
 def auto_theta_bound(
     u: float, c_value: float, s_value: float, gamma_beta: float, fam: PhiFamily, theta_cap: float
 ) -> float:
@@ -177,7 +161,8 @@ def auto_theta_bound(
         u - u^(1/(gamma*beta+1)) (1+2S),
 
     asserted for u > (1+2S)^(gamma*beta/(gamma*beta+1)) and theta < theta_cap.
-    Equals ``growth_tail_bound`` at the substituted theta wherever both apply.
+    Equals the fixed-theta bound ``supbound._tail_at_theta(u, theta, S, C,
+    gamma*beta, fam)`` at the substituted theta wherever both apply.
     """
     gb = gamma_beta
     threshold = (1.0 + 2.0 * s_value) ** (gb / (gb + 1.0))

@@ -3,13 +3,12 @@
 The mild solution on (0,T] x R driven by noise that is white in time and
 fractional in space (Hurst index H <= 1/2) splits into the smoothed initial
 condition omega(t,x) and the stochastic convolution V(t,x).  This module
-computes every constant of their second-moment bounds in closed form (with
-quadrature only where no closed form exists), maps both fields onto the
-generic bounded-domain supremum bounds, and builds the almost-sure growth
-envelope of V over the strip [0, inf) x [-A, A] from its first cell, a box
-of ``v_bound_inputs``, and the closed-form series of ``suptail.growth``.
-Gamma and Beta values come from the math module, so nothing here loads SciPy
-except the numeric spectral quadrature, at its first call.
+computes every constant of their second-moment bounds in closed form, maps
+both fields onto the generic bounded-domain supremum bounds, and builds the
+almost-sure growth envelope of V over the strip [0, inf) x [-A, A] from its
+first cell, a box of ``v_bound_inputs``, and the closed-form series of
+``suptail.growth``.  Gamma values come from the math module, so nothing here
+loads SciPy.
 
 Conventions fixed here:
 
@@ -30,12 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
-
-import numpy as np
 
 from .curves import TailCurve
-from .entropy import HolderProfile, QuadratureError, c1_axis_terms
+from .entropy import HolderProfile, c1_axis_terms
 from .growth import SeriesError, SeriesSum, auto_theta_bound, series_c_sum, series_s_sum, theta_sup
 from .metric import AnisotropicBox
 from .orlicz import PhiFamily
@@ -194,7 +190,7 @@ def omega_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.FieldBo
     return supbound.FieldBoundInputs(
         eps0=model.init_sup * model.det_const,
         box=mapped,
-        prof=HolderProfile.power(model.c_omega * model.det_const, 1.0),
+        prof=HolderProfile(model.c_omega * model.det_const, 1.0),
         fam=model.fam,
     )
 
@@ -211,112 +207,9 @@ def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.FieldBoundI
     return supbound.FieldBoundInputs(
         eps0=model.a_h * box.b1 ** (model.hurst / 2.0),
         box=mapped,
-        prof=HolderProfile.power(model.c_v, 1.0),
+        prof=HolderProfile(model.c_v, 1.0),
         fam=PhiFamily(2.0),
     )
-
-
-# ---------------------------------------------------------------------------
-# Stationary initial condition via a spectral measure
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """Spectral measure of a stationary initial condition.
-
-    Either a density callable lambda -> F'(lambda) >= 0, or the rational
-    family f(lambda) = sigma2 / (1 + lambda^2)^(2 alpha_m), whose moments
-    have Beta-function closed forms.
-    """
-
-    density: Optional[Callable[[float], float]] = None
-    sigma2: Optional[float] = None
-    alpha_m: Optional[float] = None
-
-    @classmethod
-    def matern(cls, sigma2: float, alpha_m: float) -> "SpectralMeasure":
-        if sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {sigma2}")
-        if alpha_m <= 0.25:
-            raise ValueError(f"alpha_m must exceed 1/4 for a finite measure, got {alpha_m}")
-        return cls(sigma2=sigma2, alpha_m=alpha_m)
-
-    @classmethod
-    def from_density(cls, density: Callable[[float], float]) -> "SpectralMeasure":
-        return cls(density=density)
-
-    @property
-    def is_matern(self) -> bool:
-        return self.sigma2 is not None
-
-    def density_at(self, lam: float) -> float:
-        if self.is_matern:
-            return self.sigma2 / (1.0 + lam * lam) ** (2.0 * self.alpha_m)
-        return self.density(lam)
-
-
-def _beta(a: float, b: float) -> float:
-    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b > 0.
-
-    Gamma(a + b) overflows past 171.6, so larger arguments go through lgamma.
-    """
-    if a + b < 170.0:
-        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-# Absolute tolerance of the numeric spectral integrals.
-_SPECTRAL_TOL = 1e-10
-
-
-def _improper_even_integral(f) -> float:
-    """2 * int_0^inf f, split at 1, with an error check."""
-    from scipy.integrate import quad
-
-    tol = _SPECTRAL_TOL
-    core, e1 = quad(f, 0.0, 1.0, epsabs=tol / 2, epsrel=1e-12, limit=200)
-    tail, e2 = quad(f, 1.0, np.inf, epsabs=tol / 2, epsrel=1e-12, limit=200)
-    if e1 + e2 > 10.0 * tol:
-        raise QuadratureError(f"spectral quadrature error {e1 + e2} exceeds tolerance {tol}")
-    return 2.0 * (core + tail)
-
-
-def spectral_moment(measure: SpectralMeasure, eps_exp: float) -> float:
-    """c^2(eps) = int_R lambda^(2 eps) F(dlambda).
-
-    For the rational family: sigma2 * B(eps + 1/2, 2 alpha_m - eps - 1/2),
-    requiring 2 alpha_m - eps - 1/2 > 0.  Generic densities are integrated
-    numerically.
-    """
-    if not (0.0 < eps_exp <= 0.5):
-        raise ValueError(f"eps_exp must lie in (0, 1/2], got {eps_exp}")
-    if measure.is_matern:
-        second = 2.0 * measure.alpha_m - eps_exp - 0.5
-        if second <= 0.0:
-            raise ValueError(
-                f"moment constraint violated: 2*alpha_m - eps - 1/2 = {second} <= 0"
-            )
-        return measure.sigma2 * _beta(eps_exp + 0.5, second)
-    return _improper_even_integral(lambda lam: lam ** (2.0 * eps_exp) * measure.density_at(lam))
-
-
-def omega_spectral_sup_norm(measure: SpectralMeasure) -> float:
-    """Uniform L2 bound (int_R F(dlambda))^(1/2) on the stationary omega field."""
-    if measure.is_matern:
-        mass = measure.sigma2 * _beta(0.5, 2.0 * measure.alpha_m - 0.5)
-    else:
-        mass = _improper_even_integral(measure.density_at)
-    return math.sqrt(mass)
-
-
-def omega_spectral_increment_bound(
-    t: float, x: float, s: float, y: float, measure: SpectralMeasure, eps_exp: float
-) -> float:
-    """L2 increment bound c(eps) (4^(1-eps) |x-y|^(2 eps) + |t-s|^eps)^(1/2)."""
-    c_eps = math.sqrt(spectral_moment(measure, eps_exp))
-    inner = 4.0 ** (1.0 - eps_exp) * abs(x - y) ** (2.0 * eps_exp) + abs(t - s) ** eps_exp
-    return c_eps * math.sqrt(inner)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Power Orlicz family |x|^alpha/alpha: conjugate, inverse, entropy kernel, tail bound."""
+"""Power Orlicz family |x|^alpha/alpha: its conjugate and the tail bound it gives."""
 
 from __future__ import annotations
 
@@ -27,38 +27,9 @@ class PhiFamily:
         return self.alpha / (self.alpha - 1.0)
 
 
-#: Gaussian / sub-Gaussian specialization.
-GAUSSIAN = PhiFamily(2.0)
-
-
-def phi_value(x: float, fam: PhiFamily) -> float:
-    """phi(x) = |x|^alpha / alpha.  Even in x, zero only at x = 0."""
-    return abs(x) ** fam.alpha / fam.alpha
-
-
 def phi_conjugate(x: float, fam: PhiFamily) -> float:
     """Young-Fenchel conjugate phi*(x) = sup_y (xy - phi(y)) = |x|^beta / beta."""
     return abs(x) ** fam.beta / fam.beta
-
-
-def phi_inverse(y: float, fam: PhiFamily) -> float:
-    """Inverse of phi on [0, inf): (alpha*y)^(1/alpha)."""
-    if y < 0:
-        raise ValueError(f"phi_inverse requires y >= 0, got {y}")
-    return (fam.alpha * y) ** (1.0 / fam.alpha)
-
-
-def psi_kernel(v: float, fam: PhiFamily) -> float:
-    """Entropy-integral kernel v / phi_inverse(v) = v^(1/beta) * alpha^(-1/alpha).
-
-    Defined as 0 at v = 0 (the continuity limit), so entropy quadrature never
-    divides by zero.
-    """
-    if v < 0:
-        raise ValueError(f"psi_kernel requires v >= 0, got {v}")
-    if v == 0.0:
-        return 0.0
-    return v / phi_inverse(v, fam)
 
 
 def rv_tail_bound(u: float, tau: float, fam: PhiFamily) -> float:

@@ -44,7 +44,7 @@ class TestConstants:
         for key, val in expected.items():
             assert payload["constants"][key] == pytest.approx(val, rel=1e-12)
         assert "config_hash" in payload
-        assert any("beta" in note for note in payload["provenance"]["notes"])
+        assert any("Gamma(1-H) 2^(H-1) / H" in note for note in payload["provenance"]["notes"])
 
     def test_csv_format(self, tmp_path):
         code, out = run(tmp_path, "constants", {"model": MODEL}, "--format", "csv")
@@ -130,7 +130,7 @@ class TestBoundSup:
                 supbound.FieldBoundInputs(
                     eps0=10.0,
                     box=AnisotropicBox(0.0, 1.0, 0.0, 1.0),
-                    prof=HolderProfile.power(1.0, 1.0),
+                    prof=HolderProfile(1.0, 1.0),
                     fam=PhiFamily(2.0),
                 ),
             ),
@@ -292,8 +292,26 @@ class TestWrongValueType:
             # alpha is checked when the model is built, read or not
             ("constants", {"model": {**MODEL, "alpha": 7.0}}),
             ("bound-growth", {"model": {**MODEL, "alpha": 7.0}, "u_grid": [900.0]}),
+            # a missing required key names itself, with no traceback
+            ("bound-sup", {"field": "v", "model": MODEL, "u_grid": [80.0]}),
+            ("bound-sup", {"field": "v", "box": BOX, "u_grid": [80.0]}),
+            ("covering", {"box": BOX}),
+            ("constants", {}),
+            ("bound-growth", {"p": 2.0, "u_grid": [900.0]}),
         ],
-        ids=["p-null", "u_grid-number", "eps-null", "hurst-string", "alpha-constants", "alpha-growth"],
+        ids=[
+            "p-null",
+            "u_grid-number",
+            "eps-null",
+            "hurst-string",
+            "alpha-constants",
+            "alpha-growth",
+            "sup-no-box",
+            "sup-v-no-model",
+            "covering-no-eps",
+            "constants-empty",
+            "growth-no-model",
+        ],
     )
     def test_one_line_error(self, tmp_path, capsys, command, payload):
         code, _ = run(tmp_path, command, payload)
@@ -522,7 +540,7 @@ print(json.dumps(report))
 
 def test_analytic_commands_load_no_scipy(tmp_path):
     # scipy.special alone costs about two thirds of the CLI's import time;
-    # only simulate-verify and the numeric quadrature routes need SciPy
+    # only simulate-verify needs SciPy (scipy.special, at first use)
     generic = {
         "field": "generic",
         "fam": 2.0,

@@ -1,43 +1,37 @@
-"""Entropy integrals: closed form, numeric quadrature, domination."""
+"""Entropy integrals: closed form, its domination of the quadrature oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
+from quadrature_oracle import entropy_integral_numeric
 from suptail.entropy import (
     HolderProfile,
     c1_axis_terms,
     c1_constant,
     entropy_integral_closed,
-    entropy_integral_numeric,
 )
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily
 
 UNIT_SQUARE = AnisotropicBox(0, 1, 0, 1)
-LINEAR = HolderProfile.power(1.0, 1.0)
+LINEAR = HolderProfile(1.0, 1.0)
 GAUSS = PhiFamily(2.0)
 
 
 class TestHolderProfile:
-    def test_power_inverse(self):
-        prof = HolderProfile.power(2.0, 0.7)
-        for h in (1e-4, 0.3, 2.0, 50.0):
-            assert prof.sigma_inv(prof.sigma(h)) == pytest.approx(h, rel=1e-12)
-
     def test_power_validation(self):
         with pytest.raises(ValueError):
-            HolderProfile.power(0.0, 0.5)
+            HolderProfile(0.0, 0.5)
         with pytest.raises(ValueError):
-            HolderProfile.power(1.0, 1.5)
+            HolderProfile(1.0, 1.5)
 
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError, match="scale"):
             HolderProfile(-1.0, 0.5)
         with pytest.raises(ValueError, match="exponent"):
             HolderProfile(1.0, 0.0)
-        assert HolderProfile(2.0, 0.7) == HolderProfile.power(2.0, 0.7)
 
 
 class TestC1Constant:
@@ -50,13 +44,13 @@ class TestC1Constant:
         assert c1_constant(box, LINEAR, GAUSS) == pytest.approx(4 * math.sqrt(2), rel=1e-12)
 
     def test_gamma_beta_at_most_one_rejected(self):
-        prof = HolderProfile.power(1.0, 0.4)  # gamma*beta = 0.8
+        prof = HolderProfile(1.0, 0.4)  # gamma*beta = 0.8
         with pytest.raises(ValueError, match="diverges|invalid"):
             c1_constant(UNIT_SQUARE, prof, GAUSS)
 
     def test_axis_terms_sum_to_c1(self):
         box = AnisotropicBox(0, 3, -1, 1, 0.4, 0.8)
-        prof = HolderProfile.power(1.7, 0.9)
+        prof = HolderProfile(1.7, 0.9)
         fam = PhiFamily(1.6)
         time_axis, space_axis = c1_axis_terms(box, prof, fam)
         gb = 0.9 * fam.beta
@@ -90,7 +84,7 @@ class TestClosedIntegral:
 
 class TestNumericIntegral:
     def test_regression_value(self):
-        # frozen from this implementation's quadrature (unit square, linear
+        # frozen from the oracle's quadrature (unit square, linear
         # modulus, alpha = 2, eps = 0.25); must stay within (0, 2]
         val = entropy_integral_numeric(0.25, UNIT_SQUARE, LINEAR, GAUSS)
         assert val == pytest.approx(0.38981333334, abs=1e-6)
@@ -120,7 +114,7 @@ class TestNumericIntegral:
         for alpha in (1.25, 1.5, 2.0):
             fam = PhiFamily(alpha)
             for gamma in (0.6, 1.0):
-                prof = HolderProfile.power(1.0, gamma)
+                prof = HolderProfile(1.0, gamma)
                 if gamma * fam.beta <= 1.0:
                     continue
                 for h in (0.5, 1.0):

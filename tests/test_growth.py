@@ -10,7 +10,6 @@ from series_oracle import sum_series
 from suptail.entropy import HolderProfile, c1_constant
 from suptail.growth import (
     SeriesError,
-    growth_tail_bound,
     optimize_theta_growth,
     auto_theta_bound,
     series_s_sum,
@@ -19,7 +18,7 @@ from suptail.growth import (
 from suptail.heat import SheModel
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily
-from suptail.supbound import FieldBoundInputs, optimize_theta
+from suptail.supbound import FieldBoundInputs, _tail_at_theta, optimize_theta
 
 GAUSS = PhiFamily(2.0)
 
@@ -37,7 +36,7 @@ def linear_series(q=0.5, r=0.4, eps0=0.5, halfwidth=1.0, holder=1.0, gamma=1.0, 
     above 1 for the defaults.
     """
     box = AnisotropicBox(0.0, 1.0, -halfwidth, halfwidth, h1, 1.0)
-    prof = HolderProfile.power(holder, gamma)
+    prof = HolderProfile(holder, gamma)
     gb = gamma * fam.beta
     e = 1.0 - 1.0 / gb
     c_value = eps0 / (1.0 - q * math.exp(-r))
@@ -48,7 +47,7 @@ def linear_series(q=0.5, r=0.4, eps0=0.5, halfwidth=1.0, holder=1.0, gamma=1.0, 
 def _cell_constant(b0, b1, halfwidth, h1, h2, gamma=1.0):
     """c1 of the growth cell [b0, b1] x [-A, A] with the modulus h^gamma."""
     box = AnisotropicBox(b0, b1, -halfwidth, halfwidth, h1, h2)
-    return c1_constant(box, HolderProfile.power(1.0, gamma), GAUSS)
+    return c1_constant(box, HolderProfile(1.0, gamma), GAUSS)
 
 
 class TestCellConstant:
@@ -163,8 +162,11 @@ class TestThetaSup:
 
 
 class TestGrowthTailBound:
+    """The growth bound at fixed theta: the box bound's tail formula
+    ``_tail_at_theta`` with k = S and scale C (argument order u, theta, S, C)."""
+
     def test_frozen_value_unit_series(self):
-        val = growth_tail_bound(10.0, 0.5, 1.0, 1.0, 2.0, GAUSS, 1.0)
+        val = _tail_at_theta(10.0, 0.5, 1.0, 1.0, 2.0, GAUSS)
         expected = 2 * math.exp(-0.5 * (5.0 - 2.0 * math.sqrt(2.0)) ** 2)
         assert val == pytest.approx(expected, rel=1e-13)
 
@@ -172,25 +174,20 @@ class TestGrowthTailBound:
         # u threshold for C=S=1, theta=0.5, gb=2: 2/(0.5 * sqrt(0.5)) = 4 sqrt(2)
         thr = 2.0 / (0.5 * math.sqrt(0.5))
         with pytest.raises(ValueError, match="threshold"):
-            growth_tail_bound(thr, 0.5, 1.0, 1.0, 2.0, GAUSS, 1.0)
-        # the cap is 3/10 < 1 for eps_0 = 10, so theta = 0.5 is out of range
-        cap = linear_series(eps0=10.0)[4]
-        assert cap == pytest.approx(0.3, rel=1e-12)
-        with pytest.raises(ValueError, match="theta"):
-            growth_tail_bound(1e4, 0.5, 1.0, 1.0, 2.0, GAUSS, cap)
+            _tail_at_theta(thr, 0.5, 1.0, 1.0, 2.0, GAUSS)
 
     def test_decreasing_in_u_and_series(self):
         us = np.linspace(8, 30, 40)
-        vals = [growth_tail_bound(u, 0.5, 1.0, 1.0, 2.0, GAUSS, 1.0) for u in us]
+        vals = [_tail_at_theta(u, 0.5, 1.0, 1.0, 2.0, GAUSS) for u in us]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
-        lo_s = growth_tail_bound(10.0, 0.5, 1.0, 0.5, 2.0, GAUSS, 1.0)
-        hi_s = growth_tail_bound(10.0, 0.5, 1.0, 1.0, 2.0, GAUSS, 1.0)
+        lo_s = _tail_at_theta(10.0, 0.5, 0.5, 1.0, 2.0, GAUSS)
+        hi_s = _tail_at_theta(10.0, 0.5, 1.0, 1.0, 2.0, GAUSS)
         assert lo_s < hi_s
-        lo_c = growth_tail_bound(10.0, 0.5, 0.8, 1.0, 2.0, GAUSS, 1.0)
+        lo_c = _tail_at_theta(10.0, 0.5, 1.0, 0.8, 2.0, GAUSS)
         assert lo_c < hi_s
 
     def test_vanishes_at_infinity(self):
-        assert growth_tail_bound(1e5, 0.5, 1.0, 1.0, 2.0, GAUSS, 1.0) == 0.0
+        assert _tail_at_theta(1e5, 0.5, 1.0, 1.0, 2.0, GAUSS) == 0.0
 
 
 class TestAutoThetaForm:
@@ -231,7 +228,7 @@ class TestAutoThetaForm:
             if theta_sub >= cap:
                 continue
             a = auto_theta_bound(u, C, S, gb, fam, cap)
-            b = growth_tail_bound(u, theta_sub, C, S, gb, fam, cap)
+            b = _tail_at_theta(u, theta_sub, S, C, gb, fam)
             assert a == pytest.approx(b, rel=1e-12)
             checked += 1
 
@@ -252,8 +249,8 @@ class TestPowerVariant:
         # u valid for both; the larger-scale series dominate so its threshold rules
         theta = 0.4
         u = 1.5 * 2.0 * s_large / ((1 - theta) * theta ** 0.5)
-        b_small = growth_tail_bound(u, theta, c_small, s_small, 2.0, GAUSS, cap_small)
-        b_large = growth_tail_bound(u, theta, c_large, s_large, 2.0, GAUSS, cap_large)
+        b_small = _tail_at_theta(u, theta, s_small, c_small, 2.0, GAUSS)
+        b_large = _tail_at_theta(u, theta, s_large, c_large, 2.0, GAUSS)
         assert b_small < b_large
 
 
@@ -264,7 +261,7 @@ class TestOptimizeThetaGrowth:
         theta_star, bound = optimize_theta_growth(u, C, S, gb, fam, cap)
         for theta in (0.2, 0.5, 0.8):
             try:
-                other = growth_tail_bound(u, theta, C, S, gb, fam, cap)
+                other = _tail_at_theta(u, theta, S, C, gb, fam)
             except ValueError:
                 continue
             assert bound <= other * (1 + 1e-9) + 1e-300
@@ -275,7 +272,7 @@ class TestOptimizeThetaGrowth:
 
     def test_closed_form_beats_dense_grid_random_specs(self):
         # Oracle: arg(theta) on a 10000-point grid, vectorized from the
-        # defining formula, with growth_tail_bound at the grid's best theta.
+        # defining formula, with the fixed-theta bound at the grid's best theta.
         # Small Holder scales put the cap below the unconstrained theta*.
         rng = np.random.default_rng(20240503)
         n_capped = n_free = 0
@@ -299,7 +296,7 @@ class TestOptimizeThetaGrowth:
                 arg = u * (1 - thetas) - 2.0 * S * thetas ** (-1.0 / gb)
                 theta_star, bound = optimize_theta_growth(u, C, S, gb, fam, cap)
                 best = float(thetas[np.argmax(arg)])
-                other = growth_tail_bound(u, best, C, S, gb, fam, cap)
+                other = _tail_at_theta(u, best, S, C, gb, fam)
                 assert bound <= other * (1 + 1e-9)
                 assert 0.0 < theta_star < cap
                 if (2.0 * S / (gb * u)) ** (gb / (gb + 1.0)) >= cap:
@@ -323,7 +320,7 @@ class TestOptimizeThetaGrowth:
         inputs = FieldBoundInputs(
             eps0=0.7,
             box=AnisotropicBox(0, 1, 0, 2, 0.6, 0.9),
-            prof=HolderProfile.power(1.3, 0.8),
+            prof=HolderProfile(1.3, 0.8),
             fam=fam,
         )
         gb = 0.8 * fam.beta

@@ -1,11 +1,11 @@
-"""Heat-equation constants, field bound mappings, spectral branch, envelope."""
+"""Heat-equation constants, field bound mappings, envelope."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import beta, gamma, zeta
+from scipy.special import gamma, zeta
 
 from series_oracle import sum_series
 from suptail import supbound
@@ -13,17 +13,13 @@ from suptail.entropy import HolderProfile, c1_constant
 from suptail.growth import SeriesError, _polylog, _zeta, auto_theta_bound, theta_sup
 from suptail.heat import (
     SheModel,
-    SpectralMeasure,
     increment_constant,
     kernel_moment_constant,
     noise_constant,
     omega_bound_inputs,
     omega_holder_constant,
-    omega_spectral_increment_bound,
-    omega_spectral_sup_norm,
     she_growth_envelope,
     space_increment_coefficient,
-    spectral_moment,
     sup_norm_coefficient,
     time_increment_coefficient,
     v_bound_inputs,
@@ -67,7 +63,7 @@ def _cell(model, k, halfwidth):
     """Box and modulus of the V envelope's cell [e^k, e^(k+1)] x [-A, A]."""
     h = model.hurst
     box = AnisotropicBox(math.exp(k), math.exp(k + 1), -halfwidth, halfwidth, h / 2, h)
-    return box, HolderProfile.power(model.c_v, 1.0)
+    return box, HolderProfile(model.c_v, 1.0)
 
 
 def _cell_summands(model, p, halfwidth, k):
@@ -218,28 +214,6 @@ class TestSpecialFunctionOracles:
             want = 4 ** rho / math.sqrt(math.pi) * gamma(rho + 0.5)
             assert kernel_moment_constant(float(rho)) == pytest.approx(want, rel=1e-14, abs=0.0)
 
-    def test_rational_spectral_moment_matches_scipy_beta(self):
-        eps64 = np.finfo(float).eps
-
-        def rel(a, b):
-            # a + b < 170 uses math.gamma; above, exp of an lgamma sum loses
-            # about eps * |lgamma| to cancellation
-            if a + b < 170:
-                return 1e-14
-            return 4 * eps64 * sum(abs(math.lgamma(v)) for v in (a, b, a + b))
-
-        for alpha_m in (0.3, 0.6, 1.0, 3.0, 10.0, 40.0, 84.0, 86.0, 500.0, 5000.0):
-            measure = SpectralMeasure.matern(2.0, alpha_m)
-            for eps in (0.05, 0.3, 0.5):
-                a, b = eps + 0.5, 2 * alpha_m - eps - 0.5
-                if b > 0:
-                    got = spectral_moment(measure, eps)
-                    assert got == pytest.approx(2.0 * beta(a, b), rel=rel(a, b), abs=0.0)
-            # the sup norm is the root of the mass 2 B(1/2, 2 alpha_m - 1/2)
-            b = 2 * alpha_m - 0.5
-            mass = omega_spectral_sup_norm(measure) ** 2
-            assert mass == pytest.approx(2.0 * beta(0.5, b), rel=rel(0.5, b) + 4 * eps64, abs=0.0)
-
     def test_zeta_matches_scipy_within_remainder(self):
         for p in 1.0 + np.logspace(-6, math.log10(59.0), 200):
             got, want = _zeta(float(p)), float(zeta(p))
@@ -359,45 +333,6 @@ class TestFieldMappings:
         box = AnisotropicBox(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="threshold"):
             supbound.sup_tail_bound(0.1, 0.5, omega_bound_inputs(box, model))
-
-
-class TestSpectralBranch:
-    def test_matern_moment_fixtures(self):
-        assert spectral_moment(SpectralMeasure.matern(1.0, 1.0), 0.5) == pytest.approx(1.0)
-        assert spectral_moment(SpectralMeasure.matern(1.0, 1.5), 0.5) == pytest.approx(0.5)
-
-    def test_matern_moment_equals_quadrature(self):
-        for alpha_m in (0.8, 1.0, 1.7, 2.5):
-            for eps in (0.1, 0.3, 0.5):
-                if 2 * alpha_m - eps - 0.5 <= 0:
-                    continue
-                dens = SpectralMeasure.from_density(
-                    lambda lam, a=alpha_m: 1.0 / (1.0 + lam * lam) ** (2 * a)
-                )
-                closed = spectral_moment(SpectralMeasure.matern(1.0, alpha_m), eps)
-                numeric = spectral_moment(dens, eps)
-                assert numeric == pytest.approx(closed, abs=1e-8)
-
-    def test_constraint_violated(self):
-        with pytest.raises(ValueError, match="constraint"):
-            spectral_moment(SpectralMeasure.matern(1.0, 0.5), 0.5)
-
-    def test_sup_norm(self):
-        m = SpectralMeasure.matern(1.0, 1.0)
-        assert omega_spectral_sup_norm(m) == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)
-        dens = SpectralMeasure.from_density(lambda lam: 1.0 / (1.0 + lam * lam) ** 2)
-        assert omega_spectral_sup_norm(dens) == pytest.approx(
-            math.sqrt(math.pi / 2), abs=1e-8
-        )
-
-    def test_increment_bound(self):
-        m = SpectralMeasure.matern(1.0, 1.0)
-        assert omega_spectral_increment_bound(1.0, 0.5, 1.0, 0.5, m, 0.5) == 0.0
-        # eps = 1/2: c * (2|x-y| + |t-s|^(1/2))^(1/2)
-        c = math.sqrt(spectral_moment(m, 0.5))
-        val = omega_spectral_increment_bound(1.0, 0.7, 0.5, 0.2, m, 0.5)
-        assert val == pytest.approx(c * math.sqrt(2 * 0.5 + 0.5 ** 0.5), rel=1e-12)
-        assert val == omega_spectral_increment_bound(0.5, 0.2, 1.0, 0.7, m, 0.5)
 
 
 class TestGrowthEnvelope:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import erf, gamma, hyp1f1
 
+from quadrature_oracle import QuadratureError
 from suptail import sim
 from suptail.curves import TailCurve
-from suptail.entropy import QuadratureError
 from suptail.heat import (
     increment_constant,
     noise_constant,

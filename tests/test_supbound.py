@@ -19,7 +19,7 @@ from suptail.supbound import (
 STD = FieldBoundInputs(
     eps0=1.0,
     box=AnisotropicBox(0, 1, 0, 1),
-    prof=HolderProfile.power(1.0, 1.0),
+    prof=HolderProfile(1.0, 1.0),
     fam=PhiFamily(2.0),
 )
 
@@ -28,7 +28,7 @@ def make_inputs(alpha, gamma, h1, h2, scale=1.0, eps0=1.0, t1=1.0, t2=1.0):
     return FieldBoundInputs(
         eps0=eps0,
         box=AnisotropicBox(0, t1, 0, t2, h1, h2),
-        prof=HolderProfile.power(scale, gamma),
+        prof=HolderProfile(scale, gamma),
         fam=PhiFamily(alpha),
     )
 
@@ -171,7 +171,7 @@ class TestOptimizeTheta:
                     0, float(rng.uniform(0.1, 3.0)), 0, float(rng.uniform(0.1, 3.0)),
                     float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 1.0)),
                 ),
-                prof=HolderProfile.power(float(rng.uniform(0.2, 3.0)), gamma),
+                prof=HolderProfile(float(rng.uniform(0.2, 3.0)), gamma),
                 fam=fam,
             )
             q = 1.0 - 1.0 / (gamma * fam.beta)
