@@ -2,8 +2,8 @@
 
 Generic layer: power Orlicz families, anisotropic box metrics, the
 closed-form entropy-integral bound, and bounded-domain / growth-rate supremum
-tail bounds, which share one entropy constant and one closed-form theta
-optimum.  Application layer: the stochastic heat equation with fractional
+tail bounds, which are one ``TailBound`` value with one validity check and
+one closed-form theta optimum.  Application layer: the stochastic heat equation with fractional
 spatial noise, the closed-form zeta/polylog series of its growth envelope,
 plus exact-covariance Monte Carlo to verify the bounds empirically.  Importing
 the package loads no SciPy; the sampler loads ``scipy.special`` at first use.
@@ -16,6 +16,6 @@ from .heat import EnvelopeResult, SheModel, she_growth_envelope
 from .metric import AnisotropicBox, covering_oracle, covering_upper_bound
 from .orlicz import PhiFamily, phi_conjugate, rv_tail_bound
 from .sim import FactorizationError, GaussianFieldModel, VerifyReport, empirical_sup_tail, make_grid, sample_fields, v_covariance, verify_bound
-from .supbound import FieldBoundInputs, optimize_theta, sup_tail_bound, u_threshold
+from .supbound import TailBound, field_bound, min_threshold, optimize_theta, sup_tail_bound, u_threshold
 
 __version__ = "0.1.0"

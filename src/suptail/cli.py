@@ -121,12 +121,19 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
-def _u_grid(cfg: dict, inputs: supbound.FieldBoundInputs) -> list[float]:
+def _listed_u(values) -> list[float]:
+    """An explicit u_grid: a nonempty, strictly increasing list of numbers."""
+    us = [float(u) for u in values]
+    if not us:
+        raise ConfigError("u_grid must not be empty")
+    if any(b <= a for a, b in zip(us, us[1:])):
+        raise ConfigError("u_grid must be strictly increasing")
+    return us
+
+
+def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
     if "u_grid" in cfg and cfg["u_grid"] is not None:
-        us = [float(u) for u in cfg["u_grid"]]
-        if any(b <= a for a, b in zip(us, us[1:])):
-            raise ConfigError("u_grid must be strictly increasing")
-        return us
+        return _listed_u(cfg["u_grid"])
     auto = cfg.get("u_auto") or {}
     count = _positive_int(auto.get("count", 12), "u_auto 'count'")
     # max multiplies the minimal threshold; above 0.9 the grid increases
@@ -134,12 +141,8 @@ def _u_grid(cfg: dict, inputs: supbound.FieldBoundInputs) -> list[float]:
     span = auto.get("max", 2.0)
     if type(span) not in (int, float) or not 0.9 < span < math.inf:
         raise ConfigError(f"u_auto 'max' must be a finite number above 0.9, got {span!r}")
-    # The threshold is log-convex in theta with its minimum at (1-q)/(2-q), so
-    # capping that point gives the minimal threshold over the valid range; pad
-    # the low end so the first entries are invalid.
-    q = inputs.q
-    theta = min((1.0 - q) / (2.0 - q), inputs.theta_cap * (1.0 - 1e-9))
-    thr = supbound.u_threshold(theta, inputs)
+    # pad the low end below the minimal threshold so the first entries are invalid
+    thr = supbound.min_threshold(bound)
     fracs = np.linspace(0.9, span, count)
     # An entry on the threshold would be VALID or INVALID by the last ulp of
     # the constants, so the one within half a step of it moves half a step
@@ -210,7 +213,7 @@ def cmd_constants(cfg: dict, out: Path, seed, fmt: str) -> int:
     return 0
 
 
-def _bound_inputs(cfg: dict) -> supbound.FieldBoundInputs:
+def _bound_inputs(cfg: dict) -> supbound.TailBound:
     kind = cfg.get("field", "v")
     unread = set(cfg) & ({"model"} if kind == "generic" else _GENERIC_KEYS)
     if unread:
@@ -220,11 +223,11 @@ def _bound_inputs(cfg: dict) -> supbound.FieldBoundInputs:
         prof_cfg = cfg.get("profile")
         if prof_cfg is None or "eps0" not in cfg or "fam" not in cfg:
             raise ConfigError("generic bounds need 'fam', 'eps0' and 'profile'")
-        return supbound.FieldBoundInputs(
-            eps0=float(cfg["eps0"]),
-            box=box,
-            prof=HolderProfile(float(prof_cfg["scale"]), float(prof_cfg["exponent"])),
-            fam=PhiFamily(float(cfg["fam"])),
+        return supbound.field_bound(
+            float(cfg["eps0"]),
+            box,
+            HolderProfile(float(prof_cfg["scale"]), float(prof_cfg["exponent"])),
+            PhiFamily(float(cfg["fam"])),
         )
     if kind not in ("v", "omega"):
         raise ConfigError(f"unknown field kind {kind!r}")
@@ -235,29 +238,29 @@ def _bound_inputs(cfg: dict) -> supbound.FieldBoundInputs:
     return (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(box, model)
 
 
-def _bound_curve(us: list[float], theta_cfg, inputs) -> list[tuple]:
+def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound) -> list[tuple]:
     rows = []
     for u in us:
         if theta_cfg in (None, "optimize"):
             try:
-                theta, bound = supbound.optimize_theta(u, inputs)
-                rows.append((u, theta, bound, "VALID"))
+                theta, value = supbound.optimize_theta(u, bound)
+                rows.append((u, theta, value, "VALID"))
             except ValueError:
                 rows.append((u, math.nan, math.nan, "INVALID"))
         else:
             theta = float(theta_cfg)
             try:
-                bound = supbound.sup_tail_bound(u, theta, inputs)
-                rows.append((u, theta, bound, "VALID"))
+                value = supbound.sup_tail_bound(u, theta, bound)
+                rows.append((u, theta, value, "VALID"))
             except ValueError:
                 rows.append((u, theta, math.nan, "INVALID"))
     return rows
 
 
 def cmd_bound_sup(cfg: dict, out: Path, seed, fmt: str) -> int:
-    inputs = _bound_inputs(cfg)
-    us = _u_grid(cfg, inputs)
-    rows = _bound_curve(us, cfg.get("theta"), inputs)
+    bound = _bound_inputs(cfg)
+    us = _u_grid(cfg, bound)
+    rows = _bound_curve(us, cfg.get("theta"), bound)
     meta = _meta(cfg, seed)
     header = ["u", "theta", "bound", "validity"]
     if fmt == "csv":
@@ -275,18 +278,17 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
     p = float(cfg.get("p", 2.0))
     halfwidth = float(cfg.get("halfwidth", 1.0))
     series_tol = float(cfg.get("series_tol", 1e-6))
-    us = [float(u) for u in cfg["u_grid"]]
+    us = _listed_u(cfg["u_grid"])
     result = heat.she_growth_envelope(model, p, us, halfwidth=halfwidth, series_tol=series_tol)
     c_tilde, s_tilde = result.c_tilde, result.s_tilde
     rows = []
+    # validity follows the optimized bound, which exists wherever the envelope does
     for u, env in zip(result.curve.u, result.curve.value):
         try:
-            theta, opt = growth.optimize_theta_growth(
-                u, c_tilde.value, s_tilde.value, result.gamma_beta, result.fam, result.theta_cap
-            )
+            theta, opt = growth.optimize_theta_growth(u, result.bound)
+            rows.append((u, env, opt, theta, "VALID"))
         except ValueError:
-            theta, opt = math.nan, math.nan
-        rows.append((u, env, opt, theta, "VALID" if not math.isnan(env) else "INVALID"))
+            rows.append((u, env, math.nan, math.nan, "INVALID"))
     meta = _meta(cfg, seed)
     header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
     payload = {
@@ -297,7 +299,7 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
             "s_tilde": s_tilde.value,
             "s_tilde_remainder": s_tilde.remainder,
             "s_tilde_terms": s_tilde.n_terms,
-            "theta_cap": result.theta_cap,
+            "theta_cap": result.bound.cap,
         },
         "curve": [dict(zip(header, r)) for r in rows],
         **meta,
@@ -345,8 +347,8 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed) -> int:
     n_samples = _positive_int(cfg["samples"], "'samples'")
     workers = _positive_int(cfg.get("workers", 1), "'workers'")
 
-    inputs = heat.v_bound_inputs(box, model)
-    us = _u_grid(cfg, inputs)
+    bound = heat.v_bound_inputs(box, model)
+    us = _u_grid(cfg, bound)
 
     field_model = sim.GaussianFieldModel(
         grid=sim.make_grid(box, nt, nx), hurst=model.hurst, box=box
@@ -354,7 +356,7 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed) -> int:
     fields = sim.sample_fields(field_model, n_samples, seed=seed, workers=workers)
     empirical = sim.empirical_sup_tail(fields, us)
 
-    bounds = tuple(row[2] for row in _bound_curve(us, cfg.get("theta"), inputs))
+    bounds = tuple(row[2] for row in _bound_curve(us, cfg.get("theta"), bound))
     theoretical = TailCurve(u=tuple(us), value=bounds)
     report = sim.verify_bound(empirical, theoretical)
 

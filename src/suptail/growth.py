@@ -12,11 +12,9 @@ The factors e^(kH/2) of eps_k and f_k = e^(kH/2) k^p (f_0 = 1) cancel, so
 both series are closed forms in zeta(p) and Li_p(e^(-H/4)):
 ``series_c_sum`` and ``series_s_sum`` return them with remainders that bound
 tail and rounding error, and ``theta_sup`` returns inf_k gamma_k / eps_k.
-The closed-form optimum over theta and the auto-theta form take C, S,
-gamma*beta, the family and the theta cap min(1, ``theta_sup``) from the
-caller, who computes each once.  At a fixed theta the growth bound is
-``supbound._tail_at_theta`` with k = S and scale C, and its optimum is
-``supbound._optimal_theta`` with the same k and scale.
+The growth bound is ``supbound.TailBound`` with k = S~, scale C~ and cap
+min(1, ``theta_sup``), built once by the caller; ``auto_theta_bound`` and
+``optimize_theta_growth`` evaluate it at two choices of theta.
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orlicz import PhiFamily, rv_tail_bound
-from .supbound import _optimal_theta
+from .supbound import TailBound, _theta_star, sup_tail_bound
 
 
 class SeriesError(RuntimeError):
@@ -152,38 +149,24 @@ def theta_sup(c_v: float, a_h: float, hurst: float) -> float:
     return c_v / a_h * ((math.e - 1.0) / math.e) ** (hurst / 2.0)
 
 
-def auto_theta_bound(
-    u: float, c_value: float, s_value: float, gamma_beta: float, fam: PhiFamily, theta_cap: float
-) -> float:
-    """Growth bound at the closed-form choice theta = u^(-gamma*beta/(gamma*beta+1)):
-    the clamped tail of a variable of norm C at level
+def auto_theta_bound(u: float, bound: TailBound) -> float:
+    """Growth bound at the closed-form choice theta = u^(-gamma*beta/(gamma*beta+1)),
+    where the level is
 
         u - u^(1/(gamma*beta+1)) (1+2S),
 
-    asserted for u > (1+2S)^(gamma*beta/(gamma*beta+1)) and theta < theta_cap.
-    Equals the fixed-theta bound ``supbound._tail_at_theta(u, theta, S, C,
-    gamma*beta, fam)`` at the substituted theta wherever both apply.
+    positive only for u > (1+2S)^((gamma*beta+1)/(gamma*beta)).  Raises below
+    that and where the substituted theta is not below the cap.
     """
-    gb = gamma_beta
-    threshold = (1.0 + 2.0 * s_value) ** (gb / (gb + 1.0))
-    if u <= threshold:
-        raise ValueError(f"u = {u} is below validity threshold {threshold}")
-    theta = u ** (-gb / (gb + 1.0))
-    if theta >= theta_cap:
-        raise ValueError(f"theta = u^(-gb/(gb+1)) = {theta} is not below theta_cap = {theta_cap}")
-    arg = u - u ** (1.0 / (gb + 1.0)) * (1.0 + 2.0 * s_value)
-    if arg <= 0.0:
-        return 1.0  # exponent argument not yet positive; only the trivial bound holds
-    return rv_tail_bound(arg, c_value, fam)
+    gb = bound.gamma_beta
+    # u ** (-x) is undefined for u <= 0, where no bound holds; inf fails the theta check
+    theta = u ** (-gb / (gb + 1.0)) if u > 0.0 else math.inf
+    return sup_tail_bound(u, theta, bound)
 
 
-def optimize_theta_growth(
-    u: float, c_value: float, s_value: float, gamma_beta: float, fam: PhiFamily, theta_cap: float
-) -> tuple[float, float]:
-    """Minimize the growth tail bound over theta for precomputed (C, S), in closed form.
-
-    The bound decreases in arg(theta) = u*(1-theta) - 2*S*theta^(-1/(gamma*beta)),
-    which ``supbound._optimal_theta`` maximizes with k = S and scale C below
-    theta_cap = min(1, ``theta_sup``).
-    """
-    return _optimal_theta(u, s_value, c_value, gamma_beta, theta_cap, fam)
+def optimize_theta_growth(u: float, bound: TailBound) -> tuple[float, float]:
+    """Minimize the growth tail bound over theta, in closed form, as
+    ``supbound.optimize_theta`` does for the box bound; a function of its own
+    so that a trace times and counts the two bounds' optimizations apart."""
+    theta = _theta_star(u, bound)
+    return theta, sup_tail_bound(u, theta, bound)

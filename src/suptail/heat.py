@@ -6,7 +6,7 @@ condition omega(t,x) and the stochastic convolution V(t,x).  This module
 computes every constant of their second-moment bounds in closed form, maps
 both fields onto the generic bounded-domain supremum bounds, and builds the
 almost-sure growth envelope of V over the strip [0, inf) x [-A, A] from its
-first cell, a box of ``v_bound_inputs``, and the closed-form series of
+first cell, a box with the metric of ``v_bound_inputs``, and the series of
 ``suptail.growth``.  Gamma values come from the math module, so nothing here
 loads SciPy.
 
@@ -21,8 +21,8 @@ Conventions fixed here:
   c_2H = (1/2) int_R (1 - e^(-u^2))^2 |u|^(-1-2H) du = Gamma(1-H) (2 - 2^H) / (2H),
   with the even integrand read through |u|.
 * the supremum tail bounds are :func:`suptail.supbound.sup_tail_bound` on
-  ``omega_bound_inputs`` or ``v_bound_inputs``, with the minus sign of the
-  generic bound's exponent argument.
+  the ``TailBound`` of ``omega_bound_inputs`` or ``v_bound_inputs``, with the
+  minus sign of the generic bound's exponent argument.
 """
 
 from __future__ import annotations
@@ -180,36 +180,38 @@ class SheModel:
         }
 
 
-def omega_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.FieldBoundInputs:
-    """Bounded-domain inputs for the smoothed-initial-condition field omega.
+def omega_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
+    """Bounded-domain bound for the smoothed-initial-condition field omega.
 
     eps0 = c_0 c_phi, modulus sigma(h) = c_omega c_phi h over the metric with
     exponents (rho/2, rho); the box's own exponents are replaced.
     """
-    mapped = replace(box, h1=model.rho / 2.0, h2=model.rho)
-    return supbound.FieldBoundInputs(
-        eps0=model.init_sup * model.det_const,
-        box=mapped,
-        prof=HolderProfile(model.c_omega * model.det_const, 1.0),
-        fam=model.fam,
+    return supbound.field_bound(
+        model.init_sup * model.det_const,
+        replace(box, h1=model.rho / 2.0, h2=model.rho),
+        HolderProfile(model.c_omega * model.det_const, 1.0),
+        model.fam,
     )
 
 
-def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.FieldBoundInputs:
-    """Bounded-domain inputs for the Gaussian stochastic convolution V.
-
-    eps0 = A(H) b1^(H/2) with b1 the right endpoint of the time axis, modulus
-    sigma(h) = c_V h over the metric with exponents (H/2, H), alpha = 2.
-    """
+def _v_metric(
+    box: AnisotropicBox, model: SheModel
+) -> tuple[AnisotropicBox, HolderProfile, PhiFamily]:
+    """The box with V's metric exponents (H/2, H), its modulus sigma(h) = c_V h
+    and the Gaussian family."""
     if box.a1 < 0:
         raise ValueError("time axis of the box must be nonnegative")
     mapped = replace(box, h1=model.hurst / 2.0, h2=model.hurst)
-    return supbound.FieldBoundInputs(
-        eps0=model.a_h * box.b1 ** (model.hurst / 2.0),
-        box=mapped,
-        prof=HolderProfile(model.c_v, 1.0),
-        fam=PhiFamily(2.0),
-    )
+    return mapped, HolderProfile(model.c_v, 1.0), PhiFamily(2.0)
+
+
+def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
+    """Bounded-domain bound for the Gaussian stochastic convolution V.
+
+    eps0 = A(H) b1^(H/2) with b1 the right endpoint of the time axis, on
+    ``_v_metric``.
+    """
+    return supbound.field_bound(model.a_h * box.b1 ** (model.hurst / 2.0), *_v_metric(box, model))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +221,13 @@ def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.FieldBoundI
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """Envelope tail curve plus the series values and the other growth-bound inputs."""
+    """Envelope tail curve, the certified series values and the growth bound
+    (k = S~, scale C~) they give."""
 
     curve: TailCurve
     c_tilde: SeriesSum
     s_tilde: SeriesSum
-    theta_cap: float
-    gamma_beta: float
-    fam: PhiFamily
+    bound: supbound.TailBound
 
 
 def she_growth_envelope(
@@ -239,26 +240,25 @@ def she_growth_envelope(
     """Almost-sure growth envelope of V: tail curve of xi in |V| <= f(t) xi.
 
     f(t) = (t^(H/2) (log t)^p) v 1 over the cells [e^k, e^(k+1)] x [-A, A],
-    A = halfwidth.  Cell 0 is the box [1, e] x [-A, A] of ``v_bound_inputs``,
-    with eps_0 = A(H) e^(H/2); T + X = sqrt(eps_0) c1(0) split by axis give
+    A = halfwidth.  Cell 0 is the box [1, e] x [-A, A] with V's metric and
+    eps_0 = A(H) e^(H/2); T + X = sqrt(eps_0) c1(0) split by axis give
 
         C~ = eps_0 (1 + zeta(p)),   S~ = T (1 + zeta(p)) + X (1 + Li_p(e^(-H/4)))
 
     (``growth.series_c_sum``, ``growth.series_s_sum``).  SeriesError is raised
-    when a remainder exceeds series_tol.  theta_cap = min(1, ``growth.theta_sup``)
-    is exactly 1.  Envelope tail entries below the validity threshold are nan.
+    when a remainder exceeds series_tol.  The bound's cap min(1, ``growth.theta_sup``)
+    is exactly 1.  Envelope entries are ``growth.auto_theta_bound``, nan where it
+    raises.
     """
     if not p > 1.0:  # also rejects nan
         raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")
     if halfwidth <= 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-    cell0 = v_bound_inputs(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth), model)
-    # not cell0.eps0: its math.e ** (H/2) can differ from exp(H/2) in the last bit
+    box, prof, fam = _v_metric(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth), model)
+    # exp(H/2), not v_bound_inputs' math.e ** (H/2), which can differ in the last bit
     eps0 = model.a_h * math.exp(model.hurst / 2.0)
     c_sum = series_c_sum(eps0, p)
-    time_axis, space_axis = (
-        math.sqrt(eps0) * term for term in c1_axis_terms(cell0.box, cell0.prof, cell0.fam)
-    )
+    time_axis, space_axis = (math.sqrt(eps0) * term for term in c1_axis_terms(box, prof, fam))
     s_sum = series_s_sum(time_axis, space_axis, p, model.hurst)
     for name, res in (("C~", c_sum), ("S~", s_sum)):
         if res.remainder > series_tol:
@@ -266,13 +266,13 @@ def she_growth_envelope(
                 f"{name} remainder {res.remainder:.3g} exceeds series_tol = {series_tol}"
             )
     # c_V^2 >= 3 A(H)^2, so theta_sup >= sqrt(3) ((e-1)/e)^(1/4) > 1
-    theta_cap = min(1.0, theta_sup(model.c_v, model.a_h, model.hurst))
-    gb = cell0.prof.exponent * cell0.fam.beta
+    cap = min(1.0, theta_sup(model.c_v, model.a_h, model.hurst))
+    bound = supbound.TailBound(s_sum.value, c_sum.value, prof.exponent * fam.beta, cap, fam)
     us = tuple(float(u) for u in u_grid)
     values = []
     for u in us:
         try:
-            values.append(auto_theta_bound(u, c_sum.value, s_sum.value, gb, cell0.fam, theta_cap))
+            values.append(auto_theta_bound(u, bound))
         except ValueError:
             values.append(math.nan)
-    return EnvelopeResult(TailCurve(us, tuple(values)), c_sum, s_sum, theta_cap, gb, cell0.fam)
+    return EnvelopeResult(TailCurve(us, tuple(values)), c_sum, s_sum, bound)

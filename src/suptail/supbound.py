@@ -1,17 +1,20 @@
-"""Supremum tail bound over a bounded anisotropic box and its optimal theta.
+"""Supremum tail bounds over a bounded box and the strip, and their optimal theta.
 
-The bound is the clamped tail ``orlicz.rv_tail_bound`` of a variable of norm
-eps0 at level eps0 * z(theta), with
+The bounded-box bound and the rate-of-growth bound are one inequality,
+``TailBound``: for 0 < theta < cap,
 
-    z(theta) = (u*(1-theta) - (2/theta) * I(theta*eps0)) / eps0,
+    P{sup |X| > u} <= rv_tail_bound(u*(1-theta) - 2 k theta^(-1/(gamma*beta)), scale, fam),
 
-I(eps) = c1 eps^q the closed-form entropy integral, q = 1 - 1/(gamma*beta).
-It is asserted only for z > 0, i.e. u above ``u_threshold``; it decreases in
-z, so the optimal theta maximizes z.  ``_tail_at_theta`` evaluates the bound
-and ``_optimal_theta`` gives that maximizer in closed form; the growth bounds
-of ``suptail.growth`` share both.  The
-threshold 2 c1 eps0^q theta^(q-1) / (1-theta) is log-convex in theta and
-smallest at theta = (1-q)/(2-q), capped just below theta_cap.
+asserted where that level is positive, i.e. u above ``u_threshold``.  The box
+bound (``field_bound``) has k = I(eps0) = c1 eps0^q, the closed-form entropy
+integral with q = 1 - 1/(gamma*beta), and scale eps0; the growth bound of
+``suptail.heat.she_growth_envelope`` has k = S~ and scale C~.
+
+The bound decreases in the level, which is concave in theta, so the optimal
+theta is its maximizer (2k / (gamma*beta u))^(gamma*beta/(gamma*beta+1)),
+capped just below cap.  The threshold 2 k theta^(-1/(gamma*beta)) / (1-theta)
+is log-convex in theta and smallest at theta = 1/(gamma*beta+1), capped just
+below cap (``min_threshold``).
 
 Separability of the field on the box is a modeling assumption the caller must
 supply; it is not checkable numerically.
@@ -27,125 +30,91 @@ from .orlicz import PhiFamily, rv_tail_bound
 
 
 @dataclass(frozen=True)
-class FieldBoundInputs:
-    """Everything the bounded-domain bounds need.
+class TailBound:
+    """The tail bound above: entropy term k, norm scale, modulus exponent times
+    beta (gamma_beta > 1), the exclusive upper end cap of theta, and the family."""
 
-    eps0 is the supremum of the field's Orlicz norm over the box; gamma0 (the
-    modulus at the box diameter) caps the usable theta range via
-    theta*eps0 < gamma0.
-    """
-
-    eps0: float
-    box: AnisotropicBox
-    prof: HolderProfile
+    k: float
+    scale: float
+    gamma_beta: float
+    cap: float
     fam: PhiFamily
 
-    def __post_init__(self) -> None:
-        if self.eps0 <= 0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
 
-    @property
-    def gamma0(self) -> float:
-        return self.prof.sigma(self.box.diameter)
+def field_bound(
+    eps0: float, box: AnisotropicBox, prof: HolderProfile, fam: PhiFamily
+) -> TailBound:
+    """The bound for a field of Orlicz norm at most eps0 and modulus prof on box.
 
-    @property
-    def c1(self) -> float:
-        return c1_constant(self.box, self.prof, self.fam)
-
-    @property
-    def q(self) -> float:
-        """Exponent of the closed-form entropy integral c1 eps^q: 1 - 1/(gamma*beta)."""
-        return 1.0 - 1.0 / (self.prof.exponent * self.fam.beta)
-
-    @property
-    def tail_terms(self) -> tuple[float, float, float]:
-        """(k, scale, gamma*beta) of ``_tail_at_theta``: k = c1 eps0^q, scale eps0."""
-        return self.c1 * self.eps0 ** self.q, self.eps0, self.prof.exponent * self.fam.beta
-
-    @property
-    def theta_cap(self) -> float:
-        """Upper end of the valid theta range, min(1, gamma0/eps0)."""
-        return min(1.0, self.gamma0 / self.eps0)
-
-    def entropy_closed(self, eps: float) -> float:
-        return entropy_integral_closed(eps, self.c1, self.prof, self.fam)
-
-
-def _check_theta(theta: float, inputs: FieldBoundInputs) -> None:
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    te = theta * inputs.eps0
-    if te >= inputs.gamma0:
-        raise ValueError(
-            f"theta*eps0 = {te} exceeds gamma0 = {inputs.gamma0}; bound not valid"
-        )
-
-
-def u_threshold(theta: float, inputs: FieldBoundInputs) -> float:
-    """Smallest u (exclusive) for which the closed-form tail bound is asserted:
-
-        2/(theta*(1-theta)) * I(theta*eps0),  I the closed-form entropy integral.
+    k = c1 eps0^q with c1 computed once; gamma0 = prof.sigma(box diameter)
+    keeps theta*eps0 < gamma0, so the cap is min(1, gamma0/eps0).
     """
-    _check_theta(theta, inputs)
-    itil = inputs.entropy_closed(theta * inputs.eps0)
-    return 2.0 / (theta * (1.0 - theta)) * itil
+    if not eps0 > 0:
+        raise ValueError(f"eps0 must be positive, got {eps0}")
+    c1 = c1_constant(box, prof, fam)
+    return TailBound(
+        k=entropy_integral_closed(eps0, c1, prof, fam),
+        scale=eps0,
+        gamma_beta=prof.exponent * fam.beta,
+        cap=min(1.0, prof.sigma(box.diameter) / eps0),
+        fam=fam,
+    )
 
 
-def _tail_at_theta(
-    u: float, theta: float, k: float, scale: float, gb: float, fam: PhiFamily
-) -> float:
-    """rv_tail_bound(arg, scale, fam) at arg = u*(1-theta) - 2 k theta^(-1/gb).
+def _entropy(theta: float, bound: TailBound) -> float:
+    """2 k theta^(-1/(gamma*beta)); raises unless 0 < theta < cap."""
+    if not 0.0 < theta < bound.cap:
+        raise ValueError(f"theta = {theta} is not in (0, theta_cap) = (0, {bound.cap})")
+    return 2.0 * bound.k * theta ** (-1.0 / bound.gamma_beta)
 
-    Raises unless u exceeds the threshold 2 k theta^(-1/gb) / (1-theta), where
-    arg turns positive.  The bounded-box bound has k = c1 eps0^q and scale
-    eps0; the growth bound has k = S and scale C.
+
+def u_threshold(theta: float, bound: TailBound) -> float:
+    """Smallest u (exclusive) for which the bound at theta is asserted:
+
+        2 k theta^(-1/(gamma*beta)) / (1-theta).
     """
-    entropy = 2.0 * k * theta ** (-1.0 / gb)
-    threshold = entropy / (1.0 - theta)
-    if u <= threshold:
-        raise ValueError(f"u = {u} is below validity threshold {threshold}")
-    return rv_tail_bound(u * (1.0 - theta) - entropy, scale, fam)
+    return _entropy(theta, bound) / (1.0 - theta)
 
 
-def sup_tail_bound(u: float, theta: float, inputs: FieldBoundInputs) -> float:
-    """Closed-form tail bound on P{sup |X| > u}; requires u > u_threshold(theta).
+def min_threshold(bound: TailBound) -> float:
+    """Smallest ``u_threshold`` over the valid theta, at theta = 1/(gamma*beta+1)
+    capped just below cap."""
+    theta = min(1.0 / (bound.gamma_beta + 1.0), bound.cap * (1.0 - 1e-9))
+    return u_threshold(theta, bound)
+
+
+def sup_tail_bound(u: float, theta: float, bound: TailBound) -> float:
+    """Tail bound on P{sup |X| > u} at theta; requires 0 < theta < cap and a
+    positive level, i.e. u > u_threshold(theta).
 
     Strictly decreasing in u on the valid range, clamped to [0, 1].
     """
-    _check_theta(theta, inputs)
-    return _tail_at_theta(u, theta, *inputs.tail_terms, inputs.fam)
+    entropy = _entropy(theta, bound)
+    level = u * (1.0 - theta) - entropy
+    if not level > 0.0:
+        threshold = entropy / (1.0 - theta)
+        raise ValueError(f"u = {u} is not above the validity threshold {threshold} at theta = {theta}")
+    return rv_tail_bound(level, bound.scale, bound.fam)
 
 
-def _optimal_theta(
-    u: float, k: float, scale: float, gb: float, cap: float, fam: PhiFamily
-) -> tuple[float, float]:
-    """Maximize arg(theta) = u*(1-theta) - 2 k theta^(q-1), q = 1 - 1/gb, below cap.
+def _theta_star(u: float, bound: TailBound) -> float:
+    """Maximizer of the level u*(1-theta) - 2 k theta^(-1/gb) over (0, cap).
 
-    arg is concave, and d arg/d theta = -u + 2(1-q) k theta^(q-2) vanishes at
-
-        theta* = (2(1-q) k / u)^(1/(2-q)).
-
-    arg increases up to theta*, so theta* capped just below cap is the
-    constrained maximizer.  Returns theta and the clamped tail
-    rv_tail_bound(arg, scale, fam), which decreases in arg.  Raises if
-    arg(theta) <= 0: then no theta gives a valid bound.
+    Its derivative -u + (2k/gb) theta^(-1/gb - 1) vanishes at
+    theta* = (2k / (gb u))^(gb/(gb+1)); the level increases up to theta*, so
+    theta* capped just below cap is the constrained maximizer.  For u <= 0
+    the level is negative at every theta, and the cap is returned.
     """
-    if u <= 0.0:
-        raise ValueError(f"no valid theta: u = {u} is below every validity threshold")
-    q = 1.0 - 1.0 / gb
-    theta = min((2.0 * (1.0 - q) * k / u) ** (1.0 / (2.0 - q)), cap * (1.0 - 1e-12))
-    arg = u * (1.0 - theta) - 2.0 * k * theta ** (q - 1.0)
-    if arg <= 0.0:
-        raise ValueError(f"no valid theta: u = {u} is below every validity threshold")
-    return theta, rv_tail_bound(arg, scale, fam)
+    gb = bound.gamma_beta
+    cap = bound.cap * (1.0 - 1e-12)
+    return min((2.0 * bound.k / (gb * u)) ** (gb / (gb + 1.0)), cap) if u > 0.0 else cap
 
 
-def optimize_theta(u: float, inputs: FieldBoundInputs) -> tuple[float, float]:
-    """Minimize the closed-form tail bound over valid theta, in closed form.
+def optimize_theta(u: float, bound: TailBound) -> tuple[float, float]:
+    """Minimize the tail bound over valid theta, in closed form.
 
-    eps0 * z(theta) = u*(1-theta) - 2 c1 eps0^q theta^(q-1), so this is
-    ``_optimal_theta`` on ``tail_terms`` (k = c1 eps0^q, scale eps0) below
-    theta_cap.  Returns (theta_star, bound).  Raises if z(theta_star) <= 0, i.e. no theta
-    satisfies u > u_threshold(theta) ("no valid theta").
+    Returns (theta_star, bound).  Raises if the level at theta_star is not
+    positive: then no theta satisfies u > u_threshold(theta).
     """
-    return _optimal_theta(u, *inputs.tail_terms, inputs.theta_cap, inputs.fam)
+    theta = _theta_star(u, bound)
+    return theta, sup_tail_bound(u, theta, bound)

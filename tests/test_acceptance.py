@@ -54,8 +54,8 @@ def test_criterion_01_bound_vs_simulation():
     box = AnisotropicBox(0.1, 1.0, 0.0, 1.0)
     inputs = v_bound_inputs(box, model)  # exponents (H/2, H), eps0 = A(H) b1^(H/2)
     # the threshold is log-convex in theta with its minimum at (1-q)/(2-q)
-    q = inputs.q
-    theta = min((1.0 - q) / (2.0 - q), inputs.theta_cap * (1.0 - 1e-9))
+    q = 1.0 - 1.0 / inputs.gamma_beta
+    theta = min((1.0 - q) / (2.0 - q), inputs.cap * (1.0 - 1e-9))
     u_min = supbound.u_threshold(theta, inputs)
     us = [float(u) for u in np.linspace(1.02 * u_min, 2.0 * u_min, 12)]
 
@@ -183,16 +183,14 @@ def test_criterion_06_theta_optimization():
         h1, h2 = rng.uniform(0.3, 1.0, size=2)
         box = AnisotropicBox(0, float(rng.uniform(0.5, 2.0)), 0, float(rng.uniform(0.5, 2.0)), h1, h2)
         prof = HolderProfile(float(rng.uniform(0.5, 2.0)), gamma)
-        inputs = supbound.FieldBoundInputs(
-            eps0=float(rng.uniform(0.5, 1.5)), box=box, prof=prof, fam=fam
-        )
-        thetas = np.geomspace(1e-4, inputs.theta_cap * (1 - 1e-9), 256)
+        inputs = supbound.field_bound(float(rng.uniform(0.5, 1.5)), box, prof, fam)
+        thetas = np.geomspace(1e-4, inputs.cap * (1 - 1e-9), 256)
         u = 3.0 * min(supbound.u_threshold(float(t), inputs) for t in thetas)
         _, opt = supbound.optimize_theta(u, inputs)
         gb = gamma * fam.beta
         theta_h = u ** (-gb / (gb + 1.0))
         for theta in (theta_h, 0.5):
-            if not (0 < theta < 1) or theta * inputs.eps0 >= inputs.gamma0:
+            if not (0 < theta < inputs.cap):  # theta < 1 and theta eps0 < gamma0
                 continue
             try:
                 other = supbound.sup_tail_bound(u, theta, inputs)
@@ -207,14 +205,15 @@ def test_criterion_06_theta_optimization():
     for q, r in [(0.4, 0.5), (0.5, 0.4), (0.6, 0.7), (0.35, 0.6), (0.55, 0.45)]:
         # cells [k, k+1] x [-1, 1], eps_k = 0.5 q^k, f_k = e^(r k): closed-form
         # geometric C and S
-        C, S, gb, fam, cap = linear_series(q=q, r=r)
+        growth = linear_series(q=q, r=r)
+        gb = growth.gamma_beta
         for factor in (1.3, 1.8, 2.5, 4.0):
-            u = factor * (1.0 + 2.0 * S) ** ((gb + 1.0) / gb)
+            u = factor * (1.0 + 2.0 * growth.k) ** ((gb + 1.0) / gb)
             theta_sub = u ** (-gb / (gb + 1.0))
-            if theta_sub >= cap:
+            if theta_sub >= growth.cap:
                 continue
-            a = auto_theta_bound(u, C, S, gb, fam, cap)
-            b = supbound._tail_at_theta(u, theta_sub, S, C, gb, fam)
+            a = auto_theta_bound(u, growth)
+            b = supbound.sup_tail_bound(u, theta_sub, growth)
             if b > 0:
                 worst_rel = max(worst_rel, abs(a - b) / b)
     ok = worst_rel <= 1e-12

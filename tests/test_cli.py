@@ -127,11 +127,8 @@ class TestBoundSup:
                     "profile": {"scale": 1.0, "exponent": 1.0},
                     "box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0},
                 },
-                supbound.FieldBoundInputs(
-                    eps0=10.0,
-                    box=AnisotropicBox(0.0, 1.0, 0.0, 1.0),
-                    prof=HolderProfile(1.0, 1.0),
-                    fam=PhiFamily(2.0),
+                supbound.field_bound(
+                    10.0, AnisotropicBox(0.0, 1.0, 0.0, 1.0), HolderProfile(1.0, 1.0), PhiFamily(2.0)
                 ),
             ),
         ],
@@ -141,7 +138,7 @@ class TestBoundSup:
         code, out = run(tmp_path, "bound-sup", payload)
         assert code == 0
         rows = json.loads((out / "bound_sup.json").read_text())["curve"]
-        thetas = np.linspace(1e-4, inputs.theta_cap * (1 - 1e-9), 20001)
+        thetas = np.linspace(1e-4, inputs.cap * (1 - 1e-9), 20001)
         scanned = min(supbound.u_threshold(float(t), inputs) for t in thetas)
         threshold = rows[0]["u"] / 0.9
         assert threshold <= scanned
@@ -155,8 +152,8 @@ class TestBoundSup:
         # VALID/INVALID mark cannot hang on the last ulp of the constants
         for hurst in np.linspace(0.02, 0.5, 25):
             inputs = v_bound_inputs(AnisotropicBox(**BOX), SheModel(hurst=float(hurst)))
-            q = inputs.q
-            theta = min((1 - q) / (2 - q), inputs.theta_cap * (1 - 1e-9))
+            q = 1 - 1 / inputs.gamma_beta
+            theta = min((1 - q) / (2 - q), inputs.cap * (1 - 1e-9))
             thr = supbound.u_threshold(theta, inputs)
             for count in range(2, 21):
                 for span in (1.1, 1.5, 2.0, 3.0):
@@ -298,6 +295,11 @@ class TestWrongValueType:
             ("covering", {"box": BOX}),
             ("constants", {}),
             ("bound-growth", {"p": 2.0, "u_grid": [900.0]}),
+            # an empty u grid is rejected before any computation
+            ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "u_grid": []}),
+            ("bound-growth", {"model": MODEL, "u_grid": []}),
+            ("bound-growth", {"model": MODEL, "u_grid": [900.0, 800.0]}),
+            ("simulate-verify", {"model": MODEL, "box": BOX, "samples": 10, "u_grid": []}),
         ],
         ids=[
             "p-null",
@@ -311,10 +313,14 @@ class TestWrongValueType:
             "covering-no-eps",
             "constants-empty",
             "growth-no-model",
+            "sup-empty-u_grid",
+            "growth-empty-u_grid",
+            "growth-unsorted-u_grid",
+            "verify-empty-u_grid",
         ],
     )
     def test_one_line_error(self, tmp_path, capsys, command, payload):
-        code, _ = run(tmp_path, command, payload)
+        code, _ = run(tmp_path, command, payload, "--seed", "1")  # simulate-verify needs a seed
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"suptail {command}: error: ")
@@ -350,6 +356,24 @@ class TestBoundGrowth:
         for row in data["curve"]:
             assert row["validity"] == "VALID"
             assert row["optimized_bound"] <= row["envelope_bound"] * (1 + 1e-9)
+
+    def test_optimized_bound_valid_wherever_envelope_is(self, tmp_path):
+        # The envelope's level u - u^(1/3) (1+2S) turns positive only at
+        # u = (1+2S)^(3/2), about 12058 here.  Below it the envelope is nan,
+        # not the trivial 1.0 marked VALID.  The validity column follows the
+        # optimized bound, which is valid wherever the envelope is.
+        payload = {"model": {"hurst": 0.5}, "p": 1.05, "halfwidth": 0.716,
+                   "u_grid": [100.0, 500.0, 12000.0, 12100.0, 20000.0]}
+        code, out = run(tmp_path, "bound-growth", payload)
+        assert code == 0
+        rows = json.loads((out / "bound_growth.json").read_text())["curve"]
+        for row in rows:
+            env, opt = row["envelope_bound"], row["optimized_bound"]
+            if not math.isnan(env):
+                assert math.isfinite(opt) and opt <= env
+            assert row["validity"] == ("INVALID" if math.isnan(opt) else "VALID")
+        assert [math.isnan(r["envelope_bound"]) for r in rows] == [True, True, True, False, False]
+        assert [r["validity"] for r in rows] == ["INVALID", "INVALID", "VALID", "VALID", "VALID"]
 
     def test_slow_decay_p_succeeds(self, tmp_path):
         # 1 < p < 2: slow power-law decay of the envelope series

@@ -18,13 +18,20 @@ from suptail.growth import (
 from suptail.heat import SheModel
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily
-from suptail.supbound import FieldBoundInputs, _tail_at_theta, optimize_theta
+from suptail.supbound import TailBound, field_bound, optimize_theta, sup_tail_bound
 
 GAUSS = PhiFamily(2.0)
+# C = S = 1, gamma*beta = 2, cap 1
+UNIT = TailBound(k=1.0, scale=1.0, gamma_beta=2.0, cap=1.0, fam=GAUSS)
+
+
+def growth_bound(s_value, c_value, gb=2.0, fam=GAUSS, cap=1.0):
+    """The growth bound of series values S and C: k = S, scale C."""
+    return TailBound(s_value, c_value, gb, cap, fam)
 
 
 def linear_series(q=0.5, r=0.4, eps0=0.5, halfwidth=1.0, holder=1.0, gamma=1.0, h1=0.5, fam=GAUSS):
-    """(C, S, gamma*beta, fam, theta cap) of the cells [k, k+1] x [-A, A].
+    """The growth bound (k = S, scale C) of the cells [k, k+1] x [-A, A].
 
     The cells have metric exponents (h1, 1), norms eps_k = eps0 q^k, weights
     f_k = e^(r k) and the modulus c h^gamma, so every cell has cell 0's entropy
@@ -41,7 +48,7 @@ def linear_series(q=0.5, r=0.4, eps0=0.5, halfwidth=1.0, holder=1.0, gamma=1.0, 
     e = 1.0 - 1.0 / gb
     c_value = eps0 / (1.0 - q * math.exp(-r))
     s_value = c1_constant(box, prof, fam) * eps0 ** e / (1.0 - q ** e * math.exp(-r))
-    return c_value, s_value, gb, fam, min(1.0, prof.sigma(box.diameter) / eps0)
+    return growth_bound(s_value, c_value, gb, fam, min(1.0, prof.sigma(box.diameter) / eps0))
 
 
 def _cell_constant(b0, b1, halfwidth, h1, h2, gamma=1.0):
@@ -162,11 +169,10 @@ class TestThetaSup:
 
 
 class TestGrowthTailBound:
-    """The growth bound at fixed theta: the box bound's tail formula
-    ``_tail_at_theta`` with k = S and scale C (argument order u, theta, S, C)."""
+    """The growth bound at fixed theta: ``sup_tail_bound`` with k = S and scale C."""
 
     def test_frozen_value_unit_series(self):
-        val = _tail_at_theta(10.0, 0.5, 1.0, 1.0, 2.0, GAUSS)
+        val = sup_tail_bound(10.0, 0.5, UNIT)
         expected = 2 * math.exp(-0.5 * (5.0 - 2.0 * math.sqrt(2.0)) ** 2)
         assert val == pytest.approx(expected, rel=1e-13)
 
@@ -174,61 +180,71 @@ class TestGrowthTailBound:
         # u threshold for C=S=1, theta=0.5, gb=2: 2/(0.5 * sqrt(0.5)) = 4 sqrt(2)
         thr = 2.0 / (0.5 * math.sqrt(0.5))
         with pytest.raises(ValueError, match="threshold"):
-            _tail_at_theta(thr, 0.5, 1.0, 1.0, 2.0, GAUSS)
+            sup_tail_bound(thr, 0.5, UNIT)
 
     def test_decreasing_in_u_and_series(self):
         us = np.linspace(8, 30, 40)
-        vals = [_tail_at_theta(u, 0.5, 1.0, 1.0, 2.0, GAUSS) for u in us]
+        vals = [sup_tail_bound(u, 0.5, UNIT) for u in us]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
-        lo_s = _tail_at_theta(10.0, 0.5, 0.5, 1.0, 2.0, GAUSS)
-        hi_s = _tail_at_theta(10.0, 0.5, 1.0, 1.0, 2.0, GAUSS)
+        lo_s = sup_tail_bound(10.0, 0.5, growth_bound(0.5, 1.0))
+        hi_s = sup_tail_bound(10.0, 0.5, UNIT)
         assert lo_s < hi_s
-        lo_c = _tail_at_theta(10.0, 0.5, 1.0, 0.8, 2.0, GAUSS)
+        lo_c = sup_tail_bound(10.0, 0.5, growth_bound(1.0, 0.8))
         assert lo_c < hi_s
 
     def test_vanishes_at_infinity(self):
-        assert _tail_at_theta(1e5, 0.5, 1.0, 1.0, 2.0, GAUSS) == 0.0
+        assert sup_tail_bound(1e5, 0.5, UNIT) == 0.0
 
 
 class TestAutoThetaForm:
     def test_frozen_value(self):
         # C = S = 1, gb = 2, u = 27: u^(1/3) = 3, bound = 2 exp(-162)
-        val = auto_theta_bound(27.0, 1.0, 1.0, 2.0, GAUSS, 1.0)
+        val = auto_theta_bound(27.0, UNIT)
         assert val == pytest.approx(2 * math.exp(-162.0), rel=1e-12)
 
     def test_boundary_error(self):
         thr = 3.0 ** (2.0 / 3.0)
         with pytest.raises(ValueError, match="threshold"):
-            auto_theta_bound(thr, 1.0, 1.0, 2.0, GAUSS, 1.0)
+            auto_theta_bound(thr, UNIT)
 
-    def test_trivial_region_clamped(self):
-        # between the printed threshold and the positivity threshold the
-        # argument is negative and only the trivial bound holds
-        assert auto_theta_bound(3.0, 1.0, 1.0, 2.0, GAUSS, 1.0) == 1.0
+    def test_no_bound_below_positivity_threshold(self):
+        # the level u - 3 u^(1/3) is positive only for u > (1+2S)^((gb+1)/gb) =
+        # 3^(3/2); below it, down to 3^(2/3), only the trivial bound 1 would
+        # hold, and no bound is returned
+        for u in (3.0, 5.0, 0.999 * 3.0 ** 1.5):
+            with pytest.raises(ValueError, match="threshold"):
+                auto_theta_bound(u, UNIT)
+        assert auto_theta_bound(1.001 * 3.0 ** 1.5, UNIT) == 1.0  # clamped
+        assert auto_theta_bound(2.0 * 3.0 ** 1.5, UNIT) < 1.0
+        for u in (0.0, -3.0):
+            with pytest.raises(ValueError, match="theta_cap"):
+                auto_theta_bound(u, UNIT)
 
     def test_substituted_theta_at_or_above_cap_raises(self):
         # the cap is 0.03 here, while u = 10 substitutes theta = u^(-2/3) =
         # 0.215: the theorem gives no bound there (the best valid one, from
         # optimize_theta_growth, is 0.377), so no value may be returned
-        C, S, gb, fam, cap = linear_series(holder=0.005)
+        bound = linear_series(holder=0.005)
+        cap = bound.cap
         assert cap == pytest.approx(0.03, rel=1e-12)
-        assert optimize_theta_growth(10.0, C, S, gb, fam, cap)[1] == pytest.approx(0.377, abs=1e-3)
+        assert optimize_theta_growth(10.0, bound)[1] == pytest.approx(0.377, abs=1e-3)
         with pytest.raises(ValueError, match="theta_cap"):
-            auto_theta_bound(10.0, C, S, gb, fam, cap)
+            auto_theta_bound(10.0, bound)
         # above u = cap^(-3/2) the substituted theta is below the cap
-        assert auto_theta_bound(1.01 * cap ** -1.5, C, S, gb, fam, cap) == 0.0
+        assert auto_theta_bound(1.01 * cap ** -1.5, bound) == 0.0
 
     def test_equals_growth_bound_at_substituted_theta(self):
         rng = np.random.default_rng(7)
         checked = 0
         while checked < 20:
-            C, S, gb, fam, cap = linear_series(q=rng.uniform(0.3, 0.7), r=rng.uniform(0.3, 0.8))
-            u = 1.5 * (1.0 + 2.0 * S) ** ((gb + 1.0) / gb)
+            bound = linear_series(q=rng.uniform(0.3, 0.7), r=rng.uniform(0.3, 0.8))
+            gb = bound.gamma_beta
+            u = 1.5 * (1.0 + 2.0 * bound.k) ** ((gb + 1.0) / gb)
             theta_sub = u ** (-gb / (gb + 1.0))
-            if theta_sub >= cap:
+            if theta_sub >= bound.cap:
                 continue
-            a = auto_theta_bound(u, C, S, gb, fam, cap)
-            b = _tail_at_theta(u, theta_sub, S, C, gb, fam)
+            a = auto_theta_bound(u, bound)
+            b = sup_tail_bound(u, theta_sub, bound)
             assert a == pytest.approx(b, rel=1e-12)
             checked += 1
 
@@ -249,26 +265,26 @@ class TestPowerVariant:
         # u valid for both; the larger-scale series dominate so its threshold rules
         theta = 0.4
         u = 1.5 * 2.0 * s_large / ((1 - theta) * theta ** 0.5)
-        b_small = _tail_at_theta(u, theta, s_small, c_small, 2.0, GAUSS)
-        b_large = _tail_at_theta(u, theta, s_large, c_large, 2.0, GAUSS)
+        b_small = sup_tail_bound(u, theta, growth_bound(s_small, c_small, cap=cap_small))
+        b_large = sup_tail_bound(u, theta, growth_bound(s_large, c_large, cap=cap_large))
         assert b_small < b_large
 
 
 class TestOptimizeThetaGrowth:
     def test_beats_fixed_theta(self):
-        C, S, gb, fam, cap = linear_series()
-        u = 3.0 * 2.0 * S / (0.5 * 0.5 ** 0.5)
-        theta_star, bound = optimize_theta_growth(u, C, S, gb, fam, cap)
+        growth = linear_series()
+        u = 3.0 * 2.0 * growth.k / (0.5 * 0.5 ** 0.5)
+        theta_star, bound = optimize_theta_growth(u, growth)
         for theta in (0.2, 0.5, 0.8):
             try:
-                other = _tail_at_theta(u, theta, S, C, gb, fam)
+                other = sup_tail_bound(u, theta, growth)
             except ValueError:
                 continue
             assert bound <= other * (1 + 1e-9) + 1e-300
 
     def test_no_valid_theta(self):
-        with pytest.raises(ValueError, match="no valid theta"):
-            optimize_theta_growth(0.5, 1.0, 1.0, 2.0, GAUSS, 1.0)
+        with pytest.raises(ValueError, match="threshold"):
+            optimize_theta_growth(0.5, UNIT)
 
     def test_closed_form_beats_dense_grid_random_specs(self):
         # Oracle: arg(theta) on a 10000-point grid, vectorized from the
@@ -280,7 +296,7 @@ class TestOptimizeThetaGrowth:
             fam = PhiFamily(float(rng.choice([2.0, 1.5])))
             gamma = float(rng.uniform(1.1 / fam.beta, 1.0))
             holder = float(rng.choice([rng.uniform(0.005, 0.05), rng.uniform(0.5, 2.0)]))
-            C, S, gb, fam, cap = linear_series(
+            growth = linear_series(
                 q=float(rng.uniform(0.2, 0.8)),
                 r=float(rng.uniform(0.1, 0.8)),
                 halfwidth=float(rng.uniform(0.3, 2.0)),
@@ -289,14 +305,15 @@ class TestOptimizeThetaGrowth:
                 h1=float(rng.uniform(0.3, 1.0)),
                 fam=fam,
             )
+            S, gb, cap = growth.k, growth.gamma_beta, growth.cap
             thetas = np.geomspace(1e-6, cap * (1 - 1e-9), 10000)
             thr = np.min(2.0 * S / ((1 - thetas) * thetas ** (1.0 / gb)))
             for factor in (1.01, 1.5, 3.0, 20.0):
                 u = factor * thr
                 arg = u * (1 - thetas) - 2.0 * S * thetas ** (-1.0 / gb)
-                theta_star, bound = optimize_theta_growth(u, C, S, gb, fam, cap)
+                theta_star, bound = optimize_theta_growth(u, growth)
                 best = float(thetas[np.argmax(arg)])
-                other = _tail_at_theta(u, best, S, C, gb, fam)
+                other = sup_tail_bound(u, best, growth)
                 assert bound <= other * (1 + 1e-9)
                 assert 0.0 < theta_star < cap
                 if (2.0 * S / (gb * u)) ** (gb / (gb + 1.0)) >= cap:
@@ -304,36 +321,33 @@ class TestOptimizeThetaGrowth:
                     assert theta_star == pytest.approx(cap, rel=1e-11)
                 else:
                     n_free += 1
-            with pytest.raises(ValueError, match="no valid theta"):
-                optimize_theta_growth(0.99 * thr, C, S, gb, fam, cap)
+            with pytest.raises(ValueError, match="threshold"):
+                optimize_theta_growth(0.99 * thr, growth)
         assert min(n_capped, n_free) >= 10, (n_capped, n_free)
 
     def test_nonpositive_u_has_no_valid_theta(self):
         for u in (0.0, -3.0):
-            with pytest.raises(ValueError, match="no valid theta"):
-                optimize_theta_growth(u, 1.0, 1.0, 2.0, GAUSS, 1.0)
+            with pytest.raises(ValueError, match="threshold"):
+                optimize_theta_growth(u, UNIT)
 
     def test_same_optimum_as_bounded_box(self):
         # one theta* routine: with S = c1 eps0^q, C = eps0 and the box's cap,
         # the growth optimum is the bounded-box optimum
         fam = PhiFamily(1.7)
-        inputs = FieldBoundInputs(
-            eps0=0.7,
-            box=AnisotropicBox(0, 1, 0, 2, 0.6, 0.9),
-            prof=HolderProfile(1.3, 0.8),
-            fam=fam,
-        )
+        box, prof = AnisotropicBox(0, 1, 0, 2, 0.6, 0.9), HolderProfile(1.3, 0.8)
+        inputs = field_bound(0.7, box, prof, fam)
         gb = 0.8 * fam.beta
-        s_value = inputs.c1 * inputs.eps0 ** inputs.q
+        s_value = c1_constant(box, prof, fam) * 0.7 ** (1.0 - 1.0 / gb)
+        growth = growth_bound(s_value, 0.7, gb, fam, inputs.cap)
         n_valid = 0
         for u in np.geomspace(1.0, 1e3, 40):
             try:
                 expected = optimize_theta(u, inputs)
             except ValueError:
-                with pytest.raises(ValueError, match="no valid theta"):
-                    optimize_theta_growth(u, inputs.eps0, s_value, gb, fam, inputs.theta_cap)
+                with pytest.raises(ValueError, match="threshold"):
+                    optimize_theta_growth(u, growth)
                 continue
             n_valid += 1
-            got = optimize_theta_growth(u, inputs.eps0, s_value, gb, fam, inputs.theta_cap)
+            got = optimize_theta_growth(u, growth)
             assert got == expected
         assert 10 <= n_valid < 40

@@ -279,9 +279,11 @@ class TestFieldMappings:
                     + (1 / rho) * (t2 / 2) ** (rho / beta)
                 )
             )
-            assert inputs.c1 == pytest.approx(c_tilde, rel=1e-12)
             eps0 = c0 * c_phi
-            theta = rng.uniform(0.1, min(0.9, 0.99 * inputs.gamma0 / eps0))
+            assert inputs.scale == eps0
+            # k = c1 eps0^q, q = 1 - 1/beta at gamma = 1
+            assert inputs.k == pytest.approx(c_tilde * eps0 ** (1 - 1 / beta), rel=1e-12)
+            theta = rng.uniform(0.1, min(0.9, 0.99 * inputs.cap))
             thr = supbound.u_threshold(theta, inputs)
             u = 1.5 * thr
             expected = 2 * math.exp(
@@ -310,14 +312,15 @@ class TestFieldMappings:
                 * math.sqrt(2 * c_v)
                 * ((2 / hurst) * (t1 / 2) ** (hurst / 4) + (1 / hurst) * (t2 / 2) ** (hurst / 2))
             )
-            assert inputs.c1 == pytest.approx(c_tt, rel=1e-12)
+            eps0 = model.a_h * (0.1 + t1) ** (hurst / 2)
+            assert inputs.k == pytest.approx(c_tt * eps0 ** 0.5, rel=1e-12)  # q = 1/2
             assert inputs.fam.alpha == 2.0
 
     def test_v_eps_value(self):
         model = SheModel(hurst=0.5)
         box = AnisotropicBox(0.1, 1.0, 0.0, 1.0)
         inputs = v_bound_inputs(box, model)
-        assert inputs.eps0 == pytest.approx(sup_norm_coefficient(0.5), rel=1e-13)
+        assert inputs.scale == pytest.approx(sup_norm_coefficient(0.5), rel=1e-13)
 
     def test_v_tail_decreases(self):
         model = SheModel(hurst=0.5)
@@ -416,7 +419,7 @@ class TestGrowthEnvelope:
         model = SheModel(hurst=hurst)
         res = she_growth_envelope(model, p=2.0, u_grid=[1000.0], halfwidth=1.0)
         cap = theta_sup(model.c_v, model.a_h, hurst)
-        assert res.theta_cap == min(1.0, cap) == 1.0
+        assert res.bound.cap == min(1.0, cap) == 1.0
         # the k -> inf limit of gamma_k / eps_k, read off the cells' diameters
         box, prof = _cell(model, 700, 1.0)
         ratio = prof.sigma(box.diameter) / (model.a_h * math.exp(701 * hurst / 2))
@@ -433,9 +436,10 @@ class TestGrowthEnvelope:
     def test_curve_matches_auto_theta_form_on_series(self):
         model = SheModel(hurst=0.5)
         res = she_growth_envelope(model, p=2.0, u_grid=[900.0, 1500.0], halfwidth=1.0)
-        assert (res.gamma_beta, res.fam) == (2.0, PhiFamily(2.0))
+        growth = supbound.TailBound(res.s_tilde.value, res.c_tilde.value, 2.0, 1.0, PhiFamily(2.0))
+        assert res.bound == growth
         for u, v in zip(res.curve.u, res.curve.value):
-            direct = auto_theta_bound(u, res.c_tilde.value, res.s_tilde.value, 2.0, res.fam, 1.0)
+            direct = auto_theta_bound(u, growth)
             assert v == direct
 
     def test_power_cells_already_substituted(self):
@@ -443,7 +447,7 @@ class TestGrowthEnvelope:
         # that the envelope's eps_k uses
         model = SheModel(hurst=0.5)
         for k in (0, 1, 5, 40):
-            eps_k = v_bound_inputs(_cell(model, k, 1.0)[0], model).eps0
+            eps_k = v_bound_inputs(_cell(model, k, 1.0)[0], model).scale
             assert eps_k == pytest.approx(model.a_h * math.exp((k + 1) * 0.25), rel=1e-12)
 
     def test_entropy_constants_match_former_closed_forms(self):

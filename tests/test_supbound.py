@@ -5,32 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from suptail.entropy import HolderProfile
+from suptail.entropy import HolderProfile, c1_constant
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily, phi_conjugate
 from suptail.supbound import (
-    FieldBoundInputs,
+    field_bound,
+    min_threshold,
     optimize_theta,
     sup_tail_bound,
     u_threshold,
 )
 
-# unit square, sigma(h) = h, alpha = 2: c1 = 4, gamma0 = 2, gamma*beta = 2
-STD = FieldBoundInputs(
-    eps0=1.0,
-    box=AnisotropicBox(0, 1, 0, 1),
-    prof=HolderProfile(1.0, 1.0),
-    fam=PhiFamily(2.0),
-)
+# unit square, sigma(h) = h, alpha = 2, eps0 = 1: c1 = 4, gamma0 = 2, gamma*beta = 2
+STD = field_bound(1.0, AnisotropicBox(0, 1, 0, 1), HolderProfile(1.0, 1.0), PhiFamily(2.0))
 
 
 def make_inputs(alpha, gamma, h1, h2, scale=1.0, eps0=1.0, t1=1.0, t2=1.0):
-    return FieldBoundInputs(
-        eps0=eps0,
-        box=AnisotropicBox(0, t1, 0, t2, h1, h2),
-        prof=HolderProfile(scale, gamma),
-        fam=PhiFamily(alpha),
-    )
+    """(box, modulus, family) and the bound for a field of norm eps0 on them."""
+    parts = (AnisotropicBox(0, t1, 0, t2, h1, h2), HolderProfile(scale, gamma), PhiFamily(alpha))
+    return parts, field_bound(eps0, *parts)
 
 
 class TestThreshold:
@@ -39,8 +32,8 @@ class TestThreshold:
         assert u_threshold(0.5, STD) == pytest.approx(8 * math.sqrt(0.5) * 4, rel=1e-13)
 
     def test_value_gamma_beta_four_thirds(self):
-        inp = make_inputs(alpha=2.0, gamma=2.0 / 3.0, h1=1.0, h2=1.0)
-        c1 = inp.c1
+        parts, inp = make_inputs(alpha=2.0, gamma=2.0 / 3.0, h1=1.0, h2=1.0)
+        c1 = c1_constant(*parts)
         expected = 8 * 0.5 ** (1.0 - 3.0 / 4.0) * c1
         assert u_threshold(0.5, inp) == pytest.approx(expected, rel=1e-13)
 
@@ -53,10 +46,23 @@ class TestThreshold:
             u_threshold(0.0, STD)
         with pytest.raises(ValueError):
             u_threshold(1.0, STD)
-        # theta * eps0 >= gamma0
-        tight = make_inputs(alpha=2.0, gamma=1.0, h1=1.0, h2=1.0, eps0=10.0)
-        with pytest.raises(ValueError, match="gamma0"):
+        # theta * eps0 >= gamma0: the cap is gamma0 / eps0 = 0.2
+        _, tight = make_inputs(alpha=2.0, gamma=1.0, h1=1.0, h2=1.0, eps0=10.0)
+        assert tight.cap == 0.2
+        with pytest.raises(ValueError, match="theta_cap"):
             u_threshold(0.5, tight)  # 5 > gamma0 = 2
+
+
+class TestMinThreshold:
+    def test_least_threshold_over_valid_theta(self):
+        # free minimizer 1/(gamma*beta+1) = 1/3 for STD; capped at 0.2 for eps0 = 10
+        _, tight = make_inputs(alpha=2.0, gamma=1.0, h1=1.0, h2=1.0, eps0=10.0)
+        for inp in (STD, tight):
+            thetas = np.linspace(1e-4, inp.cap * (1 - 1e-9), 20001)
+            scanned = min(u_threshold(float(t), inp) for t in thetas)
+            assert scanned * (1 - 1e-7) <= min_threshold(inp) <= scanned * (1 + 1e-15)
+        # 2 * 4 * 3^(1/2) / (2/3)
+        assert min_threshold(STD) == pytest.approx(12.0 * math.sqrt(3.0), rel=1e-15)
 
 
 class TestSupTailBound:
@@ -114,11 +120,11 @@ class TestOptimizeTheta:
 
     def test_beats_grid_oracle(self):
         rng = np.random.default_rng(6)
-        inp = make_inputs(alpha=1.5, gamma=0.9, h1=0.6, h2=1.0)
+        _, inp = make_inputs(alpha=1.5, gamma=0.9, h1=0.6, h2=1.0)
         u = 3.0 * min(u_threshold(t, inp) for t in np.linspace(0.05, 0.95, 50))
         theta_star, bound = optimize_theta(u, inp)
         best_grid = math.inf
-        for theta in np.linspace(1e-4, inp.theta_cap * (1 - 1e-9), 10000):
+        for theta in np.linspace(1e-4, inp.cap * (1 - 1e-9), 10000):
             try:
                 best_grid = min(best_grid, sup_tail_bound(u, float(theta), inp))
             except ValueError:
@@ -133,12 +139,12 @@ class TestOptimizeTheta:
         assert 0.0 < bound <= 1.0
 
     def test_no_valid_theta(self):
-        with pytest.raises(ValueError, match="no valid theta"):
+        with pytest.raises(ValueError, match="threshold"):
             optimize_theta(1.0, STD)
 
     def test_nonpositive_u_has_no_valid_theta(self):
         for u in (0.0, -3.0):
-            with pytest.raises(ValueError, match="no valid theta"):
+            with pytest.raises(ValueError, match="threshold"):
                 optimize_theta(u, STD)
 
     def test_heuristic_theta_never_better(self):
@@ -147,7 +153,7 @@ class TestOptimizeTheta:
         for u in (30.0, 40.0, 80.0):
             theta_h = u ** (-gb / (gb + 1.0))
             _, bound = optimize_theta(u, STD)
-            if theta_h * STD.eps0 < STD.gamma0 and u > u_threshold(theta_h, STD):
+            if theta_h < STD.cap and u > u_threshold(theta_h, STD):
                 assert bound <= sup_tail_bound(u, theta_h, STD) * (1 + 1e-9)
 
     def test_deterministic(self):
@@ -165,33 +171,32 @@ class TestOptimizeTheta:
         for _ in range(200):
             fam = PhiFamily(float(rng.uniform(1.2, 2.0)))
             gamma = float(rng.uniform(1.05 / fam.beta, 1.0))
-            inp = FieldBoundInputs(
-                eps0=float(rng.choice([rng.uniform(0.2, 2.0), rng.uniform(5.0, 40.0)])),
-                box=AnisotropicBox(
-                    0, float(rng.uniform(0.1, 3.0)), 0, float(rng.uniform(0.1, 3.0)),
-                    float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 1.0)),
-                ),
-                prof=HolderProfile(float(rng.uniform(0.2, 3.0)), gamma),
-                fam=fam,
+            eps0 = float(rng.choice([rng.uniform(0.2, 2.0), rng.uniform(5.0, 40.0)]))
+            box = AnisotropicBox(
+                0, float(rng.uniform(0.1, 3.0)), 0, float(rng.uniform(0.1, 3.0)),
+                float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 1.0)),
             )
+            prof = HolderProfile(float(rng.uniform(0.2, 3.0)), gamma)
+            inp = field_bound(eps0, box, prof, fam)
+            gamma0 = prof.sigma(box.diameter)
             q = 1.0 - 1.0 / (gamma * fam.beta)
-            thetas = np.geomspace(1e-6, inp.theta_cap * (1 - 1e-9), 10000)
-            scale = 2.0 * inp.c1 * inp.eps0 ** q
+            thetas = np.geomspace(1e-6, inp.cap * (1 - 1e-9), 10000)
+            scale = 2.0 * c1_constant(box, prof, fam) * eps0 ** q
             u = float(rng.uniform(0.5, 4.0)) * np.min(scale * thetas ** (q - 1) / (1 - thetas))
-            z = (u * (1 - thetas) - scale * thetas ** (q - 1)) / inp.eps0
+            z = (u * (1 - thetas) - scale * thetas ** (q - 1)) / eps0
             if np.max(z) <= 0:
                 n_invalid += 1
-                with pytest.raises(ValueError, match="no valid theta"):
+                with pytest.raises(ValueError, match="threshold"):
                     optimize_theta(u, inp)
                 continue
             theta_star, bound = optimize_theta(u, inp)
             best = float(thetas[np.argmax(z)])
             assert bound <= sup_tail_bound(u, best, inp) * (1.0 + 1e-9)
-            assert theta_star * inp.eps0 < inp.gamma0
+            assert theta_star * eps0 < gamma0
             unconstrained = ((1 - q) * scale / u) ** (1.0 / (2.0 - q))
-            if unconstrained >= inp.theta_cap:
+            if unconstrained >= inp.cap:
                 n_capped += 1
-                assert theta_star == pytest.approx(inp.theta_cap, rel=1e-11)
+                assert theta_star == pytest.approx(inp.cap, rel=1e-11)
             else:
                 n_free += 1
         assert min(n_capped, n_free, n_invalid) >= 10, (n_capped, n_free, n_invalid)
