@@ -14,8 +14,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import growth, heat, sim, supbound
 from .curves import TailCurve
 from .entropy import HolderProfile
@@ -122,8 +120,16 @@ def _positive_int(value, name: str) -> int:
 
 
 def _listed_u(values) -> list[float]:
-    """An explicit u_grid: a nonempty, strictly increasing list of numbers."""
-    us = [float(u) for u in values]
+    """An explicit u_grid: a nonempty, strictly increasing list of finite numbers."""
+    us = []
+    for i, value in enumerate(values):
+        try:
+            u = float(value)
+        except OverflowError:  # an integer beyond the float range
+            u = math.inf
+        if not math.isfinite(u):
+            raise ConfigError(f"u_grid entries must be finite, got {value!r} at index {i}")
+        us.append(u)
     if not us:
         raise ConfigError("u_grid must not be empty")
     if any(b <= a for a, b in zip(us, us[1:])):
@@ -139,18 +145,26 @@ def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
     # max multiplies the minimal threshold; above 0.9 the grid increases
     # strictly, as an explicit u_grid must
     span = auto.get("max", 2.0)
-    if type(span) not in (int, float) or not 0.9 < span < math.inf:
+    if type(span) not in (int, float) or not 0.9 < span <= sys.float_info.max:
         raise ConfigError(f"u_auto 'max' must be a finite number above 0.9, got {span!r}")
+    span = float(span)
     # pad the low end below the minimal threshold so the first entries are invalid
     thr = supbound.min_threshold(bound)
-    fracs = np.linspace(0.9, span, count)
+    # count evenly spaced fractions from 0.9 to span, rounded as np.linspace
+    # rounds them: i * step + 0.9, and span itself last
+    step = (span - 0.9) / max(count - 1, 1)
+    fracs = [i * step + 0.9 for i in range(count)]
+    if count > 1:
+        fracs[-1] = span
     # An entry on the threshold would be VALID or INVALID by the last ulp of
     # the constants, so the one within half a step of it moves half a step
     # further away (down from the threshold itself); the first entry stays.
-    half = 0.5 * (span - 0.9) / max(count - 1, 1)
-    dist = fracs[1:] - 1.0
-    fracs[1:] += np.where(np.abs(dist) < half, np.where(dist > 0.0, half, -half), 0.0)
-    return [float(f * thr) for f in fracs]
+    half = 0.5 * step
+    for k in range(1, count):
+        dist = fracs[k] - 1.0
+        if abs(dist) < half:
+            fracs[k] += half if dist > 0.0 else -half
+    return [f * thr for f in fracs]
 
 
 # --------------------------------------------------------------------------

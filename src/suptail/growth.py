@@ -15,14 +15,17 @@ tail and rounding error, and ``theta_sup`` returns inf_k gamma_k / eps_k.
 The growth bound is ``supbound.TailBound`` with k = S~, scale C~ and cap
 min(1, ``theta_sup``), built once by the caller; ``auto_theta_bound`` and
 ``optimize_theta_growth`` evaluate it at two choices of theta.
+
+NumPy is imported by ``_polylog`` at its first call, not with this module, so
+``bound-growth`` loads it when it sums Li_p and no other analytic command
+loads it.  Nothing here uses SciPy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .supbound import TailBound, _theta_star, sup_tail_bound
 
@@ -40,7 +43,7 @@ class SeriesSum:
     n_terms: int
 
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _POLYLOG_MAX_TERMS = 2 ** 24
 # Relative rounding bound on the products and sums that combine zeta(p) and
 # Li_p with the model constants; the series' own errors are their remainders.
@@ -93,6 +96,8 @@ def _polylog(p: float, ln_x: float) -> SeriesSum:
     most n ulps of the sum, which also covers the underflowed terms (each
     below 5e-324, against a sum of at least x).
     """
+    import numpy as np
+
     total, n, chunk, a_max = 0.0, 0, 1024, 0.0
     while True:
         ks = np.arange(n + 1, n + chunk + 1, dtype=float)

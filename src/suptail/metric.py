@@ -1,11 +1,14 @@
-"""Anisotropic box metric, the analytic covering-number bound, and a covering oracle."""
+"""Anisotropic box metric, the analytic covering-number bound, and a covering oracle.
+
+NumPy is imported when ``covering_oracle`` first builds its grid, not with this
+module, so of the five commands only ``covering`` loads it here.  Nothing
+here uses SciPy.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,46 @@ def covering_upper_bound(box: AnisotropicBox, eps: float) -> float:
     return val
 
 
-def _grid_axis(a: float, b: float, resolution: int) -> np.ndarray:
-    if b > a:
-        return np.linspace(a, b, resolution)
-    return np.array([a])
+def _grid_axis(a: float, b: float, resolution: int, h: float, eps: float):
+    """One axis of the oracle grid: the table |g_k - g_c|^h (row c, column k)
+    and, for each center c, the index window [lo_c, hi_c) outside which the
+    table exceeds eps."""
+    import numpy as np
+
+    g = np.linspace(a, b, resolution) if b > a else np.array([a])
+    table = np.abs(g - g[:, None]) ** h
+    near = table <= eps  # the diagonal is 0, so each row has a True
+    lo = np.argmax(near, axis=1)
+    hi = len(g) - np.argmax(near[:, ::-1], axis=1)
+    return table, lo, hi
+
+
+def _greedy_count(box: AnisotropicBox, eps: float, resolution: int, cap: int) -> int:
+    """Balls in the greedy cover of the resolution x resolution grid, each
+    centered at the first uncovered point in lexicographic order; the count
+    stops at cap.
+
+    d = table1[i, k] + table2[j, l] is at least each term, so a ball centered
+    at (i, j) covers only points inside both of its windows, and each step
+    updates that block alone.
+    """
+    import numpy as np
+
+    table1, lo1, hi1 = _grid_axis(box.a1, box.b1, resolution, box.h1, eps)
+    table2, lo2, hi2 = _grid_axis(box.a2, box.b2, resolution, box.h2, eps)
+    uncovered = np.ones((len(table1), len(table2)), dtype=bool)
+    flat = uncovered.ravel()
+    first, count = 0, 0
+    while count < cap:
+        # The first uncovered point only moves forward.
+        first += int(np.argmax(flat[first:]))
+        if not flat[first]:
+            break
+        i, j = divmod(first, len(table2))
+        rows, cols = slice(lo1[i], hi1[i]), slice(lo2[j], hi2[j])
+        uncovered[rows, cols] &= table1[i, rows, None] + table2[j, cols] > eps
+        count += 1
+    return count
 
 
 def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> int:
@@ -115,20 +154,5 @@ def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> i
         w = (eps / m) ** (1.0 / h_i)
         count_tiling *= max(1, math.ceil(t_i / (2.0 * w)))
 
-    xs = _grid_axis(box.a1, box.b1, resolution)
-    ys = _grid_axis(box.a2, box.b2, resolution)
-    p1, p2 = np.meshgrid(xs, ys, indexing="ij")
-    p1 = p1.ravel()
-    p2 = p2.ravel()
-
-    uncovered = np.ones(p1.size, dtype=bool)
-    count_greedy = 0
-    while uncovered.any():
-        i = int(np.argmax(uncovered))  # first uncovered in lexicographic order
-        d = np.abs(p1 - p1[i]) ** box.h1 + np.abs(p2 - p2[i]) ** box.h2
-        uncovered &= d > eps
-        count_greedy += 1
-        if count_greedy >= count_tiling:
-            # The tiling arm already wins; its count is returned below.
-            return count_tiling
-    return min(count_tiling, count_greedy)
+    # the greedy count stops once it reaches the tiling's, which then wins
+    return min(count_tiling, _greedy_count(box, eps, resolution, count_tiling))

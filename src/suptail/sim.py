@@ -18,8 +18,10 @@ with M = scipy.special.hyp1f1.  At |t-s| = 0 the second term is its limit
 (z^2/4)^H sqrt(pi) / Gamma(H+1/2); at z = 0 the bracket is (2t)^H and gives the
 variance identity C_H c_1H t^H.
 
-SciPy is imported at the first kernel or Clopper-Pearson call, not with this
-module, so the analytic commands never load it.
+NumPy and SciPy are imported inside the functions that use them, not with
+this module: only simulate-verify loads them, NumPy at its first grid, kernel
+or sampling call and SciPy at its first kernel or Clopper-Pearson call.  So
+``import suptail.cli`` and the analytic commands load neither.
 
 Only V is sampled; the bound for the smoothed field omega comes from its
 Holder constants (heat.omega_bound_inputs) and needs no covariance.
@@ -36,11 +38,8 @@ contiguous rows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .curves import TailCurve
 from .heat import noise_constant
@@ -61,6 +60,7 @@ _W_ASYMPTOTIC = 1e12
 
 def _kummer_term(r: np.ndarray, z2: np.ndarray, hurst: float) -> np.ndarray:
     """r^H M(-H; 1/2; -z2/r) elementwise, with its limit z2^H sqrt(pi)/Gamma(H+1/2) at r = 0."""
+    import numpy as np
     from scipy.special import hyp1f1
 
     w = np.divide(z2, r, out=np.full(r.shape, np.inf), where=r > 0)
@@ -98,6 +98,8 @@ def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
     docstring).  Symmetric, depends on x, y only through |x - y|, zero when
     either time is 0, and v_covariance(t,x,t,x) = C_H * c_1H * t^H exactly.
     """
+    import numpy as np
+
     if t < 0 or s < 0:
         raise ValueError("times must be nonnegative")
     lo, hi, dist = (np.array([v]) for v in (min(t, s), max(t, s), abs(x - y)))
@@ -128,6 +130,8 @@ class GaussianFieldModel:
 
 def make_grid(box: AnisotropicBox, nt: int, nx: int) -> tuple[tuple[float, float], ...]:
     """Product grid of nt time points by nx space points over the box."""
+    import numpy as np
+
     if nt < 1 or nx < 1:
         raise ValueError("grid sizes must be positive")
     ts = np.linspace(box.a1, box.b1, nt)
@@ -141,6 +145,8 @@ def covariance_matrix(model: GaussianFieldModel) -> np.ndarray:
     The kernel depends on (min(t,s), max(t,s), |x-y|): the distinct keys are
     evaluated in one array call and scattered back.
     """
+    import numpy as np
+
     pts = model.grid
     m = len(pts)
     t, x = np.asarray(pts, dtype=float).T
@@ -174,6 +180,8 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
     An all-zero matrix has the all-zero factor; any other matrix without a
     positive variance cannot be PSD and raises.
     """
+    import numpy as np
+
     scale = float(cov.diagonal().max())
     if scale <= 0.0:
         if not np.any(cov):
@@ -214,6 +222,8 @@ def sample_fields(
     shorter run is a prefix of a longer one.  The result is the transpose of
     an (m, n) C-ordered buffer, so each grid point's samples are contiguous.
     """
+    import numpy as np
+
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if seed is None:
@@ -232,6 +242,8 @@ def sample_fields(
         for lo in blocks:
             fill(lo)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, blocks))
     return out.T
@@ -258,6 +270,8 @@ def empirical_sup_tail(fields: np.ndarray, u_grid: Sequence[float]) -> TailCurve
 
     Carries two-sided Clopper-Pearson limits at level CONFIDENCE.
     """
+    import numpy as np
+
     fields = np.asarray(fields)
     if fields.ndim != 2 or fields.shape[0] == 0:
         raise ValueError("fields must be a nonempty (n, m) array")

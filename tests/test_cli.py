@@ -515,8 +515,10 @@ class TestUAutoValidation:
             ({"max": 2.0, "count": 0}, "count"),
             ({"max": 2.0, "count": 2.7}, "count"),
             ({"max": 2.0, "count": -3}, "count"),
+            # an integer beyond the float range is not a finite number
+            ({"max": 10**400, "count": 4}, "max"),
         ],
-        ids=["max-below-0.9", "count-zero", "count-fractional", "count-negative"],
+        ids=["max-below-0.9", "count-zero", "count-fractional", "count-negative", "max-huge-int"],
     )
     def test_invalid_u_auto_rejected(self, tmp_path, capsys, command, u_auto, key):
         payload = {**TestSimulateVerify.PAYLOAD, "u_auto": u_auto}
@@ -526,6 +528,61 @@ class TestUAutoValidation:
         assert code == 1
         assert f"u_auto '{key}'" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+
+class TestNonFiniteUGrid:
+    # a comparison with nan is always false, so nan used to pass the
+    # strictly-increasing check and come out as a row (u nan, empirical 0.0)
+    PAYLOADS = {
+        "bound-sup": {"field": "v", "model": MODEL, "box": BOX},
+        "bound-growth": {"model": MODEL},
+        "simulate-verify": {
+            k: v for k, v in TestSimulateVerify.PAYLOAD.items() if k != "u_auto"
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(PAYLOADS))
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"]
+    )
+    def test_rejected(self, tmp_path, capsys, command, bad):
+        payload = {**self.PAYLOADS[command], "u_grid": [80.0, bad, 200.0]}
+        code, out = run(tmp_path, command, payload, "--seed", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"suptail {command}: error: u_grid entries must be finite, got ")
+        assert err.endswith(" at index 1\n")
+        assert err.count("\n") == 1
+        assert not any(out.iterdir())
+
+
+def u_grid_linspace(count, span, thr):
+    """The u_auto grid as np.linspace and np.where build it: the oracle."""
+    fracs = np.linspace(0.9, span, count)
+    half = 0.5 * (span - 0.9) / max(count - 1, 1)
+    dist = fracs[1:] - 1.0
+    fracs[1:] += np.where(np.abs(dist) < half, np.where(dist > 0.0, half, -half), 0.0)
+    return [float(f * thr) for f in fracs]
+
+
+def test_u_grid_matches_linspace_bit_for_bit():
+    inputs = v_bound_inputs(AnisotropicBox(**BOX), SheModel(hurst=0.35))
+    thr = supbound.min_threshold(inputs)
+    nudged = 0
+    for count in range(1, 65):
+        spans = [0.95, 1.0, 1.0 + 1e-9, 1.1, 1.3, 2, 2.0, 3.7, 7, 100.0]
+        # spans that put entry k on the threshold, or within half a step of it
+        for k in {1, max(1, count // 2), count - 1} - {0}:
+            spans += [0.9 + 0.1 * (count - 1) / (k + f) for f in (-0.5, -0.49, -0.25, 0.0, 0.25, 0.49)]
+        for span in spans:
+            if not span > 0.9:
+                continue
+            us = _u_grid({"u_auto": {"count": count, "max": span}}, inputs)
+            expected = u_grid_linspace(count, span, thr)
+            assert [u.hex() for u in us] == [u.hex() for u in expected], (count, span)
+            plain = np.linspace(0.9, span, count) * thr
+            nudged += sum(u != float(p) for u, p in zip(us, plain))
+    assert nudged > 100  # the half-step moves are exercised, not just the spacing
 
 
 class TestUGridUAutoExclusive:
@@ -541,30 +598,35 @@ class TestUGridUAutoExclusive:
         assert not out.exists()
 
 
-# Runs in a fresh interpreter: imports suptail.cli, then each analytic command
-# through cli.main, and prints the scipy modules loaded after each step.
-_NO_SCIPY_PROBE = """
+# Runs in a fresh interpreter: imports suptail, then suptail.cli, then runs
+# each command through cli.main, and prints after each step which of NumPy,
+# SciPy and concurrent.futures are loaded.
+_IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
+
+def heavy_modules():
+    return [m for m in ("numpy", "scipy", "concurrent.futures") if m in sys.modules]
+
+import suptail
+report = [["import suptail", 0, heavy_modules()]]
 import suptail.cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-
-report = [["import", 0, scipy_modules()]]
+report.append(["import suptail.cli", 0, heavy_modules()])
 work = Path(sys.argv[1])
-for i, (command, cfg) in enumerate(json.loads(sys.argv[2])):
+for i, (command, cfg, args) in enumerate(json.loads(sys.argv[2])):
     path = work / f"cfg{i}.json"
     path.write_text(json.dumps(cfg))
-    code = suptail.cli.main([command, "--config", str(path), "--out", str(work / f"out{i}")])
-    report.append([command, code, scipy_modules()])
+    code = suptail.cli.main([command, "--config", str(path), "--out", str(work / f"out{i}"), *args])
+    report.append([command, code, heavy_modules()])
 print(json.dumps(report))
 """
 
 
 def test_analytic_commands_load_no_scipy(tmp_path):
-    # scipy.special alone costs about two thirds of the CLI's import time;
-    # only simulate-verify needs SciPy (scipy.special, at first use)
+    # NumPy and scipy.special are most of a fresh `import suptail.cli`'s time.
+    # constants and bound-sup evaluate closed forms in `math` and load
+    # neither; bound-growth (Li_p) and covering load NumPy at their first
+    # call; only simulate-verify needs SciPy (scipy.special, at first use).
     generic = {
         "field": "generic",
         "fam": 2.0,
@@ -572,21 +634,35 @@ def test_analytic_commands_load_no_scipy(tmp_path):
         "profile": {"scale": 1.0, "exponent": 1.0},
         "box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0},
     }
-    runs = [
-        ["constants", {"model": MODEL}],
-        ["bound-sup", {"field": "v", "model": MODEL, "box": BOX, "u_auto": {"count": 4}}],
-        ["bound-sup", {"field": "omega", "model": MODEL, "box": BOX, "u_grid": [5.0, 50.0]}],
-        ["bound-sup", {**generic, "u_auto": {"count": 4}}],
-        ["bound-growth", {"model": MODEL, "p": 1.5, "u_grid": [900.0, 1500.0]}],
-        ["covering", {"box": generic["box"], "eps": 0.5, "resolution": 41}],
+    v = {"field": "v", "model": MODEL, "box": BOX}
+    omega = {"field": "omega", "model": MODEL, "box": BOX}
+    closed_form = [
+        ["constants", {"model": MODEL}, []],
+        ["constants", {"model": MODEL}, ["--format", "csv"]],
+    ]
+    for fmt in ("json", "csv"):
+        for field, u_grid in ((v, [80.0, 200.0]), (omega, [5.0, 50.0]), (generic, [5.0, 50.0])):
+            closed_form.append(["bound-sup", {**field, "u_auto": {"count": 4}}, ["--format", fmt]])
+            closed_form.append(["bound-sup", {**field, "u_grid": u_grid}, ["--format", fmt]])
+    runs = closed_form + [
+        ["bound-growth", {"model": MODEL, "p": 1.5, "u_grid": [900.0, 1500.0]}, []],
+        ["covering", {"box": generic["box"], "eps": 0.5, "resolution": 41}, []],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path), json.dumps(runs)],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), json.dumps(runs)],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [["import", 0, []]] + [[cmd, 0, []] for cmd, _ in runs]
+    report = json.loads(done.stdout)
+    assert report[: 2 + len(closed_form)] == [
+        ["import suptail", 0, []],
+        ["import suptail.cli", 0, []],
+    ] + [[cmd, 0, []] for cmd, _, _ in closed_form]
+    assert report[2 + len(closed_form) :] == [
+        ["bound-growth", 0, ["numpy"]],
+        ["covering", 0, ["numpy"]],
+    ]

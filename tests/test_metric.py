@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from suptail.metric import AnisotropicBox, covering_oracle, covering_upper_bound
+from suptail.metric import AnisotropicBox, _greedy_count, covering_oracle, covering_upper_bound
 
 UNIT_SQUARE = AnisotropicBox(0, 1, 0, 1)
 
@@ -11,6 +11,20 @@ UNIT_SQUARE = AnisotropicBox(0, 1, 0, 1)
 def aniso_dist(t, s, box):
     """The box metric d(t, s) = |t1-s1|^h1 + |t2-s2|^h2."""
     return abs(t[0] - s[0]) ** box.h1 + abs(t[1] - s[1]) ** box.h2
+
+
+def full_grid_greedy(box, eps, resolution, cap):
+    """``metric._greedy_count`` with each step over the whole grid: the oracle."""
+    xs = np.linspace(box.a1, box.b1, resolution) if box.t1 > 0 else np.array([box.a1])
+    ys = np.linspace(box.a2, box.b2, resolution) if box.t2 > 0 else np.array([box.a2])
+    p1, p2 = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
+    uncovered = np.ones(p1.size, dtype=bool)
+    count = 0
+    while uncovered.any() and count < cap:
+        i = int(np.argmax(uncovered))  # first uncovered in lexicographic order
+        uncovered &= np.abs(p1 - p1[i]) ** box.h1 + np.abs(p2 - p2[i]) ** box.h2 > eps
+        count += 1
+    return count
 
 
 def random_feasible_config(rng, resolution=81):
@@ -114,3 +128,34 @@ class TestCoveringOracle:
         a = covering_oracle(box, 0.6, 81)
         b = covering_oracle(box, 0.6, 81)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "box, eps",
+        [
+            # dyadic grids, where distances equal to eps exactly are common
+            (UNIT_SQUARE, 0.25),
+            (UNIT_SQUARE, 0.5),
+            (AnisotropicBox(0, 1, 0, 1, 0.5, 0.5), 0.5),
+            (AnisotropicBox(0, 2, 0, 0.5, 1.0, 0.5), 0.375),
+            (AnisotropicBox(0, 1, 0, 0), 0.125),
+        ],
+    )
+    def test_windowed_greedy_matches_full_grid_on_ties(self, box, eps):
+        assert _greedy_count(box, eps, 65, 10**9) == full_grid_greedy(box, eps, 65, 10**9)
+
+    def test_windowed_greedy_matches_full_grid(self):
+        # each greedy step updates only the block where both per-axis
+        # distances are <= eps; the count must equal the full-grid greedy's,
+        # also with degenerate axes, h < 1 and a cap
+        rng = np.random.default_rng(19)
+        for case in range(120):
+            t1, t2 = (0.0 if rng.random() < 0.1 else rng.uniform(0.05, 2.0) for _ in range(2))
+            h1, h2 = rng.uniform(0.2, 1.0, size=2)
+            a1, a2 = rng.uniform(-1.0, 1.0, size=2)
+            box = AnisotropicBox(a1, a1 + t1, a2, a2 + t2, h1, h2)
+            resolution = int(rng.choice([51, 101]))
+            eps_min = 10.0 * max((t / (resolution - 1)) ** h for t, h in ((t1, h1), (t2, h2)))
+            eps = rng.uniform(eps_min, max(eps_min, box.diameter))
+            cap = 10**9 if case % 4 else int(rng.integers(1, 20))
+            expected = full_grid_greedy(box, eps, resolution, cap)
+            assert _greedy_count(box, eps, resolution, cap) == expected
