@@ -119,17 +119,23 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str, where: str = "") -> float:
+    """value as a float if it is a finite JSON number: an int or a float, not
+    a bool or a string.  The error names the key, and ``where`` is appended."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {value!r}{where}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}{where}")
+    return number
+
+
 def _listed_u(values) -> list[float]:
     """An explicit u_grid: a nonempty, strictly increasing list of finite numbers."""
-    us = []
-    for i, value in enumerate(values):
-        try:
-            u = float(value)
-        except OverflowError:  # an integer beyond the float range
-            u = math.inf
-        if not math.isfinite(u):
-            raise ConfigError(f"u_grid entries must be finite, got {value!r} at index {i}")
-        us.append(u)
+    us = [_number(value, "u_grid entries", f" at index {i}") for i, value in enumerate(values)]
     if not us:
         raise ConfigError("u_grid must not be empty")
     if any(b <= a for a, b in zip(us, us[1:])):
@@ -181,9 +187,10 @@ def _fmt(v) -> str:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    # one encode and one write: json.dump would issue a write per token
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple], meta: dict) -> None:
@@ -238,10 +245,13 @@ def _bound_inputs(cfg: dict) -> supbound.TailBound:
         if prof_cfg is None or "eps0" not in cfg or "fam" not in cfg:
             raise ConfigError("generic bounds need 'fam', 'eps0' and 'profile'")
         return supbound.field_bound(
-            float(cfg["eps0"]),
+            _number(cfg["eps0"], "'eps0'"),
             box,
-            HolderProfile(float(prof_cfg["scale"]), float(prof_cfg["exponent"])),
-            PhiFamily(float(cfg["fam"])),
+            HolderProfile(
+                _number(prof_cfg["scale"], "profile 'scale'"),
+                _number(prof_cfg["exponent"], "profile 'exponent'"),
+            ),
+            PhiFamily(_number(cfg["fam"], "'fam'")),
         )
     if kind not in ("v", "omega"):
         raise ConfigError(f"unknown field kind {kind!r}")
@@ -253,21 +263,21 @@ def _bound_inputs(cfg: dict) -> supbound.TailBound:
 
 
 def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound) -> list[tuple]:
+    fixed = None if theta_cfg in (None, "optimize") else _number(theta_cfg, "'theta'")
     rows = []
     for u in us:
-        if theta_cfg in (None, "optimize"):
+        if fixed is None:
             try:
                 theta, value = supbound.optimize_theta(u, bound)
                 rows.append((u, theta, value, "VALID"))
             except ValueError:
                 rows.append((u, math.nan, math.nan, "INVALID"))
         else:
-            theta = float(theta_cfg)
             try:
-                value = supbound.sup_tail_bound(u, theta, bound)
-                rows.append((u, theta, value, "VALID"))
+                value = supbound.sup_tail_bound(u, fixed, bound)
+                rows.append((u, fixed, value, "VALID"))
             except ValueError:
-                rows.append((u, theta, math.nan, "INVALID"))
+                rows.append((u, fixed, math.nan, "INVALID"))
     return rows
 
 
@@ -289,9 +299,9 @@ def cmd_bound_sup(cfg: dict, out: Path, seed, fmt: str) -> int:
 
 def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
     model = _model_from(cfg)
-    p = float(cfg.get("p", 2.0))
-    halfwidth = float(cfg.get("halfwidth", 1.0))
-    series_tol = float(cfg.get("series_tol", 1e-6))
+    p = _number(cfg.get("p", 2.0), "'p'")
+    halfwidth = _number(cfg.get("halfwidth", 1.0), "'halfwidth'")
+    series_tol = _number(cfg.get("series_tol", 1e-6), "'series_tol'")
     us = _listed_u(cfg["u_grid"])
     result = heat.she_growth_envelope(model, p, us, halfwidth=halfwidth, series_tol=series_tol)
     c_tilde, s_tilde = result.c_tilde, result.s_tilde
@@ -328,7 +338,7 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
 
 def cmd_covering(cfg: dict, out: Path, seed) -> int:
     box = _box_from(cfg)
-    eps = float(cfg["eps"])
+    eps = _number(cfg["eps"], "'eps'")
     resolution = _positive_int(cfg.get("resolution", 101), "'resolution'")
     bound = covering_upper_bound(box, eps)
     oracle = covering_oracle(box, eps, resolution)
@@ -363,14 +373,12 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed) -> int:
 
     bound = heat.v_bound_inputs(box, model)
     us = _u_grid(cfg, bound)
-
-    field_model = sim.GaussianFieldModel(
-        grid=sim.make_grid(box, nt, nx), hurst=model.hurst, box=box
-    )
-    fields = sim.sample_fields(field_model, n_samples, seed=seed, workers=workers)
-    empirical = sim.empirical_sup_tail(fields, us)
-
+    # the bound column first: a bad theta fails before any sampling
     bounds = tuple(row[2] for row in _bound_curve(us, cfg.get("theta"), bound))
+
+    field_model = sim.GaussianFieldModel(*sim.make_grid(box, nt, nx), hurst=model.hurst, box=box)
+    sups = sim.sample_sups(field_model, n_samples, seed=seed, workers=workers)
+    empirical = sim.empirical_sup_tail(sups, us)
     theoretical = TailCurve(u=tuple(us), value=bounds)
     report = sim.verify_bound(empirical, theoretical)
 

@@ -26,13 +26,20 @@ or sampling call and SciPy at its first kernel or Clopper-Pearson call.  So
 Only V is sampled; the bound for the smoothed field omega comes from its
 Holder constants (heat.omega_bound_inputs) and needs no covariance.
 
+The grid is the product of a time axis and a space axis.  The two Kummer
+terms depend on t + s or |t - s| and on |x - y| only, so covariance_matrix
+evaluates each once per distinct time value and distance, tabulates Cov V
+over time pairs and distances, and gathers the matrix from that table.
+
 Sampling draws i.i.d. Gaussian vectors through the lower-triangular Cholesky
 factor of the covariance matrix, with escalating diagonal jitter where the
 matrix is singular or slightly indefinite.  Replicas come in fixed blocks of
 SAMPLE_BLOCK, and block b's normals are drawn from the stream (seed, b), so
-serial and threaded runs agree to the byte.  The samples are stored replica
-axis last, so the per-replica supremum of the empirical tail reduces over
-contiguous rows.
+serial and threaded runs agree to the byte.  simulate-verify needs only each
+replica's grid supremum: sample_sups reduces every block to its suprema as it
+is drawn, so m grid points and n replicas take O(m^2 + m SAMPLE_BLOCK + n)
+memory; sample_fields keeps the whole (n, m) array.  The empirical tail sorts
+the suprema once and counts each u by binary search.
 """
 
 from __future__ import annotations
@@ -79,14 +86,26 @@ def _kummer_term(r: np.ndarray, z2: np.ndarray, hurst: float) -> np.ndarray:
     return out
 
 
-def _v_kernel(lo: np.ndarray, hi: np.ndarray, dist: np.ndarray, hurst: float) -> np.ndarray:
-    """Cov V elementwise from min(t,s), max(t,s) and |x-y| (module docstring).
+def _v_table(sums: np.ndarray, gaps: np.ndarray, dists: np.ndarray, hurst: float) -> np.ndarray:
+    """Cov V for each time pair and each distance, shape sums.shape + dists.shape.
 
-    At lo = 0 both terms coincide, so the covariance is exactly 0.
+    A time pair (t, s) is given by sums = t + s and gaps = |t - s|, a distance
+    by |x - y| (module docstring).  Each Kummer term depends on one of the
+    two time values and the distance, so it is evaluated once per distinct
+    time value.  Where min(t, s) = 0 both terms coincide, so the covariance
+    is exactly 0.
     """
-    z2 = dist * dist / 4.0
+    import numpy as np
+
+    z2 = dists * dists / 4.0
+
+    def term(r: np.ndarray) -> np.ndarray:
+        rs, idx = np.unique(r, return_inverse=True)
+        k = _kummer_term(np.repeat(rs, len(z2)), np.tile(z2, len(rs)), hurst)
+        return k.reshape(len(rs), len(z2))[idx.reshape(r.shape)]
+
     scale = noise_constant(hurst) * math.gamma(1.0 - hurst) / (2.0 * hurst)
-    return scale * (_kummer_term(lo + hi, z2, hurst) - _kummer_term(hi - lo, z2, hurst))
+    return scale * (term(sums) - term(gaps))
 
 
 def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
@@ -102,70 +121,73 @@ def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
 
     if t < 0 or s < 0:
         raise ValueError("times must be nonnegative")
-    lo, hi, dist = (np.array([v]) for v in (min(t, s), max(t, s), abs(x - y)))
-    return float(_v_kernel(lo, hi, dist, hurst)[0])
+    sums, gaps, dists = (np.array([v]) for v in (t + s, abs(t - s), abs(x - y)))
+    return float(_v_table(sums, gaps, dists, hurst)[0, 0])
 
 
 @dataclass(frozen=True)
 class GaussianFieldModel:
-    """The stochastic convolution V with Hurst index hurst on a fixed grid.
+    """The stochastic convolution V with Hurst index hurst on a product grid.
 
-    Grid points are (t, x) pairs with t >= 0, inside the box if one is given.
+    The grid is times x xs, with times >= 0 and inside the box if one is
+    given.  Point (times[i], xs[a]) has index i * len(xs) + a: points run in
+    t-major order, as ``grid`` lists them.
     """
 
-    grid: tuple[tuple[float, float], ...]
+    times: tuple[float, ...]
+    xs: tuple[float, ...]
     hurst: float
     box: Optional[AnisotropicBox] = None
 
     def __post_init__(self) -> None:
-        if not self.grid:
-            raise ValueError("grid must be nonempty")
-        for t, x in self.grid:
-            if t < 0:
-                raise ValueError(f"grid times must be nonnegative, got {t}")
-            if self.box is not None:
-                if not (self.box.a1 <= t <= self.box.b1 and self.box.a2 <= x <= self.box.b2):
-                    raise ValueError(f"grid point ({t}, {x}) outside the declared box")
+        if len(self.times) == 0 or len(self.xs) == 0:
+            raise ValueError("grid axes must be nonempty")
+        t0, t1, x0, x1 = min(self.times), max(self.times), min(self.xs), max(self.xs)
+        if t0 < 0:
+            raise ValueError(f"grid times must be nonnegative, got {t0}")
+        box = self.box
+        if box is not None and not (box.a1 <= t0 and t1 <= box.b1 and box.a2 <= x0 and x1 <= box.b2):
+            raise ValueError(f"grid [{t0}, {t1}] x [{x0}, {x1}] outside the declared box")
+
+    @property
+    def grid(self) -> tuple[tuple[float, float], ...]:
+        """The (t, x) points in t-major order."""
+        return tuple((t, x) for t in self.times for x in self.xs)
 
 
-def make_grid(box: AnisotropicBox, nt: int, nx: int) -> tuple[tuple[float, float], ...]:
-    """Product grid of nt time points by nx space points over the box."""
+def make_grid(box: AnisotropicBox, nt: int, nx: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Time and space axes of nt by nx evenly spaced points over the box."""
     import numpy as np
 
     if nt < 1 or nx < 1:
         raise ValueError("grid sizes must be positive")
-    ts = np.linspace(box.a1, box.b1, nt)
-    xs = np.linspace(box.a2, box.b2, nx)
-    return tuple((float(t), float(x)) for t in ts for x in xs)
+    return (
+        tuple(np.linspace(box.a1, box.b1, nt).tolist()),
+        tuple(np.linspace(box.a2, box.b2, nx).tolist()),
+    )
 
 
 def covariance_matrix(model: GaussianFieldModel) -> np.ndarray:
     """Dense covariance matrix over the model grid.
 
-    The kernel depends on (min(t,s), max(t,s), |x-y|): the distinct keys are
-    evaluated in one array call and scattered back.
+    The kernel depends on the times only through t + s and |t - s|, and on
+    the space points through |x - y|.  It is tabulated over (nt, nt, n_dist)
+    for the time pairs and the distinct distances between the xs, and the
+    matrix is gathered from that table with one broadcast index.
     """
     import numpy as np
 
-    pts = model.grid
-    m = len(pts)
-    t, x = np.asarray(pts, dtype=float).T
-    # Each key component is replaced by the index of its value among the
-    # distinct values, so a key is one integer: np.unique over rows of
-    # floats (axis=0) sorts void views and is ten times slower at 24x24.
-    # The distances are sorted between distinct x values (nx^2 of them, not
-    # m^2) and mapped back through x's index.
-    times, t_idx = np.unique(t, return_inverse=True)
-    xs, x_idx = np.unique(x, return_inverse=True)
+    times = np.asarray(model.times, dtype=float)
+    xs = np.asarray(model.xs, dtype=float)
+    nt, nx = len(times), len(xs)
     dists, d_idx = np.unique(np.abs(np.subtract.outer(xs, xs)), return_inverse=True)
-    d_idx = d_idx.reshape(len(xs), -1)[x_idx[:, None], x_idx]
-    lo = np.minimum.outer(t_idx, t_idx)
-    hi = np.maximum.outer(t_idx, t_idx)
-    code = (lo * len(times) + hi) * len(dists) + d_idx
-    uniq, inverse = np.unique(code, return_inverse=True)
-    pair, d = np.divmod(uniq, len(dists))
-    vals = _v_kernel(times[pair // len(times)], times[pair % len(times)], dists[d], model.hurst)
-    return vals[inverse].reshape(m, m)
+    # t + s and |t - s| are exactly symmetric in t and s under IEEE rounding
+    table = _v_table(
+        np.add.outer(times, times), np.abs(np.subtract.outer(times, times)), dists, model.hurst
+    )
+    t_idx = np.arange(nt)
+    cov = table[t_idx[:, None, None, None], t_idx[None, None, :, None], d_idx.reshape(1, nx, 1, nx)]
+    return cov.reshape(nt * nx, nt * nx)
 
 
 _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
@@ -207,6 +229,42 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
 SAMPLE_BLOCK = 512
 
 
+def _block_draw(model: GaussianFieldModel, n: int, seed: int):
+    """The block sampler of n replicas: draw(lo) returns (hi, L z^T).
+
+    z holds the normals of replicas [lo, hi) of the block that starts at lo,
+    one standard_normal draw from the stream (seed, lo // SAMPLE_BLOCK), and L
+    is the Cholesky factor of ``factor_covariance``; L z^T is (m, hi - lo).
+    """
+    import numpy as np
+
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if seed is None:
+        raise ValueError("a seed is required for reproducible sampling")
+    chol = factor_covariance(covariance_matrix(model))
+
+    def draw(lo: int):
+        hi = min(lo + SAMPLE_BLOCK, n)
+        key = np.random.SeedSequence(seed, spawn_key=(lo // SAMPLE_BLOCK,))
+        return hi, chol @ np.random.default_rng(key).standard_normal((hi - lo, len(chol))).T
+
+    return draw
+
+
+def _each_block(fill, n: int, workers: int) -> None:
+    """fill(lo) for the start of every block, on up to workers threads."""
+    blocks = range(0, n, SAMPLE_BLOCK)
+    if workers <= 1:
+        for lo in blocks:
+            fill(lo)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, blocks))
+
+
 def sample_fields(
     model: GaussianFieldModel,
     n: int,
@@ -224,72 +282,89 @@ def sample_fields(
     """
     import numpy as np
 
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if seed is None:
-        raise ValueError("a seed is required for reproducible sampling")
-    m = len(model.grid)
-    chol = factor_covariance(covariance_matrix(model))
-    out = np.empty((m, n))
+    draw = _block_draw(model, n, seed)
+    out = np.empty((len(model.times) * len(model.xs), n))
 
     def fill(lo: int) -> None:
-        hi = min(lo + SAMPLE_BLOCK, n)
-        key = np.random.SeedSequence(seed, spawn_key=(lo // SAMPLE_BLOCK,))
-        out[:, lo:hi] = chol @ np.random.default_rng(key).standard_normal((hi - lo, m)).T
+        hi, block = draw(lo)
+        out[:, lo:hi] = block
 
-    blocks = range(0, n, SAMPLE_BLOCK)
-    if workers <= 1:
-        for lo in blocks:
-            fill(lo)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
+    _each_block(fill, n, workers)
     return out.T
+
+
+def sample_sups(
+    model: GaussianFieldModel,
+    n: int,
+    seed: int,
+    workers: int = 1,
+) -> np.ndarray:
+    """Grid supremum max |V| of each of n replicas, shape (n,).
+
+    The replicas are those of ``sample_fields`` with the same arguments, and
+    each block is reduced to its suprema as soon as it is drawn, so memory is
+    O(m^2 + m * SAMPLE_BLOCK + n) instead of O(m * n).
+    """
+    import numpy as np
+
+    draw = _block_draw(model, n, seed)
+    sups = np.empty(n)
+
+    def fill(lo: int) -> None:
+        hi, block = draw(lo)
+        np.abs(block, out=block).max(axis=0, out=sups[lo:hi])
+
+    _each_block(fill, n, workers)
+    return sups
 
 
 # Two-sided confidence level of the Clopper-Pearson limits.
 CONFIDENCE = 0.99
 
 
-def clopper_pearson(k: int, n: int) -> tuple[float, float]:
-    """Two-sided Clopper-Pearson interval at level CONFIDENCE for a binomial proportion."""
+def _clopper_pearson_limits(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clopper-Pearson limits at level CONFIDENCE for each count in k out of n."""
+    import numpy as np
     from scipy.special import betaincinv
 
-    if not (0 <= k <= n) or n <= 0:
-        raise ValueError(f"need 0 <= k <= n with n > 0, got k={k}, n={n}")
     alpha = 1.0 - CONFIDENCE
-    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
-    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
+    # betaincinv is nan at the a = 0 and b = 0 ends, which np.where replaces
+    lo = np.where(k == 0, 0.0, betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = np.where(k == n, 1.0, betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 
-def empirical_sup_tail(fields: np.ndarray, u_grid: Sequence[float]) -> TailCurve:
-    """Empirical tail of the grid supremum: fraction of replicas with max |field| > u.
+def clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Two-sided Clopper-Pearson interval at level CONFIDENCE for a binomial proportion."""
+    import numpy as np
 
-    Carries two-sided Clopper-Pearson limits at level CONFIDENCE.
+    if not (0 <= k <= n) or n <= 0:
+        raise ValueError(f"need 0 <= k <= n with n > 0, got k={k}, n={n}")
+    lo, hi = _clopper_pearson_limits(np.array([k]), n)
+    return float(lo[0]), float(hi[0])
+
+
+def empirical_sup_tail(sups: np.ndarray, u_grid: Sequence[float]) -> TailCurve:
+    """Empirical tail of the grid supremum: fraction of the replica suprema above u.
+
+    sups holds one finite max |field| per replica (``sample_sups``).  The
+    curve carries two-sided Clopper-Pearson limits at level CONFIDENCE.
     """
     import numpy as np
 
-    fields = np.asarray(fields)
-    if fields.ndim != 2 or fields.shape[0] == 0:
-        raise ValueError("fields must be a nonempty (n, m) array")
-    n = fields.shape[0]
-    sups = np.max(np.abs(fields), axis=1)
-    us, values, lows, highs = [], [], [], []
-    for u in u_grid:
-        k = int(np.sum(sups > u))
-        lo, hi = clopper_pearson(k, n)
-        us.append(float(u))
-        values.append(k / n)
-        lows.append(lo)
-        highs.append(hi)
+    sups = np.asarray(sups, dtype=float)
+    if sups.ndim != 1 or len(sups) == 0:
+        raise ValueError("sups must be a nonempty 1-D array")
+    n = len(sups)
+    us = [float(u) for u in u_grid]
+    # replicas with sup > u are those sorted after every entry <= u
+    counts = n - np.searchsorted(np.sort(sups), us, side="right")
+    lows, highs = _clopper_pearson_limits(counts, n)
     return TailCurve(
         u=tuple(us),
-        value=tuple(values),
-        ci_lo=tuple(lows),
-        ci_hi=tuple(highs),
+        value=tuple(k / n for k in counts.tolist()),
+        ci_lo=tuple(lows.tolist()),
+        ci_hi=tuple(highs.tolist()),
         n_samples=n,
     )
 

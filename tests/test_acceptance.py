@@ -33,6 +33,7 @@ from suptail.sim import (
     empirical_sup_tail,
     make_grid,
     sample_fields,
+    sample_sups,
     v_covariance,
     verify_bound,
 )
@@ -59,11 +60,9 @@ def test_criterion_01_bound_vs_simulation():
     u_min = supbound.u_threshold(theta, inputs)
     us = [float(u) for u in np.linspace(1.02 * u_min, 2.0 * u_min, 12)]
 
-    field_model = GaussianFieldModel(
-        grid=make_grid(box, 24, 24), hurst=0.5, box=box
-    )
-    fields = sample_fields(field_model, 20000, seed=20240501, workers=1)
-    empirical = empirical_sup_tail(fields, us)
+    field_model = GaussianFieldModel(*make_grid(box, 24, 24), hurst=0.5, box=box)
+    sups = sample_sups(field_model, 20000, seed=20240501, workers=1)
+    empirical = empirical_sup_tail(sups, us)
 
     bounds = []
     for u in us:
@@ -102,11 +101,10 @@ def test_criterion_03_increment_bound():
         for _ in range(100):
             t, s = rng.uniform(0.05, 1.0, size=2)
             x, y = rng.uniform(0.0, 1.0, size=2)
-            gfm = GaussianFieldModel(
-                grid=((float(t), float(x)), (float(s), float(y))), hurst=hurst
-            )
+            # on the 2x2 grid (t, s) x (x, y), (t, x) is point 0 and (s, y) point 3
+            gfm = GaussianFieldModel(times=(float(t), float(s)), xs=(float(x), float(y)), hurst=hurst)
             fields = sample_fields(gfm, n, seed=int(rng.integers(1 << 31)))
-            diff2 = (fields[:, 0] - fields[:, 1]) ** 2
+            diff2 = (fields[:, 0] - fields[:, 3]) ** 2
             bound = (
                 model.c_v * (abs(t - s) ** (hurst / 2) + abs(x - y) ** hurst)
             ) ** 2

@@ -556,6 +556,65 @@ class TestNonFiniteUGrid:
         assert not any(out.iterdir())
 
 
+class TestScalarValues:
+    # a bare float() let NaN through every range check and coerced strings:
+    # these configs exited 0 (or failed with an unrelated message)
+    GENERIC = {"field": "generic", "box": BOX, "u_grid": [80.0], "fam": 2.0, "eps0": 1.0,
+               "profile": {"scale": 1.0, "exponent": 0.5}}
+    CASES = {
+        "halfwidth-nan": ("bound-growth", {"model": MODEL, "halfwidth": math.nan, "u_grid": [900.0]},
+                          "'halfwidth' must be finite, got nan"),
+        "halfwidth-inf": ("bound-growth", {"model": MODEL, "halfwidth": math.inf, "u_grid": [900.0]},
+                          "'halfwidth' must be finite, got inf"),
+        "series_tol-nan": ("bound-growth", {"model": MODEL, "series_tol": math.nan, "u_grid": [900.0]},
+                           "'series_tol' must be finite, got nan"),
+        "p-string": ("bound-growth", {"model": MODEL, "p": "2", "u_grid": [900.0]},
+                     "'p' must be a number, got '2'"),
+        "p-bool": ("bound-growth", {"model": MODEL, "p": True, "u_grid": [900.0]},
+                   "'p' must be a number, got True"),
+        "sup-theta-nan": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "theta": math.nan,
+                                        "u_grid": [80.0]}, "'theta' must be finite, got nan"),
+        "sup-theta-string": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "theta": "0.3",
+                                           "u_grid": [80.0]}, "'theta' must be a number, got '0.3'"),
+        "verify-theta-nan": ("simulate-verify", {"model": MODEL, "box": BOX, "samples": 10,
+                                                 "theta": math.nan, "u_grid": [80.0]},
+                             "'theta' must be finite, got nan"),
+        "eps-nan": ("covering", {"box": BOX, "eps": math.nan}, "'eps' must be finite, got nan"),
+        "eps-string": ("covering", {"box": BOX, "eps": "0.5"}, "'eps' must be a number, got '0.5'"),
+        "eps0-nan": ("bound-sup", {**GENERIC, "eps0": math.nan}, "'eps0' must be finite, got nan"),
+        "fam-string": ("bound-sup", {**GENERIC, "fam": "2"}, "'fam' must be a number, got '2'"),
+        "scale-nan": ("bound-sup", {**GENERIC, "profile": {"scale": math.nan, "exponent": 0.5}},
+                      "profile 'scale' must be finite, got nan"),
+        "exponent-inf": ("bound-sup", {**GENERIC, "profile": {"scale": 1.0, "exponent": -math.inf}},
+                         "profile 'exponent' must be finite, got -inf"),
+        "u_grid-strings": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX,
+                                         "u_grid": ["80", "2e2"]},
+                           "u_grid entries must be a number, got '80' at index 0"),
+        "u_grid-bool": ("bound-growth", {"model": MODEL, "u_grid": [900.0, True]},
+                        "u_grid entries must be a number, got True at index 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_key_named(self, tmp_path, capsys, case):
+        command, payload, message = self.CASES[case]
+        code, out = run(tmp_path, command, payload, "--seed", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"suptail {command}: error: {message}\n"
+        assert not any(out.iterdir())
+
+    def test_integers_read_as_floats(self, tmp_path):
+        payload = {"box": {**BOX, "h1": 1.0, "h2": 1.0}, "eps": 1, "resolution": 21}
+        code, out = run(tmp_path, "covering", payload)
+        assert code == 0
+        assert json.loads((out / "covering.json").read_text())["eps"] == 1.0
+        payload = {"model": MODEL, "p": 2, "halfwidth": 1, "u_grid": [900, 1500]}
+        code, out = run(tmp_path, "bound-growth", payload)
+        assert code == 0
+        rows = json.loads((out / "bound_growth.json").read_text())["curve"]
+        assert [r["u"] for r in rows] == [900.0, 1500.0]
+
+
 def u_grid_linspace(count, span, thr):
     """The u_auto grid as np.linspace and np.where build it: the oracle."""
     fracs = np.linspace(0.9, span, count)

@@ -1,12 +1,15 @@
 """Covariance kernels, Gaussian sampling, empirical tails, bound verification."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erf, gamma, hyp1f1
 
 from quadrature_oracle import QuadratureError
+from sampling_oracle import covariance_from_points, fields_from_points, v_kernel
 from suptail import sim
 from suptail.curves import TailCurve
 from suptail.heat import (
@@ -24,6 +27,7 @@ from suptail.sim import (
     factor_covariance,
     make_grid,
     sample_fields,
+    sample_sups,
     v_covariance,
     verify_bound,
 )
@@ -32,7 +36,11 @@ BOX = AnisotropicBox(0.1, 1.0, 0.0, 1.0)
 
 
 def small_model(nt=3, nx=3, hurst=0.5):
-    return GaussianFieldModel(grid=make_grid(BOX, nt, nx), hurst=hurst, box=BOX)
+    return GaussianFieldModel(*make_grid(BOX, nt, nx), hurst=hurst, box=BOX)
+
+
+def sups_of(fields):
+    return np.abs(fields).max(axis=1)
 
 
 def _split_quad(smooth, oscillation: float, tol: float) -> float:
@@ -223,7 +231,53 @@ class TestCovarianceMatrix:
 
     def test_grid_outside_box_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            GaussianFieldModel(grid=((2.0, 0.5),), hurst=0.5, box=BOX)
+            GaussianFieldModel(times=(2.0,), xs=(0.5,), hurst=0.5, box=BOX)
+        for xs in ((-0.1, 0.5), (0.5, 1.1)):
+            with pytest.raises(ValueError, match="outside"):
+                GaussianFieldModel(times=(0.1, 1.0), xs=xs, hurst=0.5, box=BOX)
+        GaussianFieldModel(times=(0.1, 1.0), xs=(0.0, 1.0), hurst=0.5, box=BOX)
+
+    @pytest.mark.parametrize(
+        "times, xs, match",
+        [
+            ((), (0.5,), "nonempty"),
+            ((0.5,), (), "nonempty"),
+            ((0.5, -0.1), (0.5,), "nonnegative"),
+        ],
+    )
+    def test_axes_validated(self, times, xs, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianFieldModel(times=times, xs=xs, hurst=0.5)
+
+    def test_grid_is_t_major_product(self):
+        times, xs = make_grid(BOX, 3, 4)
+        assert times == tuple(np.linspace(0.1, 1.0, 3).tolist())
+        assert xs == tuple(np.linspace(0.0, 1.0, 4).tolist())
+        model = GaussianFieldModel(times, xs, hurst=0.5, box=BOX)
+        assert model.grid == tuple((t, x) for t in times for x in xs)
+        assert len(model.grid) == 12
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25, 0.1])
+    @pytest.mark.parametrize("a1", [0.1, 0.0])
+    @pytest.mark.parametrize("nt, nx", [(1, 1), (1, 5), (5, 1), (3, 3), (8, 8), (24, 24)])
+    def test_axis_table_matches_point_keys_oracle(self, nt, nx, a1, hurst):
+        box = AnisotropicBox(a1, 1.0, 0.0, 1.0)
+        model = GaussianFieldModel(*make_grid(box, nt, nx), hurst=hurst, box=box)
+        want = covariance_from_points(model.grid, hurst)
+        assert np.array_equal(covariance_matrix(model), want)
+
+    def test_unsorted_axes_with_repeats_match_oracle(self):
+        model = GaussianFieldModel(times=(0.7, 0.2, 0.7, 0.0), xs=(0.3, -0.4, 0.9), hurst=0.35)
+        assert np.array_equal(covariance_matrix(model), covariance_from_points(model.grid, 0.35))
+
+    def test_pointwise_kernel_matches_oracle(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            hurst = rng.uniform(0.05, 0.5)
+            t, s = rng.uniform(0.0, 2.0, size=2)
+            x, y = rng.uniform(-1.0, 1.0, size=2)
+            want = v_kernel(*(np.array([v]) for v in (min(t, s), max(t, s), abs(x - y))), hurst)
+            assert v_covariance(t, x, s, y, hurst) == want[0]
 
 
 def eigh_factor(cov):
@@ -270,7 +324,7 @@ class TestFactorCovariance:
             cov = slightly_indefinite()
         else:  # a1 = 0: the six t = 0 rows and columns are exactly zero
             box = AnisotropicBox(0.0, 1.0, 0.0, 1.0)
-            cov = covariance_matrix(GaussianFieldModel(grid=make_grid(box, 6, 6), hurst=0.5))
+            cov = covariance_matrix(GaussianFieldModel(*make_grid(box, 6, 6), hurst=0.5))
             assert np.count_nonzero(np.diag(cov) == 0.0) == 6
         scale = float(np.max(np.diag(cov)))
         chol = factor_covariance(cov)
@@ -340,39 +394,91 @@ class TestSampleFields:
                 assert abs(sample_cov[i, j] - cov[i, j]) <= 5 * se
 
     def test_increment_second_moment_bound(self):
-        # sampled E|V(t,x) - V(s,y)|^2 against the Holder bound, a few pairs
+        # sampled E|V(t,x) - V(s,y)|^2 against the Holder bound on 2x2 grids:
+        # both diagonals, points 0, 3 and 1, 2, have the separations |t-s|, |x-y|
         rng = np.random.default_rng(13)
         hurst = 0.5
         c_v = increment_constant(hurst)
         for _ in range(5):
             t, s = rng.uniform(0.05, 1.0, size=2)
             x, y = rng.uniform(0.0, 1.0, size=2)
-            model = GaussianFieldModel(grid=((t, x), (s, y)), hurst=hurst)
+            model = GaussianFieldModel(times=(t, s), xs=(x, y), hurst=hurst)
             fields = sample_fields(model, 4000, seed=int(rng.integers(1 << 31)))
-            diff2 = (fields[:, 0] - fields[:, 1]) ** 2
             bound = (c_v * (abs(t - s) ** (hurst / 2) + abs(x - y) ** hurst)) ** 2
-            se = diff2.std(ddof=1) / math.sqrt(len(diff2))
-            assert diff2.mean() <= bound + 5 * se
+            for a, b in ((0, 3), (1, 2)):
+                diff2 = (fields[:, a] - fields[:, b]) ** 2
+                se = diff2.std(ddof=1) / math.sqrt(len(diff2))
+                assert diff2.mean() <= bound + 5 * se
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1300])
+    def test_sups_match_point_fields_oracle(self, n, workers):
+        model = small_model(nt=4, nx=3, hurst=0.35)
+        fields = fields_from_points(model.grid, 0.35, n, seed=21, workers=workers)
+        assert np.array_equal(sample_fields(model, n, seed=21, workers=workers), fields)
+        sups = sample_sups(model, n, seed=21, workers=workers)
+        assert sups.shape == (n,)
+        assert np.array_equal(sups, sups_of(fields))
+
+    def test_threaded_sups_under_short_switch_interval(self):
+        # ten blocks on more threads than cores, switching threads often
+        model = small_model()
+        want = sample_sups(model, 10 * sim.SAMPLE_BLOCK, seed=22)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_sups(model, 10 * sim.SAMPLE_BLOCK, seed=22, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    def test_sups_and_tail_memory(self):
+        # one (m, n) array of the README config alone takes 92 MB
+        model = GaussianFieldModel(*make_grid(BOX, 24, 24), hurst=0.5, box=BOX)
+        tracemalloc.start()
+        try:
+            sups = sample_sups(model, 20000, seed=12345)
+            empirical_sup_tail(sups, [1.0, 2.0, 3.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_sups_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_sups(small_model(), -1, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            sample_sups(small_model(), 10, seed=None)
 
 
 class TestEmpiricalSupTail:
     def test_trivial_values(self):
-        fields = sample_fields(small_model(), 200, seed=8)
-        curve = empirical_sup_tail(fields, [0.0, 1e9])
+        sups = sample_sups(small_model(), 200, seed=8)
+        curve = empirical_sup_tail(sups, [0.0, 1e9])
         assert curve.value[0] == 1.0
         assert curve.value[-1] == 0.0
         assert curve.ci_lo[-1] == 0.0
 
-    def test_replica_layout_does_not_change_curve(self):
-        fields = sample_fields(small_model(), 1300, seed=9)
-        assert fields.T.flags.c_contiguous  # each grid point's samples are contiguous
-        us = np.linspace(0.0, 3.0, 13)
-        want = empirical_sup_tail(np.ascontiguousarray(fields), us)
-        assert empirical_sup_tail(np.asfortranarray(fields), us) == want
+    def test_counts_and_limits_match_direct_route(self):
+        sups = sample_sups(small_model(), 1300, seed=9)
+        # u on sampled suprema too, where the strict inequality decides
+        us = sorted(set(np.linspace(0.0, 3.0, 13).tolist()) | set(np.sort(sups)[::100].tolist()))
+        curve = empirical_sup_tail(sups, us)
+        for u, value, lo, hi in zip(curve.u, curve.value, curve.ci_lo, curve.ci_hi):
+            k = int(np.sum(sups > u))
+            assert value == k / 1300
+            assert (lo, hi) == clopper_pearson(k, 1300)
+        assert curve.n_samples == 1300
+
+    def test_rejects_empty_or_field_array(self):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            empirical_sup_tail(np.empty(0), [1.0])
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            empirical_sup_tail(np.ones((3, 2)), [1.0])
 
     def test_monotone_nonincreasing(self):
-        fields = sample_fields(small_model(), 500, seed=9)
-        curve = empirical_sup_tail(fields, np.linspace(0, 3, 20))
+        sups = sample_sups(small_model(), 500, seed=9)
+        curve = empirical_sup_tail(sups, np.linspace(0, 3, 20))
         assert all(b <= a for a, b in zip(curve.value, curve.value[1:]))
 
     def test_clopper_pearson_brackets_estimate(self):
@@ -402,18 +508,18 @@ class TestEmpiricalSupTail:
 
 class TestVerifyBound:
     def test_trivial_pass_bound_one(self):
-        fields = sample_fields(small_model(), 100, seed=10)
+        sups = sample_sups(small_model(), 100, seed=10)
         us = [0.5, 1.0, 2.0]
-        emp = empirical_sup_tail(fields, us)
+        emp = empirical_sup_tail(sups, us)
         theo = TailCurve(u=tuple(us), value=(1.0, 1.0, 1.0))
         report = verify_bound(emp, theo)
         assert report.passed
         assert report.verdict == ("PASS", "PASS", "PASS")
 
     def test_trivial_pass_empirical_zero(self):
-        fields = sample_fields(small_model(), 100, seed=11)
+        sups = sample_sups(small_model(), 100, seed=11)
         us = [50.0, 60.0]
-        emp = empirical_sup_tail(fields, us)
+        emp = empirical_sup_tail(sups, us)
         assert emp.value == (0.0, 0.0)
         theo = TailCurve(u=(50.0, 60.0), value=(1e-300, 0.0))
         assert verify_bound(emp, theo).passed
@@ -423,7 +529,7 @@ class TestVerifyBound:
         rng = np.random.default_rng(14)
         fields = rng.standard_cauchy(size=(2000, 4))
         us = [1.0, 2.0, 5.0]
-        emp = empirical_sup_tail(fields, us)
+        emp = empirical_sup_tail(sups_of(fields), us)
         honest = emp.value
         halved = TailCurve(u=tuple(us), value=tuple(v / 2 for v in honest))
         report = verify_bound(emp, halved)
@@ -432,17 +538,17 @@ class TestVerifyBound:
         assert report.n_fail >= 1
 
     def test_invalid_entries_not_failures(self):
-        fields = sample_fields(small_model(), 100, seed=12)
+        sups = sample_sups(small_model(), 100, seed=12)
         us = [0.5, 1.0]
-        emp = empirical_sup_tail(fields, us)
+        emp = empirical_sup_tail(sups, us)
         theo = TailCurve(u=tuple(us), value=(math.nan, 1.0))
         report = verify_bound(emp, theo)
         assert report.verdict == ("INVALID", "PASS")
         assert report.passed
 
     def test_mismatched_grid_rejected(self):
-        fields = sample_fields(small_model(), 50, seed=13)
-        emp = empirical_sup_tail(fields, [1.0, 2.0])
+        sups = sample_sups(small_model(), 50, seed=13)
+        emp = empirical_sup_tail(sups, [1.0, 2.0])
         with pytest.raises(ValueError, match="same u grid"):
             verify_bound(emp, TailCurve(u=(1.0, 3.0), value=(1.0, 1.0)))
 
