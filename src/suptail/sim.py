@@ -92,20 +92,17 @@ def _v_table(sums: np.ndarray, gaps: np.ndarray, dists: np.ndarray, hurst: float
     A time pair (t, s) is given by sums = t + s and gaps = |t - s|, a distance
     by |x - y| (module docstring).  Each Kummer term depends on one of the
     two time values and the distance, so it is evaluated once per distinct
-    time value.  Where min(t, s) = 0 both terms coincide, so the covariance
-    is exactly 0.
+    time value, sum or gap, and distance.  Where min(t, s) = 0 both terms
+    coincide, so the covariance is exactly 0.
     """
     import numpy as np
 
     z2 = dists * dists / 4.0
-
-    def term(r: np.ndarray) -> np.ndarray:
-        rs, idx = np.unique(r, return_inverse=True)
-        k = _kummer_term(np.repeat(rs, len(z2)), np.tile(z2, len(rs)), hurst)
-        return k.reshape(len(rs), len(z2))[idx.reshape(r.shape)]
-
+    rs, idx = np.unique(np.stack([sums, gaps]), return_inverse=True)
+    terms = _kummer_term(np.repeat(rs, len(z2)), np.tile(z2, len(rs)), hurst)
+    terms = terms.reshape(len(rs), len(z2))[idx.reshape((2,) + sums.shape)]
     scale = noise_constant(hurst) * math.gamma(1.0 - hurst) / (2.0 * hurst)
-    return scale * (term(sums) - term(gaps))
+    return scale * (terms[0] - terms[1])
 
 
 def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:

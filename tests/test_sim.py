@@ -459,6 +459,14 @@ class TestEmpiricalSupTail:
         assert curve.value[-1] == 0.0
         assert curve.ci_lo[-1] == 0.0
 
+    def test_replica_layout_does_not_change_curve(self):
+        fields = sample_fields(small_model(), 1300, seed=9)
+        assert fields.T.flags.c_contiguous  # each grid point's samples are contiguous
+        us = np.linspace(0.0, 3.0, 13)
+        want = empirical_sup_tail(sample_sups(small_model(), 1300, seed=9), us)
+        for layout in (np.ascontiguousarray(fields), np.asfortranarray(fields)):
+            assert empirical_sup_tail(sups_of(layout), us) == want
+
     def test_counts_and_limits_match_direct_route(self):
         sups = sample_sups(small_model(), 1300, seed=9)
         # u on sampled suprema too, where the strict inequality decides
