@@ -255,7 +255,6 @@ class TestCovarianceMatrix:
         assert xs == tuple(np.linspace(0.0, 1.0, 4).tolist())
         model = GaussianFieldModel(times, xs, hurst=0.5, box=BOX)
         assert model.grid == tuple((t, x) for t in times for x in xs)
-        assert len(model.grid) == 12
 
     @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25, 0.1])
     @pytest.mark.parametrize("a1", [0.1, 0.0])
