@@ -86,6 +86,22 @@ def _kummer_term(r: np.ndarray, z2: np.ndarray, hurst: float) -> np.ndarray:
     return out
 
 
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of a, and each entry's index among them in a's shape.
+
+    What np.unique(a, return_inverse=True) returns, in half its calls: on the
+    few dozen entries of a grid-axis table the per-call overhead is the cost.
+    """
+    import numpy as np
+
+    ordered = np.sort(a, axis=None)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    values = ordered[first]
+    return values, np.searchsorted(values, a)
+
+
 def _v_table(sums: np.ndarray, gaps: np.ndarray, dists: np.ndarray, hurst: float) -> np.ndarray:
     """Cov V for each time pair and each distance, shape sums.shape + dists.shape.
 
@@ -98,9 +114,9 @@ def _v_table(sums: np.ndarray, gaps: np.ndarray, dists: np.ndarray, hurst: float
     import numpy as np
 
     z2 = dists * dists / 4.0
-    rs, idx = np.unique(np.stack([sums, gaps]), return_inverse=True)
+    rs, idx = _distinct(np.stack([sums, gaps]))
     terms = _kummer_term(np.repeat(rs, len(z2)), np.tile(z2, len(rs)), hurst)
-    terms = terms.reshape(len(rs), len(z2))[idx.reshape((2,) + sums.shape)]
+    terms = terms.reshape(len(rs), len(z2))[idx]
     scale = noise_constant(hurst) * math.gamma(1.0 - hurst) / (2.0 * hurst)
     return scale * (terms[0] - terms[1])
 
@@ -170,21 +186,20 @@ def covariance_matrix(model: GaussianFieldModel) -> np.ndarray:
     The kernel depends on the times only through t + s and |t - s|, and on
     the space points through |x - y|.  It is tabulated over (nt, nt, n_dist)
     for the time pairs and the distinct distances between the xs, and the
-    matrix is gathered from that table with one broadcast index.
+    matrix is gathered from that table: entry (i, a), (j, b) is table[i, j,
+    index of |x_a - x_b|].
     """
     import numpy as np
 
     times = np.asarray(model.times, dtype=float)
     xs = np.asarray(model.xs, dtype=float)
-    nt, nx = len(times), len(xs)
-    dists, d_idx = np.unique(np.abs(np.subtract.outer(xs, xs)), return_inverse=True)
+    m = len(times) * len(xs)
+    dists, d_idx = _distinct(np.abs(np.subtract.outer(xs, xs)))
     # t + s and |t - s| are exactly symmetric in t and s under IEEE rounding
     table = _v_table(
         np.add.outer(times, times), np.abs(np.subtract.outer(times, times)), dists, model.hurst
     )
-    t_idx = np.arange(nt)
-    cov = table[t_idx[:, None, None, None], t_idx[None, None, :, None], d_idx.reshape(1, nx, 1, nx)]
-    return cov.reshape(nt * nx, nt * nx)
+    return table[:, :, d_idx].transpose(0, 2, 1, 3).reshape(m, m)
 
 
 _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
