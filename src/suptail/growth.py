@@ -14,7 +14,8 @@ both series are closed forms in zeta(p) and Li_p(e^(-H/4)):
 tail and rounding error, and ``theta_sup`` returns inf_k gamma_k / eps_k.
 The growth bound is ``supbound.TailBound`` with k = S~, scale C~ and cap
 min(1, ``theta_sup``), built once by the caller; ``auto_theta_bound`` and
-``optimize_theta_growth`` evaluate it at two choices of theta.
+``optimize_theta_growth`` evaluate it at two choices of theta, and give nan
+where it is not asserted.
 
 NumPy is imported by ``_polylog`` at its first call, not with this module, so
 ``bound-growth`` loads it when it sums Li_p and no other analytic command
@@ -160,18 +161,19 @@ def auto_theta_bound(u: float, bound: TailBound) -> float:
 
         u - u^(1/(gamma*beta+1)) (1+2S),
 
-    positive only for u > (1+2S)^((gamma*beta+1)/(gamma*beta)).  Raises below
+    positive only for u > (1+2S)^((gamma*beta+1)/(gamma*beta)).  nan below
     that and where the substituted theta is not below the cap.
     """
     gb = bound.gamma_beta
-    # u ** (-x) is undefined for u <= 0, where no bound holds; inf fails the theta check
+    # u ** (-x) is undefined for u <= 0, where no bound holds; inf fails the cap check
     theta = u ** (-gb / (gb + 1.0)) if u > 0.0 else math.inf
-    return sup_tail_bound(u, theta, bound)
+    return sup_tail_bound(u, theta, bound) if theta < bound.cap else math.nan
 
 
 def optimize_theta_growth(u: float, bound: TailBound) -> tuple[float, float]:
     """Minimize the growth tail bound over theta, in closed form, as
-    ``supbound.optimize_theta`` does for the box bound; a function of its own
-    so that a trace times and counts the two bounds' optimizations apart."""
+    ``supbound.optimize_theta`` does for the box bound: (theta*, nan) where no
+    theta asserts a bound.  A function of its own so that a trace times and
+    counts the two bounds' optimizations apart."""
     theta = _theta_star(u, bound)
     return theta, sup_tail_bound(u, theta, bound)

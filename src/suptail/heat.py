@@ -5,8 +5,8 @@ fractional in space (Hurst index H <= 1/2) splits into the smoothed initial
 condition omega(t,x) and the stochastic convolution V(t,x).  This module
 computes every constant of their second-moment bounds in closed form, maps
 both fields onto the generic bounded-domain supremum bounds, and builds the
-almost-sure growth envelope of V over the strip [0, inf) x [-A, A] from its
-first cell, a box with the metric of ``v_bound_inputs``, and the series of
+growth bound of V over the strip [0, inf) x [-A, A] from its first cell, a
+box with the metric of ``v_bound_inputs``, and the series of
 ``suptail.growth``.  Gamma values come from the math module, so nothing here
 loads SciPy.
 
@@ -22,7 +22,8 @@ Conventions fixed here:
   with the even integrand read through |u|.
 * the supremum tail bounds are :func:`suptail.supbound.sup_tail_bound` on
   the ``TailBound`` of ``omega_bound_inputs`` or ``v_bound_inputs``, with the
-  minus sign of the generic bound's exponent argument.
+  minus sign of the generic bound's exponent argument, and nan below the
+  validity threshold.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .curves import TailCurve
 from .entropy import HolderProfile, c1_axis_terms
-from .growth import SeriesError, SeriesSum, auto_theta_bound, series_c_sum, series_s_sum, theta_sup
+from .growth import SeriesError, SeriesSum, series_c_sum, series_s_sum, theta_sup
 from .metric import AnisotropicBox
 from .orlicz import PhiFamily
 from . import supbound
@@ -219,25 +219,13 @@ def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvelopeResult:
-    """Envelope tail curve, the certified series values and the growth bound
-    (k = S~, scale C~) they give."""
-
-    curve: TailCurve
-    c_tilde: SeriesSum
-    s_tilde: SeriesSum
-    bound: supbound.TailBound
-
-
 def she_growth_envelope(
     model: SheModel,
     p: float,
-    u_grid,
     halfwidth: float = 1.0,
     series_tol: float = 1e-6,
-) -> EnvelopeResult:
-    """Almost-sure growth envelope of V: tail curve of xi in |V| <= f(t) xi.
+) -> tuple[supbound.TailBound, SeriesSum, SeriesSum]:
+    """Almost-sure growth envelope of V: the bound on the tail of xi in |V| <= f(t) xi.
 
     f(t) = (t^(H/2) (log t)^p) v 1 over the cells [e^k, e^(k+1)] x [-A, A],
     A = halfwidth.  Cell 0 is the box [1, e] x [-A, A] with V's metric and
@@ -246,9 +234,10 @@ def she_growth_envelope(
         C~ = eps_0 (1 + zeta(p)),   S~ = T (1 + zeta(p)) + X (1 + Li_p(e^(-H/4)))
 
     (``growth.series_c_sum``, ``growth.series_s_sum``).  SeriesError is raised
-    when a remainder exceeds series_tol.  The bound's cap min(1, ``growth.theta_sup``)
-    is exactly 1.  Envelope entries are ``growth.auto_theta_bound``, nan where it
-    raises.
+    when a remainder exceeds series_tol.  Returns the growth bound (k = S~,
+    scale C~, cap min(1, ``growth.theta_sup``), which is exactly 1) and the
+    certified sums C~ and S~.  ``growth.auto_theta_bound`` and
+    ``growth.optimize_theta_growth`` evaluate the bound at each u.
     """
     if not p > 1.0:  # also rejects nan
         raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")
@@ -268,11 +257,4 @@ def she_growth_envelope(
     # c_V^2 >= 3 A(H)^2, so theta_sup >= sqrt(3) ((e-1)/e)^(1/4) > 1
     cap = min(1.0, theta_sup(model.c_v, model.a_h, model.hurst))
     bound = supbound.TailBound(s_sum.value, c_sum.value, prof.exponent * fam.beta, cap, fam)
-    us = tuple(float(u) for u in u_grid)
-    values = []
-    for u in us:
-        try:
-            values.append(auto_theta_bound(u, bound))
-        except ValueError:
-            values.append(math.nan)
-    return EnvelopeResult(TailCurve(us, tuple(values)), c_sum, s_sum, bound)
+    return bound, c_sum, s_sum

@@ -28,8 +28,12 @@ class PhiFamily:
 
 
 def phi_conjugate(x: float, fam: PhiFamily) -> float:
-    """Young-Fenchel conjugate phi*(x) = sup_y (xy - phi(y)) = |x|^beta / beta."""
-    return abs(x) ** fam.beta / fam.beta
+    """Young-Fenchel conjugate phi*(x) = sup_y (xy - phi(y)) = |x|^beta / beta;
+    inf where |x|^beta exceeds the float range."""
+    try:
+        return abs(x) ** fam.beta / fam.beta
+    except OverflowError:
+        return math.inf
 
 
 def rv_tail_bound(u: float, tau: float, fam: PhiFamily) -> float:

@@ -39,16 +39,16 @@ serial and threaded runs agree to the byte.  simulate-verify needs only each
 replica's grid supremum: sample_sups reduces every block to its suprema as it
 is drawn, so m grid points and n replicas take O(m^2 + m SAMPLE_BLOCK + n)
 memory; sample_fields keeps the whole (n, m) array.  The empirical tail sorts
-the suprema once and counts each u by binary search.
+the suprema once and counts each u by binary search, and ``verdicts`` marks
+each u PASS, FAIL or INVALID against the bound column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .curves import TailCurve
 from .heat import noise_constant
 from .metric import AnisotropicBox
 
@@ -346,21 +346,14 @@ def _clopper_pearson_limits(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return lo, hi
 
 
-def clopper_pearson(k: int, n: int) -> tuple[float, float]:
-    """Two-sided Clopper-Pearson interval at level CONFIDENCE for a binomial proportion."""
-    import numpy as np
-
-    if not (0 <= k <= n) or n <= 0:
-        raise ValueError(f"need 0 <= k <= n with n > 0, got k={k}, n={n}")
-    lo, hi = _clopper_pearson_limits(np.array([k]), n)
-    return float(lo[0]), float(hi[0])
-
-
-def empirical_sup_tail(sups: np.ndarray, u_grid: Sequence[float]) -> TailCurve:
+def empirical_sup_tail(
+    sups: np.ndarray, u_grid: Sequence[float]
+) -> tuple[list[float], list[float], list[float]]:
     """Empirical tail of the grid supremum: fraction of the replica suprema above u.
 
-    sups holds one finite max |field| per replica (``sample_sups``).  The
-    curve carries two-sided Clopper-Pearson limits at level CONFIDENCE.
+    sups holds one finite max |field| per replica (``sample_sups``).  Returns
+    the fractions and their two-sided Clopper-Pearson limits at level
+    CONFIDENCE, (values, ci_lo, ci_hi), each a list over u_grid.
     """
     import numpy as np
 
@@ -368,73 +361,24 @@ def empirical_sup_tail(sups: np.ndarray, u_grid: Sequence[float]) -> TailCurve:
     if sups.ndim != 1 or len(sups) == 0:
         raise ValueError("sups must be a nonempty 1-D array")
     n = len(sups)
-    us = [float(u) for u in u_grid]
     # replicas with sup > u are those sorted after every entry <= u
-    counts = n - np.searchsorted(np.sort(sups), us, side="right")
+    counts = n - np.searchsorted(np.sort(sups), [float(u) for u in u_grid], side="right")
     lows, highs = _clopper_pearson_limits(counts, n)
-    return TailCurve(
-        u=tuple(us),
-        value=tuple(k / n for k in counts.tolist()),
-        ci_lo=tuple(lows.tolist()),
-        ci_hi=tuple(highs.tolist()),
-        n_samples=n,
-    )
+    return [k / n for k in counts.tolist()], lows.tolist(), highs.tolist()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+def verdicts(ci_lo: Sequence[float], bounds: Sequence[float]) -> list[str]:
     """Per-u comparison of an empirical sup-tail against a theoretical bound.
 
-    A PASS says the bound is not contradicted (lower confidence limit at or
-    below the bound).  The grid supremum underestimates the true supremum, so
-    PASS is necessary-condition evidence only, never proof.
+    PASS where the empirical lower confidence limit is at or below the bound,
+    FAIL where it is above, and INVALID where the bound is nan (not asserted
+    at that u); INVALID does not count as a failure.  A PASS says the bound
+    is not contradicted.  The grid supremum underestimates the true
+    supremum, so PASS is necessary-condition evidence only, never proof.
     """
-
-    u: tuple[float, ...]
-    empirical: tuple[float, ...]
-    ci_lo: tuple[float, ...]
-    ci_hi: tuple[float, ...]
-    bound: tuple[float, ...]
-    verdict: tuple[str, ...]
-    n_samples: Optional[int]
-    note: str = field(
-        default="grid supremum underestimates the true supremum; PASS is "
-        "necessary-condition evidence only"
-    )
-
-    @property
-    def n_fail(self) -> int:
-        return sum(v == "FAIL" for v in self.verdict)
-
-    @property
-    def passed(self) -> bool:
-        return self.n_fail == 0
-
-
-def verify_bound(empirical: TailCurve, theoretical: TailCurve) -> VerifyReport:
-    """PASS iff the empirical lower confidence limit is <= the bound at each u.
-
-    Entries where the theoretical curve is nan (below its validity threshold)
-    get verdict INVALID and do not count as failures.
-    """
-    if empirical.u != theoretical.u:
-        raise ValueError("curves must share the same u grid")
-    if empirical.ci_lo is None:
-        raise ValueError("empirical curve must carry confidence limits")
-    verdicts = []
-    for lo, b in zip(empirical.ci_lo, theoretical.value):
-        if math.isnan(b):
-            verdicts.append("INVALID")
-        elif lo <= b:
-            verdicts.append("PASS")
-        else:
-            verdicts.append("FAIL")
-    return VerifyReport(
-        u=empirical.u,
-        empirical=empirical.value,
-        ci_lo=empirical.ci_lo,
-        ci_hi=empirical.ci_hi,
-        bound=theoretical.value,
-        verdict=tuple(verdicts),
-        n_samples=empirical.n_samples,
-    )
+    if len(ci_lo) != len(bounds):
+        raise ValueError("confidence limits and bounds must share the u grid")
+    return [
+        "INVALID" if math.isnan(b) else "PASS" if lo <= b else "FAIL"
+        for lo, b in zip(ci_lo, bounds)
+    ]

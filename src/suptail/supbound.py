@@ -5,10 +5,11 @@ The bounded-box bound and the rate-of-growth bound are one inequality,
 
     P{sup |X| > u} <= rv_tail_bound(u*(1-theta) - 2 k theta^(-1/(gamma*beta)), scale, fam),
 
-asserted where that level is positive, i.e. u above ``u_threshold``.  The box
-bound (``field_bound``) has k = I(eps0) = c1 eps0^q, the closed-form entropy
-integral with q = 1 - 1/(gamma*beta), and scale eps0; the growth bound of
-``suptail.heat.she_growth_envelope`` has k = S~ and scale C~.
+asserted where that level is positive, i.e. u above ``u_threshold``; below
+it ``sup_tail_bound`` returns nan, the value that marks an unasserted bound.
+The box bound (``field_bound``) has k = I(eps0) = c1 eps0^q, the closed-form
+entropy integral with q = 1 - 1/(gamma*beta), and scale eps0; the growth
+bound of ``suptail.heat.she_growth_envelope`` has k = S~ and scale C~.
 
 The bound decreases in the level, which is concave in theta, so the optimal
 theta is its maximizer (2k / (gamma*beta u))^(gamma*beta/(gamma*beta+1)),
@@ -22,6 +23,7 @@ supply; it is not checkable numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .entropy import HolderProfile, c1_constant, entropy_integral_closed
@@ -84,17 +86,14 @@ def min_threshold(bound: TailBound) -> float:
 
 
 def sup_tail_bound(u: float, theta: float, bound: TailBound) -> float:
-    """Tail bound on P{sup |X| > u} at theta; requires 0 < theta < cap and a
-    positive level, i.e. u > u_threshold(theta).
+    """Tail bound on P{sup |X| > u} at theta; raises unless 0 < theta < cap.
 
-    Strictly decreasing in u on the valid range, clamped to [0, 1].
+    nan where the level is not positive, i.e. u <= u_threshold(theta), where
+    no bound is asserted.  Strictly decreasing in u on the valid range,
+    clamped to [0, 1].
     """
-    entropy = _entropy(theta, bound)
-    level = u * (1.0 - theta) - entropy
-    if not level > 0.0:
-        threshold = entropy / (1.0 - theta)
-        raise ValueError(f"u = {u} is not above the validity threshold {threshold} at theta = {theta}")
-    return rv_tail_bound(level, bound.scale, bound.fam)
+    level = u * (1.0 - theta) - _entropy(theta, bound)
+    return rv_tail_bound(level, bound.scale, bound.fam) if level > 0.0 else math.nan
 
 
 def _theta_star(u: float, bound: TailBound) -> float:
@@ -113,8 +112,8 @@ def _theta_star(u: float, bound: TailBound) -> float:
 def optimize_theta(u: float, bound: TailBound) -> tuple[float, float]:
     """Minimize the tail bound over valid theta, in closed form.
 
-    Returns (theta_star, bound).  Raises if the level at theta_star is not
-    positive: then no theta satisfies u > u_threshold(theta).
+    Returns (theta_star, bound).  The bound is nan if the level at
+    theta_star is not positive: then no theta satisfies u > u_threshold(theta).
     """
     theta = _theta_star(u, bound)
     return theta, sup_tail_bound(u, theta, bound)

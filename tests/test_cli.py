@@ -15,11 +15,14 @@ import suptail
 from suptail import supbound
 from suptail.cli import ConfigError, _u_grid, load_config, main
 from suptail.entropy import HolderProfile
-from suptail.heat import SheModel, v_bound_inputs
+from suptail.growth import auto_theta_bound
+from suptail.heat import SheModel, she_growth_envelope, v_bound_inputs
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily
 
 MODEL = {"hurst": 0.5, "rho": 0.5, "holder_const": 1.0, "init_sup": 1.0, "det_const": 1.0, "alpha": 2.0}
+# bound-growth and simulate-verify bound V, whose model block holds hurst alone
+V_MODEL = {"hurst": 0.5}
 BOX = {"a1": 0.1, "b1": 1.0, "a2": 0.0, "b2": 1.0}
 
 
@@ -164,11 +167,7 @@ class TestBoundSup:
                     assert min(abs(u / thr - 1.0) for u in us) > 1e-6
                     assert us[0] < thr
                     for u in us:
-                        try:
-                            supbound.optimize_theta(u, inputs)
-                            valid = True
-                        except ValueError:
-                            valid = False
+                        valid = not math.isnan(supbound.optimize_theta(u, inputs)[1])
                         assert valid == (u > thr)
 
     def test_u_auto_divergent_entropy_errors(self, tmp_path):
@@ -245,7 +244,7 @@ class TestUnreadFieldKeys:
         code, out = run(tmp_path, "bound-sup", payload)
         assert code == 1
         assert "['eps0', 'fam', 'profile'] are not read" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, field, extra",
@@ -259,7 +258,7 @@ class TestUnreadFieldKeys:
         # the model's exponents replaced these, and the curve came out as without them
         payload = {
             "field": field,
-            "model": MODEL,
+            "model": MODEL if command == "bound-sup" else V_MODEL,
             "box": {**BOX, "h1": 0.9, "h2": 0.2},
             "u_grid": [80.0, 100.0],
             "samples": 100,
@@ -269,26 +268,27 @@ class TestUnreadFieldKeys:
         code, out = run(tmp_path, command, payload, *extra)
         assert code == 1
         assert f"box keys ['h1', 'h2'] are not read for field '{field}'" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_model_rejected_for_generic_field(self, tmp_path, capsys):
         code, out = run(tmp_path, "bound-sup", {**self.GENERIC, "model": MODEL})
         assert code == 1
         assert "['model'] are not read for field 'generic'" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestWrongValueType:
     @pytest.mark.parametrize(
         "command, payload",
         [
-            ("bound-growth", {"model": MODEL, "p": None, "u_grid": [900.0]}),
-            ("bound-growth", {"model": MODEL, "u_grid": 900}),
+            ("bound-growth", {"model": V_MODEL, "p": None, "u_grid": [900.0]}),
+            ("bound-growth", {"model": V_MODEL, "u_grid": 900}),
             ("covering", {"box": BOX, "eps": None}),
             ("constants", {"model": {"hurst": "x"}}),
-            # alpha is checked when the model is built, read or not
+            # alpha is checked when the model is built, read or not; bound-growth
+            # does not read it and rejects the key
             ("constants", {"model": {**MODEL, "alpha": 7.0}}),
-            ("bound-growth", {"model": {**MODEL, "alpha": 7.0}, "u_grid": [900.0]}),
+            ("bound-growth", {"model": {**V_MODEL, "alpha": 7.0}, "u_grid": [900.0]}),
             # a missing required key names itself, with no traceback
             ("bound-sup", {"field": "v", "model": MODEL, "u_grid": [80.0]}),
             ("bound-sup", {"field": "v", "box": BOX, "u_grid": [80.0]}),
@@ -297,9 +297,9 @@ class TestWrongValueType:
             ("bound-growth", {"p": 2.0, "u_grid": [900.0]}),
             # an empty u grid is rejected before any computation
             ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "u_grid": []}),
-            ("bound-growth", {"model": MODEL, "u_grid": []}),
-            ("bound-growth", {"model": MODEL, "u_grid": [900.0, 800.0]}),
-            ("simulate-verify", {"model": MODEL, "box": BOX, "samples": 10, "u_grid": []}),
+            ("bound-growth", {"model": V_MODEL, "u_grid": []}),
+            ("bound-growth", {"model": V_MODEL, "u_grid": [900.0, 800.0]}),
+            ("simulate-verify", {"model": V_MODEL, "box": BOX, "samples": 10, "u_grid": []}),
         ],
         ids=[
             "p-null",
@@ -338,23 +338,37 @@ class TestDeadKeys:
         ],
     )
     def test_ignored_keys_rejected(self, tmp_path, command, payload, key):
-        path = write_config(tmp_path, {"field": "v", "model": MODEL, "box": BOX, **payload})
+        model = MODEL if command == "bound-sup" else V_MODEL
+        path = write_config(tmp_path, {"field": "v", "model": model, "box": BOX, **payload})
         with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
             load_config(path, command)
+
+    @pytest.mark.parametrize("command", ["bound-growth", "simulate-verify"])
+    def test_unread_model_keys_rejected(self, tmp_path, capsys, command):
+        # both commands bound V, which reads hurst alone: these keys changed nothing
+        payload = {"model": {"hurst": 0.5, "alpha": 1.5, "rho": 0.3}, "u_grid": [900.0]}
+        if command == "simulate-verify":
+            payload.update(box=BOX, samples=10)
+        code, out = run(tmp_path, command, payload, "--seed", "1")
+        assert code == 1
+        assert "unknown keys ['alpha', 'rho'] in model; allowed: ['hurst']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBoundGrowth:
     def test_envelope_and_series(self, tmp_path):
-        payload = {"model": MODEL, "p": 2.0, "halfwidth": 1.0, "u_grid": [900.0, 1500.0]}
+        payload = {"model": V_MODEL, "p": 2.0, "halfwidth": 1.0, "u_grid": [900.0, 1500.0]}
         code, out = run(tmp_path, "bound-growth", payload)
         assert code == 0
         data = json.loads((out / "bound_growth.json").read_text())
-        model = SheModel(**MODEL)
+        model = SheModel(**V_MODEL)
         target = model.a_h * math.exp(0.25) * (1 + math.pi ** 2 / 6)
         assert data["series"]["c_tilde"] == pytest.approx(target, abs=1e-5)
         assert data["series"]["c_tilde_remainder"] <= 1e-6
+        bound = she_growth_envelope(model, 2.0, halfwidth=1.0)[0]
         for row in data["curve"]:
             assert row["validity"] == "VALID"
+            assert row["envelope_bound"] == auto_theta_bound(row["u"], bound)
             assert row["optimized_bound"] <= row["envelope_bound"] * (1 + 1e-9)
 
     def test_optimized_bound_valid_wherever_envelope_is(self, tmp_path):
@@ -377,11 +391,11 @@ class TestBoundGrowth:
 
     def test_slow_decay_p_succeeds(self, tmp_path):
         # 1 < p < 2: slow power-law decay of the envelope series
-        payload = {"model": MODEL, "p": 1.5, "halfwidth": 1.0, "u_grid": [900.0, 1500.0]}
+        payload = {"model": V_MODEL, "p": 1.5, "halfwidth": 1.0, "u_grid": [900.0, 1500.0]}
         code, out = run(tmp_path, "bound-growth", payload)
         assert code == 0
         series = json.loads((out / "bound_growth.json").read_text())["series"]
-        model = SheModel(**MODEL)
+        model = SheModel(**V_MODEL)
         target = model.a_h * math.exp(model.hurst / 2) * (1 + zeta(1.5))
         assert series["c_tilde"] == pytest.approx(target, rel=1e-13)
         assert series["c_tilde_terms"] == 0 and series["s_tilde_terms"] > 0
@@ -389,14 +403,14 @@ class TestBoundGrowth:
     @pytest.mark.parametrize("p", [1e6, 1e100, 1e300])
     def test_huge_p_certifies(self, tmp_path, p):
         # the Li_p terms past k = 1 underflow to 0 and add no rounding
-        payload = {"model": MODEL, "p": p, "halfwidth": 1.0, "u_grid": [900.0, 1500.0]}
+        payload = {"model": V_MODEL, "p": p, "halfwidth": 1.0, "u_grid": [900.0, 1500.0]}
         code, out = run(tmp_path, "bound-growth", payload)
         assert code == 0
         series = json.loads((out / "bound_growth.json").read_text())["series"]
         assert series["s_tilde_remainder"] <= 1e-6  # the default series_tol
 
     def test_divergent_config_errors(self, tmp_path):
-        payload = {"model": MODEL, "p": 0.9, "halfwidth": 1.0, "u_grid": [10.0]}
+        payload = {"model": V_MODEL, "p": 0.9, "halfwidth": 1.0, "u_grid": [10.0]}
         code, _ = run(tmp_path, "bound-growth", payload)
         assert code == 1
 
@@ -420,13 +434,13 @@ class TestCovering:
         code, out = run(tmp_path, "covering", {**payload, "resolution": value})
         assert code == 1
         assert "'resolution' must be an integer >= 1" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestSimulateVerify:
     PAYLOAD = {
         "field": "v",
-        "model": MODEL,
+        "model": V_MODEL,
         "box": BOX,
         "grid": {"nt": 5, "nx": 5},
         "samples": 400,
@@ -439,6 +453,8 @@ class TestSimulateVerify:
         assert code == 0
         report = json.loads((out / "verify_report.json").read_text())
         assert report["passed"] is True
+        assert (report["n_fail"], report["n_samples"]) == (0, 400)
+        assert "necessary-condition evidence only" in report["note"]
         assert report["seed"] == 42
         lines = (out / "verify_curve.csv").read_text().splitlines()
         assert lines[1] == "u,empirical,ci_lo,ci_hi,bound,verdict"
@@ -463,7 +479,7 @@ class TestSimulateVerify:
         assert code == 1
         where = f"{block} '{name}'" if block else f"'{name}'"
         assert f"{where} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_unknown_grid_key_rejected(self, tmp_path):
         payload = {**self.PAYLOAD, "grid": {"nt": 5, "nx": 5, "nz": 5}}
@@ -494,7 +510,7 @@ class TestSimulateVerify:
         fixed = [r["bound"] for r in json.loads((tmp_path / "sup" / "bound_sup.json").read_text())["curve"]]
         verify = [r["bound"] for r in json.loads((out / "verify_report.json").read_text())["rows"]]
         assert verify == fixed
-        optimized = supbound.optimize_theta(80.0, v_bound_inputs(AnisotropicBox(**BOX), SheModel(**MODEL)))
+        optimized = supbound.optimize_theta(80.0, v_bound_inputs(AnisotropicBox(**BOX), SheModel(**V_MODEL)))
         assert fixed[0] > optimized[1]
 
     def test_omega_field_rejected(self, tmp_path, capsys):
@@ -527,7 +543,7 @@ class TestUAutoValidation:
         code, out = run(tmp_path, command, payload, "--seed", "1")
         assert code == 1
         assert f"u_auto '{key}'" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestNonFiniteUGrid:
@@ -535,7 +551,7 @@ class TestNonFiniteUGrid:
     # strictly-increasing check and come out as a row (u nan, empirical 0.0)
     PAYLOADS = {
         "bound-sup": {"field": "v", "model": MODEL, "box": BOX},
-        "bound-growth": {"model": MODEL},
+        "bound-growth": {"model": V_MODEL},
         "simulate-verify": {
             k: v for k, v in TestSimulateVerify.PAYLOAD.items() if k != "u_auto"
         },
@@ -553,7 +569,44 @@ class TestNonFiniteUGrid:
         assert err.startswith(f"suptail {command}: error: u_grid entries must be finite, got ")
         assert err.endswith(" at index 1\n")
         assert err.count("\n") == 1
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+
+class TestHugeU:
+    # phi*(x) = |x|^beta / beta overflowed past u of about 1e154 at H = 1/2 on
+    # BOX: the command died with an OverflowError traceback, although at
+    # u = 1e150 the row already reads bound 0.0, VALID
+    def test_bound_sup(self, tmp_path):
+        payload = {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0, 1e150, 1e155, 1e200]}
+        code, out = run(tmp_path, "bound-sup", payload)
+        assert code == 0
+        rows = json.loads((out / "bound_sup.json").read_text())["curve"]
+        assert [(r["bound"], r["validity"]) for r in rows[1:]] == [(0.0, "VALID")] * 3
+
+    def test_bound_sup_u_auto(self, tmp_path):
+        payload = {"field": "v", "model": MODEL, "box": BOX, "u_auto": {"max": 1e300}}
+        code, out = run(tmp_path, "bound-sup", payload)
+        assert code == 0
+        rows = json.loads((out / "bound_sup.json").read_text())["curve"]
+        assert rows[-1]["u"] > 1e301
+        assert [r["validity"] for r in rows] == ["INVALID"] + ["VALID"] * 11
+        assert rows[-1]["bound"] == 0.0
+
+    def test_bound_growth(self, tmp_path):
+        payload = {"model": V_MODEL, "u_grid": [900.0, 1e150, 1e200]}
+        code, out = run(tmp_path, "bound-growth", payload)
+        assert code == 0
+        rows = json.loads((out / "bound_growth.json").read_text())["curve"]
+        for row in rows[1:]:
+            assert (row["envelope_bound"], row["optimized_bound"], row["validity"]) == (0.0, 0.0, "VALID")
+
+    def test_simulate_verify(self, tmp_path):
+        payload = {**TestSimulateVerify.PAYLOAD, "samples": 100, "u_grid": [80.0, 1e155]}
+        del payload["u_auto"]
+        code, out = run(tmp_path, "simulate-verify", payload, "--seed", "1")
+        assert code == 0
+        rows = json.loads((out / "verify_report.json").read_text())["rows"]
+        assert (rows[1]["bound"], rows[1]["verdict"]) == (0.0, "PASS")
 
 
 class TestScalarValues:
@@ -562,23 +615,31 @@ class TestScalarValues:
     GENERIC = {"field": "generic", "box": BOX, "u_grid": [80.0], "fam": 2.0, "eps0": 1.0,
                "profile": {"scale": 1.0, "exponent": 0.5}}
     CASES = {
-        "halfwidth-nan": ("bound-growth", {"model": MODEL, "halfwidth": math.nan, "u_grid": [900.0]},
+        "halfwidth-nan": ("bound-growth", {"model": V_MODEL, "halfwidth": math.nan, "u_grid": [900.0]},
                           "'halfwidth' must be finite, got nan"),
-        "halfwidth-inf": ("bound-growth", {"model": MODEL, "halfwidth": math.inf, "u_grid": [900.0]},
+        "halfwidth-inf": ("bound-growth", {"model": V_MODEL, "halfwidth": math.inf, "u_grid": [900.0]},
                           "'halfwidth' must be finite, got inf"),
-        "series_tol-nan": ("bound-growth", {"model": MODEL, "series_tol": math.nan, "u_grid": [900.0]},
+        "series_tol-nan": ("bound-growth", {"model": V_MODEL, "series_tol": math.nan, "u_grid": [900.0]},
                            "'series_tol' must be finite, got nan"),
-        "p-string": ("bound-growth", {"model": MODEL, "p": "2", "u_grid": [900.0]},
+        "p-string": ("bound-growth", {"model": V_MODEL, "p": "2", "u_grid": [900.0]},
                      "'p' must be a number, got '2'"),
-        "p-bool": ("bound-growth", {"model": MODEL, "p": True, "u_grid": [900.0]},
+        "p-bool": ("bound-growth", {"model": V_MODEL, "p": True, "u_grid": [900.0]},
                    "'p' must be a number, got True"),
         "sup-theta-nan": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "theta": math.nan,
                                         "u_grid": [80.0]}, "'theta' must be finite, got nan"),
         "sup-theta-string": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "theta": "0.3",
                                            "u_grid": [80.0]}, "'theta' must be a number, got '0.3'"),
-        "verify-theta-nan": ("simulate-verify", {"model": MODEL, "box": BOX, "samples": 10,
+        "verify-theta-nan": ("simulate-verify", {"model": V_MODEL, "box": BOX, "samples": 10,
                                                  "theta": math.nan, "u_grid": [80.0]},
                              "'theta' must be finite, got nan"),
+        # a theta outside (0, cap) made every row INVALID, and simulate-verify
+        # sampled and then reported "passed": true; the cap is 1.0 on BOX
+        "sup-theta-above-cap": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "theta": 5.0,
+                                              "u_grid": [80.0]},
+                                "'theta' must lie in (0, 1.0), the cap of this bound, got 5.0"),
+        "verify-theta-negative": ("simulate-verify", {"model": V_MODEL, "box": BOX, "samples": 10,
+                                                      "theta": -1, "u_grid": [80.0]},
+                                  "'theta' must lie in (0, 1.0), the cap of this bound, got -1"),
         "eps-nan": ("covering", {"box": BOX, "eps": math.nan}, "'eps' must be finite, got nan"),
         "eps-string": ("covering", {"box": BOX, "eps": "0.5"}, "'eps' must be a number, got '0.5'"),
         "eps0-nan": ("bound-sup", {**GENERIC, "eps0": math.nan}, "'eps0' must be finite, got nan"),
@@ -590,7 +651,7 @@ class TestScalarValues:
         "u_grid-strings": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX,
                                          "u_grid": ["80", "2e2"]},
                            "u_grid entries must be a number, got '80' at index 0"),
-        "u_grid-bool": ("bound-growth", {"model": MODEL, "u_grid": [900.0, True]},
+        "u_grid-bool": ("bound-growth", {"model": V_MODEL, "u_grid": [900.0, True]},
                         "u_grid entries must be a number, got True at index 1"),
     }
 
@@ -601,14 +662,14 @@ class TestScalarValues:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"suptail {command}: error: {message}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_integers_read_as_floats(self, tmp_path):
         payload = {"box": {**BOX, "h1": 1.0, "h2": 1.0}, "eps": 1, "resolution": 21}
         code, out = run(tmp_path, "covering", payload)
         assert code == 0
         assert json.loads((out / "covering.json").read_text())["eps"] == 1.0
-        payload = {"model": MODEL, "p": 2, "halfwidth": 1, "u_grid": [900, 1500]}
+        payload = {"model": V_MODEL, "p": 2, "halfwidth": 1, "u_grid": [900, 1500]}
         code, out = run(tmp_path, "bound-growth", payload)
         assert code == 0
         rows = json.loads((out / "bound_growth.json").read_text())["curve"]
@@ -704,7 +765,7 @@ def test_analytic_commands_load_no_scipy(tmp_path):
             closed_form.append(["bound-sup", {**field, "u_auto": {"count": 4}}, ["--format", fmt]])
             closed_form.append(["bound-sup", {**field, "u_grid": u_grid}, ["--format", fmt]])
     runs = closed_form + [
-        ["bound-growth", {"model": MODEL, "p": 1.5, "u_grid": [900.0, 1500.0]}, []],
+        ["bound-growth", {"model": V_MODEL, "p": 1.5, "u_grid": [900.0, 1500.0]}, []],
         ["covering", {"box": generic["box"], "eps": 0.5, "resolution": 41}, []],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}

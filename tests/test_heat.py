@@ -334,28 +334,27 @@ class TestFieldMappings:
     def test_below_threshold_error(self):
         model = SheModel(hurst=0.5, rho=0.5)
         box = AnisotropicBox(0.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="threshold"):
-            supbound.sup_tail_bound(0.1, 0.5, omega_bound_inputs(box, model))
+        assert math.isnan(supbound.sup_tail_bound(0.1, 0.5, omega_bound_inputs(box, model)))
 
 
 class TestGrowthEnvelope:
     def test_c_tilde_matches_zeta_fixture(self):
         model = SheModel(hurst=0.5)
-        res = she_growth_envelope(model, p=2.0, u_grid=[1000.0], halfwidth=1.0)
+        _, c_tilde, _ = she_growth_envelope(model, p=2.0, halfwidth=1.0)
         target = model.a_h * math.exp(0.25) * (1 + zeta(2.0))
-        assert res.c_tilde.value == pytest.approx(target, abs=1e-6)
-        assert res.c_tilde.remainder <= 1e-6
+        assert c_tilde.value == pytest.approx(target, abs=1e-6)
+        assert c_tilde.remainder <= 1e-6
 
     def test_s_tilde_certified_finite(self):
         model = SheModel(hurst=0.5)
-        res = she_growth_envelope(model, p=2.0, u_grid=[1000.0], halfwidth=1.0)
-        assert math.isfinite(res.s_tilde.value)
-        assert res.s_tilde.remainder <= 1e-4
+        _, _, s_tilde = she_growth_envelope(model, p=2.0, halfwidth=1.0)
+        assert math.isfinite(s_tilde.value)
+        assert s_tilde.remainder <= 1e-4
 
     def test_monotone_decreasing_in_p(self):
         model = SheModel(hurst=0.5)
         values = [
-            she_growth_envelope(model, p=p, u_grid=[1000.0], halfwidth=1.0).c_tilde.value
+            she_growth_envelope(model, p=p, halfwidth=1.0)[1].value
             for p in (2.0, 3.0, 4.0, 6.0)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -367,13 +366,13 @@ class TestGrowthEnvelope:
         model = SheModel(hurst=0.5)
         for p in (1.0, math.nan):
             with pytest.raises(ValueError, match="p must exceed 1"):
-                she_growth_envelope(model, p=p, u_grid=[10.0])
+                she_growth_envelope(model, p=p)
 
     def test_invalid_u_marked_nan(self):
         model = SheModel(hurst=0.5)
-        res = she_growth_envelope(model, p=2.0, u_grid=[1.0, 5000.0], halfwidth=1.0)
-        assert math.isnan(res.curve.value[0])
-        assert 0.0 <= res.curve.value[1] <= 1.0
+        bound, _, _ = she_growth_envelope(model, p=2.0, halfwidth=1.0)
+        assert math.isnan(auto_theta_bound(1.0, bound))
+        assert 0.0 <= auto_theta_bound(5000.0, bound) <= 1.0
 
     def test_plain_terms_match_closed_form_summands(self):
         # the summands from the per-cell definitions (through c1_constant)
@@ -390,36 +389,36 @@ class TestGrowthEnvelope:
     def test_certified_sum_of_summands_matches_closed_form(self, hurst, p):
         # independent route: the block-bracket certifier over the summands
         model = SheModel(hurst=hurst)
-        res = she_growth_envelope(model, p=p, u_grid=[1000.0], halfwidth=0.7)
+        _, c_tilde, s_tilde = she_growth_envelope(model, p=p, halfwidth=0.7)
         c_summand, s_summand = _envelope_summands(model, p, 0.7)
-        for summand, closed in ((c_summand, res.c_tilde), (s_summand, res.s_tilde)):
+        for summand, closed in ((c_summand, c_tilde), (s_summand, s_tilde)):
             certified = sum_series(summand, tol=1e-5)
             assert abs(certified.value - closed.value) <= certified.remainder + closed.remainder
 
     @pytest.mark.parametrize("hurst, p", [(0.5, 1.2), (0.5, 1.5), (0.5, 1.8), (0.01, 2.0)])
     def test_closed_forms_at_slow_decay_and_small_hurst(self, hurst, p):
         model = SheModel(hurst=hurst)
-        res = she_growth_envelope(model, p=p, u_grid=[1000.0], halfwidth=1.0)
+        _, c_tilde, s_tilde = she_growth_envelope(model, p=p, halfwidth=1.0)
         c_target = model.a_h * math.exp(hurst / 2) * (1 + zeta(p))
         time_axis, space_axis = _axis_terms(model, 1.0)
         s_target = time_axis * (1 + zeta(p)) + space_axis * (1 + _polylog_quad(p, hurst))
-        assert math.isfinite(res.c_tilde.value) and math.isfinite(res.s_tilde.value)
-        assert res.c_tilde.value == pytest.approx(c_target, rel=1e-13)
-        assert res.s_tilde.value == pytest.approx(s_target, rel=1e-12)
-        assert res.c_tilde.remainder <= 1e-6 and res.s_tilde.remainder <= 1e-6
+        assert math.isfinite(c_tilde.value) and math.isfinite(s_tilde.value)
+        assert c_tilde.value == pytest.approx(c_target, rel=1e-13)
+        assert s_tilde.value == pytest.approx(s_target, rel=1e-12)
+        assert c_tilde.remainder <= 1e-6 and s_tilde.remainder <= 1e-6
 
     def test_unreachable_series_tol_names_remainder(self):
         model = SheModel(hurst=0.5)
         reached = r"C~ remainder \d\.\d+e-\d+ exceeds series_tol = 1e-20"
         with pytest.raises(SeriesError, match=reached):
-            she_growth_envelope(model, p=2.0, u_grid=[1000.0], series_tol=1e-20)
+            she_growth_envelope(model, p=2.0, series_tol=1e-20)
 
     @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25])
     def test_theta_cap_is_exact_infimum(self, hurst):
         model = SheModel(hurst=hurst)
-        res = she_growth_envelope(model, p=2.0, u_grid=[1000.0], halfwidth=1.0)
+        bound, _, _ = she_growth_envelope(model, p=2.0, halfwidth=1.0)
         cap = theta_sup(model.c_v, model.a_h, hurst)
-        assert res.bound.cap == min(1.0, cap) == 1.0
+        assert bound.cap == min(1.0, cap) == 1.0
         # the k -> inf limit of gamma_k / eps_k, read off the cells' diameters
         box, prof = _cell(model, 700, 1.0)
         ratio = prof.sigma(box.diameter) / (model.a_h * math.exp(701 * hurst / 2))
@@ -435,12 +434,11 @@ class TestGrowthEnvelope:
 
     def test_curve_matches_auto_theta_form_on_series(self):
         model = SheModel(hurst=0.5)
-        res = she_growth_envelope(model, p=2.0, u_grid=[900.0, 1500.0], halfwidth=1.0)
-        growth = supbound.TailBound(res.s_tilde.value, res.c_tilde.value, 2.0, 1.0, PhiFamily(2.0))
-        assert res.bound == growth
-        for u, v in zip(res.curve.u, res.curve.value):
-            direct = auto_theta_bound(u, growth)
-            assert v == direct
+        # the envelope column of bound-growth is auto_theta_bound on this bound
+        # (tests/test_cli.py TestBoundGrowth::test_envelope_and_series)
+        bound, c_tilde, s_tilde = she_growth_envelope(model, p=2.0, halfwidth=1.0)
+        growth = supbound.TailBound(s_tilde.value, c_tilde.value, 2.0, 1.0, PhiFamily(2.0))
+        assert bound == growth
 
     def test_power_cells_already_substituted(self):
         # the bounded-box norm of cell k is the power form A(H) e^((k+1)H/2)
@@ -478,7 +476,7 @@ class TestGrowthEnvelope:
                     worst_cell = max(worst_cell, abs(rel))
                 time_axis, space_axis = axis_terms_oracle(model, halfwidth)
                 s_oracle = time_axis * (1.0 + zeta_p) + space_axis * (1.0 + li)
-                res = she_growth_envelope(model, p, [1000.0], halfwidth=halfwidth)
-                worst_s = max(worst_s, abs(res.s_tilde.value / s_oracle - 1.0))
+                s_tilde = she_growth_envelope(model, p, halfwidth=halfwidth)[2]
+                worst_s = max(worst_s, abs(s_tilde.value / s_oracle - 1.0))
         assert worst_cell <= 1e-15
         assert worst_s <= 1e-15

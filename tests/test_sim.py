@@ -11,7 +11,6 @@ from scipy.special import erf, gamma, hyp1f1
 from quadrature_oracle import QuadratureError
 from sampling_oracle import covariance_from_points, fields_from_points, v_kernel
 from suptail import sim
-from suptail.curves import TailCurve
 from suptail.heat import (
     increment_constant,
     noise_constant,
@@ -21,7 +20,6 @@ from suptail.metric import AnisotropicBox
 from suptail.sim import (
     FactorizationError,
     GaussianFieldModel,
-    clopper_pearson,
     covariance_matrix,
     empirical_sup_tail,
     factor_covariance,
@@ -29,10 +27,16 @@ from suptail.sim import (
     sample_fields,
     sample_sups,
     v_covariance,
-    verify_bound,
+    verdicts,
 )
 
 BOX = AnisotropicBox(0.1, 1.0, 0.0, 1.0)
+
+
+def clopper_pearson(k, n):
+    """The scalar Clopper-Pearson interval at level sim.CONFIDENCE."""
+    lo, hi = sim._clopper_pearson_limits(np.array([k]), n)
+    return float(lo[0]), float(hi[0])
 
 
 def small_model(nt=3, nx=3, hurst=0.5):
@@ -302,6 +306,34 @@ def slightly_indefinite():
     return (v * w) @ v.T
 
 
+def _worst_increment_ratio(hurst):
+    """max E|V(a) - V(b)|^2 / (|dt|^(H/2) + |dx|^H)^2 over the distinct point
+    pairs of 30 log-spaced t in [1e-3, 1] x 31 x in {0} u [1e-4, 2], with
+    E|V(a) - V(b)|^2 = C_aa + C_bb - 2 C_ab from the exact covariance."""
+    times = np.geomspace(1e-3, 1.0, 30)
+    xs = np.concatenate([[0.0], np.geomspace(1e-4, 2.0, 30)])
+    cov = covariance_matrix(GaussianFieldModel(tuple(times.tolist()), tuple(xs.tolist()), hurst=hurst))
+    var = cov.diagonal()
+    increment = var[:, None] + var[None, :] - 2.0 * cov
+    t, x = np.repeat(times, len(xs)), np.tile(xs, len(times))  # the t-major grid order
+    dt, dx = np.abs(np.subtract.outer(t, t)), np.abs(np.subtract.outer(x, x))
+    off = ~np.eye(len(t), dtype=bool)
+    return float(np.max(increment[off] / (dt[off] ** (hurst / 2) + dx[off] ** hurst) ** 2))
+
+
+class TestIncrementConstant:
+    """c_V's Holder bound on the exact increment second moment, scanned over a
+    grid beside the sampled check of acceptance criterion 3."""
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.25, 0.1])
+    def test_exact_increment_scan(self, hurst):
+        worst = _worst_increment_ratio(hurst)
+        c_v = increment_constant(hurst)
+        assert worst <= c_v ** 2, (math.sqrt(worst), c_v)
+        # the scan can tell a wrong constant: c_V halved fails it
+        assert worst > (c_v / 2.0) ** 2, (math.sqrt(worst), c_v)
+
+
 class TestFactorCovariance:
     def test_reconstructs(self):
         cov = covariance_matrix(small_model())
@@ -453,10 +485,10 @@ class TestSampleFields:
 class TestEmpiricalSupTail:
     def test_trivial_values(self):
         sups = sample_sups(small_model(), 200, seed=8)
-        curve = empirical_sup_tail(sups, [0.0, 1e9])
-        assert curve.value[0] == 1.0
-        assert curve.value[-1] == 0.0
-        assert curve.ci_lo[-1] == 0.0
+        values, ci_lo, _ = empirical_sup_tail(sups, [0.0, 1e9])
+        assert values[0] == 1.0
+        assert values[-1] == 0.0
+        assert ci_lo[-1] == 0.0
 
     def test_replica_layout_does_not_change_curve(self):
         fields = sample_fields(small_model(), 1300, seed=9)
@@ -470,12 +502,12 @@ class TestEmpiricalSupTail:
         sups = sample_sups(small_model(), 1300, seed=9)
         # u on sampled suprema too, where the strict inequality decides
         us = sorted(set(np.linspace(0.0, 3.0, 13).tolist()) | set(np.sort(sups)[::100].tolist()))
-        curve = empirical_sup_tail(sups, us)
-        for u, value, lo, hi in zip(curve.u, curve.value, curve.ci_lo, curve.ci_hi):
+        values, ci_lo, ci_hi = empirical_sup_tail(sups, us)
+        assert len(values) == len(ci_lo) == len(ci_hi) == len(us)
+        for u, value, lo, hi in zip(us, values, ci_lo, ci_hi):
             k = int(np.sum(sups > u))
             assert value == k / 1300
             assert (lo, hi) == clopper_pearson(k, 1300)
-        assert curve.n_samples == 1300
 
     def test_rejects_empty_or_field_array(self):
         with pytest.raises(ValueError, match="nonempty 1-D"):
@@ -485,8 +517,8 @@ class TestEmpiricalSupTail:
 
     def test_monotone_nonincreasing(self):
         sups = sample_sups(small_model(), 500, seed=9)
-        curve = empirical_sup_tail(sups, np.linspace(0, 3, 20))
-        assert all(b <= a for a, b in zip(curve.value, curve.value[1:]))
+        values = empirical_sup_tail(sups, np.linspace(0, 3, 20))[0]
+        assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_clopper_pearson_brackets_estimate(self):
         lo, hi = clopper_pearson(30, 100)
@@ -514,57 +546,34 @@ class TestEmpiricalSupTail:
 
 
 class TestVerifyBound:
+    """``verdicts``: the empirical lower confidence limits against the bound column."""
+
     def test_trivial_pass_bound_one(self):
         sups = sample_sups(small_model(), 100, seed=10)
-        us = [0.5, 1.0, 2.0]
-        emp = empirical_sup_tail(sups, us)
-        theo = TailCurve(u=tuple(us), value=(1.0, 1.0, 1.0))
-        report = verify_bound(emp, theo)
-        assert report.passed
-        assert report.verdict == ("PASS", "PASS", "PASS")
+        _, ci_lo, _ = empirical_sup_tail(sups, [0.5, 1.0, 2.0])
+        assert verdicts(ci_lo, [1.0, 1.0, 1.0]) == ["PASS", "PASS", "PASS"]
 
     def test_trivial_pass_empirical_zero(self):
         sups = sample_sups(small_model(), 100, seed=11)
-        us = [50.0, 60.0]
-        emp = empirical_sup_tail(sups, us)
-        assert emp.value == (0.0, 0.0)
-        theo = TailCurve(u=(50.0, 60.0), value=(1e-300, 0.0))
-        assert verify_bound(emp, theo).passed
+        values, ci_lo, _ = empirical_sup_tail(sups, [50.0, 60.0])
+        assert values == [0.0, 0.0]
+        assert verdicts(ci_lo, [1e-300, 0.0]) == ["PASS", "PASS"]
 
     def test_constructed_failure_detected(self):
         # heavy-tailed synthetic sample vs a deliberately halved bound
         rng = np.random.default_rng(14)
         fields = rng.standard_cauchy(size=(2000, 4))
-        us = [1.0, 2.0, 5.0]
-        emp = empirical_sup_tail(sups_of(fields), us)
-        honest = emp.value
-        halved = TailCurve(u=tuple(us), value=tuple(v / 2 for v in honest))
-        report = verify_bound(emp, halved)
-        assert not report.passed
-        assert "FAIL" in report.verdict
-        assert report.n_fail >= 1
+        honest, ci_lo, _ = empirical_sup_tail(sups_of(fields), [1.0, 2.0, 5.0])
+        got = verdicts(ci_lo, [v / 2 for v in honest])
+        assert got.count("FAIL") >= 1
 
     def test_invalid_entries_not_failures(self):
         sups = sample_sups(small_model(), 100, seed=12)
-        us = [0.5, 1.0]
-        emp = empirical_sup_tail(sups, us)
-        theo = TailCurve(u=tuple(us), value=(math.nan, 1.0))
-        report = verify_bound(emp, theo)
-        assert report.verdict == ("INVALID", "PASS")
-        assert report.passed
+        _, ci_lo, _ = empirical_sup_tail(sups, [0.5, 1.0])
+        assert verdicts(ci_lo, [math.nan, 1.0]) == ["INVALID", "PASS"]
 
     def test_mismatched_grid_rejected(self):
         sups = sample_sups(small_model(), 50, seed=13)
-        emp = empirical_sup_tail(sups, [1.0, 2.0])
-        with pytest.raises(ValueError, match="same u grid"):
-            verify_bound(emp, TailCurve(u=(1.0, 3.0), value=(1.0, 1.0)))
-
-
-class TestTailCurve:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            TailCurve(u=(1.0, 1.0), value=(0.5, 0.5))
-        with pytest.raises(ValueError, match="lie in"):
-            TailCurve(u=(1.0, 2.0), value=(0.5, 1.5))
-        curve = TailCurve(u=(1.0, 2.0), value=(0.5, math.nan))
-        assert len(curve) == 2
+        _, ci_lo, _ = empirical_sup_tail(sups, [1.0, 2.0])
+        with pytest.raises(ValueError, match="share the u grid"):
+            verdicts(ci_lo, [1.0, 1.0, 1.0])

@@ -74,10 +74,9 @@ class TestSupTailBound:
 
     def test_below_threshold_rejected(self):
         thr = u_threshold(0.5, STD)
-        with pytest.raises(ValueError, match="threshold"):
-            sup_tail_bound(thr, 0.5, STD)
-        with pytest.raises(ValueError, match="threshold"):
-            sup_tail_bound(thr * 0.999, 0.5, STD)
+        # no bound is asserted at or below the threshold: nan marks it
+        assert math.isnan(sup_tail_bound(thr, 0.5, STD))
+        assert math.isnan(sup_tail_bound(thr * 0.999, 0.5, STD))
         assert sup_tail_bound(thr * 1.001, 0.5, STD) <= 1.0
 
     def test_decreasing_in_u(self):
@@ -125,10 +124,9 @@ class TestOptimizeTheta:
         theta_star, bound = optimize_theta(u, inp)
         best_grid = math.inf
         for theta in np.linspace(1e-4, inp.cap * (1 - 1e-9), 10000):
-            try:
-                best_grid = min(best_grid, sup_tail_bound(u, float(theta), inp))
-            except ValueError:
-                continue
+            value = sup_tail_bound(u, float(theta), inp)
+            if not math.isnan(value):
+                best_grid = min(best_grid, value)
         assert bound <= best_grid * (1.0 + 1e-9) + 1e-300
 
     def test_narrow_window_near_infimum_threshold(self):
@@ -139,13 +137,11 @@ class TestOptimizeTheta:
         assert 0.0 < bound <= 1.0
 
     def test_no_valid_theta(self):
-        with pytest.raises(ValueError, match="threshold"):
-            optimize_theta(1.0, STD)
+        assert math.isnan(optimize_theta(1.0, STD)[1])
 
     def test_nonpositive_u_has_no_valid_theta(self):
         for u in (0.0, -3.0):
-            with pytest.raises(ValueError, match="threshold"):
-                optimize_theta(u, STD)
+            assert math.isnan(optimize_theta(u, STD)[1])
 
     def test_heuristic_theta_never_better(self):
         # theta = u^(-gb/(gb+1)) is a valid choice but never beats the optimum
@@ -186,8 +182,7 @@ class TestOptimizeTheta:
             z = (u * (1 - thetas) - scale * thetas ** (q - 1)) / eps0
             if np.max(z) <= 0:
                 n_invalid += 1
-                with pytest.raises(ValueError, match="threshold"):
-                    optimize_theta(u, inp)
+                assert math.isnan(optimize_theta(u, inp)[1])
                 continue
             theta_star, bound = optimize_theta(u, inp)
             best = float(thetas[np.argmax(z)])
