@@ -15,7 +15,7 @@ from .growth import SeriesError, SeriesSum, auto_theta_bound, optimize_theta_gro
 from .heat import SheModel, she_growth_envelope
 from .metric import AnisotropicBox, covering_oracle, covering_upper_bound
 from .orlicz import PhiFamily, phi_conjugate, rv_tail_bound
-from .sim import FactorizationError, GaussianFieldModel, empirical_sup_tail, make_grid, sample_fields, v_covariance, verdicts
+from .sim import FactorizationError, covariance_matrix, empirical_sup_tail, factor_covariance, make_grid, sample_fields, v_covariance, verdicts
 from .supbound import TailBound, field_bound, min_threshold, optimize_theta, sup_tail_bound, u_threshold
 
 __version__ = "0.1.0"

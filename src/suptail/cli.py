@@ -161,6 +161,10 @@ def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
     span = float(span)
     # pad the low end below the minimal threshold so the first entries are invalid
     thr = supbound.min_threshold(bound)
+    if not math.isfinite(span * thr):
+        raise ConfigError(
+            f"u_auto 'max' = {span!r} times the minimal threshold {thr!r} overflows the float range"
+        )
     # count evenly spaced fractions from 0.9 to span, rounded as np.linspace
     # rounds them: i * step + 0.9, and span itself last
     step = (span - 0.9) / max(count - 1, 1)
@@ -390,8 +394,9 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed) -> int:
     # the bound column first: a bad theta fails before any sampling
     bounds = tuple(row[2] for row in _bound_curve(us, cfg.get("theta"), bound))
 
-    field_model = sim.GaussianFieldModel(*sim.make_grid(box, nt, nx), hurst=model.hurst, box=box)
-    sups = sim.sample_sups(field_model, n_samples, seed=seed, workers=workers)
+    cov = sim.covariance_matrix(*sim.make_grid(box, nt, nx), model.hurst)
+    chol = sim.factor_covariance(cov)
+    sups = sim.sample_sups(chol, n_samples, seed=seed, workers=workers)
     empirical, ci_lo, ci_hi = sim.empirical_sup_tail(sups, us)
     verdicts = sim.verdicts(ci_lo, bounds)
     n_fail = verdicts.count("FAIL")

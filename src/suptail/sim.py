@@ -31,30 +31,31 @@ terms depend on t + s or |t - s| and on |x - y| only, so covariance_matrix
 evaluates each once per distinct time value and distance, tabulates Cov V
 over time pairs and distances, and gathers the matrix from that table.
 
-Sampling draws i.i.d. Gaussian vectors through the lower-triangular Cholesky
-factor of the covariance matrix, with escalating diagonal jitter where the
-matrix is singular or slightly indefinite.  Replicas come in fixed blocks of
-SAMPLE_BLOCK, and block b's normals are drawn from the stream (seed, b), so
-serial and threaded runs agree to the byte.  simulate-verify needs only each
-replica's grid supremum: sample_sups reduces every block to its suprema as it
-is drawn, so m grid points and n replicas take O(m^2 + m SAMPLE_BLOCK + n)
-memory; sample_fields keeps the whole (n, m) array.  The empirical tail sorts
-the suprema once and counts each u by binary search, and ``verdicts`` marks
-each u PASS, FAIL or INVALID against the bound column.
+simulate-verify makes four calls: covariance_matrix, factor_covariance,
+sample_sups on that factor, and empirical_sup_tail.  The factor is the exact
+Cholesky factor: V is 0 at t = 0, so those rows of the covariance are zero
+and stay zero in it, and a box axis with b == a is one grid point, since
+repeated points would make the matrix singular.  Replicas come in fixed
+blocks of SAMPLE_BLOCK, and block b's normals are drawn from the stream
+(seed, b), so serial and threaded runs agree to the byte.  sample_sups
+reduces every block to its replicas' grid suprema as it is drawn, so m grid
+points and n replicas take O(m^2 + m SAMPLE_BLOCK + n) memory; sample_fields
+keeps the whole (n, m) array.  The empirical tail sorts the suprema once and
+counts each u by binary search, and ``verdicts`` marks each u PASS, FAIL or
+INVALID against the bound column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .heat import noise_constant
 from .metric import AnisotropicBox
 
 
 class FactorizationError(RuntimeError):
-    """Covariance matrix not positive semidefinite within the jitter budget."""
+    """Covariance matrix not positive semidefinite, or singular on its positive variances."""
 
 
 # Outside [_W_SERIES, _W_ASYMPTOTIC] scipy's hyp1f1(-H, 1/2, -w) can return
@@ -138,102 +139,77 @@ def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
     return float(_v_table(sums, gaps, dists, hurst)[0, 0])
 
 
-@dataclass(frozen=True)
-class GaussianFieldModel:
-    """The stochastic convolution V with Hurst index hurst on a product grid.
-
-    The grid is times x xs, with times >= 0 and inside the box if one is
-    given.  Point (times[i], xs[a]) has index i * len(xs) + a: points run in
-    t-major order, as ``grid`` lists them.
-    """
-
-    times: tuple[float, ...]
-    xs: tuple[float, ...]
-    hurst: float
-    box: Optional[AnisotropicBox] = None
-
-    def __post_init__(self) -> None:
-        if len(self.times) == 0 or len(self.xs) == 0:
-            raise ValueError("grid axes must be nonempty")
-        t0, t1, x0, x1 = min(self.times), max(self.times), min(self.xs), max(self.xs)
-        if t0 < 0:
-            raise ValueError(f"grid times must be nonnegative, got {t0}")
-        box = self.box
-        if box is not None and not (box.a1 <= t0 and t1 <= box.b1 and box.a2 <= x0 and x1 <= box.b2):
-            raise ValueError(f"grid [{t0}, {t1}] x [{x0}, {x1}] outside the declared box")
-
-    @property
-    def grid(self) -> tuple[tuple[float, float], ...]:
-        """The (t, x) points in t-major order."""
-        return tuple((t, x) for t in self.times for x in self.xs)
-
-
 def make_grid(box: AnisotropicBox, nt: int, nx: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Time and space axes of nt by nx evenly spaced points over the box."""
+    """Time and space axes of nt by nx evenly spaced points over the box.
+
+    An axis with b == a is the one point a: repeated points add nothing to
+    the grid supremum and would make the covariance exactly singular.
+    """
     import numpy as np
 
     if nt < 1 or nx < 1:
         raise ValueError("grid sizes must be positive")
     return (
-        tuple(np.linspace(box.a1, box.b1, nt).tolist()),
-        tuple(np.linspace(box.a2, box.b2, nx).tolist()),
+        tuple(np.linspace(box.a1, box.b1, nt if box.b1 > box.a1 else 1).tolist()),
+        tuple(np.linspace(box.a2, box.b2, nx if box.b2 > box.a2 else 1).tolist()),
     )
 
 
-def covariance_matrix(model: GaussianFieldModel) -> np.ndarray:
-    """Dense covariance matrix over the model grid.
+def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float) -> np.ndarray:
+    """Dense covariance matrix of V over the product grid times x xs.
 
-    The kernel depends on the times only through t + s and |t - s|, and on
-    the space points through |x - y|.  It is tabulated over (nt, nt, n_dist)
-    for the time pairs and the distinct distances between the xs, and the
-    matrix is gathered from that table: entry (i, a), (j, b) is table[i, j,
-    index of |x_a - x_b|].
+    Point (times[i], xs[a]) has index i * len(xs) + a: points run in t-major
+    order.  The kernel depends on the times only through t + s and |t - s|,
+    and on the space points through |x - y|.  It is tabulated over (nt, nt,
+    n_dist) for the time pairs and the distinct distances between the xs,
+    and the matrix is gathered from that table: entry (i, a), (j, b) is
+    table[i, j, index of |x_a - x_b|].
     """
     import numpy as np
 
-    times = np.asarray(model.times, dtype=float)
-    xs = np.asarray(model.xs, dtype=float)
+    times = np.asarray(times, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    if len(times) == 0 or len(xs) == 0:
+        raise ValueError("grid axes must be nonempty")
+    if times.min() < 0:
+        raise ValueError(f"grid times must be nonnegative, got {times.min()}")
     m = len(times) * len(xs)
     dists, d_idx = _distinct(np.abs(np.subtract.outer(xs, xs)))
     # t + s and |t - s| are exactly symmetric in t and s under IEEE rounding
     table = _v_table(
-        np.add.outer(times, times), np.abs(np.subtract.outer(times, times)), dists, model.hurst
+        np.add.outer(times, times), np.abs(np.subtract.outer(times, times)), dists, hurst
     )
     return table[:, :, d_idx].transpose(0, 2, 1, 3).reshape(m, m)
 
 
-_JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
-
-
 def factor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = cov + jitter I, by Cholesky.
+    """Lower-triangular L with L L^T = cov exactly, by Cholesky.
 
-    Jitter levels are relative to the largest variance: the first rung of
-    _JITTER_LADDER at which np.linalg.cholesky succeeds is used.  If the last
-    rung fails, raises FactorizationError rather than regularizing further.
-    An all-zero matrix has the all-zero factor; any other matrix without a
-    positive variance cannot be PSD and raises.
+    A PSD matrix is zero in every row and column whose variance is 0, as
+    those of V at t = 0 are.  Such rows stay zero in L, and Cholesky factors
+    the block of positive variances.  Raises FactorizationError if a
+    variance is negative, a zero-variance row is not all zero, or the
+    Cholesky of that block fails.
     """
     import numpy as np
 
-    scale = float(cov.diagonal().max())
-    if scale <= 0.0:
-        if not np.any(cov):
-            return np.zeros_like(cov)
+    var = cov.diagonal()
+    try:
+        if var.min() > 0.0:
+            return np.linalg.cholesky(cov)
+        pos = var > 0.0
+        if var.min() < 0.0 or np.any(cov[~pos]):
+            raise FactorizationError(
+                f"covariance not PSD: min variance {var.min()}, or a nonzero row of variance 0"
+            )
+        block = np.ix_(pos, pos)
+        chol = np.zeros_like(cov)
+        chol[block] = np.linalg.cholesky(cov[block])
+        return chol
+    except np.linalg.LinAlgError as exc:
         raise FactorizationError(
-            f"covariance not PSD: nonzero matrix with max variance {scale}"
-        )
-    for level in _JITTER_LADDER:
-        # rung 0 factors cov itself, with no jittered copy
-        jittered = cov + (level * scale) * np.eye(len(cov)) if level else cov
-        try:
-            return np.linalg.cholesky(jittered)
-        except np.linalg.LinAlgError:
-            pass
-    raise FactorizationError(
-        f"covariance not PSD within jitter budget: Cholesky fails at jitter "
-        f"cap {_JITTER_LADDER[-1]} x max variance {scale}"
-    )
+            f"covariance not positive definite on its positive variances: {exc}"
+        ) from exc
 
 
 # Replicas per block.  Block b draws its normals from the stream (seed, b),
@@ -241,12 +217,12 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
 SAMPLE_BLOCK = 512
 
 
-def _block_draw(model: GaussianFieldModel, n: int, seed: int):
-    """The block sampler of n replicas: draw(lo) returns (hi, L z^T).
+def _block_draw(chol: np.ndarray, n: int, seed: int):
+    """The block sampler of n replicas: draw(lo) returns (hi, chol z^T).
 
     z holds the normals of replicas [lo, hi) of the block that starts at lo,
-    one standard_normal draw from the stream (seed, lo // SAMPLE_BLOCK), and L
-    is the Cholesky factor of ``factor_covariance``; L z^T is (m, hi - lo).
+    one standard_normal draw from the stream (seed, lo // SAMPLE_BLOCK), and
+    chol is the factor from ``factor_covariance``; chol z^T is (m, hi - lo).
     """
     import numpy as np
 
@@ -254,7 +230,6 @@ def _block_draw(model: GaussianFieldModel, n: int, seed: int):
         raise ValueError(f"n must be nonnegative, got {n}")
     if seed is None:
         raise ValueError("a seed is required for reproducible sampling")
-    chol = factor_covariance(covariance_matrix(model))
 
     def draw(lo: int):
         hi = min(lo + SAMPLE_BLOCK, n)
@@ -277,15 +252,10 @@ def _each_block(fill, n: int, workers: int) -> None:
             list(pool.map(fill, blocks))
 
 
-def sample_fields(
-    model: GaussianFieldModel,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> np.ndarray:
-    """n i.i.d. zero-mean Gaussian vectors with the model covariance, (n, m).
+def sample_fields(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.ndarray:
+    """n i.i.d. zero-mean Gaussian vectors with covariance chol chol^T, (n, m).
 
-    Replica i is L z_i with L the Cholesky factor of ``factor_covariance``.
+    Replica i is chol z_i, with chol the factor from ``factor_covariance``.
     The z_i of replicas [b*SAMPLE_BLOCK, (b+1)*SAMPLE_BLOCK) are the rows of
     one standard_normal draw from the stream (seed, b), whatever n or the
     worker count, so serial and threaded runs produce identical bytes and a
@@ -294,8 +264,8 @@ def sample_fields(
     """
     import numpy as np
 
-    draw = _block_draw(model, n, seed)
-    out = np.empty((len(model.times) * len(model.xs), n))
+    draw = _block_draw(chol, n, seed)
+    out = np.empty((len(chol), n))
 
     def fill(lo: int) -> None:
         hi, block = draw(lo)
@@ -305,12 +275,7 @@ def sample_fields(
     return out.T
 
 
-def sample_sups(
-    model: GaussianFieldModel,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> np.ndarray:
+def sample_sups(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.ndarray:
     """Grid supremum max |V| of each of n replicas, shape (n,).
 
     The replicas are those of ``sample_fields`` with the same arguments, and
@@ -319,7 +284,7 @@ def sample_sups(
     """
     import numpy as np
 
-    draw = _block_draw(model, n, seed)
+    draw = _block_draw(chol, n, seed)
     sups = np.empty(n)
 
     def fill(lo: int) -> None:

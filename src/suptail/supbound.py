@@ -106,7 +106,11 @@ def _theta_star(u: float, bound: TailBound) -> float:
     """
     gb = bound.gamma_beta
     cap = bound.cap * (1.0 - 1e-12)
-    return min((2.0 * bound.k / (gb * u)) ** (gb / (gb + 1.0)), cap) if u > 0.0 else cap
+    if u <= 0.0:
+        return cap
+    # gb * u overflows for u near the float maximum; there divide in two steps
+    ratio = 2.0 * bound.k / (gb * u) if gb * u < math.inf else 2.0 * bound.k / gb / u
+    return min(ratio ** (gb / (gb + 1.0)), cap)
 
 
 def optimize_theta(u: float, bound: TailBound) -> tuple[float, float]:

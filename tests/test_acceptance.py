@@ -28,8 +28,9 @@ from suptail.heat import (
 from suptail.metric import AnisotropicBox, covering_oracle, covering_upper_bound
 from suptail.orlicz import PhiFamily, rv_tail_bound
 from suptail.sim import (
-    GaussianFieldModel,
+    covariance_matrix,
     empirical_sup_tail,
+    factor_covariance,
     make_grid,
     sample_fields,
     sample_sups,
@@ -59,8 +60,8 @@ def test_criterion_01_bound_vs_simulation():
     u_min = supbound.u_threshold(theta, inputs)
     us = [float(u) for u in np.linspace(1.02 * u_min, 2.0 * u_min, 12)]
 
-    field_model = GaussianFieldModel(*make_grid(box, 24, 24), hurst=0.5, box=box)
-    sups = sample_sups(field_model, 20000, seed=20240501, workers=1)
+    chol = factor_covariance(covariance_matrix(*make_grid(box, 24, 24), 0.5))
+    sups = sample_sups(chol, 20000, seed=20240501, workers=1)
     _, ci_lo, _ = empirical_sup_tail(sups, us)
     bounds = [supbound.optimize_theta(u, inputs)[1] for u in us]
     got = verdicts(ci_lo, bounds)
@@ -96,8 +97,8 @@ def test_criterion_03_increment_bound():
             t, s = rng.uniform(0.05, 1.0, size=2)
             x, y = rng.uniform(0.0, 1.0, size=2)
             # on the 2x2 grid (t, s) x (x, y), (t, x) is point 0 and (s, y) point 3
-            gfm = GaussianFieldModel(times=(float(t), float(s)), xs=(float(x), float(y)), hurst=hurst)
-            fields = sample_fields(gfm, n, seed=int(rng.integers(1 << 31)))
+            chol = factor_covariance(covariance_matrix((t, s), (x, y), hurst))
+            fields = sample_fields(chol, n, seed=int(rng.integers(1 << 31)))
             diff2 = (fields[:, 0] - fields[:, 3]) ** 2
             bound = (
                 model.c_v * (abs(t - s) ** (hurst / 2) + abs(x - y) ** hurst)

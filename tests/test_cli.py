@@ -497,6 +497,20 @@ class TestSimulateVerify:
         assert main(["simulate-verify", "--config", cfg3, "--out", str(out3), "--seed", "7"]) == 0
         assert (out1 / "verify_curve.csv").read_bytes() == (out3 / "verify_curve.csv").read_bytes()
 
+    def test_degenerate_time_axis_is_one_point(self, tmp_path):
+        # a1 = b1: six repeated times would make the covariance exactly singular
+        payload = {k: v for k, v in self.PAYLOAD.items() if k != "u_auto"}
+        payload.update(box={**BOX, "a1": 0.5, "b1": 0.5}, u_grid=[0.5, 1.0, 1.5])
+        rows = {}
+        for nt in (6, 1):
+            (tmp_path / str(nt)).mkdir()
+            payload["grid"] = {"nt": nt, "nx": 6}
+            code, out = run(tmp_path / str(nt), "simulate-verify", payload, "--seed", "7")
+            assert code == 0
+            rows[nt] = json.loads((out / "verify_report.json").read_text())["rows"]
+        assert rows[6] == rows[1]
+        assert rows[1][0]["empirical"] > 0.0
+
     def test_fixed_theta_bound_matches_bound_sup(self, tmp_path):
         # a fixed theta sets the bound column, as in bound-sup; it is not
         # replaced by the optimized theta's (smaller) bound
@@ -533,8 +547,17 @@ class TestUAutoValidation:
             ({"max": 2.0, "count": -3}, "count"),
             # an integer beyond the float range is not a finite number
             ({"max": 10**400, "count": 4}, "max"),
+            # a float whose product with the minimal threshold overflows
+            ({"max": 1e307, "count": 4}, "max"),
         ],
-        ids=["max-below-0.9", "count-zero", "count-fractional", "count-negative", "max-huge-int"],
+        ids=[
+            "max-below-0.9",
+            "count-zero",
+            "count-fractional",
+            "count-negative",
+            "max-huge-int",
+            "max-overflows-threshold",
+        ],
     )
     def test_invalid_u_auto_rejected(self, tmp_path, capsys, command, u_auto, key):
         payload = {**TestSimulateVerify.PAYLOAD, "u_auto": u_auto}
@@ -575,13 +598,14 @@ class TestNonFiniteUGrid:
 class TestHugeU:
     # phi*(x) = |x|^beta / beta overflowed past u of about 1e154 at H = 1/2 on
     # BOX: the command died with an OverflowError traceback, although at
-    # u = 1e150 the row already reads bound 0.0, VALID
+    # u = 1e150 the row already reads bound 0.0, VALID; past 9e307, where
+    # gamma*beta u overflows, theta* read 0 and the command exited 1
     def test_bound_sup(self, tmp_path):
-        payload = {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0, 1e150, 1e155, 1e200]}
+        payload = {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0, 1e150, 1e155, 1e200, 1.5e308]}
         code, out = run(tmp_path, "bound-sup", payload)
         assert code == 0
         rows = json.loads((out / "bound_sup.json").read_text())["curve"]
-        assert [(r["bound"], r["validity"]) for r in rows[1:]] == [(0.0, "VALID")] * 3
+        assert [(r["bound"], r["validity"]) for r in rows[1:]] == [(0.0, "VALID")] * 4
 
     def test_bound_sup_u_auto(self, tmp_path):
         payload = {"field": "v", "model": MODEL, "box": BOX, "u_auto": {"max": 1e300}}
@@ -593,7 +617,7 @@ class TestHugeU:
         assert rows[-1]["bound"] == 0.0
 
     def test_bound_growth(self, tmp_path):
-        payload = {"model": V_MODEL, "u_grid": [900.0, 1e150, 1e200]}
+        payload = {"model": V_MODEL, "u_grid": [900.0, 1e150, 1e200, 1.5e308]}
         code, out = run(tmp_path, "bound-growth", payload)
         assert code == 0
         rows = json.loads((out / "bound_growth.json").read_text())["curve"]

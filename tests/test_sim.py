@@ -19,7 +19,6 @@ from suptail.heat import (
 from suptail.metric import AnisotropicBox
 from suptail.sim import (
     FactorizationError,
-    GaussianFieldModel,
     covariance_matrix,
     empirical_sup_tail,
     factor_covariance,
@@ -39,8 +38,13 @@ def clopper_pearson(k, n):
     return float(lo[0]), float(hi[0])
 
 
-def small_model(nt=3, nx=3, hurst=0.5):
-    return GaussianFieldModel(*make_grid(BOX, nt, nx), hurst=hurst, box=BOX)
+def small_factor(nt=3, nx=3, hurst=0.5):
+    return factor_covariance(covariance_matrix(*make_grid(BOX, nt, nx), hurst))
+
+
+def points(times, xs):
+    """The (t, x) grid points in t-major order, as covariance_matrix indexes them."""
+    return [(t, x) for t in times for x in xs]
 
 
 def sups_of(fields):
@@ -221,25 +225,17 @@ class TestVCovariance:
 
 class TestCovarianceMatrix:
     def test_symmetric_psd(self):
-        cov = covariance_matrix(small_model())
+        cov = covariance_matrix(*make_grid(BOX, 3, 3), 0.5)
         assert np.allclose(cov, cov.T)
         w = np.linalg.eigvalsh(cov)
         assert w.min() > -1e-10 * w.max()
 
     def test_memoization_consistency(self):
-        model = small_model(nt=2, nx=2)
-        cov = covariance_matrix(model)
-        for i, (t, x) in enumerate(model.grid):
-            for j, (s, y) in enumerate(model.grid):
+        grid = make_grid(BOX, 2, 2)
+        cov = covariance_matrix(*grid, 0.5)
+        for i, (t, x) in enumerate(points(*grid)):
+            for j, (s, y) in enumerate(points(*grid)):
                 assert cov[i, j] == pytest.approx(v_covariance(t, x, s, y, 0.5), rel=1e-12)
-
-    def test_grid_outside_box_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            GaussianFieldModel(times=(2.0,), xs=(0.5,), hurst=0.5, box=BOX)
-        for xs in ((-0.1, 0.5), (0.5, 1.1)):
-            with pytest.raises(ValueError, match="outside"):
-                GaussianFieldModel(times=(0.1, 1.0), xs=xs, hurst=0.5, box=BOX)
-        GaussianFieldModel(times=(0.1, 1.0), xs=(0.0, 1.0), hurst=0.5, box=BOX)
 
     @pytest.mark.parametrize(
         "times, xs, match",
@@ -251,27 +247,30 @@ class TestCovarianceMatrix:
     )
     def test_axes_validated(self, times, xs, match):
         with pytest.raises(ValueError, match=match):
-            GaussianFieldModel(times=times, xs=xs, hurst=0.5)
+            covariance_matrix(times, xs, 0.5)
 
     def test_grid_is_t_major_product(self):
         times, xs = make_grid(BOX, 3, 4)
         assert times == tuple(np.linspace(0.1, 1.0, 3).tolist())
         assert xs == tuple(np.linspace(0.0, 1.0, 4).tolist())
-        model = GaussianFieldModel(times, xs, hurst=0.5, box=BOX)
-        assert model.grid == tuple((t, x) for t in times for x in xs)
+        cov = covariance_matrix(times, xs, 0.5)
+        for i, (t, x) in enumerate((t, x) for t in times for x in xs):
+            assert cov[i, 0] == pytest.approx(v_covariance(t, x, times[0], xs[0], 0.5), rel=1e-12)
+        # a degenerate axis is one point, however many were asked for
+        assert make_grid(AnisotropicBox(0.5, 0.5, 0.3, 0.3), 6, 4) == ((0.5,), (0.3,))
 
     @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25, 0.1])
     @pytest.mark.parametrize("a1", [0.1, 0.0])
     @pytest.mark.parametrize("nt, nx", [(1, 1), (1, 5), (5, 1), (3, 3), (8, 8), (24, 24)])
     def test_axis_table_matches_point_keys_oracle(self, nt, nx, a1, hurst):
         box = AnisotropicBox(a1, 1.0, 0.0, 1.0)
-        model = GaussianFieldModel(*make_grid(box, nt, nx), hurst=hurst, box=box)
-        want = covariance_from_points(model.grid, hurst)
-        assert np.array_equal(covariance_matrix(model), want)
+        grid = make_grid(box, nt, nx)
+        want = covariance_from_points(points(*grid), hurst)
+        assert np.array_equal(covariance_matrix(*grid, hurst), want)
 
     def test_unsorted_axes_with_repeats_match_oracle(self):
-        model = GaussianFieldModel(times=(0.7, 0.2, 0.7, 0.0), xs=(0.3, -0.4, 0.9), hurst=0.35)
-        assert np.array_equal(covariance_matrix(model), covariance_from_points(model.grid, 0.35))
+        grid = (0.7, 0.2, 0.7, 0.0), (0.3, -0.4, 0.9)
+        assert np.array_equal(covariance_matrix(*grid, 0.35), covariance_from_points(points(*grid), 0.35))
 
     def test_pointwise_kernel_matches_oracle(self):
         rng = np.random.default_rng(18)
@@ -283,19 +282,11 @@ class TestCovarianceMatrix:
             assert v_covariance(t, x, s, y, hurst) == want[0]
 
 
-def eigh_factor(cov):
-    """(symmetric root, jitter rung) by eigh on the jitter ladder: the oracle
-    for the Cholesky route of factor_covariance.
-
-    The rung is the first whose jitter lifts the smallest eigenvalue to >= 0.
-    """
-    scale = float(np.max(np.diag(cov)))
+def eigh_root(cov):
+    """Symmetric square root by eigh, the oracle for the Cholesky route of
+    factor_covariance; eigenvalues of a PSD matrix that round below 0 count as 0."""
     w, vecs = np.linalg.eigh(cov)
-    for rung, level in enumerate(sim._JITTER_LADDER):
-        jitter = level * scale
-        if w[0] + jitter >= 0.0:
-            return (vecs * np.sqrt(w + jitter)) @ vecs.T, rung
-    raise FactorizationError(f"min eigenvalue {w[0]} beyond the jitter cap")
+    return (vecs * np.sqrt(np.maximum(w, 0.0))) @ vecs.T
 
 
 def slightly_indefinite():
@@ -312,7 +303,7 @@ def _worst_increment_ratio(hurst):
     E|V(a) - V(b)|^2 = C_aa + C_bb - 2 C_ab from the exact covariance."""
     times = np.geomspace(1e-3, 1.0, 30)
     xs = np.concatenate([[0.0], np.geomspace(1e-4, 2.0, 30)])
-    cov = covariance_matrix(GaussianFieldModel(tuple(times.tolist()), tuple(xs.tolist()), hurst=hurst))
+    cov = covariance_matrix(times, xs, hurst)
     var = cov.diagonal()
     increment = var[:, None] + var[None, :] - 2.0 * cov
     t, x = np.repeat(times, len(xs)), np.tile(xs, len(times))  # the t-major grid order
@@ -336,42 +327,44 @@ class TestIncrementConstant:
 
 class TestFactorCovariance:
     def test_reconstructs(self):
-        cov = covariance_matrix(small_model())
+        cov = covariance_matrix(*make_grid(BOX, 3, 3), 0.5)
         chol = factor_covariance(cov)
         assert np.array_equal(chol, np.tril(chol))
         assert np.allclose(chol @ chol.T, cov, atol=1e-10)
 
-    def test_escalating_jitter_fixes_tiny_negatives(self):
-        bad = slightly_indefinite()
-        chol = factor_covariance(bad)
-        assert np.allclose(chol @ chol.T, bad, atol=1e-8 * np.abs(bad).max())
+    @pytest.mark.parametrize("fixture", ["slightly_indefinite", "repeated_points"])
+    def test_singular_or_indefinite_rejected(self, fixture):
+        if fixture == "slightly_indefinite":
+            cov = slightly_indefinite()
+        else:  # the time 0.5 twice: exactly singular
+            cov = covariance_matrix((0.5, 0.5), (0.2, 0.7), 0.5)
+        # nothing is added to the diagonal to make Cholesky succeed
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            factor_covariance(cov)
 
-    @pytest.mark.parametrize("fixture", ["random_psd", "slightly_indefinite", "zero_time_rows"])
-    def test_rung_against_eigh_oracle(self, fixture):
+    @pytest.mark.parametrize("fixture", ["random_psd", "zero_time_rows"])
+    def test_exact_against_eigh_oracle(self, fixture):
         if fixture == "random_psd":
             a = np.random.default_rng(17).standard_normal((8, 8))
             cov = a @ a.T
-        elif fixture == "slightly_indefinite":
-            cov = slightly_indefinite()
         else:  # a1 = 0: the six t = 0 rows and columns are exactly zero
-            box = AnisotropicBox(0.0, 1.0, 0.0, 1.0)
-            cov = covariance_matrix(GaussianFieldModel(*make_grid(box, 6, 6), hurst=0.5))
+            cov = covariance_matrix(*make_grid(AnisotropicBox(0.0, 1.0, 0.0, 1.0), 6, 6), 0.5)
             assert np.count_nonzero(np.diag(cov) == 0.0) == 6
         scale = float(np.max(np.diag(cov)))
         chol = factor_covariance(cov)
-        # the rung is read back from the jitter on the reconstructed diagonal
-        jitter = float(np.median(np.diag(chol @ chol.T) - np.diag(cov))) / scale
-        rung = int(np.argmin([abs(jitter - level) for level in sim._JITTER_LADDER]))
-        root, eigh_rung = eigh_factor(cov)
-        assert eigh_rung <= rung <= eigh_rung + 1
-        level = sim._JITTER_LADDER[rung] * scale
-        assert np.allclose(chol @ chol.T, cov + level * np.eye(len(cov)), rtol=0, atol=1e-12 * scale)
+        assert np.array_equal(chol, np.tril(chol))
+        assert not chol[np.diag(cov) == 0.0].any()
+        root = eigh_root(cov)
+        assert np.allclose(chol @ chol.T, cov, rtol=0, atol=1e-12 * scale)
         assert np.allclose(chol @ chol.T, root @ root.T, rtol=0, atol=2e-12 * scale)
 
     def test_materially_indefinite_rejected(self):
         cov = np.array([[1.0, 0.0], [0.0, -0.5]])
-        with pytest.raises(FactorizationError, match="cap"):
+        with pytest.raises(FactorizationError, match="not PSD"):
             factor_covariance(cov)
+        # a row of variance 0 with a nonzero covariance
+        with pytest.raises(FactorizationError, match="not PSD"):
+            factor_covariance(np.array([[1.0, 0.5], [0.5, 0.0]]))
 
     @pytest.mark.parametrize(
         "cov", [[[-1.0, 0.0], [0.0, -2.0]], [[0.0, 1.0], [1.0, 0.0]]], ids=["negative", "zero_diagonal"]
@@ -386,38 +379,46 @@ class TestFactorCovariance:
 
 class TestSampleFields:
     def test_deterministic_same_seed(self):
-        model = small_model()
-        a = sample_fields(model, 50, seed=3)
-        b = sample_fields(model, 50, seed=3)
+        chol = small_factor()
+        a = sample_fields(chol, 50, seed=3)
+        b = sample_fields(chol, 50, seed=3)
         assert np.array_equal(a, b)
-        c = sample_fields(model, 50, seed=4)
+        c = sample_fields(chol, 50, seed=4)
         assert not np.array_equal(a, c)
 
     def test_workers_and_blocks_byte_identical(self):
         # three blocks, the last one partial
-        model = small_model()
-        a = sample_fields(model, 1300, seed=5, workers=1)
+        chol = small_factor()
+        a = sample_fields(chol, 1300, seed=5, workers=1)
         for workers in (2, 3):
-            assert np.array_equal(a, sample_fields(model, 1300, seed=5, workers=workers))
+            assert np.array_equal(a, sample_fields(chol, 1300, seed=5, workers=workers))
 
     def test_streams_keyed_by_block_not_n(self):
-        model = small_model()
-        short = sample_fields(model, 700, seed=5)
-        assert np.array_equal(short, sample_fields(model, 1300, seed=5)[:700])
+        chol = small_factor()
+        short = sample_fields(chol, 700, seed=5)
+        assert np.array_equal(short, sample_fields(chol, 1300, seed=5)[:700])
 
     def test_blocks_draw_distinct_streams(self):
         rows = sim.SAMPLE_BLOCK
-        fields = sample_fields(small_model(), 2 * rows, seed=5)
+        fields = sample_fields(small_factor(), 2 * rows, seed=5)
         assert not np.isin(fields[:rows], fields[rows:]).any()
 
     def test_empty(self):
-        assert sample_fields(small_model(), 0, seed=1).shape == (0, 9)
+        assert sample_fields(small_factor(), 0, seed=1).shape == (0, 9)
+
+    def test_zero_at_time_zero(self):
+        # V(0, x) = 0: the six t = 0 points of an a1 = 0 grid sample exactly 0
+        cov = covariance_matrix(*make_grid(AnisotropicBox(0.0, 1.0, 0.0, 1.0), 6, 6), 0.5)
+        chol = factor_covariance(cov)
+        assert not chol[:6].any()
+        fields = sample_fields(chol, 1000, seed=23)
+        assert not fields[:, :6].any()
+        assert fields[:, 6:].all()
 
     def test_sample_covariance_converges(self):
-        model = small_model(nt=3, nx=1)
-        cov = covariance_matrix(model)
+        cov = covariance_matrix(*make_grid(BOX, 3, 1), 0.5)
         n = 100_000
-        fields = sample_fields(model, n, seed=6)
+        fields = sample_fields(factor_covariance(cov), n, seed=6)
         sample_cov = fields.T @ fields / n
         for i in range(3):
             for j in range(3):
@@ -433,8 +434,8 @@ class TestSampleFields:
         for _ in range(5):
             t, s = rng.uniform(0.05, 1.0, size=2)
             x, y = rng.uniform(0.0, 1.0, size=2)
-            model = GaussianFieldModel(times=(t, s), xs=(x, y), hurst=hurst)
-            fields = sample_fields(model, 4000, seed=int(rng.integers(1 << 31)))
+            chol = factor_covariance(covariance_matrix((t, s), (x, y), hurst))
+            fields = sample_fields(chol, 4000, seed=int(rng.integers(1 << 31)))
             bound = (c_v * (abs(t - s) ** (hurst / 2) + abs(x - y) ** hurst)) ** 2
             for a, b in ((0, 3), (1, 2)):
                 diff2 = (fields[:, a] - fields[:, b]) ** 2
@@ -444,31 +445,30 @@ class TestSampleFields:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1300])
     def test_sups_match_point_fields_oracle(self, n, workers):
-        model = small_model(nt=4, nx=3, hurst=0.35)
-        fields = fields_from_points(model.grid, 0.35, n, seed=21, workers=workers)
-        assert np.array_equal(sample_fields(model, n, seed=21, workers=workers), fields)
-        sups = sample_sups(model, n, seed=21, workers=workers)
+        chol = small_factor(nt=4, nx=3, hurst=0.35)
+        fields = fields_from_points(points(*make_grid(BOX, 4, 3)), 0.35, n, seed=21, workers=workers)
+        assert np.array_equal(sample_fields(chol, n, seed=21, workers=workers), fields)
+        sups = sample_sups(chol, n, seed=21, workers=workers)
         assert sups.shape == (n,)
         assert np.array_equal(sups, sups_of(fields))
 
     def test_threaded_sups_under_short_switch_interval(self):
         # ten blocks on more threads than cores, switching threads often
-        model = small_model()
-        want = sample_sups(model, 10 * sim.SAMPLE_BLOCK, seed=22)
+        chol = small_factor()
+        want = sample_sups(chol, 10 * sim.SAMPLE_BLOCK, seed=22)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = sample_sups(model, 10 * sim.SAMPLE_BLOCK, seed=22, workers=8)
+            got = sample_sups(chol, 10 * sim.SAMPLE_BLOCK, seed=22, workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got, want)
 
     def test_sups_and_tail_memory(self):
         # one (m, n) array of the README config alone takes 92 MB
-        model = GaussianFieldModel(*make_grid(BOX, 24, 24), hurst=0.5, box=BOX)
         tracemalloc.start()
         try:
-            sups = sample_sups(model, 20000, seed=12345)
+            sups = sample_sups(small_factor(nt=24, nx=24), 20000, seed=12345)
             empirical_sup_tail(sups, [1.0, 2.0, 3.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -477,29 +477,29 @@ class TestSampleFields:
 
     def test_sups_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            sample_sups(small_model(), -1, seed=1)
+            sample_sups(small_factor(), -1, seed=1)
         with pytest.raises(ValueError, match="seed"):
-            sample_sups(small_model(), 10, seed=None)
+            sample_sups(small_factor(), 10, seed=None)
 
 
 class TestEmpiricalSupTail:
     def test_trivial_values(self):
-        sups = sample_sups(small_model(), 200, seed=8)
+        sups = sample_sups(small_factor(), 200, seed=8)
         values, ci_lo, _ = empirical_sup_tail(sups, [0.0, 1e9])
         assert values[0] == 1.0
         assert values[-1] == 0.0
         assert ci_lo[-1] == 0.0
 
     def test_replica_layout_does_not_change_curve(self):
-        fields = sample_fields(small_model(), 1300, seed=9)
+        fields = sample_fields(small_factor(), 1300, seed=9)
         assert fields.T.flags.c_contiguous  # each grid point's samples are contiguous
         us = np.linspace(0.0, 3.0, 13)
-        want = empirical_sup_tail(sample_sups(small_model(), 1300, seed=9), us)
+        want = empirical_sup_tail(sample_sups(small_factor(), 1300, seed=9), us)
         for layout in (np.ascontiguousarray(fields), np.asfortranarray(fields)):
             assert empirical_sup_tail(sups_of(layout), us) == want
 
     def test_counts_and_limits_match_direct_route(self):
-        sups = sample_sups(small_model(), 1300, seed=9)
+        sups = sample_sups(small_factor(), 1300, seed=9)
         # u on sampled suprema too, where the strict inequality decides
         us = sorted(set(np.linspace(0.0, 3.0, 13).tolist()) | set(np.sort(sups)[::100].tolist()))
         values, ci_lo, ci_hi = empirical_sup_tail(sups, us)
@@ -516,7 +516,7 @@ class TestEmpiricalSupTail:
             empirical_sup_tail(np.ones((3, 2)), [1.0])
 
     def test_monotone_nonincreasing(self):
-        sups = sample_sups(small_model(), 500, seed=9)
+        sups = sample_sups(small_factor(), 500, seed=9)
         values = empirical_sup_tail(sups, np.linspace(0, 3, 20))[0]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -549,12 +549,12 @@ class TestVerifyBound:
     """``verdicts``: the empirical lower confidence limits against the bound column."""
 
     def test_trivial_pass_bound_one(self):
-        sups = sample_sups(small_model(), 100, seed=10)
+        sups = sample_sups(small_factor(), 100, seed=10)
         _, ci_lo, _ = empirical_sup_tail(sups, [0.5, 1.0, 2.0])
         assert verdicts(ci_lo, [1.0, 1.0, 1.0]) == ["PASS", "PASS", "PASS"]
 
     def test_trivial_pass_empirical_zero(self):
-        sups = sample_sups(small_model(), 100, seed=11)
+        sups = sample_sups(small_factor(), 100, seed=11)
         values, ci_lo, _ = empirical_sup_tail(sups, [50.0, 60.0])
         assert values == [0.0, 0.0]
         assert verdicts(ci_lo, [1e-300, 0.0]) == ["PASS", "PASS"]
@@ -568,12 +568,12 @@ class TestVerifyBound:
         assert got.count("FAIL") >= 1
 
     def test_invalid_entries_not_failures(self):
-        sups = sample_sups(small_model(), 100, seed=12)
+        sups = sample_sups(small_factor(), 100, seed=12)
         _, ci_lo, _ = empirical_sup_tail(sups, [0.5, 1.0])
         assert verdicts(ci_lo, [math.nan, 1.0]) == ["INVALID", "PASS"]
 
     def test_mismatched_grid_rejected(self):
-        sups = sample_sups(small_model(), 50, seed=13)
+        sups = sample_sups(small_factor(), 50, seed=13)
         _, ci_lo, _ = empirical_sup_tail(sups, [1.0, 2.0])
         with pytest.raises(ValueError, match="share the u grid"):
             verdicts(ci_lo, [1.0, 1.0, 1.0])
