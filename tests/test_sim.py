@@ -332,21 +332,33 @@ class TestFactorCovariance:
         assert np.array_equal(chol, np.tril(chol))
         assert np.allclose(chol @ chol.T, cov, atol=1e-10)
 
-    @pytest.mark.parametrize("fixture", ["slightly_indefinite", "repeated_points"])
-    def test_singular_or_indefinite_rejected(self, fixture):
-        if fixture == "slightly_indefinite":
-            cov = slightly_indefinite()
-        else:  # the time 0.5 twice: exactly singular
-            cov = covariance_matrix((0.5, 0.5), (0.2, 0.7), 0.5)
-        # nothing is added to the diagonal to make Cholesky succeed
+    def test_escalating_jitter_fixes_tiny_negatives(self):
+        # The name is the one the jitter ladder's test had; no jitter is added
+        # any more, so a tiny negative eigenvalue is rejected, not fixed.
         with pytest.raises(FactorizationError, match="not positive definite"):
-            factor_covariance(cov)
+            factor_covariance(slightly_indefinite())
 
-    @pytest.mark.parametrize("fixture", ["random_psd", "zero_time_rows"])
-    def test_exact_against_eigh_oracle(self, fixture):
+    def test_singular_rejected(self):
+        # the time 0.5 twice: exactly singular, and nothing is added to the
+        # diagonal to make Cholesky succeed
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            factor_covariance(covariance_matrix((0.5, 0.5), (0.2, 0.7), 0.5))
+
+    @pytest.mark.parametrize("fixture", ["random_psd", "slightly_indefinite", "zero_time_rows"])
+    def test_rung_against_eigh_oracle(self, fixture):
+        """The one rung left is zero jitter: where eigh finds a negative
+        eigenvalue beyond rounding there is no factor, elsewhere L L^T equals
+        cov and the eigh root's square."""
         if fixture == "random_psd":
             a = np.random.default_rng(17).standard_normal((8, 8))
             cov = a @ a.T
+        elif fixture == "slightly_indefinite":
+            cov = slightly_indefinite()
+            w = np.linalg.eigvalsh(cov)
+            assert w[0] < -1e-13 * w[-1]
+            with pytest.raises(FactorizationError, match="not positive definite"):
+                factor_covariance(cov)
+            return
         else:  # a1 = 0: the six t = 0 rows and columns are exactly zero
             cov = covariance_matrix(*make_grid(AnisotropicBox(0.0, 1.0, 0.0, 1.0), 6, 6), 0.5)
             assert np.count_nonzero(np.diag(cov) == 0.0) == 6
