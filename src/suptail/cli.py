@@ -1,6 +1,8 @@
 """Command-line front end: constants, bound curves, covering checks, simulate-verify.
 
-One JSON config per run; unknown keys are rejected before any computation.
+One JSON config per run, read through one schema table: unknown keys are
+rejected and every value is read (numbers checked finite, sizes checked
+integral) before any computation.
 Outputs are byte-stable for a fixed config and seed, carry the config hash,
 and use LF line endings with '.' decimals in CSV.
 """
@@ -28,93 +30,8 @@ class ConfigError(ValueError):
 # Config handling
 # --------------------------------------------------------------------------
 
-_MODEL_KEYS = {"hurst", "rho", "holder_const", "init_sup", "det_const", "alpha"}
-_BOX_KEYS = {"a1", "b1", "a2", "b2", "h1", "h2"}
-_PROFILE_KEYS = {"scale", "exponent"}
-_UGRID_KEYS = {"max", "count"}
-_GRID_KEYS = {"nt", "nx"}
-# bound-sup keys read only for "field": "generic", which reads no "model"
-_GENERIC_KEYS = {"fam", "eps0", "profile"}
-
-# command -> (allowed keys, required keys, allowed model keys); bound-sup also
-# needs "model" for the heat fields and "fam", "eps0", "profile" for the
-# generic one.  bound-growth and simulate-verify bound V, which reads only
-# "hurst"; one bound-sup model block serves both the v and omega fields.
-_SCHEMAS = {
-    "constants": ({"model"}, {"model"}, _MODEL_KEYS),
-    "bound-sup": (
-        {"field", "model", "box", "u_grid", "u_auto", "theta", "fam", "eps0", "profile"},
-        {"box"},
-        _MODEL_KEYS,
-    ),
-    "bound-growth": (
-        {"model", "p", "halfwidth", "u_grid", "series_tol"}, {"model", "u_grid"}, {"hurst"}
-    ),
-    "covering": ({"box", "eps", "resolution"}, {"box", "eps"}, set()),
-    "simulate-verify": (
-        {"field", "model", "box", "grid", "samples", "u_grid", "u_auto", "theta", "workers"},
-        {"model", "box", "samples"},
-        {"hurst"},
-    ),
-}
-
-
-def _require_keys(block: dict, allowed: set, where: str, required: set = frozenset()) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
-    missing = required - set(block)
-    if missing:
-        raise ConfigError(f"missing keys {sorted(missing)} in {where}")
-
-
-def load_config(path: str, command: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    allowed, required, model_keys = _SCHEMAS[command]
-    _require_keys(cfg, allowed, f"config for {command}", required=required)
-    if "model" in cfg:
-        _require_keys(cfg["model"], model_keys, "model", required={"hurst"})
-    if "box" in cfg:
-        _require_keys(cfg["box"], _BOX_KEYS, "box", required={"a1", "b1", "a2", "b2"})
-    if "profile" in cfg:
-        _require_keys(cfg["profile"], _PROFILE_KEYS, "profile", required=_PROFILE_KEYS)
-    if isinstance(cfg.get("u_auto"), dict):
-        _require_keys(cfg["u_auto"], _UGRID_KEYS, "u_auto")
-    if "grid" in cfg:
-        _require_keys(cfg["grid"], _GRID_KEYS, "grid")
-    if "u_grid" in cfg and "u_auto" in cfg:
-        raise ConfigError("'u_grid' and 'u_auto' are exclusive; give one of them")
-    return cfg
-
-
-def config_hash(cfg: dict) -> str:
-    """Hash of the semantic config; execution-only keys (worker count) are
-    excluded so runs that must produce identical bytes share a hash."""
-    semantic = {k: v for k, v in cfg.items() if k != "workers"}
-    canonical = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _model_from(cfg: dict) -> heat.SheModel:
-    return heat.SheModel(**cfg["model"])
-
-
-def _box_from(cfg: dict) -> AnisotropicBox:
-    return AnisotropicBox(**cfg["box"])
-
-
-def _field_box(cfg: dict, kind: str) -> AnisotropicBox:
-    """The box of a heat field, whose metric exponents come from the model."""
-    replaced = sorted(set(cfg["box"]) & {"h1", "h2"})
-    if replaced:
-        raise ConfigError(
-            f"box keys {replaced} are not read for field {kind!r}; "
-            "its metric exponents come from the model"
-        )
-    return _box_from(cfg)
+# Readers take (value, name) and return the value as the command reads it;
+# the error names the key, as 'p' at the top level and as grid 'nt' in a block.
 
 
 def _positive_int(value, name: str) -> int:
@@ -138,8 +55,10 @@ def _number(value, name: str, where: str = "") -> float:
     return number
 
 
-def _listed_u(values) -> list[float]:
+def _listed_u(values, name: str) -> list[float]:
     """An explicit u_grid: a nonempty, strictly increasing list of finite numbers."""
+    if type(values) is not list:
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
     us = [_number(value, "u_grid entries", f" at index {i}") for i, value in enumerate(values)]
     if not us:
         raise ConfigError("u_grid must not be empty")
@@ -148,17 +67,108 @@ def _listed_u(values) -> list[float]:
     return us
 
 
+def _span(value, name: str) -> float:
+    """u_auto 'max', which multiplies the minimal threshold; above 0.9 the grid
+    increases strictly, as an explicit u_grid must."""
+    if type(value) not in (int, float) or not 0.9 < value <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number above 0.9, got {value!r}")
+    return float(value)
+
+
+def _theta(value, name: str):
+    """value itself: "optimize", or a finite number that ``_bound_curve``
+    checks against the cap of the bound, quoting it as written."""
+    if value not in (None, "optimize"):
+        _number(value, name)
+    return value
+
+
+# A schema is (readers, required keys).  Each allowed key maps to the reader
+# of its value, to the schema of its block, or to None for "field", which the
+# commands check themselves.
+_MODEL = (
+    dict.fromkeys(("hurst", "rho", "holder_const", "init_sup", "det_const", "alpha"), _number),
+    {"hurst"},
+)
+# bound-growth and simulate-verify bound V, which reads "hurst" alone
+_V_MODEL = ({"hurst": _number}, {"hurst"})
+_BOX = (dict.fromkeys(("a1", "b1", "a2", "b2", "h1", "h2"), _number), {"a1", "b1", "a2", "b2"})
+# the keys of the two commands that draw a bound curve over a box
+_CURVE = {"field": None, "box": _BOX, "u_grid": _listed_u, "theta": _theta,
+          "u_auto": ({"count": _positive_int, "max": _span}, set())}
+# bound-sup keys read only for "field": "generic", which reads no "model"
+_GENERIC_KEYS = {"fam", "eps0", "profile"}
+
+_SCHEMAS = {
+    "constants": ({"model": _MODEL}, {"model"}),
+    # the heat fields also need "model", and the generic one the _GENERIC_KEYS
+    "bound-sup": ({**_CURVE, "model": _MODEL, "fam": _number, "eps0": _number,
+                   "profile": ({"scale": _number, "exponent": _number}, {"scale", "exponent"})},
+                  {"box"}),
+    "bound-growth": ({"model": _V_MODEL, "p": _number, "halfwidth": _number,
+                      "series_tol": _number, "u_grid": _listed_u}, {"model", "u_grid"}),
+    "covering": ({"box": _BOX, "eps": _number, "resolution": _positive_int}, {"box", "eps"}),
+    "simulate-verify": ({**_CURVE, "model": _V_MODEL, "samples": _positive_int,
+                         "grid": ({"nt": _positive_int, "nx": _positive_int}, set()),
+                         "workers": _positive_int}, {"model", "box", "samples"}),
+}
+
+
+def _read(block, schema: tuple, where: str, prefix: str = "") -> dict:
+    """block with every value read through its schema entry."""
+    readers, required = schema
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = block.keys() - readers.keys()
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(readers)}")
+    missing = required - block.keys()
+    if missing:
+        raise ConfigError(f"missing keys {sorted(missing)} in {where}")
+    cfg = {}
+    for key, value in block.items():
+        entry = readers[key]
+        if isinstance(entry, tuple):
+            cfg[key] = _read(value, entry, key, f"{key} ")
+        else:
+            cfg[key] = value if entry is None else entry(value, f"{prefix}'{key}'")
+    return cfg
+
+
+def load_config(path: str, command: str) -> tuple[dict, str]:
+    """The config with every value read, and the hash of the config as written."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if isinstance(raw, dict) and "u_grid" in raw and "u_auto" in raw:
+        raise ConfigError("'u_grid' and 'u_auto' are exclusive; give one of them")
+    return _read(raw, _SCHEMAS[command], f"config for {command}"), config_hash(raw)
+
+
+def config_hash(cfg: dict) -> str:
+    """Hash of the semantic config; execution-only keys (worker count) are
+    excluded so runs that must produce identical bytes share a hash."""
+    semantic = {k: v for k, v in cfg.items() if k != "workers"}
+    canonical = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _field_box(cfg: dict, kind: str) -> AnisotropicBox:
+    """The box of a heat field, whose metric exponents come from the model."""
+    replaced = sorted(set(cfg["box"]) & {"h1", "h2"})
+    if replaced:
+        raise ConfigError(
+            f"box keys {replaced} are not read for field {kind!r}; "
+            "its metric exponents come from the model"
+        )
+    return AnisotropicBox(**cfg["box"])
+
+
 def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
-    if "u_grid" in cfg and cfg["u_grid"] is not None:
-        return _listed_u(cfg["u_grid"])
-    auto = cfg.get("u_auto") or {}
-    count = _positive_int(auto.get("count", 12), "u_auto 'count'")
-    # max multiplies the minimal threshold; above 0.9 the grid increases
-    # strictly, as an explicit u_grid must
-    span = auto.get("max", 2.0)
-    if type(span) not in (int, float) or not 0.9 < span <= sys.float_info.max:
-        raise ConfigError(f"u_auto 'max' must be a finite number above 0.9, got {span!r}")
-    span = float(span)
+    """The read u_grid, or the u_auto grid over the minimal threshold of bound."""
+    if "u_grid" in cfg:
+        return cfg["u_grid"]
+    auto = cfg.get("u_auto", {})
+    count, span = auto.get("count", 12), float(auto.get("max", 2.0))
     # pad the low end below the minimal threshold so the first entries are invalid
     thr = supbound.min_threshold(bound)
     if not math.isfinite(span * thr):
@@ -216,18 +226,13 @@ def write_csv(path: Path, header: list[str], rows: list[tuple], meta: dict) -> N
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _meta(cfg: dict, seed) -> dict:
-    return {"config_hash": config_hash(cfg), "seed": seed}
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
 
 
-def cmd_constants(cfg: dict, out: Path, seed, fmt: str) -> int:
-    model = _model_from(cfg)
-    meta = _meta(cfg, seed)
+def cmd_constants(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
+    model = heat.SheModel(**cfg["model"])
     payload = {
         "constants": model.constants(),
         "provenance": {
@@ -255,24 +260,19 @@ def _bound_inputs(cfg: dict) -> supbound.TailBound:
     if unread:
         raise ConfigError(f"keys {sorted(unread)} are not read for field {kind!r}")
     if kind == "generic":
-        box = _box_from(cfg)
-        prof_cfg = cfg.get("profile")
-        if prof_cfg is None or "eps0" not in cfg or "fam" not in cfg:
+        if not _GENERIC_KEYS <= set(cfg):
             raise ConfigError("generic bounds need 'fam', 'eps0' and 'profile'")
         return supbound.field_bound(
-            _number(cfg["eps0"], "'eps0'"),
-            box,
-            HolderProfile(
-                _number(prof_cfg["scale"], "profile 'scale'"),
-                _number(prof_cfg["exponent"], "profile 'exponent'"),
-            ),
-            PhiFamily(_number(cfg["fam"], "'fam'")),
+            cfg["eps0"],
+            AnisotropicBox(**cfg["box"]),
+            HolderProfile(**cfg["profile"]),
+            PhiFamily(cfg["fam"]),
         )
     if kind not in ("v", "omega"):
         raise ConfigError(f"unknown field kind {kind!r}")
     if "model" not in cfg:
         raise ConfigError(f"field {kind!r} needs 'model'")
-    model = _model_from(cfg)
+    model = heat.SheModel(**cfg["model"])
     box = _field_box(cfg, kind)
     return (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(box, model)
 
@@ -281,7 +281,7 @@ def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound) -> list[
     """Rows (u, theta, bound, validity): the optimized bound, or the bound at
     a fixed theta, which must lie in (0, cap).  A row with no asserted bound
     is INVALID, with nan bound, and nan theta unless theta is fixed."""
-    fixed = None if theta_cfg in (None, "optimize") else _number(theta_cfg, "'theta'")
+    fixed = None if theta_cfg in (None, "optimize") else float(theta_cfg)
     if fixed is not None and not 0.0 < fixed < bound.cap:
         raise ConfigError(
             f"'theta' must lie in (0, {bound.cap}), the cap of this bound, got {theta_cfg!r}"
@@ -299,11 +299,10 @@ def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound) -> list[
     return rows
 
 
-def cmd_bound_sup(cfg: dict, out: Path, seed, fmt: str) -> int:
+def cmd_bound_sup(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
     bound = _bound_inputs(cfg)
     us = _u_grid(cfg, bound)
     rows = _bound_curve(us, cfg.get("theta"), bound)
-    meta = _meta(cfg, seed)
     header = ["u", "theta", "bound", "validity"]
     if fmt == "csv":
         write_csv(out / "bound_sup.csv", header, rows, meta)
@@ -315,23 +314,20 @@ def cmd_bound_sup(cfg: dict, out: Path, seed, fmt: str) -> int:
     return 0
 
 
-def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
-    model = _model_from(cfg)
-    p = _number(cfg.get("p", 2.0), "'p'")
-    halfwidth = _number(cfg.get("halfwidth", 1.0), "'halfwidth'")
-    series_tol = _number(cfg.get("series_tol", 1e-6), "'series_tol'")
-    us = _listed_u(cfg["u_grid"])
-    bound, c_tilde, s_tilde = heat.she_growth_envelope(model, p, halfwidth, series_tol)
+def cmd_bound_growth(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
+    model = heat.SheModel(**cfg["model"])
+    bound, c_tilde, s_tilde = heat.she_growth_envelope(
+        model, cfg.get("p", 2.0), cfg.get("halfwidth", 1.0), cfg.get("series_tol", 1e-6)
+    )
     rows = []
     # validity follows the optimized bound, which exists wherever the envelope does
-    for u in us:
+    for u in cfg["u_grid"]:
         env = growth.auto_theta_bound(u, bound)
         theta, opt = growth.optimize_theta_growth(u, bound)
         if math.isnan(opt):
             rows.append((u, env, opt, math.nan, "INVALID"))
         else:
             rows.append((u, env, opt, theta, "VALID"))
-    meta = _meta(cfg, seed)
     header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
     payload = {
         "series": {
@@ -354,13 +350,11 @@ def cmd_bound_growth(cfg: dict, out: Path, seed, fmt: str) -> int:
     return 0
 
 
-def cmd_covering(cfg: dict, out: Path, seed) -> int:
-    box = _box_from(cfg)
-    eps = _number(cfg["eps"], "'eps'")
-    resolution = _positive_int(cfg.get("resolution", 101), "'resolution'")
+def cmd_covering(cfg: dict, out: Path, meta: dict) -> int:
+    box = AnisotropicBox(**cfg["box"])
+    eps, resolution = cfg["eps"], cfg.get("resolution", 101)
     bound = covering_upper_bound(box, eps)
     oracle = covering_oracle(box, eps, resolution)
-    meta = _meta(cfg, seed)
     write_json(
         out / "covering.json",
         {
@@ -375,19 +369,18 @@ def cmd_covering(cfg: dict, out: Path, seed) -> int:
     return 0 if oracle <= bound else 1
 
 
-def cmd_simulate_verify(cfg: dict, out: Path, seed) -> int:
+def cmd_simulate_verify(cfg: dict, out: Path, meta: dict) -> int:
+    seed = meta["seed"]
     if seed is None:
         raise ConfigError("simulate-verify requires an explicit --seed")
     kind = cfg.get("field", "v")
     if kind != "v":
         raise ConfigError(f"simulate-verify samples only the 'v' field, got {kind!r}")
-    model = _model_from(cfg)
+    model = heat.SheModel(**cfg["model"])
     box = _field_box(cfg, kind)
-    grid_cfg = cfg.get("grid", {})
-    nt = _positive_int(grid_cfg.get("nt", 24), "grid 'nt'")
-    nx = _positive_int(grid_cfg.get("nx", 24), "grid 'nx'")
-    n_samples = _positive_int(cfg["samples"], "'samples'")
-    workers = _positive_int(cfg.get("workers", 1), "'workers'")
+    grid = cfg.get("grid", {})
+    nt, nx = grid.get("nt", 24), grid.get("nx", 24)
+    n_samples = cfg["samples"]
 
     bound = heat.v_bound_inputs(box, model)
     us = _u_grid(cfg, bound)
@@ -396,12 +389,11 @@ def cmd_simulate_verify(cfg: dict, out: Path, seed) -> int:
 
     cov = sim.covariance_matrix(*sim.make_grid(box, nt, nx), model.hurst)
     chol = sim.factor_covariance(cov)
-    sups = sim.sample_sups(chol, n_samples, seed=seed, workers=workers)
+    sups = sim.sample_sups(chol, n_samples, seed=seed, workers=cfg.get("workers", 1))
     empirical, ci_lo, ci_hi = sim.empirical_sup_tail(sups, us)
     verdicts = sim.verdicts(ci_lo, bounds)
     n_fail = verdicts.count("FAIL")
 
-    meta = _meta(cfg, seed)
     header = ["u", "empirical", "ci_lo", "ci_hi", "bound", "verdict"]
     rows = list(zip(us, empirical, ci_lo, ci_hi, bounds, verdicts))
     write_csv(out / "verify_curve.csv", header, rows, meta)
@@ -455,9 +447,10 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.command)
+        cfg, digest = load_config(args.config, args.command)
+        meta = {"config_hash": digest, "seed": args.seed}
         fmt = (args.format,) if args.command in _FORMATTED else ()
-        return _COMMANDS[args.command](cfg, Path(args.out), args.seed, *fmt)
+        return _COMMANDS[args.command](cfg, Path(args.out), meta, *fmt)
     # ConfigError and JSONDecodeError are ValueErrors; TypeError is a wrongly typed value
     except (ValueError, TypeError, RuntimeError, OSError) as exc:
         print(f"suptail {args.command}: error: {exc}", file=sys.stderr)

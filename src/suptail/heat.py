@@ -209,9 +209,12 @@ def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
     """Bounded-domain bound for the Gaussian stochastic convolution V.
 
     eps0 = A(H) b1^(H/2) with b1 the right endpoint of the time axis, on
-    ``_v_metric``.
+    ``_v_metric``.  A box with b1 = 0 lies at t = 0, where V is 0, and is rejected.
     """
-    return supbound.field_bound(model.a_h * box.b1 ** (model.hurst / 2.0), *_v_metric(box, model))
+    metric = _v_metric(box, model)
+    if box.b1 == 0:  # b1 >= a1 >= 0
+        raise ValueError("box 'b1' must be positive for V: the box lies at t = 0, where V is 0")
+    return supbound.field_bound(model.a_h * box.b1 ** (model.hurst / 2.0), *metric)
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,25 @@ class TestScalarValues:
                            "u_grid entries must be a number, got '80' at index 0"),
         "u_grid-bool": ("bound-growth", {"model": V_MODEL, "u_grid": [900.0, True]},
                         "u_grid entries must be a number, got True at index 1"),
+        # a string was read character by character: "got '8' at index 0"
+        "u_grid-string": ("bound-growth", {"model": V_MODEL, "u_grid": "80"},
+                          "'u_grid' must be a list of numbers, got '80'"),
+        # model and box entries: a NaN time axis counted as degenerate and
+        # printed VALID rows, and True was read as 1.0
+        "sup-a1-nan": ("bound-sup", {"field": "v", "model": MODEL, "box": {**BOX, "a1": math.nan},
+                                     "u_grid": [30.0]}, "box 'a1' must be finite, got nan"),
+        "covering-b2-nan": ("covering", {"box": {**BOX, "b2": math.nan}, "eps": 0.5},
+                            "box 'b2' must be finite, got nan"),
+        "sup-a1-bool": ("bound-sup", {"field": "v", "model": MODEL, "box": {**BOX, "a1": True},
+                                      "u_grid": [80.0]}, "box 'a1' must be a number, got True"),
+        "holder_const-nan": ("constants", {"model": {**MODEL, "holder_const": math.nan}},
+                             "model 'holder_const' must be finite, got nan"),
+        "det_const-inf": ("bound-sup", {"field": "omega", "model": {**MODEL, "det_const": math.inf},
+                                        "box": BOX, "u_grid": [80.0]},
+                          "model 'det_const' must be finite, got inf"),
+        "init_sup-bool": ("bound-sup", {"field": "omega", "model": {**MODEL, "init_sup": True},
+                                        "box": BOX, "u_grid": [80.0]},
+                          "model 'init_sup' must be a number, got True"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -698,6 +717,42 @@ class TestScalarValues:
         assert code == 0
         rows = json.loads((out / "bound_growth.json").read_text())["curve"]
         assert [r["u"] for r in rows] == [900.0, 1500.0]
+
+
+class TestConfigHash:
+    # the hash is taken from the config as written, not from the values read
+    # from it: integer entries hash as integers, not as the floats they are read as
+    @pytest.mark.parametrize(
+        "command, payload, name, digest",
+        [
+            ("bound-growth", {"model": V_MODEL, "p": 2, "halfwidth": 1, "u_grid": [900, 1500]},
+             "bound_growth.json", "42923b39e0f6c1e455fb02d0a95cfb30df1f8181e9402f9c1a0f7703a43fe30e"),
+            ("covering", {"box": {"a1": 0, "b1": 1, "a2": 0, "b2": 1}, "eps": 0.5},
+             "covering.json", "c47c309784a5e3832eb5c762b1991d9290e26a9d9613b4c97c74b0d3c5bbfeb0"),
+        ],
+        ids=["bound-growth", "covering"],
+    )
+    def test_integer_entries_keep_their_digest(self, tmp_path, command, payload, name, digest):
+        code, out = run(tmp_path, command, payload)
+        assert code == 0
+        assert json.loads((out / name).read_text())["config_hash"] == digest
+
+
+class TestBoxAtTimeZero:
+    @pytest.mark.parametrize("command", ["bound-sup", "simulate-verify"])
+    def test_rejected_naming_b1(self, tmp_path, capsys, command):
+        # eps0 = A(H) b1^(H/2) is 0 here; the error named 'eps0', a key a v config cannot have
+        payload = {"field": "v", "model": V_MODEL, "box": {**BOX, "a1": 0.0, "b1": 0.0},
+                   "u_grid": [80.0]}
+        if command == "simulate-verify":
+            payload.update(grid={"nt": 3, "nx": 3}, samples=10)
+        code, out = run(tmp_path, command, payload, "--seed", "1")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"suptail {command}: error: box 'b1' must be positive for V: "
+            "the box lies at t = 0, where V is 0\n"
+        )
+        assert not out.exists()
 
 
 def u_grid_linspace(count, span, thr):
