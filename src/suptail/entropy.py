@@ -9,25 +9,27 @@ covering logarithm by a power, so the integral never exceeds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 
 from .metric import AnisotropicBox
 from .orlicz import PhiFamily
 
 
-@dataclass(frozen=True)
-class HolderProfile:
-    """Power modulus sigma(h) = scale * h^exponent, exponent in (0, 1], bounding
-    the field's Orlicz-norm increments."""
+class HolderProfile(namedtuple("HolderProfile", "scale exponent")):
+    """Named tuple: power modulus sigma(h) = scale * h^exponent, scale finite and
+    positive and exponent in (0, 1], bounding the field's Orlicz-norm increments."""
 
-    scale: float
-    exponent: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if not (0.0 < self.exponent <= 1.0):
-            raise ValueError(f"exponent must lie in (0, 1], got {self.exponent}")
+    def __new__(cls, scale: float, exponent: float) -> HolderProfile:
+        if not scale > 0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        if scale == math.inf:
+            raise ValueError(f"scale must be finite, got {scale}")
+        if not (0.0 < exponent <= 1.0):
+            raise ValueError(f"exponent must lie in (0, 1], got {exponent}")
+        return super().__new__(cls, scale, exponent)
 
     def sigma(self, h: float) -> float:
         if h < 0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .supbound import TailBound, _theta_star, sup_tail_bound
 
@@ -35,13 +35,10 @@ class SeriesError(RuntimeError):
     """Series summation failed to certify convergence."""
 
 
-@dataclass(frozen=True)
-class SeriesSum:
-    """Certified partial sum: |value - true sum| <= remainder."""
+class SeriesSum(namedtuple("SeriesSum", "value remainder n_terms")):
+    """Named tuple: certified partial sum, |value - true sum| <= remainder, of n_terms terms."""
 
-    value: float
-    remainder: float
-    n_terms: int
+    __slots__ = ()
 
 
 _EPS = sys.float_info.epsilon

@@ -13,7 +13,7 @@ loads SciPy.
 Conventions fixed here:
 
 * each constant has one formula, its public function below; ``SheModel``
-  stores only the three that its bounds read (a_h, c_v, c_omega).
+  has only the three that its bounds read (a_h, c_v, c_omega), as properties.
 * ``variance_coefficient`` is the exact value Gamma(1-H) 2^(H-1) / H of the
   time-integrated spectral integral, so Var V(t,x) = C_H * c_1H * t^H is an
   identity (cross-checked against space-time white noise at H = 1/2).
@@ -29,7 +29,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .entropy import HolderProfile, c1_axis_terms
 from .growth import SeriesError, SeriesSum, series_c_sum, series_s_sum, theta_sup
@@ -121,14 +121,15 @@ def omega_holder_constant(holder_const: float, rho: float) -> float:
 
         ||omega(t,x) - omega(s,y)||_2 <= c_omega (|t-s|^(rho/2) + |x-y|^rho).
     """
-    if holder_const <= 0:
+    if not holder_const > 0:  # also rejects nan
         raise ValueError(f"holder_const must be positive, got {holder_const}")
+    if holder_const == math.inf:
+        raise ValueError(f"holder_const must be finite, got {holder_const}")
     c = 2.0 * holder_const * max(kernel_moment_constant(rho), holder_const)
     return math.sqrt(c)
 
 
-@dataclass(frozen=True)
-class SheModel:
+class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const alpha")):
     """Heat-equation instance with the derived constants its bounds read.
 
     hurst: spatial noise index H in (0, 1/2].
@@ -139,29 +140,34 @@ class SheModel:
         sub-Gaussian family (1.0 for Gaussian).
     alpha: Orlicz exponent of that family.
 
+    An immutable named tuple of these six inputs.  The read-only properties
     a_h, c_v and c_omega are ``sup_norm_coefficient``, ``increment_constant``
-    and ``omega_holder_constant``; those also validate hurst, rho, holder_const,
-    and ``PhiFamily`` validates alpha, whether or not a bound reads it.
+    and ``omega_holder_constant``.  ``__post_init__`` validates every input,
+    alpha through ``PhiFamily`` whether or not a bound reads it.
     """
 
-    hurst: float
-    rho: float = 1.0
-    holder_const: float = 1.0
-    init_sup: float = 1.0
-    det_const: float = 1.0
-    alpha: float = 2.0
-    a_h: float = field(init=False)
-    c_v: float = field(init=False)
-    c_omega: float = field(init=False)
+    __slots__ = ()
+
+    def __new__(cls, hurst: float, rho: float = 1.0, holder_const: float = 1.0,
+                init_sup: float = 1.0, det_const: float = 1.0, alpha: float = 2.0) -> SheModel:
+        self = super().__new__(cls, hurst, rho, holder_const, init_sup, det_const, alpha)
+        self.__post_init__()  # looked up on the class, where a tracer may wrap it
+        return self
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_h", sup_norm_coefficient(self.hurst))
-        object.__setattr__(self, "c_v", increment_constant(self.hurst))
-        object.__setattr__(self, "c_omega", omega_holder_constant(self.holder_const, self.rho))
+        _check_hurst(self.hurst)
+        omega_holder_constant(self.holder_const, self.rho)  # validates holder_const and rho
         PhiFamily(self.alpha)
         for name in ("init_sup", "det_const"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not value > 0:  # also rejects nan
                 raise ValueError(f"{name} must be positive")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
+
+    a_h = property(lambda self: sup_norm_coefficient(self.hurst))
+    c_v = property(lambda self: increment_constant(self.hurst))
+    c_omega = property(lambda self: omega_holder_constant(self.holder_const, self.rho))
 
     @property
     def fam(self) -> PhiFamily:
@@ -188,7 +194,7 @@ def omega_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBou
     """
     return supbound.field_bound(
         model.init_sup * model.det_const,
-        replace(box, h1=model.rho / 2.0, h2=model.rho),
+        AnisotropicBox(box.a1, box.b1, box.a2, box.b2, model.rho / 2.0, model.rho),
         HolderProfile(model.c_omega * model.det_const, 1.0),
         model.fam,
     )
@@ -201,7 +207,7 @@ def _v_metric(
     and the Gaussian family."""
     if box.a1 < 0:
         raise ValueError("time axis of the box must be nonnegative")
-    mapped = replace(box, h1=model.hurst / 2.0, h2=model.hurst)
+    mapped = AnisotropicBox(box.a1, box.b1, box.a2, box.b2, model.hurst / 2.0, model.hurst)
     return mapped, HolderProfile(model.c_v, 1.0), PhiFamily(2.0)
 
 
@@ -244,7 +250,7 @@ def she_growth_envelope(
     """
     if not p > 1.0:  # also rejects nan
         raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")
-    if halfwidth <= 0:
+    if not halfwidth > 0:  # also rejects nan
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     box, prof, fam = _v_metric(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth), model)
     # exp(H/2), not v_bound_inputs' math.e ** (H/2), which can differ in the last bit

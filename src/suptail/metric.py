@@ -8,30 +8,29 @@ here uses SciPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class AnisotropicBox:
-    """Rectangle [a1,b1] x [a2,b2] with per-axis metric exponents (h1, h2).
+class AnisotropicBox(namedtuple("AnisotropicBox", "a1 b1 a2 b2 h1 h2")):
+    """Named tuple: rectangle [a1,b1] x [a2,b2] with metric exponents (h1, h2).
 
     Distances are d(t, s) = |t1-s1|^h1 + |t2-s2|^h2 with 0 < h_i <= 1 (the
     exponent cap keeps d a metric).  Degenerate axes (b_i == a_i) are allowed
-    and contribute nothing.
+    and contribute nothing.  The endpoints must be finite.
     """
 
-    a1: float
-    b1: float
-    a2: float
-    b2: float
-    h1: float = 1.0
-    h2: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.b1 < self.a1 or self.b2 < self.a2:
+    def __new__(
+        cls, a1: float, b1: float, a2: float, b2: float, h1: float = 1.0, h2: float = 1.0
+    ) -> AnisotropicBox:
+        if b1 < a1 or b2 < a2:
             raise ValueError("box endpoints must satisfy b_i >= a_i")
-        if not (0.0 < self.h1 <= 1.0 and 0.0 < self.h2 <= 1.0):
+        if not (0.0 < h1 <= 1.0 and 0.0 < h2 <= 1.0):
             raise ValueError("metric exponents must lie in (0, 1]")
+        if not all(map(math.isfinite, (a1, b1, a2, b2))):
+            raise ValueError(f"box endpoints must be finite, got {(a1, b1, a2, b2)}")
+        return super().__new__(cls, a1, b1, a2, b2, h1, h2)
 
     @property
     def t1(self) -> float:

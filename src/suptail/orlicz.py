@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class PhiFamily:
-    """The convex pair phi(x) = |x|^alpha/alpha, phi*(x) = |x|^beta/beta.
+class PhiFamily(namedtuple("PhiFamily", "alpha")):
+    """Named tuple of the convex pair phi(x) = |x|^alpha/alpha, phi*(x) = |x|^beta/beta.
 
     alpha is restricted to (1, 2]; the conjugate exponent beta = alpha/(alpha-1)
     satisfies 1/alpha + 1/beta = 1 and beta >= 2, with beta = 2 exactly in the
@@ -16,11 +15,12 @@ class PhiFamily:
     are derived under this range, so alpha = 1 and alpha > 2 are rejected.
     """
 
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (1.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
+    def __new__(cls, alpha: float) -> PhiFamily:
+        if not (1.0 < alpha <= 2.0):
+            raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
+        return super().__new__(cls, alpha)
 
     @property
     def beta(self) -> float:

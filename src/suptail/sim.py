@@ -48,7 +48,7 @@ INVALID against the bound column.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .heat import noise_constant
 from .metric import AnisotropicBox

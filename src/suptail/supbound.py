@@ -24,23 +24,18 @@ supply; it is not checkable numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .entropy import HolderProfile, c1_constant, entropy_integral_closed
 from .metric import AnisotropicBox
 from .orlicz import PhiFamily, rv_tail_bound
 
 
-@dataclass(frozen=True)
-class TailBound:
-    """The tail bound above: entropy term k, norm scale, modulus exponent times
+class TailBound(namedtuple("TailBound", "k scale gamma_beta cap fam")):
+    """Named tuple of the tail bound above: entropy term k, norm scale, modulus exponent times
     beta (gamma_beta > 1), the exclusive upper end cap of theta, and the family."""
 
-    k: float
-    scale: float
-    gamma_beta: float
-    cap: float
-    fam: PhiFamily
+    __slots__ = ()
 
 
 def field_bound(

@@ -799,18 +799,21 @@ class TestUGridUAutoExclusive:
 
 # Runs in a fresh interpreter: imports suptail, then suptail.cli, then runs
 # each command through cli.main, and prints after each step which of NumPy,
-# SciPy and concurrent.futures are loaded.
+# SciPy and concurrent.futures are loaded; then, on a second line, the
+# modules that the two imports added to sys.modules.
 _IMPORT_PROBE = """
 import json, sys
-from pathlib import Path
 
 def heavy_modules():
     return [m for m in ("numpy", "scipy", "concurrent.futures") if m in sys.modules]
 
+preloaded = set(sys.modules)
 import suptail
 report = [["import suptail", 0, heavy_modules()]]
 import suptail.cli
 report.append(["import suptail.cli", 0, heavy_modules()])
+added = sorted(set(sys.modules) - preloaded)
+from pathlib import Path
 work = Path(sys.argv[1])
 for i, (command, cfg, args) in enumerate(json.loads(sys.argv[2])):
     path = work / f"cfg{i}.json"
@@ -818,7 +821,12 @@ for i, (command, cfg, args) in enumerate(json.loads(sys.argv[2])):
     code = suptail.cli.main([command, "--config", str(path), "--out", str(work / f"out{i}"), *args])
     report.append([command, code, heavy_modules()])
 print(json.dumps(report))
+print(json.dumps(added))
 """
+
+# dataclasses loads inspect, ast, dis and tokenize; the modules that a site
+# hook may preload (typing on some hosts) are judged by what the imports add.
+_SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
 def test_analytic_commands_load_no_scipy(tmp_path):
@@ -856,7 +864,9 @@ def test_analytic_commands_load_no_scipy(tmp_path):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    report_line, added_line = done.stdout.splitlines()
+    report = json.loads(report_line)
+    assert not _SLOW_IMPORTS & set(json.loads(added_line))
     assert report[: 2 + len(closed_form)] == [
         ["import suptail", 0, []],
         ["import suptail.cli", 0, []],

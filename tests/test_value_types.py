@@ -1,0 +1,130 @@
+"""The six value types: immutable named tuples that validate on construction."""
+
+import copy
+import math
+import pickle
+
+import pytest
+
+from suptail import supbound
+from suptail.entropy import HolderProfile
+from suptail.growth import SeriesSum
+from suptail.heat import SheModel, she_growth_envelope, v_bound_inputs
+from suptail.metric import AnisotropicBox
+from suptail.orlicz import PhiFamily
+
+NAN, INF = math.nan, math.inf
+
+VALUES = {
+    "AnisotropicBox(a1=0.1, b1=1.0, a2=0.0, b2=1.0, h1=1.0, h2=1.0)": AnisotropicBox(0.1, 1.0, 0.0, 1.0),
+    "PhiFamily(alpha=1.5)": PhiFamily(1.5),
+    "HolderProfile(scale=2.0, exponent=0.5)": HolderProfile(2.0, 0.5),
+    "TailBound(k=3.0, scale=0.5, gamma_beta=2.0, cap=1.0, fam=PhiFamily(alpha=2.0))":
+        supbound.TailBound(3.0, 0.5, 2.0, 1.0, PhiFamily(2.0)),
+    "SeriesSum(value=1.5, remainder=1e-12, n_terms=7)": SeriesSum(1.5, 1e-12, 7),
+    "SheModel(hurst=0.35, rho=0.5, holder_const=2.0, init_sup=1.0, det_const=1.0, alpha=2.0)":
+        SheModel(0.35, rho=0.5, holder_const=2.0),
+}
+
+
+@pytest.mark.parametrize("text", VALUES, ids=lambda text: text.split("(")[0])
+class TestValueSemantics:
+    def test_repr_names_every_field(self, text):
+        assert repr(VALUES[text]) == text
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_clone_is_equal(self, text, clone):
+        value = VALUES[text]
+        twin = clone(value)
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+
+    def test_fields_are_read_only(self, text):
+        value = VALUES[text]
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], 1.0)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
+
+
+def test_she_model_keeps_its_signature_and_derived_constants():
+    model = SheModel(0.35, 0.5, 2.0)
+    assert model == SheModel(hurst=0.35, rho=0.5, holder_const=2.0, init_sup=1.0, det_const=1.0, alpha=2.0)
+    assert model._fields == ("hurst", "rho", "holder_const", "init_sup", "det_const", "alpha")
+    twin = pickle.loads(pickle.dumps(model))
+    assert (twin.a_h, twin.c_v, twin.c_omega) == (model.a_h, model.c_v, model.c_omega)
+    with pytest.raises(AttributeError):
+        model.c_v = 1.0
+
+
+def test_she_model_validates_through_the_class_post_init(monkeypatch):
+    # A wrapper installed on the class (as a tracer does) sees every construction.
+    calls = []
+    post_init = SheModel.__post_init__
+    monkeypatch.setattr(SheModel, "__post_init__", lambda self: calls.append(self) or post_init(self))
+    model = SheModel(0.5)
+    assert calls == [model]
+
+
+def test_values_compare_as_tuples():
+    assert HolderProfile(1.0, 0.5) == (1.0, 0.5)
+    scale, exponent = HolderProfile(1.0, 0.5)
+    assert (scale, exponent) == (1.0, 0.5)
+
+
+class TestNonFiniteInputsRejected:
+    def test_nan_box_endpoint(self):
+        with pytest.raises(ValueError, match="box endpoints must be finite"):
+            AnisotropicBox(NAN, 1.0, 0.0, 1.0)
+
+    def test_infinite_box_endpoint(self):
+        with pytest.raises(ValueError, match="box endpoints must be finite"):
+            AnisotropicBox(0.1, 1.0, -INF, 1.0)
+
+    def test_nan_box_gives_no_v_bound(self):
+        # The NaN time axis once dropped out of the entropy term and gave a
+        # VALID bound of 9.66e-16 at u = 30, where the real box asserts none.
+        with pytest.raises(ValueError, match="box endpoints must be finite"):
+            supbound.optimize_theta(30.0, v_bound_inputs(AnisotropicBox(NAN, 1.0, 0.0, 1.0), SheModel(hurst=0.5)))
+
+    def test_nan_holder_const(self):
+        with pytest.raises(ValueError, match="holder_const must be positive, got nan"):
+            SheModel(hurst=0.5, holder_const=NAN)
+
+    def test_infinite_holder_const(self):
+        with pytest.raises(ValueError, match="holder_const must be finite, got inf"):
+            SheModel(hurst=0.5, holder_const=INF)
+
+    @pytest.mark.parametrize("name", ["init_sup", "det_const"])
+    def test_nan_model_constant(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            SheModel(hurst=0.5, **{name: NAN})
+
+    @pytest.mark.parametrize("name", ["init_sup", "det_const"])
+    def test_infinite_model_constant(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+            SheModel(hurst=0.5, **{name: INF})
+
+    def test_infinite_profile_scale(self):
+        with pytest.raises(ValueError, match="scale must be finite, got inf"):
+            HolderProfile(INF, 1.0)
+
+    def test_nan_profile_scale(self):
+        with pytest.raises(ValueError, match="scale must be positive, got nan"):
+            HolderProfile(NAN, 1.0)
+
+    def test_nan_envelope_halfwidth(self):
+        with pytest.raises(ValueError, match="halfwidth must be positive, got nan"):
+            she_growth_envelope(SheModel(hurst=0.5), 1.5, halfwidth=NAN)
+
+    def test_failing_cases_keep_their_messages(self):
+        with pytest.raises(ValueError, match="box endpoints must satisfy b_i >= a_i"):
+            AnisotropicBox(NAN, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"metric exponents must lie in \(0, 1\]"):
+            AnisotropicBox(NAN, 1.0, 0.0, 1.0, h1=2.0)
+        with pytest.raises(ValueError, match="holder_const must be positive, got -1.0"):
+            SheModel(hurst=0.5, holder_const=-1.0)
