@@ -11,7 +11,7 @@ the package loads no SciPy; the sampler loads ``scipy.special`` at first use.
 """
 
 from .entropy import HolderProfile, c1_axis_terms, c1_constant, entropy_integral_closed
-from .growth import SeriesError, SeriesSum, auto_theta_bound, optimize_theta_growth, series_c_sum, series_s_sum, theta_sup
+from .growth import SeriesSum, auto_theta_bound, optimize_theta_growth, series_c_sum, series_s_sum, theta_sup
 from .heat import SheModel, she_growth_envelope
 from .metric import AnisotropicBox, covering_oracle, covering_upper_bound
 from .orlicz import PhiFamily, phi_conjugate, rv_tail_bound

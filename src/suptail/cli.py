@@ -1,6 +1,7 @@
 """Command-line front end: constants, bound curves, covering checks, simulate-verify.
 
-One JSON config per run, read through one schema table: unknown keys are
+One JSON config per run, read through one schema table, which holds one
+schema per field for the commands that take a "field": unknown keys are
 rejected and every value is read (numbers checked finite, sizes checked
 integral) before any computation.
 Outputs are byte-stable for a fixed config and seed, carry the config hash,
@@ -84,33 +85,41 @@ def _theta(value, name: str):
 
 
 # A schema is (readers, required keys).  Each allowed key maps to the reader
-# of its value, to the schema of its block, or to None for "field", which the
-# commands check themselves.
+# of its value, to the schema of its block, or to None for "field", which
+# load_config has already checked.
 _MODEL = (
     dict.fromkeys(("hurst", "rho", "holder_const", "init_sup", "det_const", "alpha"), _number),
     {"hurst"},
 )
 # bound-growth and simulate-verify bound V, which reads "hurst" alone
 _V_MODEL = ({"hurst": _number}, {"hurst"})
-_BOX = (dict.fromkeys(("a1", "b1", "a2", "b2", "h1", "h2"), _number), {"a1", "b1", "a2", "b2"})
-# the keys of the two commands that draw a bound curve over a box
-_CURVE = {"field": None, "box": _BOX, "u_grid": _listed_u, "theta": _theta,
+_ENDS = ("a1", "b1", "a2", "b2")
+_BOX = (dict.fromkeys(_ENDS + ("h1", "h2"), _number), set(_ENDS))
+# the heat fields take their metric exponents from the model
+_HEAT_BOX = (dict.fromkeys(_ENDS, _number), set(_ENDS))
+# the keys shared by the two commands that draw a bound curve over a box
+_CURVE = {"field": None, "u_grid": _listed_u, "theta": _theta,
           "u_auto": ({"count": _positive_int, "max": _span}, set())}
-# bound-sup keys read only for "field": "generic", which reads no "model"
-_GENERIC_KEYS = {"fam", "eps0", "profile"}
+_HEAT_CURVE = ({**_CURVE, "box": _HEAT_BOX, "model": _MODEL}, {"box", "model"})
 
+# bound-sup and simulate-verify map each "field" to its schema
 _SCHEMAS = {
     "constants": ({"model": _MODEL}, {"model"}),
-    # the heat fields also need "model", and the generic one the _GENERIC_KEYS
-    "bound-sup": ({**_CURVE, "model": _MODEL, "fam": _number, "eps0": _number,
-                   "profile": ({"scale": _number, "exponent": _number}, {"scale", "exponent"})},
-                  {"box"}),
+    "bound-sup": {
+        "v": _HEAT_CURVE,
+        "omega": _HEAT_CURVE,
+        "generic": ({**_CURVE, "box": _BOX, "fam": _number, "eps0": _number,
+                     "profile": ({"scale": _number, "exponent": _number}, {"scale", "exponent"})},
+                    {"box", "fam", "eps0", "profile"}),
+    },
     "bound-growth": ({"model": _V_MODEL, "p": _number, "halfwidth": _number,
-                      "series_tol": _number, "u_grid": _listed_u}, {"model", "u_grid"}),
+                      "u_grid": _listed_u}, {"model", "u_grid"}),
     "covering": ({"box": _BOX, "eps": _number, "resolution": _positive_int}, {"box", "eps"}),
-    "simulate-verify": ({**_CURVE, "model": _V_MODEL, "samples": _positive_int,
-                         "grid": ({"nt": _positive_int, "nx": _positive_int}, set()),
-                         "workers": _positive_int}, {"model", "box", "samples"}),
+    "simulate-verify": {
+        "v": ({**_CURVE, "box": _HEAT_BOX, "model": _V_MODEL, "samples": _positive_int,
+               "grid": ({"nt": _positive_int, "nx": _positive_int}, set()),
+               "workers": _positive_int}, {"model", "box", "samples"}),
+    },
 }
 
 
@@ -139,9 +148,17 @@ def load_config(path: str, command: str) -> tuple[dict, str]:
     """The config with every value read, and the hash of the config as written."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if isinstance(raw, dict) and "u_grid" in raw and "u_auto" in raw:
+    schema, where = _SCHEMAS[command], f"config for {command}"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    if "u_grid" in raw and "u_auto" in raw:
         raise ConfigError("'u_grid' and 'u_auto' are exclusive; give one of them")
-    return _read(raw, _SCHEMAS[command], f"config for {command}"), config_hash(raw)
+    if isinstance(schema, dict):  # one schema per field, "v" where none is given
+        field = raw.get("field", "v")
+        if type(field) is not str or field not in schema:
+            raise ConfigError(f"'field' must be one of {sorted(schema)}, got {field!r}")
+        schema, where = schema[field], f"{where} with field {field!r}"
+    return _read(raw, schema, where), config_hash(raw)
 
 
 def config_hash(cfg: dict) -> str:
@@ -150,17 +167,6 @@ def config_hash(cfg: dict) -> str:
     semantic = {k: v for k, v in cfg.items() if k != "workers"}
     canonical = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _field_box(cfg: dict, kind: str) -> AnisotropicBox:
-    """The box of a heat field, whose metric exponents come from the model."""
-    replaced = sorted(set(cfg["box"]) & {"h1", "h2"})
-    if replaced:
-        raise ConfigError(
-            f"box keys {replaced} are not read for field {kind!r}; "
-            "its metric exponents come from the model"
-        )
-    return AnisotropicBox(**cfg["box"])
 
 
 def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
@@ -256,24 +262,15 @@ def cmd_constants(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
 
 def _bound_inputs(cfg: dict) -> supbound.TailBound:
     kind = cfg.get("field", "v")
-    unread = set(cfg) & ({"model"} if kind == "generic" else _GENERIC_KEYS)
-    if unread:
-        raise ConfigError(f"keys {sorted(unread)} are not read for field {kind!r}")
     if kind == "generic":
-        if not _GENERIC_KEYS <= set(cfg):
-            raise ConfigError("generic bounds need 'fam', 'eps0' and 'profile'")
         return supbound.field_bound(
             cfg["eps0"],
             AnisotropicBox(**cfg["box"]),
             HolderProfile(**cfg["profile"]),
             PhiFamily(cfg["fam"]),
         )
-    if kind not in ("v", "omega"):
-        raise ConfigError(f"unknown field kind {kind!r}")
-    if "model" not in cfg:
-        raise ConfigError(f"field {kind!r} needs 'model'")
     model = heat.SheModel(**cfg["model"])
-    box = _field_box(cfg, kind)
+    box = AnisotropicBox(**cfg["box"])
     return (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(box, model)
 
 
@@ -317,7 +314,7 @@ def cmd_bound_sup(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
 def cmd_bound_growth(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
     model = heat.SheModel(**cfg["model"])
     bound, c_tilde, s_tilde = heat.she_growth_envelope(
-        model, cfg.get("p", 2.0), cfg.get("halfwidth", 1.0), cfg.get("series_tol", 1e-6)
+        model, cfg.get("p", 2.0), cfg.get("halfwidth", 1.0)
     )
     rows = []
     # validity follows the optimized bound, which exists wherever the envelope does
@@ -373,11 +370,8 @@ def cmd_simulate_verify(cfg: dict, out: Path, meta: dict) -> int:
     seed = meta["seed"]
     if seed is None:
         raise ConfigError("simulate-verify requires an explicit --seed")
-    kind = cfg.get("field", "v")
-    if kind != "v":
-        raise ConfigError(f"simulate-verify samples only the 'v' field, got {kind!r}")
     model = heat.SheModel(**cfg["model"])
-    box = _field_box(cfg, kind)
+    box = AnisotropicBox(**cfg["box"])
     grid = cfg.get("grid", {})
     nt, nx = grid.get("nt", 24), grid.get("nx", 24)
     n_samples = cfg["samples"]

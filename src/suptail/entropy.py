@@ -32,7 +32,7 @@ class HolderProfile(namedtuple("HolderProfile", "scale exponent")):
         return super().__new__(cls, scale, exponent)
 
     def sigma(self, h: float) -> float:
-        if h < 0:
+        if not h >= 0:  # also rejects nan
             raise ValueError(f"sigma requires h >= 0, got {h}")
         return self.scale * h ** self.exponent
 

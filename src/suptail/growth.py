@@ -12,10 +12,12 @@ The factors e^(kH/2) of eps_k and f_k = e^(kH/2) k^p (f_0 = 1) cancel, so
 both series are closed forms in zeta(p) and Li_p(e^(-H/4)):
 ``series_c_sum`` and ``series_s_sum`` return them with remainders that bound
 tail and rounding error, and ``theta_sup`` returns inf_k gamma_k / eps_k.
-The growth bound is ``supbound.TailBound`` with k = S~, scale C~ and cap
-min(1, ``theta_sup``), built once by the caller; ``auto_theta_bound`` and
-``optimize_theta_growth`` evaluate it at two choices of theta, and give nan
-where it is not asserted.
+The growth bound is ``supbound.TailBound`` with cap min(1, ``theta_sup``),
+and k = S~ and scale C~ each taken at its value plus its remainder: the
+bound is nondecreasing in both, so these upper ends certify it with no
+tolerance on the remainders.  The caller builds it once;
+``auto_theta_bound`` and ``optimize_theta_growth`` evaluate it at two
+choices of theta, and give nan where it is not asserted.
 
 NumPy is imported by ``_polylog`` at its first call, not with this module, so
 ``bound-growth`` loads it when it sums Li_p and no other analytic command
@@ -29,10 +31,6 @@ import sys
 from collections import namedtuple
 
 from .supbound import TailBound, _theta_star, sup_tail_bound
-
-
-class SeriesError(RuntimeError):
-    """Series summation failed to certify convergence."""
 
 
 class SeriesSum(namedtuple("SeriesSum", "value remainder n_terms")):

@@ -32,7 +32,7 @@ import math
 from collections import namedtuple
 
 from .entropy import HolderProfile, c1_axis_terms
-from .growth import SeriesError, SeriesSum, series_c_sum, series_s_sum, theta_sup
+from .growth import SeriesSum, series_c_sum, series_s_sum, theta_sup
 from .metric import AnisotropicBox
 from .orlicz import PhiFamily
 from . import supbound
@@ -143,7 +143,8 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
     An immutable named tuple of these six inputs.  The read-only properties
     a_h, c_v and c_omega are ``sup_norm_coefficient``, ``increment_constant``
     and ``omega_holder_constant``.  ``__post_init__`` validates every input,
-    alpha through ``PhiFamily`` whether or not a bound reads it.
+    alpha through ``PhiFamily`` whether or not a bound reads it, and rejects
+    a hurst so small that a_h or c_v is not finite.
     """
 
     __slots__ = ()
@@ -156,6 +157,11 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
 
     def __post_init__(self) -> None:
         _check_hurst(self.hurst)
+        if not (math.isfinite(self.a_h) and math.isfinite(self.c_v)):  # hurst near 0
+            raise ValueError(
+                f"hurst = {self.hurst!r} is too small: its constants a_h = {self.a_h} "
+                f"and c_v = {self.c_v} are not finite"
+            )
         omega_holder_constant(self.holder_const, self.rho)  # validates holder_const and rho
         PhiFamily(self.alpha)
         for name in ("init_sup", "det_const"):
@@ -229,10 +235,7 @@ def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
 
 
 def she_growth_envelope(
-    model: SheModel,
-    p: float,
-    halfwidth: float = 1.0,
-    series_tol: float = 1e-6,
+    model: SheModel, p: float, halfwidth: float = 1.0
 ) -> tuple[supbound.TailBound, SeriesSum, SeriesSum]:
     """Almost-sure growth envelope of V: the bound on the tail of xi in |V| <= f(t) xi.
 
@@ -242,11 +245,13 @@ def she_growth_envelope(
 
         C~ = eps_0 (1 + zeta(p)),   S~ = T (1 + zeta(p)) + X (1 + Li_p(e^(-H/4)))
 
-    (``growth.series_c_sum``, ``growth.series_s_sum``).  SeriesError is raised
-    when a remainder exceeds series_tol.  Returns the growth bound (k = S~,
-    scale C~, cap min(1, ``growth.theta_sup``), which is exactly 1) and the
-    certified sums C~ and S~.  ``growth.auto_theta_bound`` and
-    ``growth.optimize_theta_growth`` evaluate the bound at each u.
+    (``growth.series_c_sum``, ``growth.series_s_sum``).  Returns the growth
+    bound and the certified sums C~ and S~.  The bound has k = S~ and scale
+    C~, each its value plus its remainder, an upper end of the true sum; the
+    bound is nondecreasing in both, so it holds whatever the remainders.  Its
+    cap is min(1, ``growth.theta_sup``), which is exactly 1.
+    ``growth.auto_theta_bound`` and ``growth.optimize_theta_growth`` evaluate
+    the bound at each u.
     """
     if not p > 1.0:  # also rejects nan
         raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")
@@ -258,12 +263,7 @@ def she_growth_envelope(
     c_sum = series_c_sum(eps0, p)
     time_axis, space_axis = (math.sqrt(eps0) * term for term in c1_axis_terms(box, prof, fam))
     s_sum = series_s_sum(time_axis, space_axis, p, model.hurst)
-    for name, res in (("C~", c_sum), ("S~", s_sum)):
-        if res.remainder > series_tol:
-            raise SeriesError(
-                f"{name} remainder {res.remainder:.3g} exceeds series_tol = {series_tol}"
-            )
     # c_V^2 >= 3 A(H)^2, so theta_sup >= sqrt(3) ((e-1)/e)^(1/4) > 1
     cap = min(1.0, theta_sup(model.c_v, model.a_h, model.hurst))
-    bound = supbound.TailBound(s_sum.value, c_sum.value, prof.exponent * fam.beta, cap, fam)
-    return bound, c_sum, s_sum
+    k, scale = s_sum.value + s_sum.remainder, c_sum.value + c_sum.remainder
+    return supbound.TailBound(k, scale, prof.exponent * fam.beta, cap, fam), c_sum, s_sum

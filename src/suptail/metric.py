@@ -59,7 +59,7 @@ def covering_upper_bound(box: AnisotropicBox, eps: float) -> float:
     inscribed in the d-ball.  >= 1, nonincreasing in eps, factor 1 for
     degenerate axes, and -> 1 as eps -> infinity.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ValueError(f"eps must be positive, got {eps}")
     val = 1.0
     for t_i, h_i in ((box.t1, box.h1), (box.t2, box.h2)):
@@ -126,7 +126,7 @@ def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> i
     meaningful as a check that ``covering_oracle <= covering_upper_bound``.
     Deterministic for fixed inputs.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ValueError(f"eps must be positive, got {eps}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")

@@ -42,8 +42,8 @@ def rv_tail_bound(u: float, tau: float, fam: PhiFamily) -> float:
     Nonincreasing in u, nondecreasing in tau.  Clamped to [0, 1]: the raw
     expression exceeds 1 for small u.
     """
-    if tau <= 0:
+    if not tau > 0:  # also rejects nan
         raise ValueError(f"tau must be positive, got {tau}")
-    if u < 0:
+    if not u >= 0:  # also rejects nan
         raise ValueError(f"u must be nonnegative, got {u}")
     return min(1.0, 2.0 * math.exp(-phi_conjugate(u / tau, fam)))

@@ -217,17 +217,24 @@ def test_criterion_06_theta_optimization():
 
 
 def test_criterion_07_growth_series_zeta():
-    """C~ from the zeta closed form matches A(H) e^(H/2) (1 + pi^2/6) to 1e-6."""
+    """C~ from the zeta closed form matches A(H) e^(H/2) (1 + pi^2/6) to 1e-6,
+    and so does the bound's scale, C~ plus its remainder."""
     model = SheModel(hurst=0.5)
-    _, c_tilde, _ = she_growth_envelope(model, p=2.0, halfwidth=1.0, series_tol=1e-6)
+    bound, c_tilde, _ = she_growth_envelope(model, p=2.0, halfwidth=1.0)
     target = model.a_h * math.exp(0.25) * (1.0 + math.pi ** 2 / 6.0)
     err = abs(c_tilde.value - target)
-    ok = err <= 1e-6 and c_tilde.remainder <= 1e-6
+    scale_err = abs(bound.scale - target)
+    ok = (
+        err <= 1e-6
+        and c_tilde.remainder <= 1e-6
+        and bound.scale == c_tilde.value + c_tilde.remainder
+        and scale_err <= 1e-6
+    )
     report(
         7,
         ok,
         f"|zeta(2) form - pi^2/6 form| = {err:.2e} <= 1e-6 "
-        f"(rounding remainder {c_tilde.remainder:.2e})",
+        f"(rounding remainder {c_tilde.remainder:.2e}; bound scale off by {scale_err:.2e})",
     )
 
 

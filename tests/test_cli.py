@@ -15,7 +15,7 @@ import suptail
 from suptail import supbound
 from suptail.cli import ConfigError, _u_grid, load_config, main
 from suptail.entropy import HolderProfile
-from suptail.growth import auto_theta_bound
+from suptail.growth import auto_theta_bound, optimize_theta_growth
 from suptail.heat import SheModel, she_growth_envelope, v_bound_inputs
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily
@@ -243,7 +243,11 @@ class TestUnreadFieldKeys:
         }
         code, out = run(tmp_path, "bound-sup", payload)
         assert code == 1
-        assert "['eps0', 'fam', 'profile'] are not read" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"suptail bound-sup: error: unknown keys ['eps0', 'fam', 'profile'] in config for "
+            f"bound-sup with field '{field}'; allowed: ['box', 'field', 'model', 'theta', "
+            "'u_auto', 'u_grid']\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -267,13 +271,20 @@ class TestUnreadFieldKeys:
             del payload["samples"]
         code, out = run(tmp_path, command, payload, *extra)
         assert code == 1
-        assert f"box keys ['h1', 'h2'] are not read for field '{field}'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"suptail {command}: error: unknown keys ['h1', 'h2'] in box; "
+            "allowed: ['a1', 'a2', 'b1', 'b2']\n"
+        )
         assert not out.exists()
 
     def test_model_rejected_for_generic_field(self, tmp_path, capsys):
         code, out = run(tmp_path, "bound-sup", {**self.GENERIC, "model": MODEL})
         assert code == 1
-        assert "['model'] are not read for field 'generic'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "suptail bound-sup: error: unknown keys ['model'] in config for bound-sup with "
+            "field 'generic'; allowed: ['box', 'eps0', 'fam', 'field', 'profile', 'theta', "
+            "'u_auto', 'u_grid']\n"
+        )
         assert not out.exists()
 
 
@@ -400,6 +411,30 @@ class TestBoundGrowth:
         assert series["c_tilde"] == pytest.approx(target, rel=1e-13)
         assert series["c_tilde_terms"] == 0 and series["s_tilde_terms"] > 0
 
+    def test_p_near_one_bound_at_upper_ends(self, tmp_path):
+        # the C~ remainder is about 7e-5 here, above the former default
+        # series_tol = 1e-6, and the run exited 1; the bound now takes both
+        # sums at value + remainder, where it is nondecreasing
+        payload = {"model": V_MODEL, "p": 1 + 1e-10, "u_grid": [5e11, 6.5e11, 1e12, 1e18]}
+        code, out = run(tmp_path, "bound-growth", payload)
+        assert code == 0
+        data = json.loads((out / "bound_growth.json").read_text())
+        series = data["series"]
+        assert series["c_tilde_remainder"] > 1e-6
+        rebuilt = supbound.TailBound(
+            series["s_tilde"] + series["s_tilde_remainder"],
+            series["c_tilde"] + series["c_tilde_remainder"],
+            2.0,
+            1.0,
+            PhiFamily(2.0),
+        )
+        assert she_growth_envelope(SheModel(**V_MODEL), 1 + 1e-10)[0] == rebuilt
+        rows = [(r["envelope_bound"], r["optimized_bound"]) for r in data["curve"]]
+        expected = [(auto_theta_bound(u, rebuilt), optimize_theta_growth(u, rebuilt)[1])
+                    for u in payload["u_grid"]]
+        np.testing.assert_equal(rows, expected)
+        assert [r["validity"] for r in data["curve"]] == ["INVALID", "VALID", "VALID", "VALID"]
+
     @pytest.mark.parametrize("p", [1e6, 1e100, 1e300])
     def test_huge_p_certifies(self, tmp_path, p):
         # the Li_p terms past k = 1 underflow to 0 and add no rounding
@@ -407,7 +442,7 @@ class TestBoundGrowth:
         code, out = run(tmp_path, "bound-growth", payload)
         assert code == 0
         series = json.loads((out / "bound_growth.json").read_text())["series"]
-        assert series["s_tilde_remainder"] <= 1e-6  # the default series_tol
+        assert series["s_tilde_remainder"] <= 1e-6
 
     def test_divergent_config_errors(self, tmp_path):
         payload = {"model": V_MODEL, "p": 0.9, "halfwidth": 1.0, "u_grid": [10.0]}
@@ -643,8 +678,10 @@ class TestScalarValues:
                           "'halfwidth' must be finite, got nan"),
         "halfwidth-inf": ("bound-growth", {"model": V_MODEL, "halfwidth": math.inf, "u_grid": [900.0]},
                           "'halfwidth' must be finite, got inf"),
-        "series_tol-nan": ("bound-growth", {"model": V_MODEL, "series_tol": math.nan, "u_grid": [900.0]},
-                           "'series_tol' must be finite, got nan"),
+        # series_tol bounded the reported remainders and changed no value
+        "series_tol-unknown": ("bound-growth", {"model": V_MODEL, "series_tol": 1e-6, "u_grid": [900.0]},
+                               "unknown keys ['series_tol'] in config for bound-growth; "
+                               "allowed: ['halfwidth', 'model', 'p', 'u_grid']"),
         "p-string": ("bound-growth", {"model": V_MODEL, "p": "2", "u_grid": [900.0]},
                      "'p' must be a number, got '2'"),
         "p-bool": ("bound-growth", {"model": V_MODEL, "p": True, "u_grid": [900.0]},
@@ -688,6 +725,20 @@ class TestScalarValues:
                             "box 'b2' must be finite, got nan"),
         "sup-a1-bool": ("bound-sup", {"field": "v", "model": MODEL, "box": {**BOX, "a1": True},
                                       "u_grid": [80.0]}, "box 'a1' must be a number, got True"),
+        # a list field failed with "unhashable type: 'list'"
+        "sup-field-list": ("bound-sup", {"field": ["v"], "model": MODEL, "box": BOX, "u_grid": [80.0]},
+                           "'field' must be one of ['generic', 'omega', 'v'], got ['v']"),
+        "sup-field-null": ("bound-sup", {"field": None, "model": MODEL, "box": BOX, "u_grid": [80.0]},
+                           "'field' must be one of ['generic', 'omega', 'v'], got None"),
+        "verify-field-int": ("simulate-verify", {"field": 1, "model": V_MODEL, "box": BOX, "samples": 10,
+                                                 "u_grid": [80.0]},
+                             "'field' must be one of ['v'], got 1"),
+        # a_h and c_v were nan at 5e-324, and at 1e-310 the error named the profile scale
+        "hurst-subnormal": ("constants", {"model": {**MODEL, "hurst": 5e-324}},
+                            "hurst = 5e-324 is too small: its constants a_h = nan and c_v = nan are not finite"),
+        "sup-hurst-tiny": ("bound-sup", {"field": "v", "model": {**MODEL, "hurst": 1e-310}, "box": BOX,
+                                         "u_grid": [80.0]},
+                           "hurst = 1e-310 is too small: its constants a_h = inf and c_v = inf are not finite"),
         "holder_const-nan": ("constants", {"model": {**MODEL, "holder_const": math.nan}},
                              "model 'holder_const' must be finite, got nan"),
         "det_const-inf": ("bound-sup", {"field": "omega", "model": {**MODEL, "det_const": math.inf},

@@ -6,10 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from series_oracle import sum_series
+from series_oracle import SeriesError, sum_series
 from suptail.entropy import HolderProfile, c1_constant
 from suptail.growth import (
-    SeriesError,
     optimize_theta_growth,
     auto_theta_bound,
     series_s_sum,

@@ -10,7 +10,7 @@ from scipy.special import gamma, zeta
 from series_oracle import sum_series
 from suptail import supbound
 from suptail.entropy import HolderProfile, c1_constant
-from suptail.growth import SeriesError, _polylog, _zeta, auto_theta_bound, theta_sup
+from suptail.growth import _polylog, _zeta, auto_theta_bound, theta_sup
 from suptail.heat import (
     SheModel,
     increment_constant,
@@ -407,12 +407,6 @@ class TestGrowthEnvelope:
         assert s_tilde.value == pytest.approx(s_target, rel=1e-12)
         assert c_tilde.remainder <= 1e-6 and s_tilde.remainder <= 1e-6
 
-    def test_unreachable_series_tol_names_remainder(self):
-        model = SheModel(hurst=0.5)
-        reached = r"C~ remainder \d\.\d+e-\d+ exceeds series_tol = 1e-20"
-        with pytest.raises(SeriesError, match=reached):
-            she_growth_envelope(model, p=2.0, series_tol=1e-20)
-
     @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25])
     def test_theta_cap_is_exact_infimum(self, hurst):
         model = SheModel(hurst=hurst)
@@ -435,9 +429,16 @@ class TestGrowthEnvelope:
     def test_curve_matches_auto_theta_form_on_series(self):
         model = SheModel(hurst=0.5)
         # the envelope column of bound-growth is auto_theta_bound on this bound
-        # (tests/test_cli.py TestBoundGrowth::test_envelope_and_series)
+        # (tests/test_cli.py TestBoundGrowth::test_envelope_and_series), with
+        # each sum at the upper end of its certified interval
         bound, c_tilde, s_tilde = she_growth_envelope(model, p=2.0, halfwidth=1.0)
-        growth = supbound.TailBound(s_tilde.value, c_tilde.value, 2.0, 1.0, PhiFamily(2.0))
+        growth = supbound.TailBound(
+            s_tilde.value + s_tilde.remainder,
+            c_tilde.value + c_tilde.remainder,
+            2.0,
+            1.0,
+            PhiFamily(2.0),
+        )
         assert bound == growth
 
     def test_power_cells_already_substituted(self):

@@ -10,8 +10,8 @@ from suptail import supbound
 from suptail.entropy import HolderProfile
 from suptail.growth import SeriesSum
 from suptail.heat import SheModel, she_growth_envelope, v_bound_inputs
-from suptail.metric import AnisotropicBox
-from suptail.orlicz import PhiFamily
+from suptail.metric import AnisotropicBox, covering_oracle, covering_upper_bound
+from suptail.orlicz import PhiFamily, rv_tail_bound
 
 NAN, INF = math.nan, math.inf
 
@@ -116,6 +116,32 @@ class TestNonFiniteInputsRejected:
     def test_nan_profile_scale(self):
         with pytest.raises(ValueError, match="scale must be positive, got nan"):
             HolderProfile(NAN, 1.0)
+
+    @pytest.mark.parametrize("hurst, constants", [(5e-324, "nan"), (1e-310, "inf")])
+    def test_hurst_with_nonfinite_constants(self, hurst, constants):
+        # 5e-324 was accepted with a_h = c_v = nan; at 1e-310 they were inf,
+        # and the first error named the profile scale
+        message = rf"hurst = {hurst!r} is too small: its constants a_h = {constants} and c_v = {constants}"
+        with pytest.raises(ValueError, match=message):
+            SheModel(hurst=hurst)
+        assert math.isfinite(SheModel(hurst=1e-308).c_v)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: covering_upper_bound(AnisotropicBox(0.0, 1.0, 0.0, 1.0), NAN), "eps must be positive, got nan"),
+            (lambda: covering_oracle(AnisotropicBox(0.0, 1.0, 0.0, 1.0), NAN), "eps must be positive, got nan"),
+            (lambda: rv_tail_bound(NAN, 1.0, PhiFamily(2.0)), "u must be nonnegative, got nan"),
+            (lambda: rv_tail_bound(1.0, NAN, PhiFamily(2.0)), "tau must be positive, got nan"),
+            (lambda: HolderProfile(1.0, 0.5).sigma(NAN), "sigma requires h >= 0, got nan"),
+        ],
+        ids=["covering_upper_bound-eps", "covering_oracle-eps", "rv_tail_bound-u", "rv_tail_bound-tau",
+             "sigma-h"],
+    )
+    def test_nan_argument(self, call, message):
+        # these returned nan or 1.0, or failed converting nan to an integer
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_nan_envelope_halfwidth(self):
         with pytest.raises(ValueError, match="halfwidth must be positive, got nan"):
