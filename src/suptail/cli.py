@@ -10,10 +10,10 @@ and use LF line endings with '.' decimals in CSV.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -417,37 +417,101 @@ _COMMANDS = {
 _FORMATTED = {"constants", "bound-sup", "bound-growth"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="suptail",
-        description="Supremum tail bounds for sub-Gaussian-type random fields, "
-        "with Monte Carlo verification for the heat-equation fields.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (required for verify)")
-        if name in _FORMATTED:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-    return parser
+# The options of the commands: name -> (reader of the value, default, help).
+# --config is required, and --format is taken only by the _FORMATTED commands.
+_OPTIONS = {
+    "--config": (str, None, "path to the JSON config"),
+    "--out": (str, ".", "output directory"),
+    "--seed": (int, None, "integer RNG seed (simulate-verify requires one)"),
+    "--format": ({"json": "json", "csv": "csv"}.__getitem__, "json", "json or csv"),
+}
 
 
-# Built once per process: building it costs about 25 times as much as a parse.
-_PARSER = build_parser()
+def _exit(command: str | None, names: list[str], error: str | None = None):
+    """Exit 2 with the usage line and the error on stderr, or 0 with the help
+    on stdout, of command with its options names, or of suptail if None."""
+    prog = f"suptail {command}" if command else "suptail"
+    spec = [f"{n} {n[2:].upper()}" if n == "--config" else f"[{n} {n[2:].upper()}]" for n in names]
+    usage = " ".join(["usage:", prog, "[-h]", *(spec or ["{%s} ..." % ",".join(_COMMANDS)])])
+    if error is not None:
+        print(usage, f"{prog}: error: {error}", sep="\n", file=sys.stderr)
+        sys.exit(2)
+    lines = [f"  {n:<10} {_OPTIONS[n][2]}" for n in names] or ["  COMMAND -h lists its options"]
+    print(usage, *lines, "  -h, --help print this help and exit", sep="\n")
+    sys.exit(0)
+
+
+def _token(token: str, names: list[str]) -> tuple | None:
+    """None if token is a value, else (the option of names or --help that it
+    names by a unique prefix, or None, and its "=" value or None).  A token
+    that starts with "-" is a value if it is "-", a negative number or holds
+    a space."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token.startswith("-h"):
+        return "--help", token[2:] or None
+    head, eq, value = token.partition("=")
+    matches = [n for n in names + ["--help"] if n.startswith(head)] if token[1] == "-" else []
+    if len(matches) > 1:
+        _exit(None, [], f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
+
+
+def _options(command: str | None, names: list[str], args: list[str], opts: dict) -> list[str]:
+    """Read the options names in args into opts, in order; return the tokens
+    that name none.  No token after "--" is an option."""
+    cut = args.index("--") if "--" in args else len(args)
+    kinds = [_token(token, names) for token in args[:cut]] + [None]
+    extras, k = [], 0
+    while k < cut:
+        name, value = kinds[k] or (None, None)
+        if name == "--help":  # "-hx" and "--help=x" give -h a value
+            _exit(command, names, None if value is None else f"-h takes no value, got {value!r}")
+        elif name is None:
+            extras.append(args[k])
+        else:
+            if value is None:  # "--opt value", not "--opt=value"
+                if k + 1 == cut or kinds[k + 1] is not None:
+                    _exit(command, names, f"argument {name}: expected one argument")
+                k, value = k + 1, args[k + 1]
+            try:
+                opts[name[2:]] = _OPTIONS[name][0](value)
+            except (KeyError, ValueError):
+                _exit(command, names, f"argument {name}: invalid value {value!r}")
+        k += 1
+    return extras + args[cut:]
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command and its options from argv, read by the usage lines: a
+    usage error exits 2, and -h exits 0."""
+    # suptail's own options, -h alone, run up to the command: the first value
+    i = next((i for i, t in enumerate(argv) if t == "--" or not _token(t, [])), len(argv))
+    extras = _options(None, [], argv[:i], {})
+    if i == len(argv) or argv[i] not in _COMMANDS:
+        _exit(None, [], f"invalid command {argv[i]!r}" if argv[i:] else "a command is required")
+    command, names = argv[i], [n for n in _OPTIONS if n != "--format" or argv[i] in _FORMATTED]
+    opts = {n[2:]: _OPTIONS[n][1] for n in names}
+    extras += _options(command, names, argv[i + 1 :], opts)
+    if opts["config"] is None:
+        _exit(command, names, "the following arguments are required: --config")
+    if extras:
+        _exit(command, names, "unrecognized arguments: " + " ".join(extras))
+    return command, opts
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    command, opts = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg, digest = load_config(args.config, args.command)
-        meta = {"config_hash": digest, "seed": args.seed}
-        fmt = (args.format,) if args.command in _FORMATTED else ()
-        return _COMMANDS[args.command](cfg, Path(args.out), meta, *fmt)
+        cfg, digest = load_config(opts["config"], command)
+        meta = {"config_hash": digest, "seed": opts["seed"]}
+        fmt = (opts["format"],) if command in _FORMATTED else ()
+        return _COMMANDS[command](cfg, Path(opts["out"]), meta, *fmt)
     # ConfigError and JSONDecodeError are ValueErrors; TypeError is a wrongly typed value
     except (ValueError, TypeError, RuntimeError, OSError) as exc:
-        print(f"suptail {args.command}: error: {exc}", file=sys.stderr)
+        print(f"suptail {command}: error: {exc}", file=sys.stderr)
         return 1
 
 

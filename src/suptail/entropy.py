@@ -80,9 +80,9 @@ def entropy_integral_closed(
 ) -> float:
     """Closed-form entropy integral bound c1 * eps^(1 - 1/(gamma*beta))."""
     gb = _gamma_beta(prof, fam)
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ValueError(f"eps must be positive, got {eps}")
-    if c1 <= 0:
+    if not c1 > 0:  # also rejects nan
         raise ValueError(f"c1 must be positive, got {c1}")
     return c1 * eps ** (1.0 - 1.0 / gb)
 

@@ -1,4 +1,4 @@
-"""Rate-of-growth bounds for the heat field V over the strip [0, inf) x [-A, A].
+"""Rate-of-growth bounds for the heat field V over the strip [1, inf) x [-A, A].
 
 The weighted supremum sup |V(t,x)| / f(t), f(t) = (t^(H/2) (log t)^p) v 1, is
 controlled through two series over the cells [e^k, e^(k+1)] x [-A, A]:

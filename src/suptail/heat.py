@@ -5,7 +5,7 @@ fractional in space (Hurst index H <= 1/2) splits into the smoothed initial
 condition omega(t,x) and the stochastic convolution V(t,x).  This module
 computes every constant of their second-moment bounds in closed form, maps
 both fields onto the generic bounded-domain supremum bounds, and builds the
-growth bound of V over the strip [0, inf) x [-A, A] from its first cell, a
+growth bound of V over the strip [1, inf) x [-A, A] from its first cell, a
 box with the metric of ``v_bound_inputs``, and the series of
 ``suptail.growth``.  Gamma values come from the math module, so nothing here
 loads SciPy.

@@ -133,7 +133,7 @@ def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
     """
     import numpy as np
 
-    if t < 0 or s < 0:
+    if not t >= 0 or not s >= 0:  # also rejects nan
         raise ValueError("times must be nonnegative")
     sums, gaps, dists = (np.array([v]) for v in (t + s, abs(t - s), abs(x - y)))
     return float(_v_table(sums, gaps, dists, hurst)[0, 0])
@@ -171,7 +171,7 @@ def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float)
     xs = np.asarray(xs, dtype=float)
     if len(times) == 0 or len(xs) == 0:
         raise ValueError("grid axes must be nonempty")
-    if times.min() < 0:
+    if not times.min() >= 0:  # also rejects nan
         raise ValueError(f"grid times must be nonnegative, got {times.min()}")
     m = len(times) * len(xs)
     dists, d_idx = _distinct(np.abs(np.subtract.outer(xs, xs)))

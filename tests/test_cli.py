@@ -197,8 +197,8 @@ class TestBoundSup:
         assert exc.value.code == 2
 
     def test_parser_reuse_after_rejected_call(self, tmp_path):
-        # the parser is built once per process; a rejected call must not leak
-        # state into the next one
+        # a call that exits 2 on its arguments must not leak state into the
+        # next call in the same process
         payload = {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0, 120.0]}
         cfg = write_config(tmp_path, payload)
         before, after = tmp_path / "before", tmp_path / "after"
@@ -875,9 +875,10 @@ print(json.dumps(report))
 print(json.dumps(added))
 """
 
-# dataclasses loads inspect, ast, dis and tokenize; the modules that a site
-# hook may preload (typing on some hosts) are judged by what the imports add.
-_SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+# dataclasses loads inspect, ast, dis and tokenize, and argparse loads gettext
+# and locale; the modules that a site hook may preload (typing on some hosts)
+# are judged by what the imports add.
+_SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "argparse", "gettext", "locale"}
 
 
 def test_analytic_commands_load_no_scipy(tmp_path):

@@ -6,8 +6,8 @@ import pickle
 
 import pytest
 
-from suptail import supbound
-from suptail.entropy import HolderProfile
+from suptail import sim, supbound
+from suptail.entropy import HolderProfile, entropy_integral_closed
 from suptail.growth import SeriesSum
 from suptail.heat import SheModel, she_growth_envelope, v_bound_inputs
 from suptail.metric import AnisotropicBox, covering_oracle, covering_upper_bound
@@ -140,6 +140,26 @@ class TestNonFiniteInputsRejected:
     )
     def test_nan_argument(self, call, message):
         # these returned nan or 1.0, or failed converting nan to an integer
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sim.covariance_matrix((NAN, 0.5), (0.0,), 0.5), "grid times must be nonnegative, got nan"),
+            (lambda: sim.v_covariance(NAN, 0.0, 0.5, 0.0, 0.5), "times must be nonnegative"),
+            (lambda: sim.v_covariance(0.5, 0.0, NAN, 0.0, 0.5), "times must be nonnegative"),
+            (lambda: entropy_integral_closed(NAN, 1.0, HolderProfile(1.0, 1.0), PhiFamily(2.0)),
+             "eps must be positive, got nan"),
+            (lambda: entropy_integral_closed(1.0, NAN, HolderProfile(1.0, 1.0), PhiFamily(2.0)),
+             "c1 must be positive, got nan"),
+        ],
+        ids=["covariance_matrix-time", "v_covariance-t", "v_covariance-s", "entropy_integral_closed-eps",
+             "entropy_integral_closed-c1"],
+    )
+    def test_nan_time_or_entropy_input(self, call, message):
+        # a nan time was read as t = 0 (covariance 0), and the entropy
+        # integral returned nan
         with pytest.raises(ValueError, match=message):
             call()
 
