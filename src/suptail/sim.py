@@ -30,16 +30,17 @@ The grid is the product of a time axis and a space axis.  The two Kummer
 terms depend on t + s or |t - s| and on |x - y| only, so covariance_matrix
 evaluates each once per distinct time value and distance, tabulates Cov V
 over time pairs and distances, and gathers the matrix from that table.
+v_covariance is one entry of a 2 x 2 grid: the kernel has this one route.
 
 simulate-verify makes four calls: covariance_matrix, factor_covariance,
 sample_sups on that factor, and empirical_sup_tail.  The factor is the exact
 Cholesky factor: V is 0 at t = 0, so those rows of the covariance are zero
 and stay zero in it, and a box axis with b == a is one grid point, since
-repeated points would make the matrix singular.  Replicas come in fixed
-blocks of SAMPLE_BLOCK, and block b's normals are drawn from the stream
-(seed, b), so serial and threaded runs agree to the byte.  sample_sups
-reduces every block to its replicas' grid suprema as it is drawn, so m grid
-points and n replicas take O(m^2 + m SAMPLE_BLOCK + n) memory; sample_fields
+repeated points would make the matrix singular.  One runner draws block b
+of SAMPLE_BLOCK replicas from the stream (seed, b) and hands it to a
+consumer, serially or on threads, which agree to the byte.  The
+consumer of sample_sups keeps the block's grid suprema, so m points and n
+replicas take O(m^2 + m SAMPLE_BLOCK + n) memory; that of sample_fields
 keeps the whole (n, m) array.  The empirical tail sorts the suprema once and
 counts each u by binary search, and ``verdicts`` marks each u PASS, FAIL or
 INVALID against the bound column.
@@ -87,22 +88,6 @@ def _kummer_term(r: np.ndarray, z2: np.ndarray, hurst: float) -> np.ndarray:
     return out
 
 
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of a, and each entry's index among them in a's shape.
-
-    What np.unique(a, return_inverse=True) returns, in half its calls: on the
-    few dozen entries of a grid-axis table the per-call overhead is the cost.
-    """
-    import numpy as np
-
-    ordered = np.sort(a, axis=None)
-    first = np.empty(len(ordered), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    values = ordered[first]
-    return values, np.searchsorted(values, a)
-
-
 def _v_table(sums: np.ndarray, gaps: np.ndarray, dists: np.ndarray, hurst: float) -> np.ndarray:
     """Cov V for each time pair and each distance, shape sums.shape + dists.shape.
 
@@ -115,7 +100,9 @@ def _v_table(sums: np.ndarray, gaps: np.ndarray, dists: np.ndarray, hurst: float
     import numpy as np
 
     z2 = dists * dists / 4.0
-    rs, idx = _distinct(np.stack([sums, gaps]))
+    pairs = np.stack([sums, gaps])
+    rs, idx = np.unique(pairs, return_inverse=True)
+    idx = idx.reshape(pairs.shape)  # flat before NumPy 2
     terms = _kummer_term(np.repeat(rs, len(z2)), np.tile(z2, len(rs)), hurst)
     terms = terms.reshape(len(rs), len(z2))[idx]
     scale = noise_constant(hurst) * math.gamma(1.0 - hurst) / (2.0 * hurst)
@@ -130,13 +117,9 @@ def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
     function, from integrating the spectral form term by term (see the module
     docstring).  Symmetric, depends on x, y only through |x - y|, zero when
     either time is 0, and v_covariance(t,x,t,x) = C_H * c_1H * t^H exactly.
+    Entry (0, 3) of covariance_matrix((t, s), (x, y), hurst), with its checks.
     """
-    import numpy as np
-
-    if not t >= 0 or not s >= 0:  # also rejects nan
-        raise ValueError("times must be nonnegative")
-    sums, gaps, dists = (np.array([v]) for v in (t + s, abs(t - s), abs(x - y)))
-    return float(_v_table(sums, gaps, dists, hurst)[0, 0])
+    return float(covariance_matrix((t, s), (x, y), hurst)[0, 3])
 
 
 def make_grid(box: AnisotropicBox, nt: int, nx: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -173,8 +156,12 @@ def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float)
         raise ValueError("grid axes must be nonempty")
     if not times.min() >= 0:  # also rejects nan
         raise ValueError(f"grid times must be nonnegative, got {times.min()}")
+    for axis, values in (("times", times), ("space points", xs)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"grid {axis} must be finite, got {values[~np.isfinite(values)][0]}")
     m = len(times) * len(xs)
-    dists, d_idx = _distinct(np.abs(np.subtract.outer(xs, xs)))
+    dists, d_idx = np.unique(np.abs(np.subtract.outer(xs, xs)), return_inverse=True)
+    d_idx = d_idx.reshape(len(xs), len(xs))  # flat before NumPy 2
     # t + s and |t - s| are exactly symmetric in t and s under IEEE rounding
     table = _v_table(
         np.add.outer(times, times), np.abs(np.subtract.outer(times, times)), dists, hurst
@@ -217,12 +204,13 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
 SAMPLE_BLOCK = 512
 
 
-def _block_draw(chol: np.ndarray, n: int, seed: int):
-    """The block sampler of n replicas: draw(lo) returns (hi, chol z^T).
+def _each_block(chol: np.ndarray, n: int, seed: int, workers: int, shape: tuple, consume) -> np.ndarray:
+    """An array of the given shape, filled by consume(out, lo, hi, chol z^T) for each block.
 
-    z holds the normals of replicas [lo, hi) of the block that starts at lo,
-    one standard_normal draw from the stream (seed, lo // SAMPLE_BLOCK), and
-    chol is the factor from ``factor_covariance``; chol z^T is (m, hi - lo).
+    Block b holds replicas [lo, hi) = [b*SAMPLE_BLOCK, min((b+1)*SAMPLE_BLOCK, n)),
+    and z their normals, one standard_normal draw from the stream (seed, b).
+    n and seed are checked before the array is allocated.  The blocks run
+    serially or on up to workers threads.
     """
     import numpy as np
 
@@ -230,26 +218,22 @@ def _block_draw(chol: np.ndarray, n: int, seed: int):
         raise ValueError(f"n must be nonnegative, got {n}")
     if seed is None:
         raise ValueError("a seed is required for reproducible sampling")
+    out = np.empty(shape)
 
-    def draw(lo: int):
+    def run(lo: int) -> None:
         hi = min(lo + SAMPLE_BLOCK, n)
         key = np.random.SeedSequence(seed, spawn_key=(lo // SAMPLE_BLOCK,))
-        return hi, chol @ np.random.default_rng(key).standard_normal((hi - lo, len(chol))).T
+        consume(out, lo, hi, chol @ np.random.default_rng(key).standard_normal((hi - lo, len(chol))).T)
 
-    return draw
-
-
-def _each_block(fill, n: int, workers: int) -> None:
-    """fill(lo) for the start of every block, on up to workers threads."""
     blocks = range(0, n, SAMPLE_BLOCK)
     if workers <= 1:
-        for lo in blocks:
-            fill(lo)
+        list(map(run, blocks))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
+            list(pool.map(run, blocks))
+    return out
 
 
 def sample_fields(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -262,17 +246,11 @@ def sample_fields(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.n
     shorter run is a prefix of a longer one.  The result is the transpose of
     an (m, n) C-ordered buffer, so each grid point's samples are contiguous.
     """
-    import numpy as np
 
-    draw = _block_draw(chol, n, seed)
-    out = np.empty((len(chol), n))
-
-    def fill(lo: int) -> None:
-        hi, block = draw(lo)
+    def store(out, lo, hi, block):
         out[:, lo:hi] = block
 
-    _each_block(fill, n, workers)
-    return out.T
+    return _each_block(chol, n, seed, workers, (len(chol), n), store).T
 
 
 def sample_sups(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -284,15 +262,10 @@ def sample_sups(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.nda
     """
     import numpy as np
 
-    draw = _block_draw(chol, n, seed)
-    sups = np.empty(n)
+    def reduce(out, lo, hi, block):
+        np.abs(block, out=block).max(axis=0, out=out[lo:hi])
 
-    def fill(lo: int) -> None:
-        hi, block = draw(lo)
-        np.abs(block, out=block).max(axis=0, out=sups[lo:hi])
-
-    _each_block(fill, n, workers)
-    return sups
+    return _each_block(chol, n, seed, workers, (n,), reduce)
 
 
 # Two-sided confidence level of the Clopper-Pearson limits.

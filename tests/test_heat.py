@@ -385,6 +385,19 @@ class TestGrowthEnvelope:
                 assert c_k == pytest.approx(float(c_summand(k)), rel=1e-12)
                 assert s_k == pytest.approx(float(s_summand(k)), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "hurst, p, halfwidth", [(0.5, 2.0, 1.0), (0.25, 2.5, 0.7), (0.35, 1.5, 1.3), (0.1, 3.0, 0.5)]
+    )
+    def test_bound_covers_partial_cell_sums(self, hurst, p, halfwidth):
+        # the returned bound, not the returned sums: its k and scale must be
+        # at least the sums of S~'s and C~'s first 40 summands, each computed
+        # from its cell's definition through c1_constant
+        model = SheModel(hurst=hurst)
+        bound, _, _ = she_growth_envelope(model, p=p, halfwidth=halfwidth)
+        cells = [_cell_summands(model, p, halfwidth, k) for k in range(40)]
+        assert bound.scale >= math.fsum(c for c, _ in cells)
+        assert bound.k >= math.fsum(s for _, s in cells)
+
     @pytest.mark.parametrize("hurst, p", [(0.5, 3.0), (0.25, 2.5), (0.35, 2.0)])
     def test_certified_sum_of_summands_matches_closed_form(self, hurst, p):
         # independent route: the block-bracket certifier over the summands

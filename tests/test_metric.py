@@ -123,6 +123,13 @@ class TestCoveringOracle:
             box, eps = random_feasible_config(rng)
             assert covering_oracle(box, eps, 81) <= covering_upper_bound(box, eps)
 
+    def test_greedy_decides_on_thin_box(self):
+        # the tiling gives each axis eps/2, a half-width 0.25^(4/3) = 0.157, so
+        # 1 x ceil(1 / 0.315) = 4 balls; the thin axis needs little of the
+        # radius, and the greedy covers the long one with 3
+        box = AnisotropicBox(0, 0.05, 0, 1, 0.75, 0.75)
+        assert covering_oracle(box, 0.5, 101) == full_grid_greedy(box, 0.5, 101, 10**9) < 4
+
     def test_deterministic(self):
         box = AnisotropicBox(0, 1.3, -0.2, 0.9, 0.8, 1.0)
         a = covering_oracle(box, 0.6, 81)

@@ -14,6 +14,7 @@ from suptail import sim
 from suptail.heat import (
     increment_constant,
     noise_constant,
+    sup_norm_coefficient,
     variance_coefficient,
 )
 from suptail.metric import AnisotropicBox
@@ -268,6 +269,17 @@ class TestCovarianceMatrix:
         want = covariance_from_points(points(*grid), hurst)
         assert np.array_equal(covariance_matrix(*grid, hurst), want)
 
+    @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25, 0.1, 0.02])
+    def test_diagonal_is_sup_norm_coefficient_squared(self, hurst):
+        # Var V(t, x) = A(H)^2 t^H: the Kummer route shares only noise_constant
+        # with heat.sup_norm_coefficient, so a wrong A(H) fails here
+        times, xs = (0.0, 1e-3, 0.1, 0.5, 1.0, 2.7), (-0.4, 0.0, 0.3, 1.0)
+        cov = covariance_matrix(times, xs, hurst)
+        assert not cov[: len(xs)].any() and not cov[:, : len(xs)].any()
+        var = cov.diagonal().reshape(len(times), len(xs))[1:]
+        want = sup_norm_coefficient(hurst) ** 2 * np.array(times[1:])[:, None] ** hurst
+        assert np.abs(var / want - 1.0).max() <= 1e-13
+
     def test_unsorted_axes_with_repeats_match_oracle(self):
         grid = (0.7, 0.2, 0.7, 0.0), (0.3, -0.4, 0.9)
         assert np.array_equal(covariance_matrix(*grid, 0.35), covariance_from_points(points(*grid), 0.35))
@@ -488,8 +500,9 @@ class TestSampleFields:
         assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_sups_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            sample_sups(small_factor(), -1, seed=1)
+        for sample in (sample_sups, sample_fields):
+            with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+                sample(small_factor(), -1, seed=1)
         with pytest.raises(ValueError, match="seed"):
             sample_sups(small_factor(), 10, seed=None)
 

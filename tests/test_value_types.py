@@ -149,17 +149,25 @@ class TestNonFiniteInputsRejected:
             (lambda: sim.covariance_matrix((NAN, 0.5), (0.0,), 0.5), "grid times must be nonnegative, got nan"),
             (lambda: sim.v_covariance(NAN, 0.0, 0.5, 0.0, 0.5), "times must be nonnegative"),
             (lambda: sim.v_covariance(0.5, 0.0, NAN, 0.0, 0.5), "times must be nonnegative"),
+            (lambda: sim.v_covariance(0.5, NAN, 0.5, 0.0, 0.5), "grid space points must be finite, got nan"),
+            (lambda: sim.v_covariance(INF, 0.0, 0.5, 0.0, 0.5), "grid times must be finite, got inf"),
+            (lambda: sim.covariance_matrix((0.5, INF), (0.0,), 0.5), "grid times must be finite, got inf"),
+            (lambda: sim.covariance_matrix((0.5,), (0.0, NAN), 0.5), "grid space points must be finite, got nan"),
+            (lambda: sim.covariance_matrix((0.5,), (-INF, 0.0), 0.5), "grid space points must be finite, got -inf"),
             (lambda: entropy_integral_closed(NAN, 1.0, HolderProfile(1.0, 1.0), PhiFamily(2.0)),
              "eps must be positive, got nan"),
             (lambda: entropy_integral_closed(1.0, NAN, HolderProfile(1.0, 1.0), PhiFamily(2.0)),
              "c1 must be positive, got nan"),
         ],
-        ids=["covariance_matrix-time", "v_covariance-t", "v_covariance-s", "entropy_integral_closed-eps",
-             "entropy_integral_closed-c1"],
+        ids=["covariance_matrix-time", "v_covariance-t", "v_covariance-s", "v_covariance-x",
+             "v_covariance-inf-t", "covariance_matrix-inf-time", "covariance_matrix-x",
+             "covariance_matrix-inf-x", "entropy_integral_closed-eps", "entropy_integral_closed-c1"],
     )
     def test_nan_time_or_entropy_input(self, call, message):
         # a nan time was read as t = 0 (covariance 0), and the entropy
-        # integral returned nan
+        # integral returned nan; a nan space point or an infinite time or
+        # space point gave a nan covariance, which factor_covariance then
+        # rejected as not PSD
         with pytest.raises(ValueError, match=message):
             call()
 
