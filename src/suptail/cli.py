@@ -10,12 +10,19 @@ and use LF line endings with '.' decimals in CSV.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import os
 import re
 import sys
-from pathlib import Path
+
+try:  # CPython's own SHA-256, as random takes _sha512: hashlib would load OpenSSL
+    from _sha256 import sha256  # 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 from . import growth, heat, sim, supbound
 from .entropy import HolderProfile
@@ -162,11 +169,12 @@ def load_config(path: str, command: str) -> tuple[dict, str]:
 
 
 def config_hash(cfg: dict) -> str:
-    """Hash of the semantic config; execution-only keys (worker count) are
-    excluded so runs that must produce identical bytes share a hash."""
+    """SHA-256, by CPython's built-in ``_sha256`` or ``_sha2`` (else ``hashlib``),
+    of the semantic config: execution-only keys (worker count) are excluded
+    so runs that must produce identical bytes share a hash."""
     semantic = {k: v for k, v in cfg.items() if k != "workers"}
     canonical = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
@@ -211,21 +219,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# The writers make the output directory, so a run that fails before its
-# first write leaves none.
+# The writers make the output directory out, with its parents, so a run that
+# fails before its first write leaves none.
 
 
-def write_json(path: Path, payload: dict) -> None:
+def write_json(out: str, name: str, payload: dict) -> None:
     # one encode and one write: json.dump would issue a write per token
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple], meta: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def write_csv(out: str, name: str, header: list[str], rows: list[tuple], meta: dict) -> None:
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -237,7 +245,7 @@ def write_csv(path: Path, header: list[str], rows: list[tuple], meta: dict) -> N
 # --------------------------------------------------------------------------
 
 
-def cmd_constants(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
+def cmd_constants(cfg: dict, out: str, meta: dict, fmt: str) -> int:
     model = heat.SheModel(**cfg["model"])
     payload = {
         "constants": model.constants(),
@@ -254,9 +262,9 @@ def cmd_constants(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
     }
     if fmt == "csv":
         rows = [(k, v) for k, v in sorted(model.constants().items())]
-        write_csv(out / "constants.csv", ["name", "value"], rows, meta)
+        write_csv(out, "constants.csv", ["name", "value"], rows, meta)
     else:
-        write_json(out / "constants.json", payload)
+        write_json(out, "constants.json", payload)
     return 0
 
 
@@ -296,22 +304,22 @@ def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound) -> list[
     return rows
 
 
-def cmd_bound_sup(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
+def cmd_bound_sup(cfg: dict, out: str, meta: dict, fmt: str) -> int:
     bound = _bound_inputs(cfg)
     us = _u_grid(cfg, bound)
     rows = _bound_curve(us, cfg.get("theta"), bound)
     header = ["u", "theta", "bound", "validity"]
     if fmt == "csv":
-        write_csv(out / "bound_sup.csv", header, rows, meta)
+        write_csv(out, "bound_sup.csv", header, rows, meta)
     else:
         write_json(
-            out / "bound_sup.json",
+            out, "bound_sup.json",
             {"curve": [dict(zip(header, row)) for row in rows], **meta},
         )
     return 0
 
 
-def cmd_bound_growth(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
+def cmd_bound_growth(cfg: dict, out: str, meta: dict, fmt: str) -> int:
     model = heat.SheModel(**cfg["model"])
     bound, c_tilde, s_tilde = heat.she_growth_envelope(
         model, cfg.get("p", 2.0), cfg.get("halfwidth", 1.0)
@@ -340,20 +348,20 @@ def cmd_bound_growth(cfg: dict, out: Path, meta: dict, fmt: str) -> int:
         **meta,
     }
     if fmt == "csv":
-        write_csv(out / "bound_growth.csv", header, rows, meta)
-        write_json(out / "bound_growth_series.json", {"series": payload["series"], **meta})
+        write_csv(out, "bound_growth.csv", header, rows, meta)
+        write_json(out, "bound_growth_series.json", {"series": payload["series"], **meta})
     else:
-        write_json(out / "bound_growth.json", payload)
+        write_json(out, "bound_growth.json", payload)
     return 0
 
 
-def cmd_covering(cfg: dict, out: Path, meta: dict) -> int:
+def cmd_covering(cfg: dict, out: str, meta: dict) -> int:
     box = AnisotropicBox(**cfg["box"])
     eps, resolution = cfg["eps"], cfg.get("resolution", 101)
     bound = covering_upper_bound(box, eps)
     oracle = covering_oracle(box, eps, resolution)
     write_json(
-        out / "covering.json",
+        out, "covering.json",
         {
             "eps": eps,
             "resolution": resolution,
@@ -366,7 +374,7 @@ def cmd_covering(cfg: dict, out: Path, meta: dict) -> int:
     return 0 if oracle <= bound else 1
 
 
-def cmd_simulate_verify(cfg: dict, out: Path, meta: dict) -> int:
+def cmd_simulate_verify(cfg: dict, out: str, meta: dict) -> int:
     seed = meta["seed"]
     if seed is None:
         raise ConfigError("simulate-verify requires an explicit --seed")
@@ -390,9 +398,9 @@ def cmd_simulate_verify(cfg: dict, out: Path, meta: dict) -> int:
 
     header = ["u", "empirical", "ci_lo", "ci_hi", "bound", "verdict"]
     rows = list(zip(us, empirical, ci_lo, ci_hi, bounds, verdicts))
-    write_csv(out / "verify_curve.csv", header, rows, meta)
+    write_csv(out, "verify_curve.csv", header, rows, meta)
     write_json(
-        out / "verify_report.json",
+        out, "verify_report.json",
         {
             "passed": n_fail == 0,
             "n_fail": n_fail,
@@ -508,7 +516,8 @@ def main(argv=None) -> int:
         cfg, digest = load_config(opts["config"], command)
         meta = {"config_hash": digest, "seed": opts["seed"]}
         fmt = (opts["format"],) if command in _FORMATTED else ()
-        return _COMMANDS[command](cfg, Path(opts["out"]), meta, *fmt)
+        # "--out=" names the working directory, which os.makedirs takes as "."
+        return _COMMANDS[command](cfg, opts["out"] or ".", meta, *fmt)
     # ConfigError and JSONDecodeError are ValueErrors; TypeError is a wrongly typed value
     except (ValueError, TypeError, RuntimeError, OSError) as exc:
         print(f"suptail {command}: error: {exc}", file=sys.stderr)

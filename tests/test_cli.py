@@ -1,5 +1,7 @@
 """CLI: config validation, subcommands, exit codes, byte-stable outputs."""
 
+import errno
+import hashlib
 import json
 import math
 import os
@@ -13,7 +15,8 @@ from scipy.special import zeta
 
 import suptail
 from suptail import supbound
-from suptail.cli import ConfigError, _u_grid, load_config, main
+from suptail import cli
+from suptail.cli import ConfigError, _u_grid, config_hash, load_config, main
 from suptail.entropy import HolderProfile
 from suptail.growth import auto_theta_bound, optimize_theta_growth
 from suptail.heat import SheModel, she_growth_envelope, v_bound_inputs
@@ -788,6 +791,74 @@ class TestConfigHash:
         assert code == 0
         assert json.loads((out / name).read_text())["config_hash"] == digest
 
+    # unicode strings, nested blocks, a workers key, large integers and floats
+    CONFIGS = [
+        {"model": {"hurst": 0.35}},
+        {"note": "Ω ψ ü 日本 \u00e9 😀", "model": {"hurst": 0.5, "name": "Zürich"}},
+        {"field": "v", "model": V_MODEL, "box": BOX, "grid": {"nt": 6, "nx": 6}, "u_auto": {"count": 4}},
+        {"model": V_MODEL, "box": BOX, "samples": 300, "workers": 3},
+        {"big": 10**30, "neg": -(2**70), "list": [2**64, 0, -1], "nested": {"deeper": {"n": 10**40}}},
+        {"p": 1.5, "tiny": 5e-324, "max": 1.7976931348623157e308, "third": 1 / 3, "zero": -0.0},
+    ]
+
+    @staticmethod
+    def sha256_of_canonical_json(cfg):
+        semantic = {k: v for k, v in cfg.items() if k != "workers"}
+        return hashlib.sha256(json.dumps(semantic, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+    def test_digest_is_sha256_of_canonical_config(self):
+        assert [config_hash(cfg) for cfg in self.CONFIGS] == [
+            self.sha256_of_canonical_json(cfg) for cfg in self.CONFIGS
+        ]
+        workers = self.CONFIGS[3]
+        assert config_hash(workers) == config_hash({k: v for k, v in workers.items() if k != "workers"})
+        if sys.implementation.name == "cpython":  # the built-in module, not OpenSSL's
+            assert cli.sha256.__module__ in ("_sha256", "_sha2")
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        # an interpreter without the built-in modules takes sha256 from hashlib
+        probe = (
+            "import json, sys\n"
+            "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+            "import hashlib, suptail.cli\n"
+            "assert suptail.cli.sha256 is hashlib.sha256\n"
+            "print(json.dumps([suptail.cli.config_hash(cfg) for cfg in json.loads(sys.argv[1])]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(self.CONFIGS)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [self.sha256_of_canonical_json(cfg) for cfg in self.CONFIGS]
+
+
+class TestOutDirectory:
+    # the --out directory as the operating system takes it
+    def test_empty_out_is_working_directory(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {"model": MODEL})
+        monkeypatch.chdir(tmp_path)
+        assert main(["constants", "--config", cfg, "--out="]) == 0
+        assert json.loads((tmp_path / "constants.json").read_text())["constants"]
+
+    def test_nested_out_made_with_parents(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": MODEL})
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "constants.json").is_file()
+
+    @pytest.mark.parametrize("name, code", [("file", errno.EEXIST), ("file/sub", errno.ENOTDIR)])
+    def test_out_at_a_file_exits_1(self, tmp_path, capsys, name, code):
+        cfg = write_config(tmp_path, {"model": MODEL})
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / name)
+        assert main(["constants", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"suptail constants: error: [Errno {code}] {os.strerror(code)}: {out!r}\n"
+
 
 class TestBoxAtTimeZero:
     @pytest.mark.parametrize("command", ["bound-sup", "simulate-verify"])
@@ -850,13 +921,13 @@ class TestUGridUAutoExclusive:
 
 # Runs in a fresh interpreter: imports suptail, then suptail.cli, then runs
 # each command through cli.main, and prints after each step which of NumPy,
-# SciPy and concurrent.futures are loaded; then, on a second line, the
-# modules that the two imports added to sys.modules.
+# SciPy, concurrent.futures and OpenSSL's _hashlib are loaded; then, on a
+# second line, the modules that the two imports added to sys.modules.
 _IMPORT_PROBE = """
 import json, sys
 
 def heavy_modules():
-    return [m for m in ("numpy", "scipy", "concurrent.futures") if m in sys.modules]
+    return [m for m in ("numpy", "scipy", "concurrent.futures", "_hashlib") if m in sys.modules]
 
 preloaded = set(sys.modules)
 import suptail
@@ -875,17 +946,22 @@ print(json.dumps(report))
 print(json.dumps(added))
 """
 
-# dataclasses loads inspect, ast, dis and tokenize, and argparse loads gettext
-# and locale; the modules that a site hook may preload (typing on some hosts)
-# are judged by what the imports add.
-_SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "argparse", "gettext", "locale"}
+# dataclasses loads inspect, ast, dis and tokenize, argparse loads gettext
+# and locale, and hashlib loads OpenSSL (_hashlib); the modules that a site
+# hook may preload (typing or pathlib on some hosts) are judged by what the
+# imports add.
+_SLOW_IMPORTS = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "argparse", "gettext", "locale",
+    "hashlib", "_hashlib", "pathlib",
+}
 
 
 def test_analytic_commands_load_no_scipy(tmp_path):
-    # NumPy and scipy.special are most of a fresh `import suptail.cli`'s time.
+    # A fresh `import suptail.cli` loads neither NumPy nor scipy.special.
     # constants and bound-sup evaluate closed forms in `math` and load
-    # neither; bound-growth (Li_p) and covering load NumPy at their first
-    # call; only simulate-verify needs SciPy (scipy.special, at first use).
+    # neither, nor OpenSSL; bound-growth (Li_p) and covering load NumPy at
+    # their first call; only simulate-verify needs SciPy (scipy.special, at
+    # first use).
     generic = {
         "field": "generic",
         "fam": 2.0,
@@ -923,7 +999,32 @@ def test_analytic_commands_load_no_scipy(tmp_path):
         ["import suptail", 0, []],
         ["import suptail.cli", 0, []],
     ] + [[cmd, 0, []] for cmd, _, _ in closed_form]
-    assert report[2 + len(closed_form) :] == [
+    # _hashlib is judged on the closed-form runs alone: NumPy may load it itself
+    numpy_runs = report[2 + len(closed_form) :]
+    assert [[cmd, code, [m for m in mods if m != "_hashlib"]] for cmd, code, mods in numpy_runs] == [
         ["bound-growth", 0, ["numpy"]],
         ["covering", 0, ["numpy"]],
     ]
+
+
+# Runs in an interpreter without the site hook, which on some hosts preloads
+# pathlib: imports json, then suptail.cli, and prints what the second import added.
+_PLAIN_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import suptail.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_openssl_or_pathlib():
+    # hashlib loads _hashlib (OpenSSL) and _blake2; pathlib loads fnmatch,
+    # ntpath and urllib.parse
+    env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _PLAIN_IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(json.loads(done.stdout))
+    assert "suptail.cli" in added
+    assert not {"hashlib", "_hashlib", "_blake2", "pathlib", "fnmatch", "ntpath", "urllib.parse"} & added
