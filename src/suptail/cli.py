@@ -1,9 +1,9 @@
 """Command-line front end: constants, bound curves, covering checks, simulate-verify.
 
-One JSON config per run, read through one schema table, which holds one
-schema per field for the commands that take a "field": unknown keys are
-rejected and every value is read (numbers checked finite, sizes checked
-integral) before any computation.
+One JSON config per run, read through the schema that the command table
+holds for its command, one schema per field for the commands that take a
+"field": unknown keys are rejected and every value is read (numbers checked
+finite, sizes checked integral) before any computation.
 Outputs are byte-stable for a fixed config and seed, carry the config hash,
 and use LF line endings with '.' decimals in CSV.
 """
@@ -93,41 +93,19 @@ def _theta(value, name: str):
 
 # A schema is (readers, required keys).  Each allowed key maps to the reader
 # of its value, to the schema of its block, or to None for "field", which
-# load_config has already checked.
-_MODEL = (
-    dict.fromkeys(("hurst", "rho", "holder_const", "init_sup", "det_const", "alpha"), _number),
-    {"hurst"},
-)
+# load_config has already checked.  A value type's block allows its fields.
+_MODEL = (dict.fromkeys(heat.SheModel._fields, _number), {"hurst"})
 # bound-growth and simulate-verify bound V, which reads "hurst" alone
 _V_MODEL = ({"hurst": _number}, {"hurst"})
-_ENDS = ("a1", "b1", "a2", "b2")
-_BOX = (dict.fromkeys(_ENDS + ("h1", "h2"), _number), set(_ENDS))
+_ENDS = AnisotropicBox._fields[:4]  # a1 b1 a2 b2, then h1 h2
+_BOX = (dict.fromkeys(AnisotropicBox._fields, _number), set(_ENDS))
 # the heat fields take their metric exponents from the model
 _HEAT_BOX = (dict.fromkeys(_ENDS, _number), set(_ENDS))
+_PROFILE = (dict.fromkeys(HolderProfile._fields, _number), set(HolderProfile._fields))
 # the keys shared by the two commands that draw a bound curve over a box
 _CURVE = {"field": None, "u_grid": _listed_u, "theta": _theta,
           "u_auto": ({"count": _positive_int, "max": _span}, set())}
 _HEAT_CURVE = ({**_CURVE, "box": _HEAT_BOX, "model": _MODEL}, {"box", "model"})
-
-# bound-sup and simulate-verify map each "field" to its schema
-_SCHEMAS = {
-    "constants": ({"model": _MODEL}, {"model"}),
-    "bound-sup": {
-        "v": _HEAT_CURVE,
-        "omega": _HEAT_CURVE,
-        "generic": ({**_CURVE, "box": _BOX, "fam": _number, "eps0": _number,
-                     "profile": ({"scale": _number, "exponent": _number}, {"scale", "exponent"})},
-                    {"box", "fam", "eps0", "profile"}),
-    },
-    "bound-growth": ({"model": _V_MODEL, "p": _number, "halfwidth": _number,
-                      "u_grid": _listed_u}, {"model", "u_grid"}),
-    "covering": ({"box": _BOX, "eps": _number, "resolution": _positive_int}, {"box", "eps"}),
-    "simulate-verify": {
-        "v": ({**_CURVE, "box": _HEAT_BOX, "model": _V_MODEL, "samples": _positive_int,
-               "grid": ({"nt": _positive_int, "nx": _positive_int}, set()),
-               "workers": _positive_int}, {"model", "box", "samples"}),
-    },
-}
 
 
 def _read(block, schema: tuple, where: str, prefix: str = "") -> dict:
@@ -155,7 +133,7 @@ def load_config(path: str, command: str) -> tuple[dict, str]:
     """The config with every value read, and the hash of the config as written."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    schema, where = _SCHEMAS[command], f"config for {command}"
+    schema, where = _COMMANDS[command][1], f"config for {command}"
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object")
     if "u_grid" in raw and "u_auto" in raw:
@@ -414,19 +392,31 @@ def cmd_simulate_verify(cfg: dict, out: str, meta: dict) -> int:
     return 0 if n_fail == 0 else 2
 
 
+# Each command: (its function, its config schema, whether it takes --format;
+# the others write fixed file types).  bound-sup and simulate-verify map each
+# "field" to its schema.
 _COMMANDS = {
-    "constants": cmd_constants,
-    "bound-sup": cmd_bound_sup,
-    "bound-growth": cmd_bound_growth,
-    "covering": cmd_covering,
-    "simulate-verify": cmd_simulate_verify,
+    "constants": (cmd_constants, ({"model": _MODEL}, {"model"}), True),
+    "bound-sup": (cmd_bound_sup, {
+        "v": _HEAT_CURVE,
+        "omega": _HEAT_CURVE,
+        "generic": ({**_CURVE, "box": _BOX, "fam": _number, "eps0": _number, "profile": _PROFILE},
+                    {"box", "fam", "eps0", "profile"}),
+    }, True),
+    "bound-growth": (cmd_bound_growth, ({"model": _V_MODEL, "p": _number, "halfwidth": _number,
+                                         "u_grid": _listed_u}, {"model", "u_grid"}), True),
+    "covering": (cmd_covering, ({"box": _BOX, "eps": _number, "resolution": _positive_int},
+                                {"box", "eps"}), False),
+    "simulate-verify": (cmd_simulate_verify, {
+        "v": ({**_CURVE, "box": _HEAT_BOX, "model": _V_MODEL, "samples": _positive_int,
+               "grid": ({"nt": _positive_int, "nx": _positive_int}, set()),
+               "workers": _positive_int}, {"model", "box", "samples"}),
+    }, False),
 }
-# Commands that take --format; the others write fixed file types.
-_FORMATTED = {"constants", "bound-sup", "bound-growth"}
 
 
 # The options of the commands: name -> (reader of the value, default, help).
-# --config is required, and --format is taken only by the _FORMATTED commands.
+# --config is required, and --format is taken only by the commands that read it.
 _OPTIONS = {
     "--config": (str, None, "path to the JSON config"),
     "--out": (str, ".", "output directory"),
@@ -500,7 +490,7 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
     extras = _options(None, [], argv[:i], {})
     if i == len(argv) or argv[i] not in _COMMANDS:
         _exit(None, [], f"invalid command {argv[i]!r}" if argv[i:] else "a command is required")
-    command, names = argv[i], [n for n in _OPTIONS if n != "--format" or argv[i] in _FORMATTED]
+    command, names = argv[i], [n for n in _OPTIONS if n != "--format" or _COMMANDS[argv[i]][2]]
     opts = {n[2:]: _OPTIONS[n][1] for n in names}
     extras += _options(command, names, argv[i + 1 :], opts)
     if opts["config"] is None:
@@ -515,11 +505,13 @@ def main(argv=None) -> int:
     try:
         cfg, digest = load_config(opts["config"], command)
         meta = {"config_hash": digest, "seed": opts["seed"]}
-        fmt = (opts["format"],) if command in _FORMATTED else ()
+        run, _, formatted = _COMMANDS[command]
+        fmt = (opts["format"],) if formatted else ()
         # "--out=" names the working directory, which os.makedirs takes as "."
-        return _COMMANDS[command](cfg, opts["out"] or ".", meta, *fmt)
-    # ConfigError and JSONDecodeError are ValueErrors; TypeError is a wrongly typed value
-    except (ValueError, TypeError, RuntimeError, OSError) as exc:
+        return run(cfg, opts["out"] or ".", meta, *fmt)
+    # ConfigError and JSONDecodeError are ValueErrors; TypeError is a wrongly
+    # typed value; MemoryError is a grid or resolution too large to allocate
+    except (ValueError, TypeError, RuntimeError, OSError, MemoryError) as exc:
         print(f"suptail {command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,14 +41,14 @@ class AnisotropicBox(namedtuple("AnisotropicBox", "a1 b1 a2 b2 h1 h2")):
         return self.b2 - self.a2
 
     @property
+    def axes(self) -> tuple[tuple[float, float], ...]:
+        """(T_i, h_i) of each nondegenerate axis (T_i > 0), time axis first."""
+        return tuple((t, h) for t, h in ((self.t1, self.h1), (self.t2, self.h2)) if t > 0)
+
+    @property
     def diameter(self) -> float:
         """Diameter in d: T1^h1 + T2^h2."""
-        d = 0.0
-        if self.t1 > 0:
-            d += self.t1 ** self.h1
-        if self.t2 > 0:
-            d += self.t2 ** self.h2
-        return d
+        return sum((t ** h for t, h in self.axes), 0.0)
 
 
 def covering_upper_bound(box: AnisotropicBox, eps: float) -> float:
@@ -62,9 +62,8 @@ def covering_upper_bound(box: AnisotropicBox, eps: float) -> float:
     if not eps > 0:  # also rejects nan
         raise ValueError(f"eps must be positive, got {eps}")
     val = 1.0
-    for t_i, h_i in ((box.t1, box.h1), (box.t2, box.h2)):
-        if t_i > 0:
-            val *= 2.0 ** (1.0 / h_i) * t_i / (2.0 * eps ** (1.0 / h_i)) + 1.0
+    for t_i, h_i in box.axes:
+        val *= 2.0 ** (1.0 / h_i) * t_i / (2.0 * eps ** (1.0 / h_i)) + 1.0
     return val
 
 
@@ -131,8 +130,7 @@ def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> i
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
 
-    axes = [(box.t1, box.h1), (box.t2, box.h2)]
-    nondeg = [(t, h) for t, h in axes if t > 0]
+    nondeg = box.axes
     if not nondeg:
         return 1
     # Grid spacing must be well inside eps in the d-metric, else ball counts

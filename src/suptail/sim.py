@@ -162,10 +162,15 @@ def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float)
     m = len(times) * len(xs)
     dists, d_idx = np.unique(np.abs(np.subtract.outer(xs, xs)), return_inverse=True)
     d_idx = d_idx.reshape(len(xs), len(xs))  # flat before NumPy 2
-    # t + s and |t - s| are exactly symmetric in t and s under IEEE rounding
-    table = _v_table(
-        np.add.outer(times, times), np.abs(np.subtract.outer(times, times)), dists, hurst
-    )
+    # t + s and |t - s| are exactly symmetric in t and s under IEEE rounding.
+    # Past |x - y| ~ 1e154 the squared distance overflows and the Kummer terms
+    # give inf - inf: a table that is not finite raises instead of warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, gaps = np.add.outer(times, times), np.abs(np.subtract.outer(times, times))
+        table = _v_table(sums, gaps, dists, hurst)
+    if not np.isfinite(table).all():
+        raise ValueError(f"covariance is not finite on this grid: its largest |x - y| is "
+                         f"{float(dists[-1])!r} and its largest time {float(times.max())!r}")
     return table[:, :, d_idx].transpose(0, 2, 1, 3).reshape(m, m)
 
 
@@ -298,6 +303,8 @@ def empirical_sup_tail(
     sups = np.asarray(sups, dtype=float)
     if sups.ndim != 1 or len(sups) == 0:
         raise ValueError("sups must be a nonempty 1-D array")
+    if not np.isfinite(sups).all():
+        raise ValueError(f"sups must be finite, got {sups[~np.isfinite(sups)][0]}")
     n = len(sups)
     # replicas with sup > u are those sorted after every entry <= u
     counts = n - np.searchsorted(np.sort(sups), [float(u) for u in u_grid], side="right")

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,7 @@ import pytest
 from scipy.special import zeta
 
 import suptail
-from suptail import supbound
-from suptail import cli
+from suptail import cli, sim, supbound
 from suptail.cli import ConfigError, _u_grid, config_hash, load_config, main
 from suptail.entropy import HolderProfile
 from suptail.growth import auto_theta_bound, optimize_theta_growth
@@ -565,6 +565,35 @@ class TestSimulateVerify:
         optimized = supbound.optimize_theta(80.0, v_bound_inputs(AnisotropicBox(**BOX), SheModel(**V_MODEL)))
         assert fixed[0] > optimized[1]
 
+    def test_overflowing_distance_rejected(self, tmp_path, capsys):
+        # |x - y| = 1e300 squares past the float range, and the Kummer terms
+        # give inf - inf: the NaN covariance used to sample NaN suprema, which
+        # the tail counted above every u, so each row read bound 0.0, FAIL
+        payload = {"field": "v", "model": V_MODEL, "box": {**BOX, "b2": 1e300}, "grid": {"nt": 3, "nx": 3},
+                   "samples": 10, "u_grid": [1e100, 1e200, 1e300]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "simulate-verify", payload, "--seed", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("suptail simulate-verify: error: covariance is not finite")
+        assert "largest |x - y| is 1e+300" in err
+        assert not out.exists()
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # a grid too large for memory raises MemoryError, raised here without allocating
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(sim, "covariance_matrix", out_of_memory)
+        code, out = run(tmp_path, "simulate-verify", self.PAYLOAD, "--seed", "1")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "suptail simulate-verify: error: Unable to allocate 7.28 TiB for an array\n"
+        )
+        assert not out.exists()
+
     def test_omega_field_rejected(self, tmp_path, capsys):
         # the sampler covers V only; omega's bound comes from bound-sup
         payload = {**self.PAYLOAD, "field": "omega"}
@@ -1028,3 +1057,34 @@ def test_cli_import_loads_no_openssl_or_pathlib():
     added = set(json.loads(done.stdout))
     assert "suptail.cli" in added
     assert not {"hashlib", "_hashlib", "_blake2", "pathlib", "fnmatch", "ntpath", "urllib.parse"} & added
+
+
+# Runs in a fresh interpreter: imports suptail.cli alone, loads the tracer's
+# table of traced functions from the benchmark's tracing.py, and prints the
+# table's length and the names that do not resolve.
+_TRACER_PROBE = """
+import importlib.util, json, sys
+import suptail.cli
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+table = [(mod, attr) for mod, attr, _, _ in tracing._FUNCTIONS]
+missing = [f"{mod}.{attr}" for mod, attr in table if not hasattr(sys.modules.get("suptail." + mod), attr)]
+if not hasattr(sys.modules["suptail.heat"].SheModel, "__post_init__"):
+    missing.append("heat.SheModel.__post_init__")
+print(json.dumps([len(table), missing]))
+"""
+
+
+def test_benchmark_tracer_names_resolve():
+    # the tracer wraps suptail functions by name after `import suptail.cli`;
+    # a renamed or deleted one would break the traced benchmark runs
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACER_PROBE, str(tracing)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    count, missing = json.loads(done.stdout)
+    assert count > 0
+    assert missing == []

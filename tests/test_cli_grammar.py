@@ -29,7 +29,7 @@ def reference_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (required for verify)")
-        if name in cli._FORMATTED:
+        if cli._COMMANDS[name][2]:  # takes --format
             p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,19 @@ class TestCovarianceMatrix:
     def test_axes_validated(self, times, xs, match):
         with pytest.raises(ValueError, match=match):
             covariance_matrix(times, xs, 0.5)
+
+    @pytest.mark.parametrize(
+        "times, xs, largest",
+        [((0.1, 1.0), (0.0, 1e300), "|x - y| is 1e+300"), ((0.1, 1e308), (0.0, 1.0), "time 1e+308")],
+        ids=["distance", "time"],
+    )
+    def test_non_finite_covariance_rejected(self, times, xs, largest):
+        # the squared distance or t + s overflows, and the Kummer terms are not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="covariance is not finite") as info:
+                covariance_matrix(times, xs, 0.5)
+        assert largest in str(info.value)
 
     def test_grid_is_t_major_product(self):
         times, xs = make_grid(BOX, 3, 4)
@@ -539,6 +553,12 @@ class TestEmpiricalSupTail:
             empirical_sup_tail(np.empty(0), [1.0])
         with pytest.raises(ValueError, match="nonempty 1-D"):
             empirical_sup_tail(np.ones((3, 2)), [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_suprema(self, bad):
+        # a NaN supremum used to count as above every u
+        with pytest.raises(ValueError, match="sups must be finite"):
+            empirical_sup_tail(np.array([1.0, bad, 2.0]), [1.0])
 
     def test_monotone_nonincreasing(self):
         sups = sample_sups(small_factor(), 500, seed=9)
