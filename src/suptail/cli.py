@@ -190,32 +190,46 @@ def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return repr(float(v))  # np.float64 reprs as "np.float64(...)" under numpy 2
-    return str(v)
+    # np.float64 reprs as "np.float64(...)" under numpy 2; nan reprs as "nan"
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 # The writers make the output directory out, with its parents, so a run that
 # fails before its first write leaves none.
 
 
+def _open(out: str, name: str):
+    os.makedirs(out, exist_ok=True)
+    return open(os.path.join(out, name), "w", encoding="utf-8", newline="\n")
+
+
 def write_json(out: str, name: str, payload: dict) -> None:
     # one encode and one write: json.dump would issue a write per token
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as fh:
+    with _open(out, name) as fh:
         fh.write(text)
 
 
 def write_csv(out: str, name: str, header: list[str], rows: list[tuple], meta: dict) -> None:
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as fh:
+    with _open(out, name) as fh:
         fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_curve(out: str, stem: str, fmt: str, header: list[str], rows: list[tuple],
+                 meta: dict, **blocks) -> None:
+    """The curve rows under header: <stem>.csv, with the blocks in
+    <stem>_series.json if there are any, or one <stem>.json holding the
+    blocks and the rows as "curve"."""
+    if fmt == "csv":
+        write_csv(out, f"{stem}.csv", header, rows, meta)
+        if blocks:
+            write_json(out, f"{stem}_series.json", {**blocks, **meta})
+    else:
+        curve = [dict(zip(header, row)) for row in rows]
+        write_json(out, f"{stem}.json", {**blocks, "curve": curve, **meta})
 
 
 # --------------------------------------------------------------------------
@@ -224,25 +238,18 @@ def write_csv(out: str, name: str, header: list[str], rows: list[tuple], meta: d
 
 
 def cmd_constants(cfg: dict, out: str, meta: dict, fmt: str) -> int:
-    model = heat.SheModel(**cfg["model"])
-    payload = {
-        "constants": model.constants(),
-        "provenance": {
-            "notes": [
-                "variance_coefficient is the exact spectral time-integral "
-                "Gamma(1-H) 2^(H-1) / H, so the variance identity holds",
-                "time_increment_coefficient is Gamma(1-H) (2 - 2^H) / (2H)",
-                "tail bounds use the subtracted entropy term in the exponent "
-                "argument and are clamped to [0, 1]",
-            ],
-        },
-        **meta,
-    }
+    constants = heat.SheModel(**cfg["model"]).constants()
     if fmt == "csv":
-        rows = [(k, v) for k, v in sorted(model.constants().items())]
-        write_csv(out, "constants.csv", ["name", "value"], rows, meta)
-    else:
-        write_json(out, "constants.json", payload)
+        write_csv(out, "constants.csv", ["name", "value"], sorted(constants.items()), meta)
+        return 0
+    notes = [
+        "variance_coefficient is the exact spectral time-integral "
+        "Gamma(1-H) 2^(H-1) / H, so the variance identity holds",
+        "time_increment_coefficient is Gamma(1-H) (2 - 2^H) / (2H)",
+        "tail bounds use the subtracted entropy term in the exponent "
+        "argument and are clamped to [0, 1]",
+    ]
+    write_json(out, "constants.json", {"constants": constants, "provenance": {"notes": notes}, **meta})
     return 0
 
 
@@ -260,10 +267,11 @@ def _bound_inputs(cfg: dict) -> supbound.TailBound:
     return (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(box, model)
 
 
-def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound) -> list[tuple]:
-    """Rows (u, theta, bound, validity): the optimized bound, or the bound at
-    a fixed theta, which must lie in (0, cap).  A row with no asserted bound
-    is INVALID, with nan bound, and nan theta unless theta is fixed."""
+def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound, optimize) -> list[tuple]:
+    """Rows (u, theta, bound, validity): the bound at optimize(u, bound), which
+    gives (theta*, its bound), or at a fixed theta, which must lie in (0, cap).
+    A row with no asserted bound is INVALID, with nan bound, and nan theta
+    unless theta is fixed."""
     fixed = None if theta_cfg in (None, "optimize") else float(theta_cfg)
     if fixed is not None and not 0.0 < fixed < bound.cap:
         raise ConfigError(
@@ -272,7 +280,7 @@ def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound) -> list[
     rows = []
     for u in us:
         if fixed is None:
-            theta, value = supbound.optimize_theta(u, bound)
+            theta, value = optimize(u, bound)
         else:
             theta, value = fixed, supbound.sup_tail_bound(u, fixed, bound)
         if math.isnan(value):
@@ -284,16 +292,8 @@ def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound) -> list[
 
 def cmd_bound_sup(cfg: dict, out: str, meta: dict, fmt: str) -> int:
     bound = _bound_inputs(cfg)
-    us = _u_grid(cfg, bound)
-    rows = _bound_curve(us, cfg.get("theta"), bound)
-    header = ["u", "theta", "bound", "validity"]
-    if fmt == "csv":
-        write_csv(out, "bound_sup.csv", header, rows, meta)
-    else:
-        write_json(
-            out, "bound_sup.json",
-            {"curve": [dict(zip(header, row)) for row in rows], **meta},
-        )
+    rows = _bound_curve(_u_grid(cfg, bound), cfg.get("theta"), bound, supbound.optimize_theta)
+    _write_curve(out, "bound_sup", fmt, ["u", "theta", "bound", "validity"], rows, meta)
     return 0
 
 
@@ -302,34 +302,20 @@ def cmd_bound_growth(cfg: dict, out: str, meta: dict, fmt: str) -> int:
     bound, c_tilde, s_tilde = heat.she_growth_envelope(
         model, cfg.get("p", 2.0), cfg.get("halfwidth", 1.0)
     )
-    rows = []
+    curve = _bound_curve(cfg["u_grid"], None, bound, growth.optimize_theta_growth)
     # validity follows the optimized bound, which exists wherever the envelope does
-    for u in cfg["u_grid"]:
-        env = growth.auto_theta_bound(u, bound)
-        theta, opt = growth.optimize_theta_growth(u, bound)
-        if math.isnan(opt):
-            rows.append((u, env, opt, math.nan, "INVALID"))
-        else:
-            rows.append((u, env, opt, theta, "VALID"))
-    header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
-    payload = {
-        "series": {
-            "c_tilde": c_tilde.value,
-            "c_tilde_remainder": c_tilde.remainder,
-            "c_tilde_terms": c_tilde.n_terms,
-            "s_tilde": s_tilde.value,
-            "s_tilde_remainder": s_tilde.remainder,
-            "s_tilde_terms": s_tilde.n_terms,
-            "theta_cap": bound.cap,
-        },
-        "curve": [dict(zip(header, r)) for r in rows],
-        **meta,
+    rows = [(u, growth.auto_theta_bound(u, bound), value, theta, ok) for u, theta, value, ok in curve]
+    series = {
+        "c_tilde": c_tilde.value,
+        "c_tilde_remainder": c_tilde.remainder,
+        "c_tilde_terms": c_tilde.n_terms,
+        "s_tilde": s_tilde.value,
+        "s_tilde_remainder": s_tilde.remainder,
+        "s_tilde_terms": s_tilde.n_terms,
+        "theta_cap": bound.cap,
     }
-    if fmt == "csv":
-        write_csv(out, "bound_growth.csv", header, rows, meta)
-        write_json(out, "bound_growth_series.json", {"series": payload["series"], **meta})
-    else:
-        write_json(out, "bound_growth.json", payload)
+    header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
+    _write_curve(out, "bound_growth", fmt, header, rows, meta, series=series)
     return 0
 
 
@@ -356,6 +342,8 @@ def cmd_simulate_verify(cfg: dict, out: str, meta: dict) -> int:
     seed = meta["seed"]
     if seed is None:
         raise ConfigError("simulate-verify requires an explicit --seed")
+    if seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, got {seed}")
     model = heat.SheModel(**cfg["model"])
     box = AnisotropicBox(**cfg["box"])
     grid = cfg.get("grid", {})
@@ -365,7 +353,7 @@ def cmd_simulate_verify(cfg: dict, out: str, meta: dict) -> int:
     bound = heat.v_bound_inputs(box, model)
     us = _u_grid(cfg, bound)
     # the bound column first: a bad theta fails before any sampling
-    bounds = tuple(row[2] for row in _bound_curve(us, cfg.get("theta"), bound))
+    bounds = tuple(row[2] for row in _bound_curve(us, cfg.get("theta"), bound, supbound.optimize_theta))
 
     cov = sim.covariance_matrix(*sim.make_grid(box, nt, nx), model.hurst)
     chol = sim.factor_covariance(cov)

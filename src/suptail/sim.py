@@ -38,9 +38,9 @@ Cholesky factor: V is 0 at t = 0, so those rows of the covariance are zero
 and stay zero in it, and a box axis with b == a is one grid point, since
 repeated points would make the matrix singular.  One runner draws block b
 of SAMPLE_BLOCK replicas from the stream (seed, b) and hands it to a
-consumer, serially or on threads, which agree to the byte.  The
+consumer, serially or on w threads, which agree to the byte.  The
 consumer of sample_sups keeps the block's grid suprema, so m points and n
-replicas take O(m^2 + m SAMPLE_BLOCK + n) memory; that of sample_fields
+replicas take O(m^2 + w m SAMPLE_BLOCK + n) memory; that of sample_fields
 keeps the whole (n, m) array.  The empirical tail sorts the suprema once and
 counts each u by binary search, and ``verdicts`` marks each u PASS, FAIL or
 INVALID against the bound column.
@@ -49,6 +49,7 @@ INVALID against the bound column.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 
 from .heat import noise_constant
@@ -215,7 +216,8 @@ def _each_block(chol: np.ndarray, n: int, seed: int, workers: int, shape: tuple,
     Block b holds replicas [lo, hi) = [b*SAMPLE_BLOCK, min((b+1)*SAMPLE_BLOCK, n)),
     and z their normals, one standard_normal draw from the stream (seed, b).
     n and seed are checked before the array is allocated.  The blocks run
-    serially or on up to workers threads.
+    serially or on up to min(workers, os.cpu_count()) threads, since the
+    pool starts a thread per block submitted while its threads are busy.
     """
     import numpy as np
 
@@ -236,7 +238,7 @@ def _each_block(chol: np.ndarray, n: int, seed: int, workers: int, shape: tuple,
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             list(pool.map(run, blocks))
     return out
 
@@ -263,7 +265,7 @@ def sample_sups(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.nda
 
     The replicas are those of ``sample_fields`` with the same arguments, and
     each block is reduced to its suprema as soon as it is drawn, so memory is
-    O(m^2 + m * SAMPLE_BLOCK + n) instead of O(m * n).
+    O(m^2 + threads * m * SAMPLE_BLOCK + n) instead of O(m * n).
     """
     import numpy as np
 

@@ -447,6 +447,24 @@ class TestBoundGrowth:
         series = json.loads((out / "bound_growth.json").read_text())["series"]
         assert series["s_tilde_remainder"] <= 1e-6
 
+    def test_csv_matches_json(self, tmp_path):
+        # an INVALID row too: its nan bound and theta print as "nan"
+        payload = {"model": V_MODEL, "p": 1.05, "halfwidth": 0.716, "u_grid": [100.0, 12100.0, 20000.0]}
+        cfg, json_dir, csv_dir = write_config(tmp_path, payload), tmp_path / "json", tmp_path / "csv"
+        assert main(["bound-growth", "--config", cfg, "--out", str(json_dir), "--seed", "5"]) == 0
+        assert main(["bound-growth", "--config", cfg, "--out", str(csv_dir), "--seed", "5",
+                     "--format", "csv"]) == 0
+        data = json.loads((json_dir / "bound_growth.json").read_text())
+        assert sorted(os.listdir(csv_dir)) == ["bound_growth.csv", "bound_growth_series.json"]
+        lines = (csv_dir / "bound_growth.csv").read_text().splitlines()
+        header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
+        assert lines[0] == f"# config_hash={data['config_hash']} seed=5"
+        assert lines[1] == ",".join(header)
+        assert lines[2:] == [",".join(cli._fmt(row[k]) for k in header) for row in data["curve"]]
+        assert "nan" in lines[2]
+        series = json.loads((csv_dir / "bound_growth_series.json").read_text())
+        assert series == {"series": data["series"], "config_hash": data["config_hash"], "seed": 5}
+
     def test_divergent_config_errors(self, tmp_path):
         payload = {"model": V_MODEL, "p": 0.9, "halfwidth": 1.0, "u_grid": [10.0]}
         code, _ = run(tmp_path, "bound-growth", payload)
@@ -501,6 +519,13 @@ class TestSimulateVerify:
     def test_seed_required(self, tmp_path):
         code, _ = run(tmp_path, "simulate-verify", self.PAYLOAD)
         assert code == 1
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "simulate-verify", self.PAYLOAD, "--seed", "-3")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "suptail simulate-verify: error: --seed must be an integer >= 0, got -3\n"
+        assert not out.exists()
 
     def test_zero_samples_rejected(self, tmp_path):
         payload = {**self.PAYLOAD, "samples": 0}

@@ -491,7 +491,7 @@ class TestSampleFields:
         assert np.array_equal(sups, sups_of(fields))
 
     def test_threaded_sups_under_short_switch_interval(self):
-        # ten blocks on more threads than cores, switching threads often
+        # ten blocks on a thread per core, switching threads often
         chol = small_factor()
         want = sample_sups(chol, 10 * sim.SAMPLE_BLOCK, seed=22)
         interval = sys.getswitchinterval()
@@ -501,6 +501,35 @@ class TestSampleFields:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cpus, threads", [(2, 2), (64, 64), (None, 1)])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, threads):
+        # the pool starts a thread, each holding a block, per block submitted
+        # while its threads are busy; an inline pool records its size and
+        # starts no thread
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        chol, n = small_factor(), 3 * sim.SAMPLE_BLOCK
+        got = sample_sups(chol, n, seed=22, workers=100_000)
+        assert sizes == [threads]
+        assert np.array_equal(got, sample_sups(chol, n, seed=22))
 
     def test_sups_and_tail_memory(self):
         # one (m, n) array of the README config alone takes 92 MB
