@@ -167,7 +167,7 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
         for name in ("init_sup", "det_const"):
             value = getattr(self, name)
             if not value > 0:  # also rejects nan
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive, got {value!r}")
             if value == math.inf:
                 raise ValueError(f"{name} must be finite, got {value}")
 
@@ -195,15 +195,22 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
 def omega_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
     """Bounded-domain bound for the smoothed-initial-condition field omega.
 
-    eps0 = c_0 c_phi, modulus sigma(h) = c_omega c_phi h over the metric with
-    exponents (rho/2, rho); the box's own exponents are replaced.
+    eps0 = c_0 c_phi, modulus sigma(h) = c_omega c_phi h over ``_heat_box``'s
+    metric with exponents (rho/2, rho); the box's own exponents are replaced.
     """
     return supbound.field_bound(
         model.init_sup * model.det_const,
-        AnisotropicBox(box.a1, box.b1, box.a2, box.b2, model.rho / 2.0, model.rho),
+        _heat_box(box, model.rho),
         HolderProfile(model.c_omega * model.det_const, 1.0),
         model.fam,
     )
+
+
+def _heat_box(box: AnisotropicBox, exponent: float) -> AnisotropicBox:
+    """The box with exponents (exponent/2, exponent); both heat fields live at t >= 0."""
+    if box.a1 < 0:
+        raise ValueError("time axis of the box must be nonnegative")
+    return AnisotropicBox(box.a1, box.b1, box.a2, box.b2, exponent / 2.0, exponent)
 
 
 def _v_metric(
@@ -211,10 +218,7 @@ def _v_metric(
 ) -> tuple[AnisotropicBox, HolderProfile, PhiFamily]:
     """The box with V's metric exponents (H/2, H), its modulus sigma(h) = c_V h
     and the Gaussian family."""
-    if box.a1 < 0:
-        raise ValueError("time axis of the box must be nonnegative")
-    mapped = AnisotropicBox(box.a1, box.b1, box.a2, box.b2, model.hurst / 2.0, model.hurst)
-    return mapped, HolderProfile(model.c_v, 1.0), PhiFamily(2.0)
+    return _heat_box(box, model.hurst), HolderProfile(model.c_v, 1.0), PhiFamily(2.0)
 
 
 def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
@@ -257,6 +261,9 @@ def she_growth_envelope(
         raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")
     if not halfwidth > 0:  # also rejects nan
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    for name, value in (("p", p), ("halfwidth", halfwidth)):
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
     box, prof, fam = _v_metric(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth), model)
     # exp(H/2), not v_bound_inputs' math.e ** (H/2), which can differ in the last bit
     eps0 = model.a_h * math.exp(model.hurst / 2.0)

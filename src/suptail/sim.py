@@ -180,16 +180,14 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
 
     A PSD matrix is zero in every row and column whose variance is 0, as
     those of V at t = 0 are.  Such rows stay zero in L, and Cholesky factors
-    the block of positive variances.  Raises FactorizationError if a
-    variance is negative, a zero-variance row is not all zero, or the
-    Cholesky of that block fails.
+    the block of positive variances, which is all of cov when no variance
+    is 0.  Raises FactorizationError if a variance is negative, a
+    zero-variance row is not all zero, or the Cholesky of that block fails.
     """
     import numpy as np
 
     var = cov.diagonal()
     try:
-        if var.min() > 0.0:
-            return np.linalg.cholesky(cov)
         pos = var > 0.0
         if var.min() < 0.0 or np.any(cov[~pos]):
             raise FactorizationError(

@@ -550,15 +550,20 @@ class TestSimulateVerify:
             load_config(write_config(tmp_path, payload), "simulate-verify")
 
     def test_worker_count_byte_identical(self, tmp_path):
-        # three sampling blocks, and u values the sampled suprema reach
+        # three sampling blocks, and u values the sampled suprema reach; on
+        # BOX, on a singular covariance (a1 = 0: the t = 0 rows are zero) and
+        # on a degenerate time axis (a1 = b1: one time point)
         payload = {k: v for k, v in self.PAYLOAD.items() if k != "u_auto"}
         payload.update(samples=1300, u_grid=[0.5, 1.0, 1.5, 2.0])
-        cfg1 = write_config(tmp_path, {**payload, "workers": 1}, "c1.json")
-        cfg3 = write_config(tmp_path, {**payload, "workers": 3}, "c3.json")
-        out1, out3 = tmp_path / "w1", tmp_path / "w3"
-        assert main(["simulate-verify", "--config", cfg1, "--out", str(out1), "--seed", "7"]) == 0
-        assert main(["simulate-verify", "--config", cfg3, "--out", str(out3), "--seed", "7"]) == 0
-        assert (out1 / "verify_curve.csv").read_bytes() == (out3 / "verify_curve.csv").read_bytes()
+        for name, box in [("box", BOX), ("singular", {**BOX, "a1": 0.0}),
+                          ("degenerate", {**BOX, "a1": 0.5, "b1": 0.5})]:
+            outs = []
+            for workers in (1, 3):
+                cfg = write_config(tmp_path, {**payload, "box": box, "workers": workers}, f"{name}{workers}.json")
+                outs.append(tmp_path / f"{name}{workers}")
+                assert main(["simulate-verify", "--config", cfg, "--out", str(outs[-1]), "--seed", "7"]) == 0
+            for output in ("verify_curve.csv", "verify_report.json"):
+                assert (outs[0] / output).read_bytes() == (outs[1] / output).read_bytes(), (name, output)
 
     def test_degenerate_time_axis_is_one_point(self, tmp_path):
         # a1 = b1: six repeated times would make the covariance exactly singular
@@ -625,7 +630,7 @@ class TestSimulateVerify:
         code, out = run(tmp_path, "simulate-verify", payload, "--seed", "1")
         assert code == 1
         assert "'omega'" in capsys.readouterr().err
-        assert not (out / "verify_report.json").exists()
+        assert not out.exists()
 
 
 class TestUAutoValidation:
@@ -697,6 +702,7 @@ class TestHugeU:
         code, out = run(tmp_path, "bound-sup", payload)
         assert code == 0
         rows = json.loads((out / "bound_sup.json").read_text())["curve"]
+        assert rows[0]["validity"] == "VALID"  # u = 80 lies above the threshold 70.6
         assert [(r["bound"], r["validity"]) for r in rows[1:]] == [(0.0, "VALID")] * 4
 
     def test_bound_sup_u_auto(self, tmp_path):
@@ -730,6 +736,7 @@ class TestScalarValues:
     # these configs exited 0 (or failed with an unrelated message)
     GENERIC = {"field": "generic", "box": BOX, "u_grid": [80.0], "fam": 2.0, "eps0": 1.0,
                "profile": {"scale": 1.0, "exponent": 0.5}}
+    NEGATIVE_TIME_BOX = {**BOX, "a1": -2.0, "b1": -1.0}
     CASES = {
         "halfwidth-nan": ("bound-growth", {"model": V_MODEL, "halfwidth": math.nan, "u_grid": [900.0]},
                           "'halfwidth' must be finite, got nan"),
@@ -780,6 +787,23 @@ class TestScalarValues:
                                      "u_grid": [30.0]}, "box 'a1' must be finite, got nan"),
         "covering-b2-nan": ("covering", {"box": {**BOX, "b2": math.nan}, "eps": 0.5},
                             "box 'b2' must be finite, got nan"),
+        # a box key or model key that the command does not read, alone
+        "sup-h1-unknown": ("bound-sup", {"field": "v", "model": MODEL, "box": {**BOX, "h1": 0.5},
+                                         "u_grid": [80.0]},
+                           "unknown keys ['h1'] in box; allowed: ['a1', 'a2', 'b1', 'b2']"),
+        "growth-alpha-unknown": ("bound-growth", {"model": {**V_MODEL, "alpha": 1.5}, "u_grid": [900.0]},
+                                 "unknown keys ['alpha'] in model; allowed: ['hurst']"),
+        # both heat fields live at t >= 0: this omega box wrote a VALID bound
+        # of 1.76e-302 at u = 100
+        "sup-v-negative-time": ("bound-sup", {"field": "v", "model": MODEL, "box": NEGATIVE_TIME_BOX,
+                                              "u_grid": [30.0, 100.0]},
+                                "time axis of the box must be nonnegative"),
+        "sup-omega-negative-time": ("bound-sup", {"field": "omega", "model": MODEL, "box": NEGATIVE_TIME_BOX,
+                                                  "u_grid": [30.0, 100.0]},
+                                    "time axis of the box must be nonnegative"),
+        "verify-negative-time": ("simulate-verify", {"model": V_MODEL, "box": NEGATIVE_TIME_BOX, "samples": 10,
+                                                     "grid": {"nt": 3, "nx": 3}, "u_grid": [30.0, 100.0]},
+                                 "time axis of the box must be nonnegative"),
         "sup-a1-bool": ("bound-sup", {"field": "v", "model": MODEL, "box": {**BOX, "a1": True},
                                       "u_grid": [80.0]}, "box 'a1' must be a number, got True"),
         # a list field failed with "unhashable type: 'list'"
@@ -975,13 +999,15 @@ class TestUGridUAutoExclusive:
 
 # Runs in a fresh interpreter: imports suptail, then suptail.cli, then runs
 # each command through cli.main, and prints after each step which of NumPy,
-# SciPy, concurrent.futures and OpenSSL's _hashlib are loaded; then, on a
-# second line, the modules that the two imports added to sys.modules.
+# SciPy, scipy.integrate, concurrent.futures and OpenSSL's _hashlib are
+# loaded; then, on a second line, the modules that the two imports added to
+# sys.modules.
 _IMPORT_PROBE = """
 import json, sys
 
 def heavy_modules():
-    return [m for m in ("numpy", "scipy", "concurrent.futures", "_hashlib") if m in sys.modules]
+    return [m for m in ("numpy", "scipy", "scipy.integrate", "concurrent.futures", "_hashlib")
+            if m in sys.modules]
 
 preloaded = set(sys.modules)
 import suptail
@@ -1015,7 +1041,7 @@ def test_analytic_commands_load_no_scipy(tmp_path):
     # constants and bound-sup evaluate closed forms in `math` and load
     # neither, nor OpenSSL; bound-growth (Li_p) and covering load NumPy at
     # their first call; only simulate-verify needs SciPy (scipy.special, at
-    # first use).
+    # first use), and no command loads scipy.integrate.
     generic = {
         "field": "generic",
         "fam": 2.0,
@@ -1036,6 +1062,7 @@ def test_analytic_commands_load_no_scipy(tmp_path):
     runs = closed_form + [
         ["bound-growth", {"model": V_MODEL, "p": 1.5, "u_grid": [900.0, 1500.0]}, []],
         ["covering", {"box": generic["box"], "eps": 0.5, "resolution": 41}, []],
+        ["simulate-verify", {**TestSimulateVerify.PAYLOAD, "samples": 100}, ["--seed", "1"]],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
     done = subprocess.run(
@@ -1058,6 +1085,8 @@ def test_analytic_commands_load_no_scipy(tmp_path):
     assert [[cmd, code, [m for m in mods if m != "_hashlib"]] for cmd, code, mods in numpy_runs] == [
         ["bound-growth", 0, ["numpy"]],
         ["covering", 0, ["numpy"]],
+        # scipy.special loads concurrent.futures itself
+        ["simulate-verify", 0, ["numpy", "scipy", "concurrent.futures"]],
     ]
 
 

@@ -101,7 +101,7 @@ class TestNonFiniteInputsRejected:
 
     @pytest.mark.parametrize("name", ["init_sup", "det_const"])
     def test_nan_model_constant(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
+        with pytest.raises(ValueError, match=f"{name} must be positive, got nan"):
             SheModel(hurst=0.5, **{name: NAN})
 
     @pytest.mark.parametrize("name", ["init_sup", "det_const"])
@@ -158,16 +158,21 @@ class TestNonFiniteInputsRejected:
              "eps must be positive, got nan"),
             (lambda: entropy_integral_closed(1.0, NAN, HolderProfile(1.0, 1.0), PhiFamily(2.0)),
              "c1 must be positive, got nan"),
+            (lambda: she_growth_envelope(SheModel(hurst=0.5), INF), "p must be finite, got inf"),
+            (lambda: she_growth_envelope(SheModel(hurst=0.5), 1.5, halfwidth=INF),
+             "halfwidth must be finite, got inf"),
         ],
         ids=["covariance_matrix-time", "v_covariance-t", "v_covariance-s", "v_covariance-x",
              "v_covariance-inf-t", "covariance_matrix-inf-time", "covariance_matrix-x",
-             "covariance_matrix-inf-x", "entropy_integral_closed-eps", "entropy_integral_closed-c1"],
+             "covariance_matrix-inf-x", "entropy_integral_closed-eps", "entropy_integral_closed-c1",
+             "she_growth_envelope-inf-p", "she_growth_envelope-inf-halfwidth"],
     )
     def test_nan_time_or_entropy_input(self, call, message):
         # a nan time was read as t = 0 (covariance 0), and the entropy
         # integral returned nan; a nan space point or an infinite time or
         # space point gave a nan covariance, which factor_covariance then
-        # rejected as not PSD
+        # rejected as not PSD; an infinite p warned in Li_p and failed on
+        # theta = nan, and an infinite halfwidth blamed the box endpoints
         with pytest.raises(ValueError, match=message):
             call()
 
@@ -182,3 +187,8 @@ class TestNonFiniteInputsRejected:
             AnisotropicBox(NAN, 1.0, 0.0, 1.0, h1=2.0)
         with pytest.raises(ValueError, match="holder_const must be positive, got -1.0"):
             SheModel(hurst=0.5, holder_const=-1.0)
+        # init_sup and det_const once said "must be positive" without the value
+        with pytest.raises(ValueError, match="init_sup must be positive, got -1.0"):
+            SheModel(hurst=0.5, init_sup=-1.0)
+        with pytest.raises(ValueError, match="det_const must be positive, got 0.0"):
+            SheModel(hurst=0.5, det_const=0.0)
