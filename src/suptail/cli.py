@@ -3,7 +3,8 @@
 One JSON config per run, read through the schema that the command table
 holds for its command, one schema per field for the commands that take a
 "field": unknown keys are rejected and every value is read (numbers checked
-finite, sizes checked integral) before any computation.
+finite, sizes checked integral) before any computation.  Every bound curve
+is at the closed-form theta*, in JSON; simulate-verify also writes a CSV.
 Outputs are byte-stable for a fixed config and seed, carry the config hash,
 and use LF line endings with '.' decimals in CSV.
 """
@@ -83,14 +84,6 @@ def _span(value, name: str) -> float:
     return float(value)
 
 
-def _theta(value, name: str):
-    """value itself: "optimize", or a finite number that ``_bound_curve``
-    checks against the cap of the bound, quoting it as written."""
-    if value not in (None, "optimize"):
-        _number(value, name)
-    return value
-
-
 # A schema is (readers, required keys).  Each allowed key maps to the reader
 # of its value, to the schema of its block, or to None for "field", which
 # load_config has already checked.  A value type's block allows its fields.
@@ -103,8 +96,7 @@ _BOX = (dict.fromkeys(AnisotropicBox._fields, _number), set(_ENDS))
 _HEAT_BOX = (dict.fromkeys(_ENDS, _number), set(_ENDS))
 _PROFILE = (dict.fromkeys(HolderProfile._fields, _number), set(HolderProfile._fields))
 # the keys shared by the two commands that draw a bound curve over a box
-_CURVE = {"field": None, "u_grid": _listed_u, "theta": _theta,
-          "u_auto": ({"count": _positive_int, "max": _span}, set())}
+_CURVE = {"field": None, "u_grid": _listed_u, "u_auto": ({"count": _positive_int, "max": _span}, set())}
 _HEAT_CURVE = ({**_CURVE, "box": _HEAT_BOX, "model": _MODEL}, {"box", "model"})
 
 
@@ -136,13 +128,14 @@ def load_config(path: str, command: str) -> tuple[dict, str]:
     schema, where = _COMMANDS[command][1], f"config for {command}"
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    if "u_grid" in raw and "u_auto" in raw:
-        raise ConfigError("'u_grid' and 'u_auto' are exclusive; give one of them")
     if isinstance(schema, dict):  # one schema per field, "v" where none is given
         field = raw.get("field", "v")
         if type(field) is not str or field not in schema:
             raise ConfigError(f"'field' must be one of {sorted(schema)}, got {field!r}")
         schema, where = schema[field], f"{where} with field {field!r}"
+    # where u_auto is unknown, _read names it
+    if "u_auto" in schema[0] and "u_grid" in raw and "u_auto" in raw:
+        raise ConfigError("'u_grid' and 'u_auto' are exclusive; give one of them")
     return _read(raw, schema, where), config_hash(raw)
 
 
@@ -218,18 +211,10 @@ def write_csv(out: str, name: str, header: list[str], rows: list[tuple], meta: d
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_curve(out: str, stem: str, fmt: str, header: list[str], rows: list[tuple],
-                 meta: dict, **blocks) -> None:
-    """The curve rows under header: <stem>.csv, with the blocks in
-    <stem>_series.json if there are any, or one <stem>.json holding the
-    blocks and the rows as "curve"."""
-    if fmt == "csv":
-        write_csv(out, f"{stem}.csv", header, rows, meta)
-        if blocks:
-            write_json(out, f"{stem}_series.json", {**blocks, **meta})
-    else:
-        curve = [dict(zip(header, row)) for row in rows]
-        write_json(out, f"{stem}.json", {**blocks, "curve": curve, **meta})
+def _write_curve(out: str, stem: str, header: list[str], rows: list[tuple], meta: dict, **blocks) -> None:
+    """<stem>.json: the blocks, and the rows under header as "curve"."""
+    curve = [dict(zip(header, row)) for row in rows]
+    write_json(out, f"{stem}.json", {**blocks, "curve": curve, **meta})
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +222,8 @@ def _write_curve(out: str, stem: str, fmt: str, header: list[str], rows: list[tu
 # --------------------------------------------------------------------------
 
 
-def cmd_constants(cfg: dict, out: str, meta: dict, fmt: str) -> int:
+def cmd_constants(cfg: dict, out: str, meta: dict) -> int:
     constants = heat.SheModel(**cfg["model"]).constants()
-    if fmt == "csv":
-        write_csv(out, "constants.csv", ["name", "value"], sorted(constants.items()), meta)
-        return 0
     notes = [
         "variance_coefficient is the exact spectral time-integral "
         "Gamma(1-H) 2^(H-1) / H, so the variance identity holds",
@@ -267,42 +249,28 @@ def _bound_inputs(cfg: dict) -> supbound.TailBound:
     return (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(box, model)
 
 
-def _bound_curve(us: list[float], theta_cfg, bound: supbound.TailBound, optimize) -> list[tuple]:
-    """Rows (u, theta, bound, validity): the bound at optimize(u, bound), which
-    gives (theta*, its bound), or at a fixed theta, which must lie in (0, cap).
-    A row with no asserted bound is INVALID, with nan bound, and nan theta
-    unless theta is fixed."""
-    fixed = None if theta_cfg in (None, "optimize") else float(theta_cfg)
-    if fixed is not None and not 0.0 < fixed < bound.cap:
-        raise ConfigError(
-            f"'theta' must lie in (0, {bound.cap}), the cap of this bound, got {theta_cfg!r}"
-        )
+def _bound_curve(us: list[float], bound: supbound.TailBound, optimize) -> list[tuple]:
+    """Rows (u, theta*, bound, validity), with (theta*, its bound) from
+    optimize(u, bound).  A row with no asserted bound is INVALID, with nan
+    theta and bound."""
     rows = []
     for u in us:
-        if fixed is None:
-            theta, value = optimize(u, bound)
-        else:
-            theta, value = fixed, supbound.sup_tail_bound(u, fixed, bound)
-        if math.isnan(value):
-            rows.append((u, math.nan if fixed is None else fixed, value, "INVALID"))
-        else:
-            rows.append((u, theta, value, "VALID"))
+        theta, value = optimize(u, bound)
+        rows.append((u, math.nan, value, "INVALID") if math.isnan(value) else (u, theta, value, "VALID"))
     return rows
 
 
-def cmd_bound_sup(cfg: dict, out: str, meta: dict, fmt: str) -> int:
+def cmd_bound_sup(cfg: dict, out: str, meta: dict) -> int:
     bound = _bound_inputs(cfg)
-    rows = _bound_curve(_u_grid(cfg, bound), cfg.get("theta"), bound, supbound.optimize_theta)
-    _write_curve(out, "bound_sup", fmt, ["u", "theta", "bound", "validity"], rows, meta)
+    rows = _bound_curve(_u_grid(cfg, bound), bound, supbound.optimize_theta)
+    _write_curve(out, "bound_sup", ["u", "theta", "bound", "validity"], rows, meta)
     return 0
 
 
-def cmd_bound_growth(cfg: dict, out: str, meta: dict, fmt: str) -> int:
+def cmd_bound_growth(cfg: dict, out: str, meta: dict) -> int:
     model = heat.SheModel(**cfg["model"])
-    bound, c_tilde, s_tilde = heat.she_growth_envelope(
-        model, cfg.get("p", 2.0), cfg.get("halfwidth", 1.0)
-    )
-    curve = _bound_curve(cfg["u_grid"], None, bound, growth.optimize_theta_growth)
+    bound, c_tilde, s_tilde = heat.she_growth_envelope(model, cfg.get("p", 2.0), cfg.get("halfwidth", 1.0))
+    curve = _bound_curve(cfg["u_grid"], bound, growth.optimize_theta_growth)
     # validity follows the optimized bound, which exists wherever the envelope does
     rows = [(u, growth.auto_theta_bound(u, bound), value, theta, ok) for u, theta, value, ok in curve]
     series = {
@@ -315,7 +283,7 @@ def cmd_bound_growth(cfg: dict, out: str, meta: dict, fmt: str) -> int:
         "theta_cap": bound.cap,
     }
     header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
-    _write_curve(out, "bound_growth", fmt, header, rows, meta, series=series)
+    _write_curve(out, "bound_growth", header, rows, meta, series=series)
     return 0
 
 
@@ -352,8 +320,7 @@ def cmd_simulate_verify(cfg: dict, out: str, meta: dict) -> int:
 
     bound = heat.v_bound_inputs(box, model)
     us = _u_grid(cfg, bound)
-    # the bound column first: a bad theta fails before any sampling
-    bounds = tuple(row[2] for row in _bound_curve(us, cfg.get("theta"), bound, supbound.optimize_theta))
+    bounds = tuple(row[2] for row in _bound_curve(us, bound, supbound.optimize_theta))
 
     cov = sim.covariance_matrix(*sim.make_grid(box, nt, nx), model.hurst)
     chol = sim.factor_covariance(cov)
@@ -380,43 +347,41 @@ def cmd_simulate_verify(cfg: dict, out: str, meta: dict) -> int:
     return 0 if n_fail == 0 else 2
 
 
-# Each command: (its function, its config schema, whether it takes --format;
-# the others write fixed file types).  bound-sup and simulate-verify map each
-# "field" to its schema.
+# Each command: (its function, its config schema).  bound-sup and
+# simulate-verify map each "field" to its schema.
 _COMMANDS = {
-    "constants": (cmd_constants, ({"model": _MODEL}, {"model"}), True),
+    "constants": (cmd_constants, ({"model": _MODEL}, {"model"})),
     "bound-sup": (cmd_bound_sup, {
         "v": _HEAT_CURVE,
         "omega": _HEAT_CURVE,
         "generic": ({**_CURVE, "box": _BOX, "fam": _number, "eps0": _number, "profile": _PROFILE},
                     {"box", "fam", "eps0", "profile"}),
-    }, True),
+    }),
     "bound-growth": (cmd_bound_growth, ({"model": _V_MODEL, "p": _number, "halfwidth": _number,
-                                         "u_grid": _listed_u}, {"model", "u_grid"}), True),
+                                         "u_grid": _listed_u}, {"model", "u_grid"})),
     "covering": (cmd_covering, ({"box": _BOX, "eps": _number, "resolution": _positive_int},
-                                {"box", "eps"}), False),
+                                {"box", "eps"})),
     "simulate-verify": (cmd_simulate_verify, {
         "v": ({**_CURVE, "box": _HEAT_BOX, "model": _V_MODEL, "samples": _positive_int,
                "grid": ({"nt": _positive_int, "nx": _positive_int}, set()),
                "workers": _positive_int}, {"model", "box", "samples"}),
-    }, False),
+    }),
 }
 
 
-# The options of the commands: name -> (reader of the value, default, help).
-# --config is required, and --format is taken only by the commands that read it.
+# The options of every command: name -> (reader of the value, default, help).
+# --config is required.
 _OPTIONS = {
     "--config": (str, None, "path to the JSON config"),
     "--out": (str, ".", "output directory"),
     "--seed": (int, None, "integer RNG seed (simulate-verify requires one)"),
-    "--format": ({"json": "json", "csv": "csv"}.__getitem__, "json", "json or csv"),
 }
 
 
-def _exit(command: str | None, names: list[str], error: str | None = None):
+def _exit(command: str | None, error: str | None = None):
     """Exit 2 with the usage line and the error on stderr, or 0 with the help
-    on stdout, of command with its options names, or of suptail if None."""
-    prog = f"suptail {command}" if command else "suptail"
+    on stdout, of command, which takes every option, or of suptail if None."""
+    prog, names = (f"suptail {command}", list(_OPTIONS)) if command else ("suptail", [])
     spec = [f"{n} {n[2:].upper()}" if n == "--config" else f"[{n} {n[2:].upper()}]" for n in names]
     usage = " ".join(["usage:", prog, "[-h]", *(spec or ["{%s} ..." % ",".join(_COMMANDS)])])
     if error is not None:
@@ -427,9 +392,9 @@ def _exit(command: str | None, names: list[str], error: str | None = None):
     sys.exit(0)
 
 
-def _token(token: str, names: list[str]) -> tuple | None:
-    """None if token is a value, else (the option of names or --help that it
-    names by a unique prefix, or None, and its "=" value or None).  A token
+def _token(token: str, command: str | None) -> tuple | None:
+    """None if token is a value, else (the option of command, or --help, that
+    it names by a unique prefix, or None, and its "=" value or None).  A token
     that starts with "-" is a value if it is "-", a negative number or holds
     a space."""
     if not token.startswith("-") or token == "-":
@@ -437,35 +402,37 @@ def _token(token: str, names: list[str]) -> tuple | None:
     if token.startswith("-h"):
         return "--help", token[2:] or None
     head, eq, value = token.partition("=")
-    matches = [n for n in names + ["--help"] if n.startswith(head)] if token[1] == "-" else []
+    names = [*_OPTIONS, "--help"] if command else ["--help"]
+    matches = [n for n in names if n.startswith(head)] if token[1] == "-" else []
     if len(matches) > 1:
-        _exit(None, [], f"ambiguous option: {token} could match {', '.join(matches)}")
+        _exit(command, f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
         return matches[0], value if eq else None
     return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
 
 
-def _options(command: str | None, names: list[str], args: list[str], opts: dict) -> list[str]:
-    """Read the options names in args into opts, in order; return the tokens
-    that name none.  No token after "--" is an option."""
+def _options(command: str | None, args: list[str], opts: dict) -> list[str]:
+    """Read the options in args into opts, in order: every option after a
+    command, none before it.  Return the tokens that name none.  No token
+    after "--" is an option."""
     cut = args.index("--") if "--" in args else len(args)
-    kinds = [_token(token, names) for token in args[:cut]] + [None]
+    kinds = [_token(token, command) for token in args[:cut]] + [None]
     extras, k = [], 0
     while k < cut:
         name, value = kinds[k] or (None, None)
         if name == "--help":  # "-hx" and "--help=x" give -h a value
-            _exit(command, names, None if value is None else f"-h takes no value, got {value!r}")
+            _exit(command, None if value is None else f"-h takes no value, got {value!r}")
         elif name is None:
             extras.append(args[k])
         else:
             if value is None:  # "--opt value", not "--opt=value"
                 if k + 1 == cut or kinds[k + 1] is not None:
-                    _exit(command, names, f"argument {name}: expected one argument")
+                    _exit(command, f"argument {name}: expected one argument")
                 k, value = k + 1, args[k + 1]
             try:
                 opts[name[2:]] = _OPTIONS[name][0](value)
-            except (KeyError, ValueError):
-                _exit(command, names, f"argument {name}: invalid value {value!r}")
+            except ValueError:
+                _exit(command, f"argument {name}: invalid value {value!r}")
         k += 1
     return extras + args[cut:]
 
@@ -474,17 +441,16 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
     """The command and its options from argv, read by the usage lines: a
     usage error exits 2, and -h exits 0."""
     # suptail's own options, -h alone, run up to the command: the first value
-    i = next((i for i, t in enumerate(argv) if t == "--" or not _token(t, [])), len(argv))
-    extras = _options(None, [], argv[:i], {})
+    i = next((i for i, t in enumerate(argv) if t == "--" or not _token(t, None)), len(argv))
+    extras = _options(None, argv[:i], {})
     if i == len(argv) or argv[i] not in _COMMANDS:
-        _exit(None, [], f"invalid command {argv[i]!r}" if argv[i:] else "a command is required")
-    command, names = argv[i], [n for n in _OPTIONS if n != "--format" or _COMMANDS[argv[i]][2]]
-    opts = {n[2:]: _OPTIONS[n][1] for n in names}
-    extras += _options(command, names, argv[i + 1 :], opts)
+        _exit(None, f"invalid command {argv[i]!r}" if argv[i:] else "a command is required")
+    command, opts = argv[i], {name[2:]: default for name, (_, default, _) in _OPTIONS.items()}
+    extras += _options(command, argv[i + 1 :], opts)
     if opts["config"] is None:
-        _exit(command, names, "the following arguments are required: --config")
+        _exit(command, "the following arguments are required: --config")
     if extras:
-        _exit(command, names, "unrecognized arguments: " + " ".join(extras))
+        _exit(command, "unrecognized arguments: " + " ".join(extras))
     return command, opts
 
 
@@ -493,10 +459,8 @@ def main(argv=None) -> int:
     try:
         cfg, digest = load_config(opts["config"], command)
         meta = {"config_hash": digest, "seed": opts["seed"]}
-        run, _, formatted = _COMMANDS[command]
-        fmt = (opts["format"],) if formatted else ()
         # "--out=" names the working directory, which os.makedirs takes as "."
-        return run(cfg, opts["out"] or ".", meta, *fmt)
+        return _COMMANDS[command][0](cfg, opts["out"] or ".", meta)
     # ConfigError and JSONDecodeError are ValueErrors; TypeError is a wrongly
     # typed value; MemoryError is a grid or resolution too large to allocate
     except (ValueError, TypeError, RuntimeError, OSError, MemoryError) as exc:

@@ -16,7 +16,7 @@ class AnisotropicBox(namedtuple("AnisotropicBox", "a1 b1 a2 b2 h1 h2")):
 
     Distances are d(t, s) = |t1-s1|^h1 + |t2-s2|^h2 with 0 < h_i <= 1 (the
     exponent cap keeps d a metric).  Degenerate axes (b_i == a_i) are allowed
-    and contribute nothing.  The endpoints must be finite.
+    and contribute nothing.  The endpoints and the sides b_i - a_i must be finite.
     """
 
     __slots__ = ()
@@ -30,6 +30,9 @@ class AnisotropicBox(namedtuple("AnisotropicBox", "a1 b1 a2 b2 h1 h2")):
             raise ValueError("metric exponents must lie in (0, 1]")
         if not all(map(math.isfinite, (a1, b1, a2, b2))):
             raise ValueError(f"box endpoints must be finite, got {(a1, b1, a2, b2)}")
+        for axis, a, b in ((1, a1, b1), (2, a2, b2)):
+            if b - a == math.inf:
+                raise ValueError(f"box side b{axis} - a{axis} must be finite, got inf from [{a!r}, {b!r}]")
         return super().__new__(cls, a1, b1, a2, b2, h1, h2)
 
     @property

@@ -179,23 +179,26 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = cov exactly, by Cholesky.
 
     A PSD matrix is zero in every row and column whose variance is 0, as
-    those of V at t = 0 are.  Such rows stay zero in L, and Cholesky factors
-    the block of positive variances, which is all of cov when no variance
-    is 0.  Raises FactorizationError if a variance is negative, a
-    zero-variance row is not all zero, or the Cholesky of that block fails.
+    those of V at t = 0 are.  Cholesky factors cov with 1 in place of each
+    such variance, and those diagonal entries of L are then set to 0, so
+    the rows stay zero in L; cov is copied only when it has one.  Raises
+    FactorizationError if a variance is negative, a zero-variance row is not
+    all zero, or the Cholesky fails.
     """
     import numpy as np
 
     var = cov.diagonal()
     try:
-        pos = var > 0.0
-        if var.min() < 0.0 or np.any(cov[~pos]):
+        zero = np.flatnonzero(~(var > 0.0))  # nan counts as zero, and its row fails below
+        if var.min() < 0.0 or np.any(cov[zero]):
             raise FactorizationError(
                 f"covariance not PSD: min variance {var.min()}, or a nonzero row of variance 0"
             )
-        block = np.ix_(pos, pos)
-        chol = np.zeros_like(cov)
-        chol[block] = np.linalg.cholesky(cov[block])
+        if zero.size:
+            cov = cov.copy()
+            cov[zero, zero] = 1.0
+        chol = np.linalg.cholesky(cov)
+        chol[zero, zero] = 0.0
         return chol
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(

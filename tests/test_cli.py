@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -52,16 +53,6 @@ class TestConstants:
         assert "config_hash" in payload
         assert any("Gamma(1-H) 2^(H-1) / H" in note for note in payload["provenance"]["notes"])
 
-    def test_csv_format(self, tmp_path):
-        code, out = run(tmp_path, "constants", {"model": MODEL}, "--format", "csv")
-        assert code == 0
-        lines = (out / "constants.csv").read_text().splitlines()
-        assert lines[0].startswith("# config_hash=")
-        assert lines[1] == "name,value"
-        assert len(lines) == 2 + len(SheModel(**MODEL).constants())
-        for line in lines[2:]:
-            float(line.split(",")[1])
-
     def test_invalid_hurst_nonzero_exit(self, tmp_path):
         code, _ = run(tmp_path, "constants", {"model": {**MODEL, "hurst": 0.7}})
         assert code == 1
@@ -94,28 +85,25 @@ class TestBoundSup:
         assert all(b <= a + 1e-15 for a, b in zip(valid_bounds, valid_bounds[1:]))
 
     def test_generic_field_fixed_theta(self, tmp_path):
+        # the hand value at theta*, where bound-sup evaluates every curve: here
+        # c1 = 4, q = 1/2 and the cap is 1, so theta* = (4/u)^(2/3) and
+        # z = u (1 - theta*) - 8 / sqrt(theta*)
         payload = {
             "field": "generic",
             "fam": 2.0,
             "eps0": 1.0,
             "profile": {"scale": 1.0, "exponent": 1.0},
             "box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0},
-            "theta": 0.5,
             "u_grid": [10.0, 40.0],
         }
         code, out = run(tmp_path, "bound-sup", payload)
         assert code == 0
         rows = json.loads((out / "bound_sup.json").read_text())["curve"]
-        assert rows[0]["validity"] == "INVALID"  # below the theta=0.5 threshold
-        z = 20.0 - 4.0 * math.sqrt(0.5) * 4.0
+        assert rows[0]["validity"] == "INVALID"  # below the minimal threshold
+        theta = 0.1 ** (2.0 / 3.0)
+        z = 40.0 * (1.0 - theta) - 8.0 / math.sqrt(theta)
+        assert rows[1]["theta"] == pytest.approx(theta, rel=1e-12)
         assert rows[1]["bound"] == pytest.approx(2 * math.exp(-0.5 * z * z), rel=1e-12)
-
-    def test_csv_output(self, tmp_path):
-        payload = {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0, 100.0]}
-        code, out = run(tmp_path, "bound-sup", payload, "--format", "csv")
-        assert code == 0
-        lines = (out / "bound_sup.csv").read_text().splitlines()
-        assert lines[1] == "u,theta,bound,validity"
 
     @pytest.mark.parametrize(
         "payload, inputs",
@@ -186,18 +174,15 @@ class TestBoundSup:
         code, _ = run(tmp_path, "bound-sup", payload)
         assert code == 1
 
-    @pytest.mark.parametrize(
-        "command, payload",
-        [
-            ("constants", {"model": MODEL}),
-            ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "u_grid": [80.0]}),
-        ],
-        ids=["constants", "bound-sup"],
-    )
-    def test_tol_rejected(self, tmp_path, command, payload):
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, command, payload, "--tol", "1e-6")
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("command", ["constants", "bound-sup", "bound-growth", "covering", "simulate-verify"])
+    def test_tol_rejected(self, tmp_path, capsys, command):
+        # no command takes a tolerance or an output format: every curve is JSON
+        for option in (["--tol", "1e-6"], ["--format", "json"], ["--form", "csv"], ["--f=csv"]):
+            with pytest.raises(SystemExit) as exc:
+                run(tmp_path, command, {}, *option)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
+            assert not (tmp_path / "out").exists()
 
     def test_parser_reuse_after_rejected_call(self, tmp_path):
         # a call that exits 2 on its arguments must not leak state into the
@@ -207,19 +192,10 @@ class TestBoundSup:
         before, after = tmp_path / "before", tmp_path / "after"
         assert main(["bound-sup", "--config", cfg, "--out", str(before)]) == 0
         with pytest.raises(SystemExit) as exc:
-            main(["bound-sup", "--config", cfg, "--format", "xml"])
+            main(["bound-sup", "--config", cfg, "--seed", "x"])
         assert exc.value.code == 2
         assert main(["bound-sup", "--config", cfg, "--out", str(after)]) == 0
         assert (after / "bound_sup.json").read_bytes() == (before / "bound_sup.json").read_bytes()
-
-
-class TestFormatScope:
-    @pytest.mark.parametrize("command", ["covering", "simulate-verify"])
-    def test_format_rejected_where_unread(self, tmp_path, command):
-        # covering wrote covering.json for --format csv and exited 0
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, command, {"box": BOX}, "--format", "csv")
-        assert exc.value.code == 2
 
 
 class TestUnreadFieldKeys:
@@ -248,16 +224,16 @@ class TestUnreadFieldKeys:
         assert code == 1
         assert capsys.readouterr().err == (
             f"suptail bound-sup: error: unknown keys ['eps0', 'fam', 'profile'] in config for "
-            f"bound-sup with field '{field}'; allowed: ['box', 'field', 'model', 'theta', "
-            "'u_auto', 'u_grid']\n"
+            f"bound-sup with field '{field}'; allowed: ['box', 'field', 'model', 'u_auto', "
+            "'u_grid']\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, field, extra",
         [
-            ("bound-sup", "v", ["--format", "json"]),
-            ("bound-sup", "omega", ["--format", "json"]),
+            ("bound-sup", "v", []),
+            ("bound-sup", "omega", []),
             ("simulate-verify", "v", ["--seed", "7"]),
         ],
     )
@@ -285,7 +261,7 @@ class TestUnreadFieldKeys:
         assert code == 1
         assert capsys.readouterr().err == (
             "suptail bound-sup: error: unknown keys ['model'] in config for bound-sup with "
-            "field 'generic'; allowed: ['box', 'eps0', 'fam', 'field', 'profile', 'theta', "
+            "field 'generic'; allowed: ['box', 'eps0', 'fam', 'field', 'profile', "
             "'u_auto', 'u_grid']\n"
         )
         assert not out.exists()
@@ -447,24 +423,6 @@ class TestBoundGrowth:
         series = json.loads((out / "bound_growth.json").read_text())["series"]
         assert series["s_tilde_remainder"] <= 1e-6
 
-    def test_csv_matches_json(self, tmp_path):
-        # an INVALID row too: its nan bound and theta print as "nan"
-        payload = {"model": V_MODEL, "p": 1.05, "halfwidth": 0.716, "u_grid": [100.0, 12100.0, 20000.0]}
-        cfg, json_dir, csv_dir = write_config(tmp_path, payload), tmp_path / "json", tmp_path / "csv"
-        assert main(["bound-growth", "--config", cfg, "--out", str(json_dir), "--seed", "5"]) == 0
-        assert main(["bound-growth", "--config", cfg, "--out", str(csv_dir), "--seed", "5",
-                     "--format", "csv"]) == 0
-        data = json.loads((json_dir / "bound_growth.json").read_text())
-        assert sorted(os.listdir(csv_dir)) == ["bound_growth.csv", "bound_growth_series.json"]
-        lines = (csv_dir / "bound_growth.csv").read_text().splitlines()
-        header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
-        assert lines[0] == f"# config_hash={data['config_hash']} seed=5"
-        assert lines[1] == ",".join(header)
-        assert lines[2:] == [",".join(cli._fmt(row[k]) for k in header) for row in data["curve"]]
-        assert "nan" in lines[2]
-        series = json.loads((csv_dir / "bound_growth_series.json").read_text())
-        assert series == {"series": data["series"], "config_hash": data["config_hash"], "seed": 5}
-
     def test_divergent_config_errors(self, tmp_path):
         payload = {"model": V_MODEL, "p": 0.9, "halfwidth": 1.0, "u_grid": [10.0]}
         code, _ = run(tmp_path, "bound-growth", payload)
@@ -580,20 +538,20 @@ class TestSimulateVerify:
         assert rows[1][0]["empirical"] > 0.0
 
     def test_fixed_theta_bound_matches_bound_sup(self, tmp_path):
-        # a fixed theta sets the bound column, as in bound-sup; it is not
-        # replaced by the optimized theta's (smaller) bound
+        # the bound column is bound-sup's curve at theta*, row for row
         payload = {k: v for k, v in self.PAYLOAD.items() if k != "u_auto"}
-        payload.update(theta=0.3, u_grid=[80.0, 200.0])
-        sup_payload = {k: payload[k] for k in ("field", "model", "box", "theta", "u_grid")}
+        payload.update(u_grid=[60.0, 80.0, 100.0])
+        sup_payload = {k: payload[k] for k in ("field", "model", "box", "u_grid")}
         sup_cfg = write_config(tmp_path, sup_payload, "sup.json")
         assert main(["bound-sup", "--config", sup_cfg, "--out", str(tmp_path / "sup")]) == 0
         code, out = run(tmp_path, "simulate-verify", payload, "--seed", "3")
         assert code == 0
-        fixed = [r["bound"] for r in json.loads((tmp_path / "sup" / "bound_sup.json").read_text())["curve"]]
+        curve = [r["bound"] for r in json.loads((tmp_path / "sup" / "bound_sup.json").read_text())["curve"]]
         verify = [r["bound"] for r in json.loads((out / "verify_report.json").read_text())["rows"]]
-        assert verify == fixed
-        optimized = supbound.optimize_theta(80.0, v_bound_inputs(AnisotropicBox(**BOX), SheModel(**V_MODEL)))
-        assert fixed[0] > optimized[1]
+        inputs = v_bound_inputs(AnisotropicBox(**BOX), SheModel(**V_MODEL))
+        np.testing.assert_equal(verify, curve)
+        np.testing.assert_equal(curve, [supbound.optimize_theta(u, inputs)[1] for u in payload["u_grid"]])
+        assert math.isnan(curve[0]) and curve[1] > curve[2] > 0.0  # u = 60 lies below the threshold
 
     def test_overflowing_distance_rejected(self, tmp_path, capsys):
         # |x - y| = 1e300 squares past the float range, and the Kummer terms
@@ -750,21 +708,45 @@ class TestScalarValues:
                      "'p' must be a number, got '2'"),
         "p-bool": ("bound-growth", {"model": V_MODEL, "p": True, "u_grid": [900.0]},
                    "'p' must be a number, got True"),
+        # every curve is at theta*: a theta, whatever its value, is an unknown key
         "sup-theta-nan": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "theta": math.nan,
-                                        "u_grid": [80.0]}, "'theta' must be finite, got nan"),
-        "sup-theta-string": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "theta": "0.3",
-                                           "u_grid": [80.0]}, "'theta' must be a number, got '0.3'"),
+                                        "u_grid": [80.0]},
+                          "unknown keys ['theta'] in config for bound-sup with field 'v'; "
+                          "allowed: ['box', 'field', 'model', 'u_auto', 'u_grid']"),
+        "sup-theta-string": ("bound-sup", {**GENERIC, "theta": "optimize"},
+                             "unknown keys ['theta'] in config for bound-sup with field 'generic'; "
+                             "allowed: ['box', 'eps0', 'fam', 'field', 'profile', 'u_auto', 'u_grid']"),
         "verify-theta-nan": ("simulate-verify", {"model": V_MODEL, "box": BOX, "samples": 10,
                                                  "theta": math.nan, "u_grid": [80.0]},
-                             "'theta' must be finite, got nan"),
-        # a theta outside (0, cap) made every row INVALID, and simulate-verify
-        # sampled and then reported "passed": true; the cap is 1.0 on BOX
-        "sup-theta-above-cap": ("bound-sup", {"field": "v", "model": MODEL, "box": BOX, "theta": 5.0,
+                             "unknown keys ['theta'] in config for simulate-verify with field 'v'; "
+                             "allowed: ['box', 'field', 'grid', 'model', 'samples', 'u_auto', 'u_grid', 'workers']"),
+        "sup-theta-above-cap": ("bound-sup", {"field": "omega", "model": MODEL, "box": BOX, "theta": 5.0,
                                               "u_grid": [80.0]},
-                                "'theta' must lie in (0, 1.0), the cap of this bound, got 5.0"),
+                                "unknown keys ['theta'] in config for bound-sup with field 'omega'; "
+                                "allowed: ['box', 'field', 'model', 'u_auto', 'u_grid']"),
         "verify-theta-negative": ("simulate-verify", {"model": V_MODEL, "box": BOX, "samples": 10,
-                                                      "theta": -1, "u_grid": [80.0]},
-                                  "'theta' must lie in (0, 1.0), the cap of this bound, got -1"),
+                                                      "theta": -1, "u_auto": {"count": 4}},
+                                  "unknown keys ['theta'] in config for simulate-verify with field 'v'; "
+                                  "allowed: ['box', 'field', 'grid', 'model', 'samples', 'u_auto', 'u_grid', 'workers']"),
+        # u_grid and u_auto exclude each other only where both are keys: these
+        # exited 1 with "'u_grid' and 'u_auto' are exclusive"
+        "constants-u_auto-unknown": ("constants", {"model": MODEL, "u_grid": [80.0], "u_auto": {"count": 4}},
+                                     "unknown keys ['u_auto', 'u_grid'] in config for constants; "
+                                     "allowed: ['model']"),
+        "growth-u_auto-unknown": ("bound-growth", {"model": V_MODEL, "u_grid": [900.0], "u_auto": {"count": 4}},
+                                  "unknown keys ['u_auto'] in config for bound-growth; "
+                                  "allowed: ['halfwidth', 'model', 'p', 'u_grid']"),
+        "covering-u_auto-unknown": ("covering", {"box": BOX, "eps": 0.5, "u_grid": [80.0],
+                                                 "u_auto": {"count": 4}},
+                                    "unknown keys ['u_auto', 'u_grid'] in config for covering; "
+                                    "allowed: ['box', 'eps', 'resolution']"),
+        # a box side past the float range: bound-sup wrote an all-INVALID
+        # curve, and bound-growth a series block with "s_tilde": Infinity
+        "sup-side-overflow": ("bound-sup", {"field": "v", "model": MODEL, "box": {**BOX, "a2": -1e308, "b2": 1e308},
+                                            "u_grid": [80.0, 1e300]},
+                              "box side b2 - a2 must be finite, got inf from [-1e+308, 1e+308]"),
+        "growth-side-overflow": ("bound-growth", {"model": V_MODEL, "halfwidth": 1e308, "u_grid": [900.0]},
+                                 "box side b2 - a2 must be finite, got inf from [-1e+308, 1e+308]"),
         "eps-nan": ("covering", {"box": BOX, "eps": math.nan}, "'eps' must be finite, got nan"),
         "eps-string": ("covering", {"box": BOX, "eps": "0.5"}, "'eps' must be a number, got '0.5'"),
         "eps0-nan": ("bound-sup", {**GENERIC, "eps0": math.nan}, "'eps0' must be finite, got nan"),
@@ -997,6 +979,45 @@ class TestUGridUAutoExclusive:
         assert not out.exists()
 
 
+# The README's per-command key table: its "model keys" and "box keys" cells
+# as the key sets they name.
+README_MODEL_KEYS = {"all six": set(SheModel._fields), "`hurst`": {"hurst"}, "—": set()}
+README_BOX_KEYS = {"endpoints": set(AnisotropicBox._fields[:4]), "endpoints, `h1`, `h2`": set(AnisotropicBox._fields),
+                   "—": set()}
+
+
+def names(cell: str) -> set:
+    """The backticked names in a README table cell."""
+    return set(re.findall(r"`([^`]+)`", cell))
+
+
+def test_readme_key_table_matches_command_schemas():
+    # each row's required and optional keys are the keys its schema allows,
+    # and its model and box cells the keys of those blocks: a key dropped
+    # from a command (as theta was) leaves a stale row that fails here
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| command") and "required keys" in line)
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    seen = []
+    for command, fields, required, optional, model, box in rows:
+        command = command.strip("`")
+        schema = cli._COMMANDS[command][1]
+        for field in sorted(names(fields)) or [None]:
+            readers, must = schema if field is None else schema[field]
+            seen.append((command, field))
+            assert names(required) | names(optional) == readers.keys(), (command, field)
+            assert must <= names(required), (command, field)
+            assert README_MODEL_KEYS[model] == set(readers["model"][0] if "model" in readers else ()), command
+            assert README_BOX_KEYS[box] == set(readers["box"][0] if "box" in readers else ()), command
+    assert sorted(seen, key=str) == sorted(
+        ((c, f) for c, (_, s) in cli._COMMANDS.items() for f in (s if isinstance(s, dict) else [None])), key=str
+    )
+
+
 # Runs in a fresh interpreter: imports suptail, then suptail.cli, then runs
 # each command through cli.main, and prints after each step which of NumPy,
 # SciPy, scipy.integrate, concurrent.futures and OpenSSL's _hashlib are
@@ -1051,14 +1072,10 @@ def test_analytic_commands_load_no_scipy(tmp_path):
     }
     v = {"field": "v", "model": MODEL, "box": BOX}
     omega = {"field": "omega", "model": MODEL, "box": BOX}
-    closed_form = [
-        ["constants", {"model": MODEL}, []],
-        ["constants", {"model": MODEL}, ["--format", "csv"]],
-    ]
-    for fmt in ("json", "csv"):
-        for field, u_grid in ((v, [80.0, 200.0]), (omega, [5.0, 50.0]), (generic, [5.0, 50.0])):
-            closed_form.append(["bound-sup", {**field, "u_auto": {"count": 4}}, ["--format", fmt]])
-            closed_form.append(["bound-sup", {**field, "u_grid": u_grid}, ["--format", fmt]])
+    closed_form = [["constants", {"model": MODEL}, []]]
+    for field, u_grid in ((v, [80.0, 200.0]), (omega, [5.0, 50.0]), (generic, [5.0, 50.0])):
+        closed_form.append(["bound-sup", {**field, "u_auto": {"count": 4}}, []])
+        closed_form.append(["bound-sup", {**field, "u_grid": u_grid}, []])
     runs = closed_form + [
         ["bound-growth", {"model": V_MODEL, "p": 1.5, "u_grid": [900.0, 1500.0]}, []],
         ["covering", {"box": generic["box"], "eps": 0.5, "resolution": 41}, []],

@@ -29,8 +29,6 @@ def reference_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (required for verify)")
-        if cli._COMMANDS[name][2]:  # takes --format
-            p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -66,11 +64,11 @@ VALUES = {
     "--config": (["c.json", "dir/c.json", "-", "a b", "-a b", "", "=x", "-3"], ["-x", "-h", "--o", "--"]),
     "--out": (["o", "-1", "-1.5", "-.5", "a b", "", "x=y"], ["-x", "-1e3", "--seed", "--"]),
     "--seed": (["7", "-3", "+4", " 5", "0", "1_000", "-0"], ["x", "3.5", "-3.5", "1e3", "-1e3", "", "-"]),
-    "--format": (["json", "csv"], ["xml", "JSON", "", "-j"]),
 }
 # tokens that no command reads as an option, and ways of asking for help;
 # not "-hh", which argparse read as -h twice and the table as -h with a value
-STRAYS = ["--", "extra", "-", "--tol", "--tol=1", "-x", "-3", "--bogus=1", "a b", "---", "--=x", "-hx", "--help=x"]
+STRAYS = ["--", "extra", "-", "--tol", "--tol=1", "-x", "-3", "--bogus=1", "a b", "---", "--=x", "-hx", "--help=x",
+          "--format", "--format=csv", "--f=json"]
 HELP = ["-h", "--help", "--he", "--h"]
 
 
@@ -86,10 +84,10 @@ def corpus(n, seed=2024):
     out or a stray or help token put in, before or after the command."""
     rng = random.Random(seed)
     commands = list(cli._COMMANDS) + ["bogus", "Constants", "bound"]
-    names = ["--config", "--out", "--seed", "--format"]
+    names = ["--config", "--out", "--seed"]
     for _ in range(n):
         command = rng.choice(commands) if rng.random() < 0.1 else rng.choice(list(cli._COMMANDS))
-        argv, chosen = [], rng.sample(names[1:], rng.randint(0, 3))
+        argv, chosen = [], rng.sample(names[1:], rng.randint(0, 2))
         if rng.random() < 0.9:
             chosen.insert(rng.randint(0, len(chosen)), "--config")
         for name in chosen + rng.choices(names, k=rng.choice([0, 0, 1, 2])):
@@ -133,12 +131,12 @@ def test_same_result_as_argparse(chunk):
 @pytest.mark.parametrize(
     "argv, options",
     [
-        (["constants", "--config", "c", "--out", "o"], {"config": "c", "out": "o", "seed": None, "format": "json"}),
-        (["bound-sup", "--config=c", "--seed=3", "--format=csv"], {"config": "c", "out": ".", "seed": 3, "format": "csv"}),
+        (["constants", "--config", "c", "--out", "o"], {"config": "c", "out": "o", "seed": None}),
+        (["bound-sup", "--config=c", "--seed=3", "--out=o"], {"config": "c", "out": "o", "seed": 3}),
         (["covering", "--conf", "c", "--o", "o", "--s", "1"], {"config": "c", "out": "o", "seed": 1}),
-        (["bound-growth", "--config", "a", "--config", "b", "--f", "csv"], {"config": "b", "out": ".", "seed": None, "format": "csv"}),
+        (["bound-growth", "--config", "a", "--config", "b", "--s", "2", "--seed=4"], {"config": "b", "out": ".", "seed": 4}),
         (["simulate-verify", "--config", "c", "--seed", "-3"], {"config": "c", "out": ".", "seed": -3}),
-        (["constants", "--config", "c", "--out=-x"], {"config": "c", "out": "-x", "seed": None, "format": "json"}),
+        (["constants", "--config", "c", "--out=-x"], {"config": "c", "out": "-x", "seed": None}),
     ],
     ids=["spaced", "equals", "prefixes", "last-wins", "negative-seed", "dash-value-after-equals"],
 )
@@ -158,9 +156,11 @@ def test_documented_forms(argv, options):
         (["constants", "--config", "c", "--out", "-x"], "suptail constants"),
         (["covering", "--config", "c", "--format", "json"], "suptail covering"),
         (["simulate-verify", "--config", "c", "--format", "csv"], "suptail simulate-verify"),
+        # the usage of the command, as argparse's subparser printed it, not suptail's
+        (["bound-sup", "--config", "c", "--=x"], "suptail bound-sup"),
     ],
     ids=["no-command", "unknown-command", "no-config", "unknown-option", "double-dash", "bad-seed",
-         "dash-value", "format-covering", "format-verify"],
+         "dash-value", "format-covering", "format-verify", "ambiguous-after-command"],
 )
 def test_usage_errors_exit_2(argv, prog):
     result, out, err = table(argv)

@@ -85,6 +85,15 @@ class TestNonFiniteInputsRejected:
         with pytest.raises(ValueError, match="box endpoints must be finite"):
             AnisotropicBox(0.1, 1.0, -INF, 1.0)
 
+    @pytest.mark.parametrize(
+        "ends, axis", [((-1e308, 1e308, 0.0, 1.0), 1), ((0.1, 1.0, -1e308, 1e308), 2)], ids=["time", "space"]
+    )
+    def test_overflowing_box_side(self, ends, axis):
+        # finite endpoints whose side b - a is inf gave all-INVALID or infinite results
+        with pytest.raises(ValueError, match=rf"box side b{axis} - a{axis} must be finite, got inf"):
+            AnisotropicBox(*ends)
+        AnisotropicBox(0.0, 1e308, -1.7e308, 0.0)  # the largest finite sides pass
+
     def test_nan_box_gives_no_v_bound(self):
         # The NaN time axis once dropped out of the entropy term and gave a
         # VALID bound of 9.66e-16 at u = 30, where the real box asserts none.
