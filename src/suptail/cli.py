@@ -4,7 +4,8 @@ One JSON config per run, read through the schema that the command table
 holds for its command, one schema per field for the commands that take a
 "field": unknown keys are rejected and every value is read (numbers checked
 finite, sizes checked integral) before any computation.  Every bound curve
-is at the closed-form theta*, in JSON; simulate-verify also writes a CSV.
+is at the closed-form theta*, one JSON row {u, theta, bound, validity} per
+u; simulate-verify also writes a CSV.
 Outputs are byte-stable for a fixed config and seed, carry the config hash,
 and use LF line endings with '.' decimals in CSV.
 """
@@ -16,6 +17,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 
 try:  # CPython's own SHA-256, as random takes _sha512: hashlib would load OpenSSL
     from _sha256 import sha256  # 3.10-3.11
@@ -43,10 +45,10 @@ class ConfigError(ValueError):
 # the error names the key, as 'p' at the top level and as grid 'nt' in a block.
 
 
-def _positive_int(value, name: str) -> int:
-    """value itself if it is an integer >= 1; fractions are not truncated."""
-    if type(value) is not int or value < 1:  # bool is an int subclass
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+def _positive_int(value, name: str, least: int = 1) -> int:
+    """value itself if it is an integer >= least; fractions are not truncated."""
+    if type(value) is not int or value < least:  # bool is an int subclass
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -95,8 +97,10 @@ _BOX = (dict.fromkeys(AnisotropicBox._fields, _number), set(_ENDS))
 # the heat fields take their metric exponents from the model
 _HEAT_BOX = (dict.fromkeys(_ENDS, _number), set(_ENDS))
 _PROFILE = (dict.fromkeys(HolderProfile._fields, _number), set(HolderProfile._fields))
-# the keys shared by the two commands that draw a bound curve over a box
-_CURVE = {"field": None, "u_grid": _listed_u, "u_auto": ({"count": _positive_int, "max": _span}, set())}
+# the keys shared by the two commands that draw a bound curve over a box; a
+# u_auto grid has two entries at least, so that it ends at 'max'
+_CURVE = {"field": None, "u_grid": _listed_u,
+          "u_auto": ({"count": partial(_positive_int, least=2), "max": _span}, set())}
 _HEAT_CURVE = ({**_CURVE, "box": _HEAT_BOX, "model": _MODEL}, {"box", "model"})
 
 
@@ -162,10 +166,9 @@ def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
         )
     # count evenly spaced fractions from 0.9 to span, rounded as np.linspace
     # rounds them: i * step + 0.9, and span itself last
-    step = (span - 0.9) / max(count - 1, 1)
+    step = (span - 0.9) / (count - 1)
     fracs = [i * step + 0.9 for i in range(count)]
-    if count > 1:
-        fracs[-1] = span
+    fracs[-1] = span
     # An entry on the threshold would be VALID or INVALID by the last ulp of
     # the constants, so the one within half a step of it moves half a step
     # further away (down from the threshold itself); the first entry stays.
@@ -211,12 +214,6 @@ def write_csv(out: str, name: str, header: list[str], rows: list[tuple], meta: d
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_curve(out: str, stem: str, header: list[str], rows: list[tuple], meta: dict, **blocks) -> None:
-    """<stem>.json: the blocks, and the rows under header as "curve"."""
-    curve = [dict(zip(header, row)) for row in rows]
-    write_json(out, f"{stem}.json", {**blocks, "curve": curve, **meta})
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -249,21 +246,23 @@ def _bound_inputs(cfg: dict) -> supbound.TailBound:
     return (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(box, model)
 
 
-def _bound_curve(us: list[float], bound: supbound.TailBound, optimize) -> list[tuple]:
-    """Rows (u, theta*, bound, validity), with (theta*, its bound) from
-    optimize(u, bound).  A row with no asserted bound is INVALID, with nan
-    theta and bound."""
+def _bound_curve(us: list[float], bound: supbound.TailBound, optimize) -> list[dict]:
+    """The curve rows {u, theta, bound, validity} of every bound command, with
+    (theta*, its bound) from optimize(u, bound).  A row with no asserted
+    bound is INVALID, with nan theta and bound."""
     rows = []
     for u in us:
         theta, value = optimize(u, bound)
-        rows.append((u, math.nan, value, "INVALID") if math.isnan(value) else (u, theta, value, "VALID"))
+        valid = not math.isnan(value)
+        rows.append({"u": u, "theta": theta if valid else math.nan, "bound": value,
+                     "validity": "VALID" if valid else "INVALID"})
     return rows
 
 
 def cmd_bound_sup(cfg: dict, out: str, meta: dict) -> int:
     bound = _bound_inputs(cfg)
-    rows = _bound_curve(_u_grid(cfg, bound), bound, supbound.optimize_theta)
-    _write_curve(out, "bound_sup", ["u", "theta", "bound", "validity"], rows, meta)
+    curve = _bound_curve(_u_grid(cfg, bound), bound, supbound.optimize_theta)
+    write_json(out, "bound_sup.json", {"curve": curve, **meta})
     return 0
 
 
@@ -271,19 +270,10 @@ def cmd_bound_growth(cfg: dict, out: str, meta: dict) -> int:
     model = heat.SheModel(**cfg["model"])
     bound, c_tilde, s_tilde = heat.she_growth_envelope(model, cfg.get("p", 2.0), cfg.get("halfwidth", 1.0))
     curve = _bound_curve(cfg["u_grid"], bound, growth.optimize_theta_growth)
-    # validity follows the optimized bound, which exists wherever the envelope does
-    rows = [(u, growth.auto_theta_bound(u, bound), value, theta, ok) for u, theta, value, ok in curve]
-    series = {
-        "c_tilde": c_tilde.value,
-        "c_tilde_remainder": c_tilde.remainder,
-        "c_tilde_terms": c_tilde.n_terms,
-        "s_tilde": s_tilde.value,
-        "s_tilde_remainder": s_tilde.remainder,
-        "s_tilde_terms": s_tilde.n_terms,
-        "theta_cap": bound.cap,
-    }
-    header = ["u", "envelope_bound", "optimized_bound", "theta_star", "validity"]
-    _write_curve(out, "bound_growth", header, rows, meta, series=series)
+    series = {"theta_cap": bound.cap}
+    for name, sums in (("c_tilde", c_tilde), ("s_tilde", s_tilde)):
+        series.update({name: sums.value, f"{name}_remainder": sums.remainder, f"{name}_terms": sums.n_terms})
+    write_json(out, "bound_growth.json", {"series": series, "curve": curve, **meta})
     return 0
 
 
@@ -320,7 +310,7 @@ def cmd_simulate_verify(cfg: dict, out: str, meta: dict) -> int:
 
     bound = heat.v_bound_inputs(box, model)
     us = _u_grid(cfg, bound)
-    bounds = tuple(row[2] for row in _bound_curve(us, bound, supbound.optimize_theta))
+    bounds = tuple(row["bound"] for row in _bound_curve(us, bound, supbound.optimize_theta))
 
     cov = sim.covariance_matrix(*sim.make_grid(box, nt, nx), model.hurst)
     chol = sim.factor_covariance(cov)

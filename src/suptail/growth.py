@@ -15,9 +15,9 @@ tail and rounding error, and ``theta_sup`` returns inf_k gamma_k / eps_k.
 The growth bound is ``supbound.TailBound`` with cap min(1, ``theta_sup``),
 and k = S~ and scale C~ each taken at its value plus its remainder: the
 bound is nondecreasing in both, so these upper ends certify it with no
-tolerance on the remainders.  The caller builds it once;
-``auto_theta_bound`` and ``optimize_theta_growth`` evaluate it at two
-choices of theta, and give nan where it is not asserted.
+tolerance on the remainders.  The caller builds it once, and
+``optimize_theta_growth`` evaluates it at the closed-form theta*, as the box
+bound is, with nan where it is not asserted.
 
 NumPy is imported by ``_polylog`` at its first call, not with this module, so
 ``bound-growth`` loads it when it sums Li_p and no other analytic command
@@ -148,21 +148,6 @@ def theta_sup(c_v: float, a_h: float, hurst: float) -> float:
     cell attains.
     """
     return c_v / a_h * ((math.e - 1.0) / math.e) ** (hurst / 2.0)
-
-
-def auto_theta_bound(u: float, bound: TailBound) -> float:
-    """Growth bound at the closed-form choice theta = u^(-gamma*beta/(gamma*beta+1)),
-    where the level is
-
-        u - u^(1/(gamma*beta+1)) (1+2S),
-
-    positive only for u > (1+2S)^((gamma*beta+1)/(gamma*beta)).  nan below
-    that and where the substituted theta is not below the cap.
-    """
-    gb = bound.gamma_beta
-    # u ** (-x) is undefined for u <= 0, where no bound holds; inf fails the cap check
-    theta = u ** (-gb / (gb + 1.0)) if u > 0.0 else math.inf
-    return sup_tail_bound(u, theta, bound) if theta < bound.cap else math.nan
 
 
 def optimize_theta_growth(u: float, bound: TailBound) -> tuple[float, float]:

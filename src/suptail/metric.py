@@ -60,13 +60,23 @@ def covering_upper_bound(box: AnisotropicBox, eps: float) -> float:
     Per-axis factor 2^(1/h_i) * T_i / (2 eps^(1/h_i)) + 1, multiplied over the
     axes; it comes from tiling by rectangles of half-width (eps/2)^(1/h_i)
     inscribed in the d-ball.  >= 1, nonincreasing in eps, factor 1 for
-    degenerate axes, and -> 1 as eps -> infinity.
+    degenerate axes, and -> 1 as eps -> infinity.  A factor past the float
+    range (h_i below about 1/1024, or eps^(1/h_i) = 0) raises ValueError.
     """
     if not eps > 0:  # also rejects nan
         raise ValueError(f"eps must be positive, got {eps}")
     val = 1.0
     for t_i, h_i in box.axes:
-        val *= 2.0 ** (1.0 / h_i) * t_i / (2.0 * eps ** (1.0 / h_i)) + 1.0
+        try:
+            factor = 2.0 ** (1.0 / h_i) * t_i / (2.0 * eps ** (1.0 / h_i)) + 1.0
+        except (OverflowError, ZeroDivisionError):
+            factor = math.inf
+        if not math.isfinite(factor):
+            # axes lists the time axis first, so (t1, h1) can only be axis 1
+            i = 1 if (t_i, h_i) == (box.t1, box.h1) else 2
+            raise ValueError(f"covering factor of axis {i} overflows the float range: h{i} = {h_i!r}, "
+                             f"eps = {eps!r}")
+        val *= factor
     return val
 
 

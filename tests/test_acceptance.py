@@ -16,7 +16,6 @@ from scipy.special import beta as beta_fn
 from suptail import supbound
 from suptail.cli import main
 from suptail.entropy import HolderProfile, c1_constant, entropy_integral_closed
-from suptail.growth import auto_theta_bound
 from suptail.heat import (
     SheModel,
     noise_constant,
@@ -38,7 +37,6 @@ from suptail.sim import (
     verdicts,
 )
 from quadrature_oracle import QuadratureError, entropy_integral_numeric, spectral_density_moment
-from test_growth import linear_series
 from test_metric import random_feasible_config
 
 
@@ -164,7 +162,7 @@ def test_criterion_05_entropy_domination_and_covering():
 
 
 def test_criterion_06_theta_optimization():
-    """Optimized theta beats heuristic and midpoint; auto-theta form is an identity."""
+    """Optimized theta beats the substituted and the midpoint theta."""
     rng = np.random.default_rng(206)
     compared = 0
     while compared < 20:
@@ -190,30 +188,7 @@ def test_criterion_06_theta_optimization():
                 assert opt <= other * (1 + 1e-9) + 1e-300
         compared += 1
 
-    # auto-theta form equals the fixed-theta growth bound, the box bound's tail
-    # formula with k = S and scale C, at the substituted theta
-    worst_rel = 0.0
-    for q, r in [(0.4, 0.5), (0.5, 0.4), (0.6, 0.7), (0.35, 0.6), (0.55, 0.45)]:
-        # cells [k, k+1] x [-1, 1], eps_k = 0.5 q^k, f_k = e^(r k): closed-form
-        # geometric C and S
-        growth = linear_series(q=q, r=r)
-        gb = growth.gamma_beta
-        for factor in (1.3, 1.8, 2.5, 4.0):
-            u = factor * (1.0 + 2.0 * growth.k) ** ((gb + 1.0) / gb)
-            theta_sub = u ** (-gb / (gb + 1.0))
-            if theta_sub >= growth.cap:
-                continue
-            a = auto_theta_bound(u, growth)
-            b = supbound.sup_tail_bound(u, theta_sub, growth)
-            if b > 0:
-                worst_rel = max(worst_rel, abs(a - b) / b)
-    ok = worst_rel <= 1e-12
-    report(
-        6,
-        ok,
-        f"optimizer beat heuristic/midpoint theta on {compared} configs; "
-        f"auto-theta identity max rel diff {worst_rel:.2e} <= 1e-12",
-    )
+    report(6, True, f"optimizer beat substituted/midpoint theta on {compared} configs")
 
 
 def test_criterion_07_growth_series_zeta():

@@ -19,7 +19,7 @@ import suptail
 from suptail import cli, sim, supbound
 from suptail.cli import ConfigError, _u_grid, config_hash, load_config, main
 from suptail.entropy import HolderProfile
-from suptail.growth import auto_theta_bound, optimize_theta_growth
+from suptail.growth import optimize_theta_growth
 from suptail.heat import SheModel, she_growth_envelope, v_bound_inputs
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily
@@ -160,6 +160,17 @@ class TestBoundSup:
                     for u in us:
                         valid = not math.isnan(supbound.optimize_theta(u, inputs)[1])
                         assert valid == (u > thr)
+
+    @pytest.mark.parametrize("command", ["bound-sup", "simulate-verify"])
+    def test_u_auto_needs_two_entries(self, tmp_path, capsys, command):
+        # one entry was 0.9 times the threshold, always INVALID, and 'max' was dropped
+        payload = {**TestSimulateVerify.PAYLOAD, "u_auto": {"count": 1, "max": 5}}
+        if command == "bound-sup":
+            payload = {k: payload[k] for k in ("field", "model", "box", "u_auto")}
+        code, out = run(tmp_path, command, payload, "--seed", "1")
+        assert code == 1
+        assert capsys.readouterr().err == f"suptail {command}: error: u_auto 'count' must be an integer >= 2, got 1\n"
+        assert not out.exists()
 
     def test_u_auto_divergent_entropy_errors(self, tmp_path):
         # gamma*beta = 0.8 <= 1: no threshold exists, so no u grid can be built
@@ -358,25 +369,32 @@ class TestBoundGrowth:
         bound = she_growth_envelope(model, 2.0, halfwidth=1.0)[0]
         for row in data["curve"]:
             assert row["validity"] == "VALID"
-            assert row["envelope_bound"] == auto_theta_bound(row["u"], bound)
-            assert row["optimized_bound"] <= row["envelope_bound"] * (1 + 1e-9)
+            assert (row["theta"], row["bound"]) == optimize_theta_growth(row["u"], bound)
+
+    def test_curve_rows_share_bound_sup_format(self, tmp_path):
+        # both bound commands write one row format
+        code, out = run(tmp_path, "bound-growth", {"model": V_MODEL, "u_grid": [100.0, 900.0]})
+        assert code == 0
+        code, out = run(tmp_path, "bound-sup", {"field": "v", "model": MODEL, "box": BOX, "u_grid": [10.0, 900.0]})
+        assert code == 0
+        rows = [row for name in ("bound_growth.json", "bound_sup.json")
+                for row in json.loads((out / name).read_text())["curve"]]
+        assert {row["validity"] for row in rows} == {"INVALID", "VALID"}
+        assert {frozenset(row) for row in rows} == {frozenset({"u", "theta", "bound", "validity"})}
 
     def test_optimized_bound_valid_wherever_envelope_is(self, tmp_path):
-        # The envelope's level u - u^(1/3) (1+2S) turns positive only at
-        # u = (1+2S)^(3/2), about 12058 here.  Below it the envelope is nan,
-        # not the trivial 1.0 marked VALID.  The validity column follows the
-        # optimized bound, which is valid wherever the envelope is.
+        # At the substituted theta = u^(-2/3) the level u - u^(1/3) (1+2S)
+        # turns positive only at u = (1+2S)^(3/2), about 12058 here; the
+        # bound at theta* already holds at u = 12000.  Below the threshold
+        # a row is INVALID with nan theta and bound, not the trivial 1.0.
         payload = {"model": {"hurst": 0.5}, "p": 1.05, "halfwidth": 0.716,
                    "u_grid": [100.0, 500.0, 12000.0, 12100.0, 20000.0]}
         code, out = run(tmp_path, "bound-growth", payload)
         assert code == 0
         rows = json.loads((out / "bound_growth.json").read_text())["curve"]
         for row in rows:
-            env, opt = row["envelope_bound"], row["optimized_bound"]
-            if not math.isnan(env):
-                assert math.isfinite(opt) and opt <= env
-            assert row["validity"] == ("INVALID" if math.isnan(opt) else "VALID")
-        assert [math.isnan(r["envelope_bound"]) for r in rows] == [True, True, True, False, False]
+            valid = row["validity"] == "VALID"
+            assert valid == (0.0 <= row["bound"] <= 1.0) == (0.0 < row["theta"] < 1.0)
         assert [r["validity"] for r in rows] == ["INVALID", "INVALID", "VALID", "VALID", "VALID"]
 
     def test_slow_decay_p_succeeds(self, tmp_path):
@@ -408,10 +426,10 @@ class TestBoundGrowth:
             PhiFamily(2.0),
         )
         assert she_growth_envelope(SheModel(**V_MODEL), 1 + 1e-10)[0] == rebuilt
-        rows = [(r["envelope_bound"], r["optimized_bound"]) for r in data["curve"]]
-        expected = [(auto_theta_bound(u, rebuilt), optimize_theta_growth(u, rebuilt)[1])
-                    for u in payload["u_grid"]]
-        np.testing.assert_equal(rows, expected)
+        rows = [(r["theta"], r["bound"]) for r in data["curve"]]
+        expected = [optimize_theta_growth(u, rebuilt) for u in payload["u_grid"]]
+        np.testing.assert_equal(rows[1:], expected[1:])
+        assert math.isnan(rows[0][0]) and math.isnan(rows[0][1])
         assert [r["validity"] for r in data["curve"]] == ["INVALID", "VALID", "VALID", "VALID"]
 
     @pytest.mark.parametrize("p", [1e6, 1e100, 1e300])
@@ -678,7 +696,8 @@ class TestHugeU:
         assert code == 0
         rows = json.loads((out / "bound_growth.json").read_text())["curve"]
         for row in rows[1:]:
-            assert (row["envelope_bound"], row["optimized_bound"], row["validity"]) == (0.0, 0.0, "VALID")
+            assert (row["bound"], row["validity"]) == (0.0, "VALID")
+            assert 0.0 < row["theta"] < 1.0
 
     def test_simulate_verify(self, tmp_path):
         payload = {**TestSimulateVerify.PAYLOAD, "samples": 100, "u_grid": [80.0, 1e155]}
@@ -740,6 +759,18 @@ class TestScalarValues:
                                                  "u_auto": {"count": 4}},
                                     "unknown keys ['u_auto', 'u_grid'] in config for covering; "
                                     "allowed: ['box', 'eps', 'resolution']"),
+        # a covering factor past the float range raised OverflowError (2.0 ** 2000,
+        # also where the oracle count is 1) or ZeroDivisionError (1e-10 ** 100 == 0.0)
+        "covering-h1-tiny": ("covering", {"box": {**BOX, "h1": 0.0005}, "eps": 0.5},
+                             "covering factor of axis 1 overflows the float range: h1 = 0.0005, eps = 0.5"),
+        "covering-h1-tiny-eps-large": ("covering", {"box": {**BOX, "h1": 0.0005}, "eps": 20.0},
+                                       "covering factor of axis 1 overflows the float range: h1 = 0.0005, "
+                                       "eps = 20.0"),
+        "covering-eps-underflow": ("covering", {"box": {**BOX, "h1": 0.01}, "eps": 1e-10},
+                                   "covering factor of axis 1 overflows the float range: h1 = 0.01, eps = 1e-10"),
+        "covering-eps-underflow-space": ("covering", {"box": {**BOX, "h2": 0.01}, "eps": 1e-10},
+                                         "covering factor of axis 2 overflows the float range: h2 = 0.01, "
+                                         "eps = 1e-10"),
         # a box side past the float range: bound-sup wrote an all-INVALID
         # curve, and bound-growth a series block with "s_tilde": Infinity
         "sup-side-overflow": ("bound-sup", {"field": "v", "model": MODEL, "box": {**BOX, "a2": -1e308, "b2": 1e308},
@@ -940,7 +971,7 @@ class TestBoxAtTimeZero:
 def u_grid_linspace(count, span, thr):
     """The u_auto grid as np.linspace and np.where build it: the oracle."""
     fracs = np.linspace(0.9, span, count)
-    half = 0.5 * (span - 0.9) / max(count - 1, 1)
+    half = 0.5 * (span - 0.9) / (count - 1)
     dist = fracs[1:] - 1.0
     fracs[1:] += np.where(np.abs(dist) < half, np.where(dist > 0.0, half, -half), 0.0)
     return [float(f * thr) for f in fracs]
@@ -950,7 +981,7 @@ def test_u_grid_matches_linspace_bit_for_bit():
     inputs = v_bound_inputs(AnisotropicBox(**BOX), SheModel(hurst=0.35))
     thr = supbound.min_threshold(inputs)
     nudged = 0
-    for count in range(1, 65):
+    for count in range(2, 65):
         spans = [0.95, 1.0, 1.0 + 1e-9, 1.1, 1.3, 2, 2.0, 3.7, 7, 100.0]
         # spans that put entry k on the threshold, or within half a step of it
         for k in {1, max(1, count // 2), count - 1} - {0}:
@@ -1016,6 +1047,31 @@ def test_readme_key_table_matches_command_schemas():
     assert sorted(seen, key=str) == sorted(
         ((c, f) for c, (_, s) in cli._COMMANDS.items() for f in (s if isinstance(s, dict) else [None])), key=str
     )
+
+
+README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+# Each README example: the config file name and text of a `cat > X.json
+# << 'EOF'` block, the suptail line after it, and the .json and .csv files
+# that the "This writes" paragraph below the code block names.
+README_EXAMPLES = [
+    (name, config, line.split(), set(re.findall(r"`(\w+\.(?:json|csv))`", note)))
+    for name, config, line, note in re.findall(
+        r"cat > (\S+) << 'EOF'\n(.*?)\nEOF\nsuptail ([^\n]*)\n```\n\n(This writes .*?)\n\n", README_TEXT, re.S
+    )
+]
+
+
+def test_every_readme_example_is_found():
+    # a block the pattern misses would silently go unrun
+    assert len(README_EXAMPLES) == README_TEXT.count("<< 'EOF'") >= 3
+
+
+@pytest.mark.parametrize("name, config, argv, written", README_EXAMPLES, ids=[e[0] for e in README_EXAMPLES])
+def test_readme_example_runs(tmp_path, monkeypatch, name, config, argv, written):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(config + "\n", encoding="utf-8")
+    assert main(argv) == 0
+    assert written and {f.name for f in (tmp_path / argv[argv.index("--out") + 1]).iterdir()} == written
 
 
 # Runs in a fresh interpreter: imports suptail, then suptail.cli, then runs

@@ -10,7 +10,6 @@ from series_oracle import SeriesError, sum_series
 from suptail.entropy import HolderProfile, c1_constant
 from suptail.growth import (
     optimize_theta_growth,
-    auto_theta_bound,
     series_s_sum,
     theta_sup,
 )
@@ -192,55 +191,6 @@ class TestGrowthTailBound:
 
     def test_vanishes_at_infinity(self):
         assert sup_tail_bound(1e5, 0.5, UNIT) == 0.0
-
-
-class TestAutoThetaForm:
-    def test_frozen_value(self):
-        # C = S = 1, gb = 2, u = 27: u^(1/3) = 3, bound = 2 exp(-162)
-        val = auto_theta_bound(27.0, UNIT)
-        assert val == pytest.approx(2 * math.exp(-162.0), rel=1e-12)
-
-    def test_boundary_error(self):
-        thr = 3.0 ** (2.0 / 3.0)
-        assert math.isnan(auto_theta_bound(thr, UNIT))
-
-    def test_no_bound_below_positivity_threshold(self):
-        # the level u - 3 u^(1/3) is positive only for u > (1+2S)^((gb+1)/gb) =
-        # 3^(3/2); below it, down to 3^(2/3), only the trivial bound 1 would
-        # hold, and nan is returned
-        for u in (3.0, 5.0, 0.999 * 3.0 ** 1.5):
-            assert math.isnan(auto_theta_bound(u, UNIT))
-        assert auto_theta_bound(1.001 * 3.0 ** 1.5, UNIT) == 1.0  # clamped
-        assert auto_theta_bound(2.0 * 3.0 ** 1.5, UNIT) < 1.0
-        for u in (0.0, -3.0):
-            assert math.isnan(auto_theta_bound(u, UNIT))
-
-    def test_substituted_theta_at_or_above_cap_is_nan(self):
-        # the cap is 0.03 here, while u = 10 substitutes theta = u^(-2/3) =
-        # 0.215: the theorem gives no bound there (the best valid one, from
-        # optimize_theta_growth, is 0.377), so no value may be returned
-        bound = linear_series(holder=0.005)
-        cap = bound.cap
-        assert cap == pytest.approx(0.03, rel=1e-12)
-        assert optimize_theta_growth(10.0, bound)[1] == pytest.approx(0.377, abs=1e-3)
-        assert math.isnan(auto_theta_bound(10.0, bound))
-        # above u = cap^(-3/2) the substituted theta is below the cap
-        assert auto_theta_bound(1.01 * cap ** -1.5, bound) == 0.0
-
-    def test_equals_growth_bound_at_substituted_theta(self):
-        rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 20:
-            bound = linear_series(q=rng.uniform(0.3, 0.7), r=rng.uniform(0.3, 0.8))
-            gb = bound.gamma_beta
-            u = 1.5 * (1.0 + 2.0 * bound.k) ** ((gb + 1.0) / gb)
-            theta_sub = u ** (-gb / (gb + 1.0))
-            if theta_sub >= bound.cap:
-                continue
-            a = auto_theta_bound(u, bound)
-            b = sup_tail_bound(u, theta_sub, bound)
-            assert a == pytest.approx(b, rel=1e-12)
-            checked += 1
 
 
 class TestPowerVariant:

@@ -10,7 +10,7 @@ from scipy.special import gamma, zeta
 from series_oracle import sum_series
 from suptail import supbound
 from suptail.entropy import HolderProfile, c1_constant
-from suptail.growth import _polylog, _zeta, auto_theta_bound, theta_sup
+from suptail.growth import _polylog, _zeta, optimize_theta_growth, theta_sup
 from suptail.heat import (
     SheModel,
     increment_constant,
@@ -371,8 +371,8 @@ class TestGrowthEnvelope:
     def test_invalid_u_marked_nan(self):
         model = SheModel(hurst=0.5)
         bound, _, _ = she_growth_envelope(model, p=2.0, halfwidth=1.0)
-        assert math.isnan(auto_theta_bound(1.0, bound))
-        assert 0.0 <= auto_theta_bound(5000.0, bound) <= 1.0
+        assert math.isnan(optimize_theta_growth(1.0, bound)[1])
+        assert 0.0 <= optimize_theta_growth(5000.0, bound)[1] <= 1.0
 
     def test_plain_terms_match_closed_form_summands(self):
         # the summands from the per-cell definitions (through c1_constant)
@@ -441,9 +441,9 @@ class TestGrowthEnvelope:
 
     def test_curve_matches_auto_theta_form_on_series(self):
         model = SheModel(hurst=0.5)
-        # the envelope column of bound-growth is auto_theta_bound on this bound
-        # (tests/test_cli.py TestBoundGrowth::test_envelope_and_series), with
-        # each sum at the upper end of its certified interval
+        # the bound column of bound-growth is optimize_theta_growth on this
+        # bound (tests/test_cli.py TestBoundGrowth::test_envelope_and_series),
+        # with each sum at the upper end of its certified interval
         bound, c_tilde, s_tilde = she_growth_envelope(model, p=2.0, halfwidth=1.0)
         growth = supbound.TailBound(
             s_tilde.value + s_tilde.remainder,
