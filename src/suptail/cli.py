@@ -6,6 +6,8 @@ holds for its command, one schema per field for the commands that take a
 finite, sizes checked integral) before any computation.  Every bound curve
 is at the closed-form theta*, one JSON row {u, theta, bound, validity} per
 u; simulate-verify also writes a CSV.
+The arguments are a command, then --config, --out and --seed by their full
+names, each as "--name value" or "--name=value".
 Outputs are byte-stable for a fixed config and seed, carry the config hash,
 and use LF line endings with '.' decimals in CSV.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 from functools import partial
 
@@ -349,7 +350,8 @@ _COMMANDS = {
     }),
     "bound-growth": (cmd_bound_growth, ({"model": _V_MODEL, "p": _number, "halfwidth": _number,
                                          "u_grid": _listed_u}, {"model", "u_grid"})),
-    "covering": (cmd_covering, ({"box": _BOX, "eps": _number, "resolution": _positive_int},
+    # resolution 1 puts one grid point on each axis, which covering_oracle refuses
+    "covering": (cmd_covering, ({"box": _BOX, "eps": _number, "resolution": partial(_positive_int, least=2)},
                                 {"box", "eps"})),
     "simulate-verify": (cmd_simulate_verify, {
         "v": ({**_CURVE, "box": _HEAT_BOX, "model": _V_MODEL, "samples": _positive_int,
@@ -382,61 +384,32 @@ def _exit(command: str | None, error: str | None = None):
     sys.exit(0)
 
 
-def _token(token: str, command: str | None) -> tuple | None:
-    """None if token is a value, else (the option of command, or --help, that
-    it names by a unique prefix, or None, and its "=" value or None).  A token
-    that starts with "-" is a value if it is "-", a negative number or holds
-    a space."""
-    if not token.startswith("-") or token == "-":
-        return None
-    if token.startswith("-h"):
-        return "--help", token[2:] or None
-    head, eq, value = token.partition("=")
-    names = [*_OPTIONS, "--help"] if command else ["--help"]
-    matches = [n for n in names if n.startswith(head)] if token[1] == "-" else []
-    if len(matches) > 1:
-        _exit(command, f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value if eq else None
-    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
-
-
-def _options(command: str | None, args: list[str], opts: dict) -> list[str]:
-    """Read the options in args into opts, in order: every option after a
-    command, none before it.  Return the tokens that name none.  No token
-    after "--" is an option."""
-    cut = args.index("--") if "--" in args else len(args)
-    kinds = [_token(token, command) for token in args[:cut]] + [None]
-    extras, k = [], 0
-    while k < cut:
-        name, value = kinds[k] or (None, None)
-        if name == "--help":  # "-hx" and "--help=x" give -h a value
-            _exit(command, None if value is None else f"-h takes no value, got {value!r}")
-        elif name is None:
-            extras.append(args[k])
-        else:
-            if value is None:  # "--opt value", not "--opt=value"
-                if k + 1 == cut or kinds[k + 1] is not None:
-                    _exit(command, f"argument {name}: expected one argument")
-                k, value = k + 1, args[k + 1]
-            try:
-                opts[name[2:]] = _OPTIONS[name][0](value)
-            except ValueError:
-                _exit(command, f"argument {name}: invalid value {value!r}")
-        k += 1
-    return extras + args[cut:]
-
-
 def _parse(argv: list[str]) -> tuple[str, dict]:
     """The command and its options from argv, read by the usage lines: a
-    usage error exits 2, and -h exits 0."""
-    # suptail's own options, -h alone, run up to the command: the first value
-    i = next((i for i, t in enumerate(argv) if t == "--" or not _token(t, None)), len(argv))
-    extras = _options(None, argv[:i], {})
-    if i == len(argv) or argv[i] not in _COMMANDS:
-        _exit(None, f"invalid command {argv[i]!r}" if argv[i:] else "a command is required")
-    command, opts = argv[i], {name[2:]: default for name, (_, default, _) in _OPTIONS.items()}
-    extras += _options(command, argv[i + 1 :], opts)
+    usage error exits 2, and -h exits 0.  The last repeat of an option wins,
+    and a spaced value is the next argument unless that is an option's name
+    or asks for help."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _exit(None)
+    if not argv or argv[0] not in _COMMANDS:
+        _exit(None, f"invalid command {argv[0]!r}" if argv else "a command is required")
+    command, opts = argv[0], {name[2:]: default for name, (_, default, _) in _OPTIONS.items()}
+    extras, args = [], iter(argv[1:])
+    for arg in args:
+        if arg in ("-h", "--help"):
+            _exit(command)
+        name, eq, value = arg.partition("=")
+        if name not in _OPTIONS:
+            extras.append(arg)
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or value in (*_OPTIONS, "-h", "--help"):
+                _exit(command, f"argument {name}: expected one argument")
+        try:
+            opts[name[2:]] = _OPTIONS[name][0](value)
+        except ValueError:
+            _exit(command, f"argument {name}: invalid value {value!r}")
     if opts["config"] is None:
         _exit(command, "the following arguments are required: --config")
     if extras:

@@ -20,8 +20,8 @@ tolerance on the remainders.  The caller builds it once, and
 bound is, with nan where it is not asserted.
 
 NumPy is imported by ``_polylog`` at its first call, not with this module, so
-``bound-growth`` loads it when it sums Li_p and no other analytic command
-loads it.  Nothing here uses SciPy.
+``bound-growth`` loads it when it sums Li_p, and nothing else here loads
+it.  Nothing here uses SciPy.
 """
 
 from __future__ import annotations

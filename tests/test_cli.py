@@ -465,7 +465,7 @@ class TestCovering:
         payload = {"box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0}, "eps": 0.5}
         code, out = run(tmp_path, "covering", {**payload, "resolution": value})
         assert code == 1
-        assert "'resolution' must be an integer >= 1" in capsys.readouterr().err
+        assert "'resolution' must be an integer >= 2" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -800,6 +800,10 @@ class TestScalarValues:
                                      "u_grid": [30.0]}, "box 'a1' must be finite, got nan"),
         "covering-b2-nan": ("covering", {"box": {**BOX, "b2": math.nan}, "eps": 0.5},
                             "box 'b2' must be finite, got nan"),
+        # the oracle's grid needs two points per axis: resolution 1 passed the
+        # schema and failed in covering_oracle, after the covering bound had run
+        "covering-resolution-1": ("covering", {"box": BOX, "eps": 0.5, "resolution": 1},
+                                  "'resolution' must be an integer >= 2, got 1"),
         # a box key or model key that the command does not read, alone
         "sup-h1-unknown": ("bound-sup", {"field": "v", "model": MODEL, "box": {**BOX, "h1": 0.5},
                                          "u_grid": [80.0]},

@@ -439,7 +439,7 @@ class TestGrowthEnvelope:
             assert ratio >= math.sqrt(3.0)
             assert ratio * ((math.e - 1) / math.e) ** (hurst / 2) >= 1.0
 
-    def test_curve_matches_auto_theta_form_on_series(self):
+    def test_bound_is_tail_bound_at_series_upper_ends(self):
         model = SheModel(hurst=0.5)
         # the bound column of bound-growth is optimize_theta_growth on this
         # bound (tests/test_cli.py TestBoundGrowth::test_envelope_and_series),
