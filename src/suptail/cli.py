@@ -186,33 +186,24 @@ def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    # np.float64 reprs as "np.float64(...)" under numpy 2; nan reprs as "nan"
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
-# The writers make the output directory out, with its parents, so a run that
-# fails before its first write leaves none.
-
-
-def _open(out: str, name: str):
+def _write(out: str, name: str, text: str) -> None:
+    """Write text to the file name in out with LF line endings, making out and
+    its parents first, so a run that fails before its first write leaves none."""
     os.makedirs(out, exist_ok=True)
-    return open(os.path.join(out, name), "w", encoding="utf-8", newline="\n")
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_json(out: str, name: str, payload: dict) -> None:
     # one encode and one write: json.dump would issue a write per token
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with _open(out, name) as fh:
-        fh.write(text)
+    _write(out, name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(out: str, name: str, header: list[str], rows: list[tuple], meta: dict) -> None:
-    with _open(out, name) as fh:
-        fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    # str of a float, a NumPy float64 included, is its shortest round-trip repr
+    lines = [f"# config_hash={meta['config_hash']} seed={meta['seed']}", ",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    _write(out, name, "\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -134,6 +134,9 @@ def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> i
     * a greedy cover that repeatedly centers a ball at the first uncovered
       grid point in lexicographic order.
 
+    Only the greedy cover is run: its count is capped at the tiling's count,
+    so the capped count is the smaller of the two.
+
     Upper-bounds the true covering number only up to discretization, so it is
     meaningful as a check that ``covering_oracle <= covering_upper_bound``.
     Deterministic for fixed inputs.
@@ -164,5 +167,4 @@ def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> i
         w = (eps / m) ** (1.0 / h_i)
         count_tiling *= max(1, math.ceil(t_i / (2.0 * w)))
 
-    # the greedy count stops once it reaches the tiling's, which then wins
-    return min(count_tiling, _greedy_count(box, eps, resolution, count_tiling))
+    return _greedy_count(box, eps, resolution, count_tiling)

@@ -28,8 +28,9 @@ Holder constants (heat.omega_bound_inputs) and needs no covariance.
 
 The grid is the product of a time axis and a space axis.  The two Kummer
 terms depend on t + s or |t - s| and on |x - y| only, so covariance_matrix
-evaluates each once per distinct time value and distance, tabulates Cov V
-over time pairs and distances, and gathers the matrix from that table.
+evaluates them once, on the grid of distinct time values (every t + s and
+|t - s|) by distinct distances, tabulates Cov V over time pairs and
+distances, and gathers the matrix from that table.
 v_covariance is one entry of a 2 x 2 grid: the kernel has this one route.
 
 simulate-verify makes four calls: covariance_matrix, factor_covariance,
@@ -89,27 +90,6 @@ def _kummer_term(r: np.ndarray, z2: np.ndarray, hurst: float) -> np.ndarray:
     return out
 
 
-def _v_table(sums: np.ndarray, gaps: np.ndarray, dists: np.ndarray, hurst: float) -> np.ndarray:
-    """Cov V for each time pair and each distance, shape sums.shape + dists.shape.
-
-    A time pair (t, s) is given by sums = t + s and gaps = |t - s|, a distance
-    by |x - y| (module docstring).  Each Kummer term depends on one of the
-    two time values and the distance, so it is evaluated once per distinct
-    time value, sum or gap, and distance.  Where min(t, s) = 0 both terms
-    coincide, so the covariance is exactly 0.
-    """
-    import numpy as np
-
-    z2 = dists * dists / 4.0
-    pairs = np.stack([sums, gaps])
-    rs, idx = np.unique(pairs, return_inverse=True)
-    idx = idx.reshape(pairs.shape)  # flat before NumPy 2
-    terms = _kummer_term(np.repeat(rs, len(z2)), np.tile(z2, len(rs)), hurst)
-    terms = terms.reshape(len(rs), len(z2))[idx]
-    scale = noise_constant(hurst) * math.gamma(1.0 - hurst) / (2.0 * hurst)
-    return scale * (terms[0] - terms[1])
-
-
 def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
     """Covariance of the stochastic convolution V at (t,x), (s,y), in closed form.
 
@@ -144,10 +124,12 @@ def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float)
 
     Point (times[i], xs[a]) has index i * len(xs) + a: points run in t-major
     order.  The kernel depends on the times only through t + s and |t - s|,
-    and on the space points through |x - y|.  It is tabulated over (nt, nt,
-    n_dist) for the time pairs and the distinct distances between the xs,
-    and the matrix is gathered from that table: entry (i, a), (j, b) is
-    table[i, j, index of |x_a - x_b|].
+    and on the space points through |x - y|.  The Kummer terms are evaluated
+    on the grid of distinct time values (sums and gaps) by distinct
+    distances, Cov V is tabulated over (nt, nt, n_dist) for the time pairs
+    and the distinct distances between the xs, and the matrix is gathered
+    from that table: entry (i, a), (j, b) is table[i, j, index of |x_a - x_b|].
+    Where min(t, s) = 0 both terms coincide, so the covariance is exactly 0.
     """
     import numpy as np
 
@@ -160,15 +142,18 @@ def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float)
     for axis, values in (("times", times), ("space points", xs)):
         if not np.isfinite(values).all():
             raise ValueError(f"grid {axis} must be finite, got {values[~np.isfinite(values)][0]}")
-    m = len(times) * len(xs)
+    nt, m = len(times), len(times) * len(xs)
     dists, d_idx = np.unique(np.abs(np.subtract.outer(xs, xs)), return_inverse=True)
     d_idx = d_idx.reshape(len(xs), len(xs))  # flat before NumPy 2
     # t + s and |t - s| are exactly symmetric in t and s under IEEE rounding.
     # Past |x - y| ~ 1e154 the squared distance overflows and the Kummer terms
     # give inf - inf: a table that is not finite raises instead of warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, gaps = np.add.outer(times, times), np.abs(np.subtract.outer(times, times))
-        table = _v_table(sums, gaps, dists, hurst)
+        rs, r_idx = np.unique([np.add.outer(times, times), np.abs(np.subtract.outer(times, times))],
+                              return_inverse=True)
+        terms = _kummer_term(*np.broadcast_arrays(rs[:, None], dists * dists / 4.0), hurst)
+        terms = terms[r_idx.reshape(2, nt, nt)]  # flat before NumPy 2
+        table = noise_constant(hurst) * math.gamma(1.0 - hurst) / (2.0 * hurst) * (terms[0] - terms[1])
     if not np.isfinite(table).all():
         raise ValueError(f"covariance is not finite on this grid: its largest |x - y| is "
                          f"{float(dists[-1])!r} and its largest time {float(times.max())!r}")

@@ -955,6 +955,16 @@ class TestOutDirectory:
         assert err == f"suptail constants: error: [Errno {code}] {os.strerror(code)}: {out!r}\n"
 
 
+def test_write_csv_cells(tmp_path):
+    # a NumPy scalar, nan, inf, an int and a verdict, after the hash line and the header
+    meta = {"config_hash": "ab12", "seed": 7}
+    rows = [(0.1, np.float64(0.2), math.nan, math.inf, 3, "PASS")]
+    cli.write_csv(str(tmp_path), "curve.csv", ["u", "a", "b", "c", "d", "verdict"], rows, meta)
+    # every line ends in LF alone
+    data = (tmp_path / "curve.csv").read_bytes()
+    assert data == b"# config_hash=ab12 seed=7\nu,a,b,c,d,verdict\n0.1,0.2,nan,inf,3,PASS\n"
+
+
 class TestBoxAtTimeZero:
     @pytest.mark.parametrize("command", ["bound-sup", "simulate-verify"])
     def test_rejected_naming_b1(self, tmp_path, capsys, command):

@@ -232,7 +232,7 @@ class TestCovarianceMatrix:
         w = np.linalg.eigvalsh(cov)
         assert w.min() > -1e-10 * w.max()
 
-    def test_memoization_consistency(self):
+    def test_entries_match_v_covariance(self):
         grid = make_grid(BOX, 2, 2)
         cov = covariance_matrix(*grid, 0.5)
         for i, (t, x) in enumerate(points(*grid)):
@@ -297,6 +297,23 @@ class TestCovarianceMatrix:
     def test_unsorted_axes_with_repeats_match_oracle(self):
         grid = (0.7, 0.2, 0.7, 0.0), (0.3, -0.4, 0.9)
         assert np.array_equal(covariance_matrix(*grid, 0.35), covariance_from_points(points(*grid), 0.35))
+
+    @pytest.mark.parametrize("grid", [make_grid(BOX, 4, 3), ((0.7, 0.2, 0.7, 0.0), (0.3, -0.4, 0.9))],
+                             ids=["4x3", "unsorted-repeats"])
+    def test_one_kummer_term_per_distinct_key(self, monkeypatch, grid):
+        # the table's point: one Kummer call, on distinct (t + s or |t - s|) x distinct |x - y|
+        times, xs = grid
+        calls = []
+        kummer_term = sim._kummer_term
+
+        def counted(r, z2, hurst):
+            calls.append(r.size)
+            return kummer_term(r, z2, hurst)
+
+        monkeypatch.setattr(sim, "_kummer_term", counted)
+        covariance_matrix(times, xs, 0.35)
+        rs = {t + s for t in times for s in times} | {abs(t - s) for t in times for s in times}
+        assert calls == [len(rs) * len({abs(x - y) for x in xs for y in xs})]
 
     def test_pointwise_kernel_matches_oracle(self):
         rng = np.random.default_rng(18)
