@@ -4,11 +4,11 @@ The mild solution on (0,T] x R driven by noise that is white in time and
 fractional in space (Hurst index H <= 1/2) splits into the smoothed initial
 condition omega(t,x) and the stochastic convolution V(t,x).  This module
 computes every constant of their second-moment bounds in closed form, maps
-both fields onto the generic bounded-domain supremum bounds, and builds the
-growth bound of V over the strip [1, inf) x [-A, A] from its first cell, a
-box with the metric of ``v_bound_inputs``, and the series of
-``suptail.growth``.  Gamma values come from the math module, so nothing here
-loads SciPy.
+both fields onto the generic bounded-domain supremum bounds through one metric
+builder, ``_heat_metric``, and builds the growth bound of V over the strip
+[1, inf) x [-A, A] from its first cell, a box with V's ``_heat_metric``, and
+the series of ``suptail.growth``.  Gamma values come from the math module, so
+nothing here loads SciPy.
 
 Conventions fixed here:
 
@@ -175,10 +175,6 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
     c_v = property(lambda self: increment_constant(self.hurst))
     c_omega = property(lambda self: omega_holder_constant(self.holder_const, self.rho))
 
-    @property
-    def fam(self) -> PhiFamily:
-        return PhiFamily(self.alpha)
-
     def constants(self) -> dict[str, float]:
         return {
             "noise_constant": noise_constant(self.hurst),
@@ -192,42 +188,36 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
         }
 
 
-def omega_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
-    """Bounded-domain bound for the smoothed-initial-condition field omega.
-
-    eps0 = c_0 c_phi, modulus sigma(h) = c_omega c_phi h over ``_heat_box``'s
-    metric with exponents (rho/2, rho); the box's own exponents are replaced.
-    """
-    return supbound.field_bound(
-        model.init_sup * model.det_const,
-        _heat_box(box, model.rho),
-        HolderProfile(model.c_omega * model.det_const, 1.0),
-        model.fam,
-    )
-
-
-def _heat_box(box: AnisotropicBox, exponent: float) -> AnisotropicBox:
-    """The box with exponents (exponent/2, exponent); both heat fields live at t >= 0."""
+def _heat_metric(
+    box: AnisotropicBox, exponent: float, scale: float, alpha: float
+) -> tuple[AnisotropicBox, HolderProfile, PhiFamily]:
+    """A heat field's metric on box: the box with exponents (exponent/2, exponent)
+    in place of its own, the modulus sigma(h) = scale h and the family of alpha.
+    Both heat fields live at t >= 0."""
     if box.a1 < 0:
         raise ValueError("time axis of the box must be nonnegative")
-    return AnisotropicBox(box.a1, box.b1, box.a2, box.b2, exponent / 2.0, exponent)
+    box = AnisotropicBox(box.a1, box.b1, box.a2, box.b2, exponent / 2.0, exponent)
+    return box, HolderProfile(scale, 1.0), PhiFamily(alpha)
 
 
-def _v_metric(
-    box: AnisotropicBox, model: SheModel
-) -> tuple[AnisotropicBox, HolderProfile, PhiFamily]:
-    """The box with V's metric exponents (H/2, H), its modulus sigma(h) = c_V h
-    and the Gaussian family."""
-    return _heat_box(box, model.hurst), HolderProfile(model.c_v, 1.0), PhiFamily(2.0)
+def omega_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
+    """Bounded-domain bound for the smoothed-initial-condition field omega:
+    eps0 = c_0 c_phi on ``_heat_metric`` with exponent rho, scale c_omega c_phi
+    and the family of alpha."""
+    return supbound.field_bound(
+        model.init_sup * model.det_const,
+        *_heat_metric(box, model.rho, model.c_omega * model.det_const, model.alpha),
+    )
 
 
 def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
     """Bounded-domain bound for the Gaussian stochastic convolution V.
 
     eps0 = A(H) b1^(H/2) with b1 the right endpoint of the time axis, on
-    ``_v_metric``.  A box with b1 = 0 lies at t = 0, where V is 0, and is rejected.
+    ``_heat_metric`` with exponent H, scale c_V and the Gaussian family.  A box
+    with b1 = 0 lies at t = 0, where V is 0, and is rejected.
     """
-    metric = _v_metric(box, model)
+    metric = _heat_metric(box, model.hurst, model.c_v, 2.0)
     if box.b1 == 0:  # b1 >= a1 >= 0
         raise ValueError("box 'b1' must be positive for V: the box lies at t = 0, where V is 0")
     return supbound.field_bound(model.a_h * box.b1 ** (model.hurst / 2.0), *metric)
@@ -263,7 +253,8 @@ def she_growth_envelope(
     for name, value in (("p", p), ("halfwidth", halfwidth)):
         if value == math.inf:
             raise ValueError(f"{name} must be finite, got {value}")
-    box, prof, fam = _v_metric(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth), model)
+    box, prof, fam = _heat_metric(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth),
+                                  model.hurst, model.c_v, 2.0)
     # exp(H/2), not v_bound_inputs' math.e ** (H/2), which can differ in the last bit
     eps0 = model.a_h * math.exp(model.hurst / 2.0)
     c_sum = series_c_sum(eps0, p)

@@ -9,6 +9,8 @@ import pytest
 from series_oracle import SeriesError, sum_series
 from suptail.entropy import HolderProfile, c1_constant
 from suptail.growth import (
+    _polylog,
+    _zeta,
     optimize_theta_growth,
     series_s_sum,
     theta_sup,
@@ -145,6 +147,26 @@ def _cell_ratios(model, halfwidth, k_max):
         box = AnisotropicBox(math.exp(k), math.exp(k + 1), -halfwidth, halfwidth, h / 2, h)
         ratios.append(model.c_v * box.diameter / (model.a_h * math.exp((k + 1) * h / 2)))
     return ratios
+
+
+class TestClosedFormSeriesLargeP:
+    """bound-growth takes any finite p > 1.  At large p the terms of Li_p underflow
+    to 0 inside the first chunk of 1024, so the remainder's rounding term is read
+    at the last term that did not underflow, and three terms give the sum."""
+
+    @pytest.mark.parametrize("p", [200.0, 1000.0, 1e6])
+    def test_polylog_first_chunk_underflows(self, p):
+        ln_x = -1.0 / 8.0
+        assert math.exp(1024 * ln_x - p * math.log(1024)) == 0.0  # the chunk's last term
+        got = _polylog(p, ln_x)
+        x = math.exp(ln_x)
+        assert got.n_terms == 1024 and math.isfinite(got.remainder)
+        assert abs(got.value - (x + x * x * 2.0 ** -p + x ** 3 * 3.0 ** -p)) <= got.remainder
+
+    @pytest.mark.parametrize("p", [200.0, 1000.0, 1e6])
+    def test_zeta_is_one_plus_two_to_minus_p(self, p):
+        got = _zeta(p)
+        assert abs(got.value - (1.0 + 2.0 ** -p)) <= got.remainder
 
 
 class TestThetaSup:

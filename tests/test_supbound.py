@@ -1,10 +1,13 @@
 """Bounded-domain supremum bounds: thresholds, tail bound, theta optimum."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from known_answers import ln_gauss_tail_lower
+from suptail.cli import main
 from suptail.entropy import HolderProfile, c1_constant
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily, phi_conjugate
@@ -195,3 +198,73 @@ class TestOptimizeTheta:
             else:
                 n_free += 1
         assert min(n_capped, n_free, n_invalid) >= 10, (n_capped, n_free, n_invalid)
+
+
+# Known answer: X(t) = W(t^(2h)) on [0, T], W a standard Brownian motion, h <= 1/2.
+# |a^(2h) - b^(2h)| <= |a - b|^(2h) gives ||X(t) - X(s)||_2 <= |t - s|^h, and
+# ||X(t)||_2 <= T^h, so X is a generic field on [0, T] x {0} with h1 = h, the
+# modulus sigma(h) = h, alpha = 2 and eps0 = T^h.  P(sup |X| > u) >= P(|X(T)| > u),
+# a Gaussian tail of variance T^(2h).  Both sides decay like exp(-u^2 / (2 T^(2h))),
+# and the printed bound underflows to 0 past a few tens, so they are compared in logs.
+BROWNIAN_CASES = [(1.0, 0.5), (1.0, 0.25), (4.0, 0.25), (0.25, 0.1), (4.0, 0.5)]
+
+
+def brownian_bound(t_end, h, eps0_factor=1.0):
+    """The generic bound of W(t^(2h)) on [0, t_end], its norm eps0 scaled by eps0_factor."""
+    box = AnisotropicBox(0.0, t_end, 0.0, 0.0, h, 1.0)
+    return field_bound(eps0_factor * t_end ** h, box, HolderProfile(1.0, 1.0), PhiFamily(2.0))
+
+
+def brownian_us(bound):
+    """200 geometric u from just above the bound's minimal threshold to 1e5."""
+    return list(np.geomspace(min_threshold(bound) * (1.0 + 1e-9), 1e5, 200))
+
+
+def ln_optimized_bound(u, bound):
+    """(ln of the bound at optimize_theta's theta, the bound as returned): with
+    level = u (1 - theta) - 2 k theta^(-1/(gamma beta)), ln 2 - (level/scale)^2 / 2."""
+    theta, value = optimize_theta(u, bound)
+    level = u * (1.0 - theta) - 2.0 * bound.k * theta ** (-1.0 / bound.gamma_beta)
+    assert level > 0.0, (u, level)
+    return math.log(2.0) - 0.5 * (level / bound.scale) ** 2, value
+
+
+class TestKnownAnswerBrownian:
+    def test_gauss_tail_lower_is_below_erfc(self):
+        for var in (0.5, 1.0, 4.0):
+            for u in np.geomspace(1e-3, 20.0, 100):  # erfc underflows past x = 26
+                exact = math.log(math.erfc(u / math.sqrt(2.0 * var)))
+                assert exact - 0.5 < ln_gauss_tail_lower(u, var) < exact
+
+    @pytest.mark.parametrize("t_end, h", BROWNIAN_CASES)
+    def test_bound_holds_at_every_u(self, t_end, h):
+        bound = brownian_bound(t_end, h)
+        for u in brownian_us(bound):
+            ln_bound, value = ln_optimized_bound(u, bound)
+            assert ln_bound >= ln_gauss_tail_lower(u, t_end ** (2 * h)), u
+            if 1e-300 < value < 1.0:  # the printed bound, where it is a normal float below its clamp
+                assert math.log(value) == pytest.approx(ln_bound, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("t_end, h", BROWNIAN_CASES)
+    def test_eps0_mutant_fails(self, t_end, h):
+        # the same u grid as the true bound's, so no u is picked for the mutant
+        mutant = brownian_bound(t_end, h, eps0_factor=0.97)
+        us = brownian_us(brownian_bound(t_end, h))
+        assert any(ln_optimized_bound(u, mutant)[0] < ln_gauss_tail_lower(u, t_end ** (2 * h)) for u in us)
+
+    def test_printed_bound_above_gaussian_tail(self, tmp_path):
+        t_end, h = 4.0, 0.25
+        config = tmp_path / "generic.json"
+        config.write_text(json.dumps({
+            "field": "generic", "fam": 2.0, "eps0": t_end ** h,
+            "profile": {"scale": 1.0, "exponent": 1.0},
+            "box": {"a1": 0.0, "b1": t_end, "a2": 0.0, "b2": 0.0, "h1": h, "h2": 1.0},
+            "u_grid": [float(u) for u in brownian_us(brownian_bound(t_end, h))],
+        }))
+        assert main(["bound-sup", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        rows = json.loads((tmp_path / "out" / "bound_sup.json").read_text())["curve"]
+        assert len(rows) == 200 and all(r["validity"] == "VALID" for r in rows)
+        printed = [r for r in rows if r["bound"] > 0.0]
+        assert len(printed) >= 10
+        for r in printed:
+            assert r["bound"] >= math.exp(ln_gauss_tail_lower(r["u"], t_end ** (2 * h))), r
