@@ -1,8 +1,6 @@
 """Anisotropic box metric, the analytic covering-number bound, and a covering oracle.
 
-NumPy is imported when ``covering_oracle`` first builds its grid, not with this
-module, so of the five commands only ``covering`` loads it here.  Nothing
-here uses SciPy.
+Everything here runs on ``math`` alone: neither NumPy nor SciPy is loaded.
 """
 
 from __future__ import annotations
@@ -44,14 +42,15 @@ class AnisotropicBox(namedtuple("AnisotropicBox", "a1 b1 a2 b2 h1 h2")):
         return self.b2 - self.a2
 
     @property
-    def axes(self) -> tuple[tuple[float, float], ...]:
-        """(T_i, h_i) of each nondegenerate axis (T_i > 0), time axis first."""
-        return tuple((t, h) for t, h in ((self.t1, self.h1), (self.t2, self.h2)) if t > 0)
+    def axes(self) -> tuple[tuple[int, float, float, float], ...]:
+        """(i, a_i, b_i, h_i) of each nondegenerate axis (b_i > a_i), time axis first."""
+        return tuple(axis for axis in ((1, self.a1, self.b1, self.h1), (2, self.a2, self.b2, self.h2))
+                     if axis[2] > axis[1])
 
     @property
     def diameter(self) -> float:
         """Diameter in d: T1^h1 + T2^h2."""
-        return sum((t ** h for t, h in self.axes), 0.0)
+        return sum(((b - a) ** h for _, a, b, h in self.axes), 0.0)
 
 
 def covering_upper_bound(box: AnisotropicBox, eps: float) -> float:
@@ -66,76 +65,76 @@ def covering_upper_bound(box: AnisotropicBox, eps: float) -> float:
     if not eps > 0:  # also rejects nan
         raise ValueError(f"eps must be positive, got {eps}")
     val = 1.0
-    for t_i, h_i in box.axes:
+    for i, a, b, h in box.axes:
         try:
-            factor = 2.0 ** (1.0 / h_i) * t_i / (2.0 * eps ** (1.0 / h_i)) + 1.0
+            factor = 2.0 ** (1.0 / h) * (b - a) / (2.0 * eps ** (1.0 / h)) + 1.0
         except (OverflowError, ZeroDivisionError):
             factor = math.inf
         if not math.isfinite(factor):
-            # axes lists the time axis first, so (t1, h1) can only be axis 1
-            i = 1 if (t_i, h_i) == (box.t1, box.h1) else 2
-            raise ValueError(f"covering factor of axis {i} overflows the float range: h{i} = {h_i!r}, "
+            raise ValueError(f"covering factor of axis {i} overflows the float range: h{i} = {h!r}, "
                              f"eps = {eps!r}")
         val *= factor
     return val
 
 
-def _grid_axis(a: float, b: float, resolution: int, h: float, eps: float):
-    """One axis of the oracle grid: the table |g_k - g_c|^h (row c, column k)
-    and, for each center c, the index window [lo_c, hi_c) outside which the
-    table exceeds eps."""
-    import numpy as np
-
-    g = np.linspace(a, b, resolution) if b > a else np.array([a])
-    table = np.abs(g - g[:, None]) ** h
-    near = table <= eps  # the diagonal is 0, so each row has a True
-    lo = np.argmax(near, axis=1)
-    hi = len(g) - np.argmax(near[:, ::-1], axis=1)
-    return table, lo, hi
+def _tiles(t: float, h: float, r: float) -> float:
+    """Fewest uniform tiles of a side t whose midpoints are within d-distance r
+    of all of it, ceil(t / (2 r^(1/h))); inf where r <= 0, r^(1/h) underflows
+    or t / r^(1/h) overflows."""
+    w = r ** (1.0 / h) if r > 0 else 0.0
+    return max(1, math.ceil(t / (2.0 * w))) if w > 0 and t / w < math.inf else math.inf
 
 
-def _greedy_count(box: AnisotropicBox, eps: float, resolution: int, cap: int) -> int:
-    """Balls in the greedy cover of the resolution x resolution grid, each
-    centered at the first uncovered point in lexicographic order; the count
-    stops at cap.
+def _reach(a: float, b: float, h: float, n: int, resolution: int) -> float:
+    """Largest |g - c|^h from a point g of np.linspace(a, b, resolution) to the
+    nearest midpoint c of n uniform tiles of [a, b].  It peaks at a, b and the
+    tile boundaries, so only the grid points beside those are measured, each
+    as linspace computes it (k * step + a, the last point b) so that ties round
+    as on that grid."""
+    last, step = resolution - 1, (b - a) / (resolution - 1)
+    mids = [a + (j + 0.5) * (b - a) / n for j in range(n)]
+    worst = 0.0
+    for j in range(n + 1):
+        for k in {j * last // n, -(-j * last // n)}:
+            g = b if k == last else k * step + a
+            worst = max(worst, min(abs(g - c) for c in mids[max(j - 1, 0) : j + 1]) ** h)
+    return worst
 
-    d = table1[i, k] + table2[j, l] is at least each term, so a ball centered
-    at (i, j) covers only points inside both of its windows, and each step
-    updates that block alone.
+
+def _tile_counts(box: AnisotropicBox, eps: float, resolution: int) -> list[int] | None:
+    """Tiles per nondegenerate axis of the cover that ``covering_oracle`` counts,
+    or None if no candidate passes.
+
+    Candidates: the even split (eps/m per axis), the even split with one more
+    tile per axis (its product caps the search), and on two axes each n1 with
+    the fewest n2 that the eps left by n1 allows, and one more.  The first by
+    n1 * n2, the even split first among ties, whose per-axis reaches sum to
+    at most eps (the largest d on the grid) is taken.
     """
-    import numpy as np
-
-    table1, lo1, hi1 = _grid_axis(box.a1, box.b1, resolution, box.h1, eps)
-    table2, lo2, hi2 = _grid_axis(box.a2, box.b2, resolution, box.h2, eps)
-    uncovered = np.ones((len(table1), len(table2)), dtype=bool)
-    flat = uncovered.ravel()
-    first, count = 0, 0
-    while count < cap:
-        # The first uncovered point only moves forward.
-        first += int(np.argmax(flat[first:]))
-        if not flat[first]:
-            break
-        i, j = divmod(first, len(table2))
-        rows, cols = slice(lo1[i], hi1[i]), slice(lo2[j], hi2[j])
-        uncovered[rows, cols] &= table1[i, rows, None] + table2[j, cols] > eps
-        count += 1
-    return count
+    axes = box.axes
+    even = [_tiles(b - a, h, eps / len(axes)) for _, a, b, h in axes]
+    cap = math.prod(n + 1 for n in even)
+    candidates = [even, [n + 1 for n in even]]
+    if len(axes) == 2:
+        (_, a1, b1, h1), (_, a2, b2, h2) = axes
+        for n1 in range(_tiles(b1 - a1, h1, eps), cap // _tiles(b2 - a2, h2, eps) + 1):
+            n2 = _tiles(b2 - a2, h2, eps - ((b1 - a1) / (2.0 * n1)) ** h1)
+            candidates += [[n1, n2], [n1, n2 + 1]]
+    fits = (counts for counts in sorted(candidates, key=math.prod) if math.prod(counts) <= cap)
+    return next((counts for counts in fits
+                 if sum(_reach(a, b, h, n, resolution) for (_, a, b, h), n in zip(axes, counts)) <= eps), None)
 
 
 def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> int:
     """Constructive covering count of a grid discretization of the box.
 
-    Returns the smaller of two genuine covers of the resolution x resolution
-    grid by closed d-balls of radius eps:
-
-    * a sweep tiling with per-axis half-width (eps/m)^(1/h_i), m the number of
-      nondegenerate axes, which realizes the construction behind
-      ``covering_upper_bound`` (so the oracle never exceeds it);
-    * a greedy cover that repeatedly centers a ball at the first uncovered
-      grid point in lexicographic order.
-
-    Only the greedy cover is run: its count is capped at the tiling's count,
-    so the capped count is the smaller of the two.
+    Counts a product cover of the resolution x resolution grid by closed
+    d-balls of radius eps, centered at the products of the midpoints of n_i
+    uniform tiles per nondegenerate axis.  n1, and so the split of eps
+    between the axes, is searched for the fewest balls, from the even split
+    that realizes ``covering_upper_bound``'s construction.  A cover counts
+    only once d <= eps holds in floating point at every grid point; if no
+    candidate passes, every grid point gets its own ball.
 
     Upper-bounds the true covering number only up to discretization, so it is
     meaningful as a check that ``covering_oracle <= covering_upper_bound``.
@@ -151,20 +150,14 @@ def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> i
         return 1
     # Grid spacing must be well inside eps in the d-metric, else ball counts
     # on the grid are not representative of the continuum.
-    for t_i, h_i in nondeg:
-        step = t_i / (resolution - 1)
-        if step ** h_i > eps / 10.0:
+    for _, a, b, h in nondeg:
+        step = (b - a) / (resolution - 1)
+        if step ** h > eps / 10.0:
             raise ValueError(
                 f"resolution {resolution} too coarse for eps={eps}: axis step "
-                f"{step:.3g}^{h_i:.3g} = {step ** h_i:.3g} exceeds eps/10"
+                f"{step:.3g}^{h:.3g} = {step ** h:.3g} exceeds eps/10"
             )
     if eps >= box.diameter:
         return 1
-
-    m = len(nondeg)
-    count_tiling = 1
-    for t_i, h_i in nondeg:
-        w = (eps / m) ** (1.0 / h_i)
-        count_tiling *= max(1, math.ceil(t_i / (2.0 * w)))
-
-    return _greedy_count(box, eps, resolution, count_tiling)
+    counts = _tile_counts(box, eps, resolution)
+    return math.prod(counts) if counts else resolution ** len(nondeg)

@@ -24,7 +24,7 @@ from suptail.heat import (
     time_increment_coefficient,
     variance_coefficient,
 )
-from suptail.metric import AnisotropicBox, covering_oracle, covering_upper_bound
+from suptail.metric import AnisotropicBox, _tile_counts, covering_oracle, covering_upper_bound
 from suptail.orlicz import PhiFamily, rv_tail_bound
 from suptail.sim import (
     covariance_matrix,
@@ -37,7 +37,7 @@ from suptail.sim import (
     verdicts,
 )
 from quadrature_oracle import QuadratureError, entropy_integral_numeric, spectral_density_moment
-from test_metric import random_feasible_config
+from test_metric import cover_misses, random_feasible_config
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -126,7 +126,8 @@ def test_criterion_04_constant_fixtures():
 
 
 def test_criterion_05_entropy_domination_and_covering():
-    """Numeric entropy integral <= closed form + 1e-6; oracle <= covering bound."""
+    """Numeric entropy integral <= closed form + 1e-6; oracle <= covering bound,
+    with the oracle's count that of a cover that reaches every grid point."""
     worst_gap = -math.inf
     checked = 0
     for alpha in (1.25, 1.5, 2.0):
@@ -150,14 +151,16 @@ def test_criterion_05_entropy_domination_and_covering():
     cover_ok = 0
     for _ in range(50):
         box, eps = random_feasible_config(rng)
-        if covering_oracle(box, eps, 81) <= covering_upper_bound(box, eps):
+        counts = _tile_counts(box, eps, 81)
+        reached = cover_misses(box, eps, 81, counts) == 0
+        if reached and covering_oracle(box, eps, 81) == math.prod(counts) <= covering_upper_bound(box, eps):
             cover_ok += 1
     ok = worst_gap <= 1e-6 and cover_ok == 50
     report(
         5,
         ok,
         f"max(numeric-closed)={worst_gap:.2e}<=1e-6 over {checked} configs; "
-        f"oracle<=bound on {cover_ok}/50 random configs",
+        f"checked cover, oracle<=bound on {cover_ok}/50 random configs",
     )
 
 

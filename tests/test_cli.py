@@ -460,6 +460,18 @@ class TestCovering:
         assert data["oracle_count"] <= data["upper_bound"]
         assert data["oracle_leq_bound"] is True
 
+    def test_large_resolution_costs_nothing_extra(self, tmp_path):
+        # 10^9 points per axis is valid input: the oracle's check looks only
+        # at the grid points beside the tile boundaries
+        box = {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0}
+        counts = []
+        for resolution in (101, 10**9):
+            (tmp_path / str(resolution)).mkdir()
+            code, out = run(tmp_path / str(resolution), "covering", {"box": box, "eps": 0.5, "resolution": resolution})
+            assert code == 0
+            counts.append(json.loads((out / "covering.json").read_text())["oracle_count"])
+        assert counts == [4, 4]
+
     @pytest.mark.parametrize("value", [80.5, True], ids=["fractional", "bool"])
     def test_non_integer_resolution_rejected(self, tmp_path, capsys, value):
         payload = {"box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0}, "eps": 0.5}
@@ -1129,10 +1141,10 @@ _SLOW_IMPORTS = {
 
 def test_analytic_commands_load_no_scipy(tmp_path):
     # A fresh `import suptail.cli` loads neither NumPy nor scipy.special.
-    # constants and bound-sup evaluate closed forms in `math` and load
-    # neither, nor OpenSSL; bound-growth (Li_p) and covering load NumPy at
-    # their first call; only simulate-verify needs SciPy (scipy.special, at
-    # first use), and no command loads scipy.integrate.
+    # constants, bound-sup and covering run in `math` and load neither, nor
+    # OpenSSL; bound-growth (Li_p) loads NumPy at its first call; only
+    # simulate-verify needs SciPy (scipy.special, at first use), and no
+    # command loads scipy.integrate.
     generic = {
         "field": "generic",
         "fam": 2.0,
@@ -1146,9 +1158,9 @@ def test_analytic_commands_load_no_scipy(tmp_path):
     for field, u_grid in ((v, [80.0, 200.0]), (omega, [5.0, 50.0]), (generic, [5.0, 50.0])):
         closed_form.append(["bound-sup", {**field, "u_auto": {"count": 4}}, []])
         closed_form.append(["bound-sup", {**field, "u_grid": u_grid}, []])
+    closed_form.append(["covering", {"box": generic["box"], "eps": 0.5, "resolution": 41}, []])
     runs = closed_form + [
         ["bound-growth", {"model": V_MODEL, "p": 1.5, "u_grid": [900.0, 1500.0]}, []],
-        ["covering", {"box": generic["box"], "eps": 0.5, "resolution": 41}, []],
         ["simulate-verify", {**TestSimulateVerify.PAYLOAD, "samples": 100}, ["--seed", "1"]],
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(suptail.__file__).resolve().parents[1])}
@@ -1171,7 +1183,6 @@ def test_analytic_commands_load_no_scipy(tmp_path):
     numpy_runs = report[2 + len(closed_form) :]
     assert [[cmd, code, [m for m in mods if m != "_hashlib"]] for cmd, code, mods in numpy_runs] == [
         ["bound-growth", 0, ["numpy"]],
-        ["covering", 0, ["numpy"]],
         # scipy.special loads concurrent.futures itself
         ["simulate-verify", 0, ["numpy", "scipy", "concurrent.futures"]],
     ]

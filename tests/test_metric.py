@@ -1,9 +1,11 @@
 """Anisotropic metric, covering bound, and covering oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
-from suptail.metric import AnisotropicBox, _greedy_count, covering_oracle, covering_upper_bound
+from suptail.metric import AnisotropicBox, _tile_counts, covering_oracle, covering_upper_bound
 
 UNIT_SQUARE = AnisotropicBox(0, 1, 0, 1)
 
@@ -14,7 +16,10 @@ def aniso_dist(t, s, box):
 
 
 def full_grid_greedy(box, eps, resolution, cap):
-    """``metric._greedy_count`` with each step over the whole grid: the oracle."""
+    """Balls in the greedy cover of the resolution x resolution grid, each
+    centered at the first uncovered point in lexicographic order and updating
+    the whole grid; the count stops at cap.  A reference cover that shares
+    no code with ``covering_oracle``."""
     xs = np.linspace(box.a1, box.b1, resolution) if box.t1 > 0 else np.array([box.a1])
     ys = np.linspace(box.a2, box.b2, resolution) if box.t2 > 0 else np.array([box.a2])
     p1, p2 = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
@@ -24,6 +29,43 @@ def full_grid_greedy(box, eps, resolution, cap):
         i = int(np.argmax(uncovered))  # first uncovered in lexicographic order
         uncovered &= np.abs(p1 - p1[i]) ** box.h1 + np.abs(p2 - p2[i]) ** box.h2 > eps
         count += 1
+    return count
+
+
+def cover_misses(box, eps, resolution, counts):
+    """Points of the grid np.linspace(a_i, b_i, resolution) on each
+    nondegenerate axis that no ball of radius eps reaches, when the balls sit
+    at the products of the midpoints of counts[k] uniform tiles of the k-th
+    nondegenerate axis.  Brute force over every point and every ball."""
+    counts = iter(counts)
+    grids, mids = [], []
+    for a, b in ((box.a1, box.b1), (box.a2, box.b2)):
+        n = next(counts) if b > a else 0
+        grids.append(np.linspace(a, b, resolution) if n else np.array([a]))
+        mids.append(a + (np.arange(n) + 0.5) * (b - a) / n if n else np.array([a]))
+    p1, p2 = (g.ravel() for g in np.meshgrid(*grids, indexing="ij"))
+    c1, c2 = (c.ravel() for c in np.meshgrid(*mids, indexing="ij"))
+    d = np.abs(p1[:, None] - c1) ** box.h1 + np.abs(p2[:, None] - c2) ** box.h2
+    return int(np.sum(d.min(axis=1) > eps))
+
+
+def even_split(box, eps):
+    """Tiles per nondegenerate axis of the tiling that gives each of the m
+    nondegenerate axes eps/m."""
+    sides = [(t, h) for t, h in ((box.t1, box.h1), (box.t2, box.h2)) if t > 0]
+    return [max(1, math.ceil(t / (2.0 * (eps / len(sides)) ** (1.0 / h)))) for t, h in sides]
+
+
+def assert_checked_cover(box, eps, resolution):
+    """The product cover behind the oracle's count reaches every grid point,
+    and its count is at most the even split, the greedy and the analytic
+    bound.  Returns that count."""
+    counts = _tile_counts(box, eps, resolution)
+    assert cover_misses(box, eps, resolution, counts) == 0
+    count = math.prod(counts)
+    assert count <= math.prod(even_split(box, eps))
+    assert count <= full_grid_greedy(box, eps, resolution, 10**9)
+    assert count <= covering_upper_bound(box, eps)
     return count
 
 
@@ -105,6 +147,8 @@ class TestCoveringOracle:
     def test_degenerate_segment_single_ball(self):
         # one ball of radius 0.5 centered midway covers [0,1] x {0}
         assert covering_oracle(AnisotropicBox(0, 1, 0, 0), 0.5, 101) == 1
+        # and one ball covers a box with no nondegenerate axis, a point
+        assert covering_oracle(AnisotropicBox(0.3, 0.3, 0.7, 0.7), 0.1, 11) == 1
 
     def test_eps_at_least_diameter(self):
         assert covering_oracle(UNIT_SQUARE, 2.0, 51) == 1
@@ -123,12 +167,16 @@ class TestCoveringOracle:
             box, eps = random_feasible_config(rng)
             assert covering_oracle(box, eps, 81) <= covering_upper_bound(box, eps)
 
-    def test_greedy_decides_on_thin_box(self):
-        # the tiling gives each axis eps/2, a half-width 0.25^(4/3) = 0.157, so
-        # 1 x ceil(1 / 0.315) = 4 balls; the thin axis needs little of the
-        # radius, and the greedy covers the long one with 3
+    def test_best_split_on_thin_box(self):
+        # the even split gives each axis eps/2, a half-width 0.25^(4/3) = 0.157,
+        # so 1 x ceil(1 / 0.315) = 4 balls, and the greedy needs 3; the thin
+        # axis needs only 0.025^0.75 = 0.063 of the radius, which leaves the
+        # long one a half-width 0.437^(4/3) = 0.332, so 1 x 2 balls
         box = AnisotropicBox(0, 0.05, 0, 1, 0.75, 0.75)
-        assert covering_oracle(box, 0.5, 101) == full_grid_greedy(box, 0.5, 101, 10**9) < 4
+        assert _tile_counts(box, 0.5, 101) == [1, 2]
+        assert covering_oracle(box, 0.5, 101) == assert_checked_cover(box, 0.5, 101) == 2
+        assert full_grid_greedy(box, 0.5, 101, 10**9) == 3
+        assert even_split(box, 0.5) == [1, 4]
 
     def test_deterministic(self):
         box = AnisotropicBox(0, 1.3, -0.2, 0.9, 0.8, 1.0)
@@ -147,22 +195,62 @@ class TestCoveringOracle:
             (AnisotropicBox(0, 1, 0, 0), 0.125),
         ],
     )
-    def test_windowed_greedy_matches_full_grid_on_ties(self, box, eps):
-        assert _greedy_count(box, eps, 65, 10**9) == full_grid_greedy(box, eps, 65, 10**9)
+    def test_cover_checked_on_dyadic_ties(self, box, eps):
+        # 65 points is below the oracle's resolution floor on three of these,
+        # so the cover behind its count is checked directly
+        assert_checked_cover(box, eps, 65)
 
-    def test_windowed_greedy_matches_full_grid(self):
-        # each greedy step updates only the block where both per-axis
-        # distances are <= eps; the count must equal the full-grid greedy's,
-        # also with degenerate axes, h < 1 and a cap
+    @pytest.mark.parametrize(
+        "box, eps, resolution",
+        [
+            (AnisotropicBox(0, 1, 0, 0), 0.3, 101),
+            (AnisotropicBox(0.5, 0.5, -1, 1, 1.0, 0.6), 1.2, 201),
+            (AnisotropicBox(-0.2, 1.7, 3, 3, 0.6, 1.0), 1.0, 201),
+        ],
+        ids=["time-only", "space-only", "time-only-h1<1"],
+    )
+    def test_cover_checked_on_degenerate_axes(self, box, eps, resolution):
+        assert covering_oracle(box, eps, resolution) == assert_checked_cover(box, eps, resolution)
+
+    @pytest.mark.parametrize(
+        "box, eps, resolution, count",
+        [
+            (AnisotropicBox(0.1, 1.1, 0, 1), 0.5, 101, 6),
+            (UNIT_SQUARE, 0.1, 101, 108),
+            (AnisotropicBox(0, 1, 0, 0), 0.05, 201, 11),
+        ],
+    )
+    def test_tie_rounding_above_eps_moves_on(self, box, eps, resolution, count):
+        # each even split covers the box in exact arithmetic, but on the grid
+        # a tie rounds above eps, so it is not counted and a later candidate
+        # is (the counts are from a run; each is at most the analytic bound)
+        assert cover_misses(box, eps, resolution, even_split(box, eps)) > 0
+        counts = _tile_counts(box, eps, resolution)
+        assert cover_misses(box, eps, resolution, counts) == 0
+        assert covering_oracle(box, eps, resolution) == math.prod(counts) == count
+        assert count <= covering_upper_bound(box, eps)
+
+    def test_cover_checked_on_random_configs(self):
+        # degenerate axes, h < 1 and two resolutions
         rng = np.random.default_rng(19)
-        for case in range(120):
+        for _ in range(120):
             t1, t2 = (0.0 if rng.random() < 0.1 else rng.uniform(0.05, 2.0) for _ in range(2))
             h1, h2 = rng.uniform(0.2, 1.0, size=2)
             a1, a2 = rng.uniform(-1.0, 1.0, size=2)
             box = AnisotropicBox(a1, a1 + t1, a2, a2 + t2, h1, h2)
+            if not box.axes:
+                continue
             resolution = int(rng.choice([51, 101]))
-            eps_min = 10.0 * max((t / (resolution - 1)) ** h for t, h in ((t1, h1), (t2, h2)))
+            # just above the oracle's floor eps/10 >= step^h, which rounding could cross
+            eps_min = 10.000001 * max(((b - a) / (resolution - 1)) ** h for _, a, b, h in box.axes)
             eps = rng.uniform(eps_min, max(eps_min, box.diameter))
-            cap = 10**9 if case % 4 else int(rng.integers(1, 20))
-            expected = full_grid_greedy(box, eps, resolution, cap)
-            assert _greedy_count(box, eps, resolution, cap) == expected
+            count = assert_checked_cover(box, eps, resolution)
+            assert covering_oracle(box, eps, resolution) == (count if eps < box.diameter else 1)
+
+    def test_no_passing_candidate_counts_every_grid_point(self):
+        # at 1e15 the floats are 0.125 apart, so grid points and midpoints
+        # round by more than eps allows and no tiling passes; a ball on each
+        # grid point is the cover left
+        box = AnisotropicBox(1e15, 1e15 + 1, 0, 0)
+        assert _tile_counts(box, 0.1, 201) is None
+        assert covering_oracle(box, 0.1, 201) == 201
