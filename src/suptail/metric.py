@@ -125,6 +125,13 @@ def _tile_counts(box: AnisotropicBox, eps: float, resolution: int) -> list[int] 
                  if sum(_reach(a, b, h, n, resolution) for (_, a, b, h), n in zip(axes, counts)) <= eps), None)
 
 
+def _grid_points(a: float, b: float, resolution: int) -> int:
+    """Most distinct points np.linspace(a, b, resolution) can have: resolution, or the
+    doubles in [a, b], ulp(min(|a|, |b|)) or more apart when a and b have one sign."""
+    gaps = (b - a) / math.ulp(min(abs(a), abs(b))) if a * b > 0 else math.inf
+    return math.ceil(gaps) + 1 if gaps < resolution - 1 else resolution
+
+
 def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> int:
     """Constructive covering count of a grid discretization of the box.
 
@@ -134,7 +141,7 @@ def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> i
     between the axes, is searched for the fewest balls, from the even split
     that realizes ``covering_upper_bound``'s construction.  A cover counts
     only once d <= eps holds in floating point at every grid point; if no
-    candidate passes, every grid point gets its own ball.
+    candidate passes, every distinct grid point gets its own ball.
 
     Upper-bounds the true covering number only up to discretization, so it is
     meaningful as a check that ``covering_oracle <= covering_upper_bound``.
@@ -160,4 +167,4 @@ def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> i
     if eps >= box.diameter:
         return 1
     counts = _tile_counts(box, eps, resolution)
-    return math.prod(counts) if counts else resolution ** len(nondeg)
+    return math.prod(counts) if counts else math.prod(_grid_points(a, b, resolution) for _, a, b, _ in nondeg)

@@ -34,10 +34,10 @@ distances, and gathers the matrix from that table.
 v_covariance is one entry of a 2 x 2 grid: the kernel has this one route.
 
 simulate-verify makes four calls: covariance_matrix, factor_covariance,
-sample_sups on that factor, and empirical_sup_tail.  The factor is the exact
-Cholesky factor: V is 0 at t = 0, so those rows of the covariance are zero
-and stay zero in it, and a box axis with b == a is one grid point, since
-repeated points would make the matrix singular.  One runner draws block b
+sample_sups on that factor, and empirical_sup_tail.  make_grid leaves out
+the time t = 0, where V is 0, and the repeats of an axis with b == a, so the
+covariance of its grid is positive definite and the factor is its plain
+Cholesky factor.  One runner draws block b
 of SAMPLE_BLOCK replicas from the stream (seed, b) and hands it to a
 consumer, serially or on w threads, which agree to the byte.  The
 consumer of sample_sups keeps the block's grid suprema, so m points and n
@@ -58,7 +58,7 @@ from .metric import AnisotropicBox
 
 
 class FactorizationError(RuntimeError):
-    """Covariance matrix not positive semidefinite, or singular on its positive variances."""
+    """Covariance matrix not positive definite."""
 
 
 # Outside [_W_SERIES, _W_ASYMPTOTIC] scipy's hyp1f1(-H, 1/2, -w) can return
@@ -104,19 +104,21 @@ def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
 
 
 def make_grid(box: AnisotropicBox, nt: int, nx: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Time and space axes of nt by nx evenly spaced points over the box.
-
-    An axis with b == a is the one point a: repeated points add nothing to
-    the grid supremum and would make the covariance exactly singular.
+    """Time and space axes of nt by nx evenly spaced points over the box,
+    less the points that add nothing to the grid supremum and would make the
+    covariance singular: the time t = 0, where V is 0, and the repeats of an
+    axis with b == a, which is the one point a.  A grid at t = 0 only raises.
     """
     import numpy as np
 
     if nt < 1 or nx < 1:
         raise ValueError("grid sizes must be positive")
-    return (
-        tuple(np.linspace(box.a1, box.b1, nt if box.b1 > box.a1 else 1).tolist()),
-        tuple(np.linspace(box.a2, box.b2, nx if box.b2 > box.a2 else 1).tolist()),
-    )
+    times = np.linspace(box.a1, box.b1, nt if box.b1 > box.a1 else 1)
+    times = times[times != 0.0]
+    if not times.size:
+        raise ValueError(f"the grid's times lie at t = 0 only, where V is 0: a1 = {box.a1!r}, "
+                         f"b1 = {box.b1!r}, nt = {nt}")
+    return tuple(times.tolist()), tuple(np.linspace(box.a2, box.b2, nx if box.b2 > box.a2 else 1).tolist())
 
 
 def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float) -> np.ndarray:
@@ -161,34 +163,17 @@ def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float)
 
 
 def factor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = cov exactly, by Cholesky.
-
-    A PSD matrix is zero in every row and column whose variance is 0, as
-    those of V at t = 0 are.  Cholesky factors cov with 1 in place of each
-    such variance, and those diagonal entries of L are then set to 0, so
-    the rows stay zero in L; cov is copied only when it has one.  Raises
-    FactorizationError if a variance is negative, a zero-variance row is not
-    all zero, or the Cholesky fails.
+    """Lower-triangular L with L L^T = cov exactly, by Cholesky, which adds
+    nothing to the diagonal: cov must be positive definite, as it is on a
+    ``make_grid`` grid.  A zero variance (V at t = 0), a repeated point or a
+    negative eigenvalue raises FactorizationError.
     """
     import numpy as np
 
-    var = cov.diagonal()
     try:
-        zero = np.flatnonzero(~(var > 0.0))  # nan counts as zero, and its row fails below
-        if var.min() < 0.0 or np.any(cov[zero]):
-            raise FactorizationError(
-                f"covariance not PSD: min variance {var.min()}, or a nonzero row of variance 0"
-            )
-        if zero.size:
-            cov = cov.copy()
-            cov[zero, zero] = 1.0
-        chol = np.linalg.cholesky(cov)
-        chol[zero, zero] = 0.0
-        return chol
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"covariance not positive definite on its positive variances: {exc}"
-        ) from exc
+        raise FactorizationError(f"covariance not positive definite: {exc}") from exc
 
 
 # Replicas per block.  Block b draws its normals from the stream (seed, b),

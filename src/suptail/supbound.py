@@ -73,10 +73,14 @@ def u_threshold(theta: float, bound: TailBound) -> float:
     return _entropy(theta, bound) / (1.0 - theta)
 
 
+# theta stops at cap * _BELOW_CAP in min_threshold and theta*, so no u below min_threshold gets a bound
+_BELOW_CAP = 1.0 - 1e-12
+
+
 def min_threshold(bound: TailBound) -> float:
     """Smallest ``u_threshold`` over the valid theta, at theta = 1/(gamma*beta+1)
     capped just below cap."""
-    theta = min(1.0 / (bound.gamma_beta + 1.0), bound.cap * (1.0 - 1e-9))
+    theta = min(1.0 / (bound.gamma_beta + 1.0), bound.cap * _BELOW_CAP)
     return u_threshold(theta, bound)
 
 
@@ -100,7 +104,7 @@ def _theta_star(u: float, bound: TailBound) -> float:
     the level is negative at every theta, and the cap is returned.
     """
     gb = bound.gamma_beta
-    cap = bound.cap * (1.0 - 1e-12)
+    cap = bound.cap * _BELOW_CAP
     if u <= 0.0:
         return cap
     # gb * u overflows for u near the float maximum; there divide in two steps

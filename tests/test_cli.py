@@ -472,6 +472,15 @@ class TestCovering:
             counts.append(json.loads((out / "covering.json").read_text())["oracle_count"])
         assert counts == [4, 4]
 
+    def test_oracle_counts_distinct_grid_points(self, tmp_path):
+        # no tiling passes at 1e15, where the doubles are 0.125 apart; the
+        # 201 grid points are 9 distinct ones, each with its own ball
+        payload = {"box": {"a1": 1e15, "b1": 1e15 + 1, "a2": 0.0, "b2": 0.0}, "eps": 0.1, "resolution": 201}
+        code, out = run(tmp_path, "covering", payload)
+        assert code == 0
+        data = json.loads((out / "covering.json").read_text())
+        assert (data["oracle_count"], data["upper_bound"], data["oracle_leq_bound"]) == (9, 11.0, True)
+
     @pytest.mark.parametrize("value", [80.5, True], ids=["fractional", "bool"])
     def test_non_integer_resolution_rejected(self, tmp_path, capsys, value):
         payload = {"box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0}, "eps": 0.5}
@@ -539,11 +548,11 @@ class TestSimulateVerify:
 
     def test_worker_count_byte_identical(self, tmp_path):
         # three sampling blocks, and u values the sampled suprema reach; on
-        # BOX, on a singular covariance (a1 = 0: the t = 0 rows are zero) and
+        # BOX, on a box from t = 0 (a1 = 0: the grid leaves out t = 0) and
         # on a degenerate time axis (a1 = b1: one time point)
         payload = {k: v for k, v in self.PAYLOAD.items() if k != "u_auto"}
         payload.update(samples=1300, u_grid=[0.5, 1.0, 1.5, 2.0])
-        for name, box in [("box", BOX), ("singular", {**BOX, "a1": 0.0}),
+        for name, box in [("box", BOX), ("time-zero", {**BOX, "a1": 0.0}),
                           ("degenerate", {**BOX, "a1": 0.5, "b1": 0.5})]:
             outs = []
             for workers in (1, 3):
@@ -990,6 +999,17 @@ class TestBoxAtTimeZero:
         assert capsys.readouterr().err == (
             f"suptail {command}: error: box 'b1' must be positive for V: "
             "the box lies at t = 0, where V is 0\n"
+        )
+        assert not out.exists()
+
+    def test_grid_at_time_zero_only_rejected(self, tmp_path, capsys):
+        # nt = 1 from a1 = 0 puts every grid point at t = 0, which make_grid leaves out
+        payload = {**TestSimulateVerify.PAYLOAD, "box": {**BOX, "a1": 0.0}, "grid": {"nt": 1, "nx": 6}}
+        code, out = run(tmp_path, "simulate-verify", payload, "--seed", "1")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "suptail simulate-verify: error: the grid's times lie at t = 0 only, where V is 0: "
+            "a1 = 0.0, b1 = 1.0, nt = 1\n"
         )
         assert not out.exists()
 

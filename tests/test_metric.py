@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from suptail.metric import AnisotropicBox, _tile_counts, covering_oracle, covering_upper_bound
+from suptail.metric import AnisotropicBox, _grid_points, _tile_counts, covering_oracle, covering_upper_bound
 
 UNIT_SQUARE = AnisotropicBox(0, 1, 0, 1)
 
@@ -250,7 +250,13 @@ class TestCoveringOracle:
     def test_no_passing_candidate_counts_every_grid_point(self):
         # at 1e15 the floats are 0.125 apart, so grid points and midpoints
         # round by more than eps allows and no tiling passes; a ball on each
-        # grid point is the cover left
+        # distinct grid point is the cover left, and the 201 points of the
+        # grid are 9 doubles
         box = AnisotropicBox(1e15, 1e15 + 1, 0, 0)
         assert _tile_counts(box, 0.1, 201) is None
-        assert covering_oracle(box, 0.1, 201) == 201
+        assert len(set(np.linspace(1e15, 1e15 + 1, 201).tolist())) == 9
+        assert covering_oracle(box, 0.1, 201) == 9 <= covering_upper_bound(box, 0.1)
+        # of one sign below 0 too; across 0 only the resolution bounds the count
+        assert covering_oracle(AnisotropicBox(-1e15 - 1, -1e15, 0, 0), 0.1, 201) == 9
+        assert _grid_points(-1.0, 1.0, 201) == 201
+        assert _grid_points(0.0, 1.0, 201) == 201

@@ -278,8 +278,8 @@ class TestCovarianceMatrix:
     @pytest.mark.parametrize("a1", [0.1, 0.0])
     @pytest.mark.parametrize("nt, nx", [(1, 1), (1, 5), (5, 1), (3, 3), (8, 8), (24, 24)])
     def test_axis_table_matches_point_keys_oracle(self, nt, nx, a1, hurst):
-        box = AnisotropicBox(a1, 1.0, 0.0, 1.0)
-        grid = make_grid(box, nt, nx)
+        # the full axes: at a1 = 0 they hold t = 0, where the covariance is exactly 0
+        grid = tuple(np.linspace(a1, 1.0, nt).tolist()), tuple(np.linspace(0.0, 1.0, nx).tolist())
         want = covariance_from_points(points(*grid), hurst)
         assert np.array_equal(covariance_matrix(*grid, hurst), want)
 
@@ -323,6 +323,34 @@ class TestCovarianceMatrix:
             x, y = rng.uniform(-1.0, 1.0, size=2)
             want = v_kernel(*(np.array([v]) for v in (min(t, s), max(t, s), abs(x - y))), hurst)
             assert v_covariance(t, x, s, y, hurst) == want[0]
+
+
+class TestMakeGrid:
+    A1_ZERO = AnisotropicBox(0.0, 1.3, -0.5, 0.5)
+
+    @pytest.mark.parametrize("nt", [2, 3, 6, 24])
+    def test_time_zero_left_out(self, nt):
+        times, xs = make_grid(self.A1_ZERO, nt, 4)
+        assert times == tuple(np.linspace(0.0, 1.3, nt)[1:].tolist())
+        assert xs == tuple(np.linspace(-0.5, 0.5, 4).tolist())
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.25])
+    @pytest.mark.parametrize("nt, nx", [(2, 1), (3, 3), (6, 5)])
+    def test_dropped_points_are_the_zero_rows(self, nt, nx, hurst):
+        # on the full axes the zero rows of the covariance are the points
+        # make_grid leaves out, and the rest of it is the covariance of its grid
+        full = tuple(np.linspace(0.0, 1.3, nt).tolist()), tuple(np.linspace(-0.5, 0.5, nx).tolist())
+        cov = covariance_matrix(*full, hurst)
+        zero = ~cov.any(axis=1)
+        grid = make_grid(self.A1_ZERO, nt, nx)
+        assert [p for p, z in zip(points(*full), zero) if not z] == points(*grid)
+        assert np.array_equal(covariance_matrix(*grid, hurst), cov[~zero][:, ~zero])
+
+    @pytest.mark.parametrize("box, nt", [(A1_ZERO, 1), (AnisotropicBox(0.0, 0.0, -0.5, 0.5), 6)],
+                             ids=["nt-1", "b1-0"])
+    def test_time_zero_only_raises(self, box, nt):
+        with pytest.raises(ValueError, match="the grid's times lie at t = 0 only, where V is 0"):
+            make_grid(box, nt, 4)
 
 
 def eigh_root(cov):
@@ -402,34 +430,45 @@ class TestFactorCovariance:
             with pytest.raises(FactorizationError, match="not positive definite"):
                 factor_covariance(cov)
             return
-        else:  # a1 = 0: the six t = 0 rows and columns are exactly zero
+        else:  # a1 = 0: make_grid leaves out the six t = 0 points, whose rows are zero
             cov = covariance_matrix(*make_grid(AnisotropicBox(0.0, 1.0, 0.0, 1.0), 6, 6), 0.5)
-            assert np.count_nonzero(np.diag(cov) == 0.0) == 6
+            assert cov.shape == (30, 30) and np.diag(cov).min() > 0.0
         scale = float(np.max(np.diag(cov)))
         chol = factor_covariance(cov)
         assert np.array_equal(chol, np.tril(chol))
-        assert not chol[np.diag(cov) == 0.0].any()
         root = eigh_root(cov)
         assert np.allclose(chol @ chol.T, cov, rtol=0, atol=1e-12 * scale)
         assert np.allclose(chol @ chol.T, root @ root.T, rtol=0, atol=2e-12 * scale)
 
     def test_materially_indefinite_rejected(self):
         cov = np.array([[1.0, 0.0], [0.0, -0.5]])
-        with pytest.raises(FactorizationError, match="not PSD"):
+        with pytest.raises(FactorizationError, match="not positive definite"):
             factor_covariance(cov)
         # a row of variance 0 with a nonzero covariance
-        with pytest.raises(FactorizationError, match="not PSD"):
+        with pytest.raises(FactorizationError, match="not positive definite"):
             factor_covariance(np.array([[1.0, 0.5], [0.5, 0.0]]))
 
     @pytest.mark.parametrize(
         "cov", [[[-1.0, 0.0], [0.0, -2.0]], [[0.0, 1.0], [1.0, 0.0]]], ids=["negative", "zero_diagonal"]
     )
     def test_no_positive_variance_rejected(self, cov):
-        with pytest.raises(FactorizationError, match="not PSD"):
+        with pytest.raises(FactorizationError, match="not positive definite"):
             factor_covariance(np.array(cov))
 
-    def test_zero_matrix_has_zero_factor(self):
-        assert np.array_equal(factor_covariance(np.zeros((3, 3))), np.zeros((3, 3)))
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            np.diag([1.0, 0.0, 2.0]),
+            np.zeros((3, 3)),
+            covariance_matrix(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 3), 0.5),
+        ],
+        ids=["zero_row", "zero_matrix", "time_zero_rows"],
+    )
+    def test_zero_variance_rejected(self, cov):
+        # V at t = 0 has variance 0: make_grid leaves those points out, and
+        # the factor takes no zero row
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            factor_covariance(cov)
 
 
 class TestSampleFields:
@@ -462,13 +501,12 @@ class TestSampleFields:
         assert sample_fields(small_factor(), 0, seed=1).shape == (0, 9)
 
     def test_zero_at_time_zero(self):
-        # V(0, x) = 0: the six t = 0 points of an a1 = 0 grid sample exactly 0
-        cov = covariance_matrix(*make_grid(AnisotropicBox(0.0, 1.0, 0.0, 1.0), 6, 6), 0.5)
-        chol = factor_covariance(cov)
-        assert not chol[:6].any()
-        fields = sample_fields(chol, 1000, seed=23)
-        assert not fields[:, :6].any()
-        assert fields[:, 6:].all()
+        # V(0, x) = 0, so an a1 = 0 grid has no t = 0 points, and each of
+        # its 5 x 6 points samples nonzero values
+        times, xs = make_grid(AnisotropicBox(0.0, 1.0, 0.0, 1.0), 6, 6)
+        assert (len(times), len(xs), min(times)) == (5, 6, 0.2)
+        fields = sample_fields(factor_covariance(covariance_matrix(times, xs, 0.5)), 1000, seed=23)
+        assert fields.shape == (1000, 30) and fields.all()
 
     def test_sample_covariance_converges(self):
         cov = covariance_matrix(*make_grid(BOX, 3, 1), 0.5)

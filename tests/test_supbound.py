@@ -67,6 +67,17 @@ class TestMinThreshold:
         # 2 * 4 * 3^(1/2) / (2/3)
         assert min_threshold(STD) == pytest.approx(12.0 * math.sqrt(3.0), rel=1e-15)
 
+    @pytest.mark.parametrize("scale, eps0", [(1.0, 1.0), (1.0, 10.0), (0.1, 1.0)],
+                             ids=["free", "capped-eps0", "capped-scale"])
+    def test_no_u_below_is_valid(self, scale, eps0):
+        # theta* stops just below the cap where min_threshold's theta does, so
+        # where the cap binds no u below the minimal threshold gets a bound
+        _, inp = make_inputs(alpha=2.0, gamma=1.0, h1=1.0, h2=1.0, scale=scale, eps0=eps0)
+        thr = min_threshold(inp)
+        for gap in (1e-6, 1e-8, 1e-10):
+            assert math.isnan(optimize_theta((1.0 - gap) * thr, inp)[1])
+            assert not math.isnan(optimize_theta((1.0 + gap) * thr, inp)[1])
+
 
 class TestSupTailBound:
     def test_frozen_value(self):
