@@ -9,10 +9,9 @@ covering logarithm by a power, so the integral never exceeds it.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
-from .metric import AnisotropicBox
+from .metric import AnisotropicBox, check_positive_finite
 from .orlicz import PhiFamily
 
 
@@ -23,10 +22,7 @@ class HolderProfile(namedtuple("HolderProfile", "scale exponent")):
     __slots__ = ()
 
     def __new__(cls, scale: float, exponent: float) -> HolderProfile:
-        if not scale > 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        if scale == math.inf:
-            raise ValueError(f"scale must be finite, got {scale}")
+        check_positive_finite("scale", scale)
         if not (0.0 < exponent <= 1.0):
             raise ValueError(f"exponent must lie in (0, 1], got {exponent}")
         return super().__new__(cls, scale, exponent)
@@ -80,9 +76,7 @@ def entropy_integral_closed(
 ) -> float:
     """Closed-form entropy integral bound c1 * eps^(1 - 1/(gamma*beta))."""
     gb = _gamma_beta(prof, fam)
-    if not eps > 0:  # also rejects nan
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not c1 > 0:  # also rejects nan
-        raise ValueError(f"c1 must be positive, got {c1}")
+    check_positive_finite("eps", eps)
+    check_positive_finite("c1", c1)
     return c1 * eps ** (1.0 - 1.0 / gb)
 

@@ -33,7 +33,7 @@ from collections import namedtuple
 
 from .entropy import HolderProfile, c1_axis_terms
 from .growth import SeriesSum, series_c_sum, series_s_sum, theta_sup
-from .metric import AnisotropicBox
+from .metric import AnisotropicBox, check_positive_finite
 from .orlicz import PhiFamily
 from . import supbound
 
@@ -81,14 +81,17 @@ def time_increment_coefficient(hurst: float) -> float:
 def space_increment_coefficient(hurst: float) -> float:
     """Coefficient c_3H of the |x-y|^(2H) increment term:
 
-        c_3H = int_0^inf (1 - cos x) x^(-1-2H) dx
-             = Gamma(1-2H) cos(pi H) / (2H)   for H < 1/2,
-               pi/2                           for H = 1/2.
+        c_3H = int_0^inf (1 - cos x) x^(-1-2H) dx = Gamma(1-2H) cos(pi H) / (2H)
+             = pi / (2 Gamma(2H+1) sin(pi H))
+
+    by the reflection formula Gamma(1-2H) Gamma(2H) = pi / sin(2 pi H), with
+    2H Gamma(2H) = Gamma(2H+1) and sin(2 pi H) = 2 sin(pi H) cos(pi H).  The
+    second form has no branch (it is pi/2 at H = 1/2), and it cancels no pole
+    of Gamma(1-2H) against the zero of cos(pi H), which loses precision near
+    H = 1/2.
     """
     _check_hurst(hurst)
-    if hurst == 0.5:
-        return math.pi / 2.0
-    return math.gamma(1.0 - 2.0 * hurst) * math.cos(math.pi * hurst) / (2.0 * hurst)
+    return math.pi / (2.0 * math.gamma(2.0 * hurst + 1.0) * math.sin(math.pi * hurst))
 
 
 def increment_constant(hurst: float) -> float:
@@ -121,10 +124,7 @@ def omega_holder_constant(holder_const: float, rho: float) -> float:
 
         ||omega(t,x) - omega(s,y)||_2 <= c_omega (|t-s|^(rho/2) + |x-y|^rho).
     """
-    if not holder_const > 0:  # also rejects nan
-        raise ValueError(f"holder_const must be positive, got {holder_const}")
-    if holder_const == math.inf:
-        raise ValueError(f"holder_const must be finite, got {holder_const}")
+    check_positive_finite("holder_const", holder_const)
     c = 2.0 * holder_const * max(kernel_moment_constant(rho), holder_const)
     return math.sqrt(c)
 
@@ -164,12 +164,8 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
             )
         omega_holder_constant(self.holder_const, self.rho)  # validates holder_const and rho
         PhiFamily(self.alpha)
-        for name in ("init_sup", "det_const"):
-            value = getattr(self, name)
-            if not value > 0:  # also rejects nan
-                raise ValueError(f"{name} must be positive, got {value!r}")
-            if value == math.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_positive_finite("init_sup", self.init_sup)
+        check_positive_finite("det_const", self.det_const)
 
     a_h = property(lambda self: sup_norm_coefficient(self.hurst))
     c_v = property(lambda self: increment_constant(self.hurst))
@@ -248,11 +244,9 @@ def she_growth_envelope(
     """
     if not p > 1.0:  # also rejects nan
         raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")
-    if not halfwidth > 0:  # also rejects nan
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-    for name, value in (("p", p), ("halfwidth", halfwidth)):
-        if value == math.inf:
-            raise ValueError(f"{name} must be finite, got {value}")
+    if p == math.inf:
+        raise ValueError(f"p must be finite, got {p}")
+    check_positive_finite("halfwidth", halfwidth)
     box, prof, fam = _heat_metric(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth),
                                   model.hurst, model.c_v, 2.0)
     # exp(H/2), not v_bound_inputs' math.e ** (H/2), which can differ in the last bit

@@ -9,6 +9,14 @@ import math
 from collections import namedtuple
 
 
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless value is positive and finite; NaN is neither."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 class AnisotropicBox(namedtuple("AnisotropicBox", "a1 b1 a2 b2 h1 h2")):
     """Named tuple: rectangle [a1,b1] x [a2,b2] with metric exponents (h1, h2).
 
@@ -62,8 +70,7 @@ def covering_upper_bound(box: AnisotropicBox, eps: float) -> float:
     degenerate axes, and -> 1 as eps -> infinity.  A factor past the float
     range (h_i below about 1/1024, or eps^(1/h_i) = 0) raises ValueError.
     """
-    if not eps > 0:  # also rejects nan
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_positive_finite("eps", eps)
     val = 1.0
     for i, a, b, h in box.axes:
         try:
@@ -147,8 +154,7 @@ def covering_oracle(box: AnisotropicBox, eps: float, resolution: int = 101) -> i
     meaningful as a check that ``covering_oracle <= covering_upper_bound``.
     Deterministic for fixed inputs.
     """
-    if not eps > 0:  # also rejects nan
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_positive_finite("eps", eps)
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
 

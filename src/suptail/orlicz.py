@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .metric import check_positive_finite
+
 
 class PhiFamily(namedtuple("PhiFamily", "alpha")):
     """Named tuple of the convex pair phi(x) = |x|^alpha/alpha, phi*(x) = |x|^beta/beta.
@@ -42,8 +44,7 @@ def rv_tail_bound(u: float, tau: float, fam: PhiFamily) -> float:
     Nonincreasing in u, nondecreasing in tau.  Clamped to [0, 1]: the raw
     expression exceeds 1 for small u.
     """
-    if not tau > 0:  # also rejects nan
-        raise ValueError(f"tau must be positive, got {tau}")
+    check_positive_finite("tau", tau)
     if not u >= 0:  # also rejects nan
         raise ValueError(f"u must be nonnegative, got {u}")
     return min(1.0, 2.0 * math.exp(-phi_conjugate(u / tau, fam)))

@@ -18,6 +18,11 @@ with M = scipy.special.hyp1f1.  At |t-s| = 0 the second term is its limit
 (z^2/4)^H sqrt(pi) / Gamma(H+1/2); at z = 0 the bracket is (2t)^H and gives the
 variance identity C_H c_1H t^H.
 
+V is self-similar: for every c > 0, V(ct, sqrt(c) x) has the law of
+c^(H/2) V(t, x), jointly over all points.  V is a centred Gaussian field, and
+the scaling leaves each Kummer argument above unchanged while (t+s)^H and
+|t-s|^H gain the factor c^H, so the covariance gains it too.
+
 NumPy and SciPy are imported inside the functions that use them, not with
 this module: only simulate-verify loads them, NumPy at its first grid, kernel
 or sampling call and SciPy at its first kernel or Clopper-Pearson call.  So

@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 
 from .entropy import HolderProfile, c1_constant, entropy_integral_closed
-from .metric import AnisotropicBox
+from .metric import AnisotropicBox, check_positive_finite
 from .orlicz import PhiFamily, rv_tail_bound
 
 
@@ -44,18 +44,16 @@ def field_bound(
     """The bound for a field of Orlicz norm at most eps0 and modulus prof on box.
 
     k = c1 eps0^q with c1 computed once; gamma0 = prof.sigma(box diameter)
-    keeps theta*eps0 < gamma0, so the cap is min(1, gamma0/eps0).
+    keeps theta*eps0 < gamma0, so the cap is min(1, gamma0/eps0).  A cap
+    that underflows to 0 leaves no valid theta and raises ValueError.
     """
-    if not eps0 > 0:
-        raise ValueError(f"eps0 must be positive, got {eps0}")
-    c1 = c1_constant(box, prof, fam)
-    return TailBound(
-        k=entropy_integral_closed(eps0, c1, prof, fam),
-        scale=eps0,
-        gamma_beta=prof.exponent * fam.beta,
-        cap=min(1.0, prof.sigma(box.diameter) / eps0),
-        fam=fam,
-    )
+    check_positive_finite("eps0", eps0)
+    k = entropy_integral_closed(eps0, c1_constant(box, prof, fam), prof, fam)
+    diameter = box.diameter
+    cap = min(1.0, prof.sigma(diameter) / eps0)
+    check_positive_finite(f"cap min(1, gamma0/eps0) for eps0 = {eps0!r}, profile scale {prof.scale!r} "
+                          f"and box diameter {diameter!r}", cap)
+    return TailBound(k=k, scale=eps0, gamma_beta=prof.exponent * fam.beta, cap=cap, fam=fam)
 
 
 def _entropy(theta: float, bound: TailBound) -> float:

@@ -866,6 +866,17 @@ class TestScalarValues:
         "init_sup-bool": ("bound-sup", {"field": "omega", "model": {**MODEL, "init_sup": True},
                                         "box": BOX, "u_grid": [80.0]},
                           "model 'init_sup' must be a number, got True"),
+        # finite, positive inputs whose eps0 overflows or whose cap underflows:
+        # both exited 1 with "theta = 0.0 is not in (0, theta_cap) = (0, 0.0)"
+        "sup-omega-eps0-overflow": ("bound-sup", {"field": "omega", "box": BOX, "u_grid": [80.0],
+                                                  "model": {**MODEL, "init_sup": 1e300, "det_const": 1e300}},
+                                    "eps0 must be finite, got inf"),
+        "sup-generic-cap-underflow": ("bound-sup", {**GENERIC, "eps0": 1e300,
+                                                    "profile": {"scale": 1e-300, "exponent": 1.0},
+                                                    "box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0,
+                                                            "h1": 0.5, "h2": 0.5}},
+                                      "cap min(1, gamma0/eps0) for eps0 = 1e+300, profile scale 1e-300 "
+                                      "and box diameter 2.0 must be positive, got 0.0"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -196,14 +196,16 @@ class TestSpecialFunctionOracles:
     """math.gamma / math.lgamma forms and the Euler-Maclaurin zeta against scipy.special."""
 
     def test_hurst_constants_match_scipy_gamma(self):
-        for hurst in np.linspace(0.005, 0.4999, 50):
+        # H = 1/2 - 10^-k: near 1/2, Gamma(1-2H) cos(pi H) cancels a pole
+        # against a zero; sin(pi (1/2 - H)) takes cos(pi H) without that loss
+        for hurst in [*np.linspace(0.005, 0.4999, 50), *(0.5 - 10.0 ** -k for k in range(4, 16))]:
             pairs = (
                 (noise_constant, gamma(2 * hurst + 1) * math.sin(math.pi * hurst) / (2 * math.pi)),
                 (variance_coefficient, gamma(1 - hurst) * 2 ** (hurst - 1) / hurst),
                 (time_increment_coefficient, gamma(1 - hurst) * (2 - 2 ** hurst) / (2 * hurst)),
                 (
                     space_increment_coefficient,
-                    gamma(1 - 2 * hurst) * math.cos(math.pi * hurst) / (2 * hurst),
+                    gamma(1 - 2 * hurst) * math.sin(math.pi * (0.5 - hurst)) / (2 * hurst),
                 ),
             )
             for fn, want in pairs:

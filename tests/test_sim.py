@@ -13,9 +13,11 @@ from quadrature_oracle import QuadratureError
 from sampling_oracle import covariance_from_points, fields_from_points, v_kernel
 from suptail import sim
 from suptail.heat import (
+    SheModel,
     increment_constant,
     noise_constant,
     sup_norm_coefficient,
+    v_bound_inputs,
     variance_coefficient,
 )
 from suptail.metric import AnisotropicBox
@@ -30,6 +32,7 @@ from suptail.sim import (
     v_covariance,
     verdicts,
 )
+from suptail.supbound import min_threshold
 
 BOX = AnisotropicBox(0.1, 1.0, 0.0, 1.0)
 
@@ -323,6 +326,46 @@ class TestCovarianceMatrix:
             x, y = rng.uniform(-1.0, 1.0, size=2)
             want = v_kernel(*(np.array([v]) for v in (min(t, s), max(t, s), abs(x - y))), hurst)
             assert v_covariance(t, x, s, y, hurst) == want[0]
+
+
+class TestSelfSimilarity:
+    """V(ct, sqrt(c) x) has the law of c^(H/2) V(t, x) (module docstring): the
+    covariance, the V box bound and the sampled suprema each obey it, with no
+    constant pinned.  Tolerances are multiples of the double epsilon."""
+
+    SCALES = (1e-3, 0.37, 7.0, 1e4)
+
+    @staticmethod
+    def scaled(grid, c):
+        times, xs = grid
+        return [c * t for t in times], [math.sqrt(c) * x for x in xs]
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.25, 0.1])
+    def test_covariance_scales_by_c_to_the_h(self, hurst):
+        grid = make_grid(BOX, 12, 12)
+        cov = covariance_matrix(*grid, hurst)
+        for c in self.SCALES:
+            want = c ** hurst * cov
+            err = np.abs(covariance_matrix(*self.scaled(grid, c), hurst) - want).max()
+            assert err <= 16 * np.finfo(float).eps * np.abs(want).max(), c
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.25, 0.1])
+    def test_box_bound_threshold_scales_by_c_to_the_half_h(self, hurst):
+        model = SheModel(hurst)
+        base = min_threshold(v_bound_inputs(BOX, model))
+        for c in self.SCALES:
+            box = AnisotropicBox(0.1 * c, c, 0.0, math.sqrt(c))
+            got = min_threshold(v_bound_inputs(box, model))
+            assert got == pytest.approx(c ** (hurst / 2) * base, rel=16 * np.finfo(float).eps, abs=0.0), c
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.25, 0.1])
+    def test_sampled_sups_scale_by_c_to_the_half_h(self, hurst):
+        grid = make_grid(BOX, 5, 5)
+        sups = sample_sups(factor_covariance(covariance_matrix(*grid, hurst)), 200, seed=7)
+        for c in self.SCALES:
+            want = c ** (hurst / 2) * sups
+            got = sample_sups(factor_covariance(covariance_matrix(*self.scaled(grid, c), hurst)), 200, seed=7)
+            assert np.abs(got - want).max() <= 64 * np.finfo(float).eps * want.max(), c
 
 
 class TestMakeGrid:

@@ -211,19 +211,32 @@ class TestOptimizeTheta:
         assert min(n_capped, n_free, n_invalid) >= 10, (n_capped, n_free, n_invalid)
 
 
-# Known answer: X(t) = W(t^(2h)) on [0, T], W a standard Brownian motion, h <= 1/2.
-# |a^(2h) - b^(2h)| <= |a - b|^(2h) gives ||X(t) - X(s)||_2 <= |t - s|^h, and
-# ||X(t)||_2 <= T^h, so X is a generic field on [0, T] x {0} with h1 = h, the
-# modulus sigma(h) = h, alpha = 2 and eps0 = T^h.  P(sup |X| > u) >= P(|X(T)| > u),
-# a Gaussian tail of variance T^(2h).  Both sides decay like exp(-u^2 / (2 T^(2h))),
-# and the printed bound underflows to 0 past a few tens, so they are compared in logs.
-BROWNIAN_CASES = [(1.0, 0.5), (1.0, 0.25), (4.0, 0.25), (0.25, 0.1), (4.0, 0.5)]
+# Known answer: X(t, x) = W1(t^(2 h1)) + W2(x^(2 h2)) on [0, T1] x [0, T2], with W1
+# and W2 independent standard Brownian motions and h_i <= 1/2.  For 2h <= 1,
+# |a^(2h) - b^(2h)| <= |a - b|^(2h), and sqrt(p + q) <= sqrt(p) + sqrt(q), so
+# ||X(t, x) - X(s, y)||_2 <= |t - s|^h1 + |x - y|^h2: X is a generic field on the
+# box with exponents (h1, h2), the modulus sigma(h) = h, alpha = 2 and
+# eps0 = sqrt(T1^(2 h1) + T2^(2 h2)), the sd at the far corner.  So
+# P(sup |X| > u) >= P(|X(T1, T2)| > u), a Gaussian tail of variance eps0^2.  Both
+# sides decay like exp(-u^2 / (2 eps0^2)), and the printed bound underflows to 0
+# past a few tens, so they are compared in logs.  T2 = 0 is W(t^(2h)) alone.
+BROWNIAN_CASES = [((1.0, 0.0), (0.5, 1.0)), ((1.0, 0.0), (0.25, 1.0)), ((4.0, 0.0), (0.25, 1.0)),
+                  ((0.25, 0.0), (0.1, 1.0)), ((4.0, 0.0), (0.5, 1.0)),
+                  ((1.0, 1.0), (0.5, 0.5)), ((1.0, 1.0), (0.5, 0.25)), ((1.0, 1.0), (0.25, 0.25)),
+                  ((4.0, 0.25), (0.5, 0.1))]
+BROWNIAN_IDS = [f"{t1}-{h1}" if t2 == 0.0 else f"{t1}x{t2}-{h1}x{h2}" for (t1, t2), (h1, h2) in BROWNIAN_CASES]
 
 
-def brownian_bound(t_end, h, eps0_factor=1.0):
-    """The generic bound of W(t^(2h)) on [0, t_end], its norm eps0 scaled by eps0_factor."""
-    box = AnisotropicBox(0.0, t_end, 0.0, 0.0, h, 1.0)
-    return field_bound(eps0_factor * t_end ** h, box, HolderProfile(1.0, 1.0), PhiFamily(2.0))
+def brownian_var(ends, hs):
+    """Variance eps0^2 of X at the far corner (T1, T2)."""
+    return sum(t ** (2.0 * h) for t, h in zip(ends, hs))
+
+
+def brownian_bound(ends, hs, eps0_factor=1.0):
+    """The generic bound of X on [0, T1] x [0, T2], its norm eps0 scaled by eps0_factor."""
+    box = AnisotropicBox(0.0, ends[0], 0.0, ends[1], *hs)
+    eps0 = math.hypot(*(t ** h for t, h in zip(ends, hs)))
+    return field_bound(eps0_factor * eps0, box, HolderProfile(1.0, 1.0), PhiFamily(2.0))
 
 
 def brownian_us(bound):
@@ -247,35 +260,35 @@ class TestKnownAnswerBrownian:
                 exact = math.log(math.erfc(u / math.sqrt(2.0 * var)))
                 assert exact - 0.5 < ln_gauss_tail_lower(u, var) < exact
 
-    @pytest.mark.parametrize("t_end, h", BROWNIAN_CASES)
-    def test_bound_holds_at_every_u(self, t_end, h):
-        bound = brownian_bound(t_end, h)
+    @pytest.mark.parametrize("ends, hs", BROWNIAN_CASES, ids=BROWNIAN_IDS)
+    def test_bound_holds_at_every_u(self, ends, hs):
+        bound = brownian_bound(ends, hs)
         for u in brownian_us(bound):
             ln_bound, value = ln_optimized_bound(u, bound)
-            assert ln_bound >= ln_gauss_tail_lower(u, t_end ** (2 * h)), u
+            assert ln_bound >= ln_gauss_tail_lower(u, brownian_var(ends, hs)), u
             if 1e-300 < value < 1.0:  # the printed bound, where it is a normal float below its clamp
                 assert math.log(value) == pytest.approx(ln_bound, rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("t_end, h", BROWNIAN_CASES)
-    def test_eps0_mutant_fails(self, t_end, h):
+    @pytest.mark.parametrize("ends, hs", BROWNIAN_CASES, ids=BROWNIAN_IDS)
+    def test_eps0_mutant_fails(self, ends, hs):
         # the same u grid as the true bound's, so no u is picked for the mutant
-        mutant = brownian_bound(t_end, h, eps0_factor=0.97)
-        us = brownian_us(brownian_bound(t_end, h))
-        assert any(ln_optimized_bound(u, mutant)[0] < ln_gauss_tail_lower(u, t_end ** (2 * h)) for u in us)
+        mutant = brownian_bound(ends, hs, eps0_factor=0.97)
+        us = brownian_us(brownian_bound(ends, hs))
+        assert any(ln_optimized_bound(u, mutant)[0] < ln_gauss_tail_lower(u, brownian_var(ends, hs)) for u in us)
 
     def test_printed_bound_above_gaussian_tail(self, tmp_path):
-        t_end, h = 4.0, 0.25
-        config = tmp_path / "generic.json"
-        config.write_text(json.dumps({
-            "field": "generic", "fam": 2.0, "eps0": t_end ** h,
-            "profile": {"scale": 1.0, "exponent": 1.0},
-            "box": {"a1": 0.0, "b1": t_end, "a2": 0.0, "b2": 0.0, "h1": h, "h2": 1.0},
-            "u_grid": [float(u) for u in brownian_us(brownian_bound(t_end, h))],
-        }))
-        assert main(["bound-sup", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-        rows = json.loads((tmp_path / "out" / "bound_sup.json").read_text())["curve"]
-        assert len(rows) == 200 and all(r["validity"] == "VALID" for r in rows)
-        printed = [r for r in rows if r["bound"] > 0.0]
-        assert len(printed) >= 10
-        for r in printed:
-            assert r["bound"] >= math.exp(ln_gauss_tail_lower(r["u"], t_end ** (2 * h))), r
+        for ends, hs in (((4.0, 0.0), (0.25, 1.0)), ((1.0, 1.0), (0.5, 0.25))):
+            bound, config, out = brownian_bound(ends, hs), tmp_path / "generic.json", tmp_path / f"out-{ends[1]}"
+            config.write_text(json.dumps({
+                "field": "generic", "fam": 2.0, "eps0": bound.scale,
+                "profile": {"scale": 1.0, "exponent": 1.0},
+                "box": {"a1": 0.0, "b1": ends[0], "a2": 0.0, "b2": ends[1], "h1": hs[0], "h2": hs[1]},
+                "u_grid": [float(u) for u in brownian_us(bound)],
+            }))
+            assert main(["bound-sup", "--config", str(config), "--out", str(out)]) == 0
+            rows = json.loads((out / "bound_sup.json").read_text())["curve"]
+            assert len(rows) == 200 and all(r["validity"] == "VALID" for r in rows)
+            printed = [r for r in rows if r["bound"] > 0.0]
+            assert len(printed) >= 10
+            for r in printed:
+                assert r["bound"] >= math.exp(ln_gauss_tail_lower(r["u"], brownian_var(ends, hs))), r

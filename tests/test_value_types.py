@@ -143,12 +143,16 @@ class TestNonFiniteInputsRejected:
             (lambda: rv_tail_bound(NAN, 1.0, PhiFamily(2.0)), "u must be nonnegative, got nan"),
             (lambda: rv_tail_bound(1.0, NAN, PhiFamily(2.0)), "tau must be positive, got nan"),
             (lambda: HolderProfile(1.0, 0.5).sigma(NAN), "sigma requires h >= 0, got nan"),
+            (lambda: covering_upper_bound(AnisotropicBox(0.0, 1.0, 0.0, 1.0), INF), "eps must be finite, got inf"),
+            (lambda: covering_oracle(AnisotropicBox(0.0, 1.0, 0.0, 1.0), INF), "eps must be finite, got inf"),
+            (lambda: rv_tail_bound(1.0, INF, PhiFamily(2.0)), "tau must be finite, got inf"),
         ],
         ids=["covering_upper_bound-eps", "covering_oracle-eps", "rv_tail_bound-u", "rv_tail_bound-tau",
-             "sigma-h"],
+             "sigma-h", "covering_upper_bound-inf-eps", "covering_oracle-inf-eps", "rv_tail_bound-inf-tau"],
     )
     def test_nan_argument(self, call, message):
-        # these returned nan or 1.0, or failed converting nan to an integer
+        # these returned nan or 1.0, or failed converting nan to an integer;
+        # an infinite eps counted 1 ball and an infinite tau gave the bound 1.0
         with pytest.raises(ValueError, match=message):
             call()
 
@@ -170,18 +174,27 @@ class TestNonFiniteInputsRejected:
             (lambda: she_growth_envelope(SheModel(hurst=0.5), INF), "p must be finite, got inf"),
             (lambda: she_growth_envelope(SheModel(hurst=0.5), 1.5, halfwidth=INF),
              "halfwidth must be finite, got inf"),
+            (lambda: entropy_integral_closed(INF, 1.0, HolderProfile(1.0, 1.0), PhiFamily(2.0)),
+             "eps must be finite, got inf"),
+            (lambda: entropy_integral_closed(1.0, INF, HolderProfile(1.0, 1.0), PhiFamily(2.0)),
+             "c1 must be finite, got inf"),
+            (lambda: supbound.field_bound(INF, AnisotropicBox(0.0, 1.0, 0.0, 1.0), HolderProfile(1.0, 1.0),
+                                          PhiFamily(2.0)), "eps0 must be finite, got inf"),
         ],
         ids=["covariance_matrix-time", "v_covariance-t", "v_covariance-s", "v_covariance-x",
              "v_covariance-inf-t", "covariance_matrix-inf-time", "covariance_matrix-x",
              "covariance_matrix-inf-x", "entropy_integral_closed-eps", "entropy_integral_closed-c1",
-             "she_growth_envelope-inf-p", "she_growth_envelope-inf-halfwidth"],
+             "she_growth_envelope-inf-p", "she_growth_envelope-inf-halfwidth",
+             "entropy_integral_closed-inf-eps", "entropy_integral_closed-inf-c1", "field_bound-inf-eps0"],
     )
     def test_nan_time_or_entropy_input(self, call, message):
         # a nan time was read as t = 0 (covariance 0), and the entropy
         # integral returned nan; a nan space point or an infinite time or
         # space point gave a nan covariance, which factor_covariance then
         # rejected as not PSD; an infinite p warned in Li_p and failed on
-        # theta = nan, and an infinite halfwidth blamed the box endpoints
+        # theta = nan, and an infinite halfwidth blamed the box endpoints;
+        # an infinite eps or c1 gave an infinite integral, and an infinite
+        # eps0 a bound with cap 0, which failed later on theta
         with pytest.raises(ValueError, match=message):
             call()
 
