@@ -305,7 +305,8 @@ def cmd_simulate_verify(cfg: dict, out: str, meta: dict) -> int:
     bounds = tuple(row["bound"] for row in _bound_curve(us, bound, supbound.optimize_theta))
 
     cov = sim.covariance_matrix(*sim.make_grid(box, nt, nx), model.hurst)
-    chol = sim.factor_covariance(cov)
+    chol = sim.factor_covariance(cov, f" of the grid nt = {nt}, nx = {nx} on the box [{box.a1!r}, {box.b1!r}] x "
+                                      f"[{box.a2!r}, {box.b2!r}]")
     sups = sim.sample_sups(chol, n_samples, seed=seed, workers=cfg.get("workers", 1))
     empirical, ci_lo, ci_hi = sim.empirical_sup_tail(sups, us)
     verdicts = sim.verdicts(ci_lo, bounds)

@@ -36,9 +36,8 @@ class HolderProfile(namedtuple("HolderProfile", "scale exponent")):
 def _gamma_beta(prof: HolderProfile, fam: PhiFamily) -> float:
     gb = prof.exponent * fam.beta
     if gb <= 1.0:
-        raise ValueError(
-            f"entropy integral diverges / closed form invalid: gamma*beta = {gb} <= 1"
-        )
+        raise ValueError(f"the entropy integral diverges: profile exponent {prof.exponent!r} times "
+                         f"beta = {fam.beta!r} of alpha = {fam.alpha!r} is gamma*beta = {gb!r} <= 1")
     return gb
 
 

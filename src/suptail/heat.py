@@ -17,13 +17,8 @@ Conventions fixed here:
 * ``variance_coefficient`` is the exact value Gamma(1-H) 2^(H-1) / H of the
   time-integrated spectral integral, so Var V(t,x) = C_H * c_1H * t^H is an
   identity (cross-checked against space-time white noise at H = 1/2).
-* ``time_increment_coefficient`` is the exact value
-  c_2H = (1/2) int_R (1 - e^(-u^2))^2 |u|^(-1-2H) du = Gamma(1-H) (2 - 2^H) / (2H),
-  with the even integrand read through |u|.
-* the supremum tail bounds are :func:`suptail.supbound.sup_tail_bound` on
-  the ``TailBound`` of ``omega_bound_inputs`` or ``v_bound_inputs``, with the
-  minus sign of the generic bound's exponent argument, and nan below the
-  validity threshold.
+* ``time_increment_coefficient`` is exact too, with the even integrand of
+  c_2H read through |u|; its docstring derives the closed form.
 """
 
 from __future__ import annotations
@@ -200,10 +195,11 @@ def omega_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBou
     """Bounded-domain bound for the smoothed-initial-condition field omega:
     eps0 = c_0 c_phi on ``_heat_metric`` with exponent rho, scale c_omega c_phi
     and the family of alpha."""
-    return supbound.field_bound(
-        model.init_sup * model.det_const,
-        *_heat_metric(box, model.rho, model.c_omega * model.det_const, model.alpha),
-    )
+    eps0, scale = model.init_sup * model.det_const, model.c_omega * model.det_const
+    check_positive_finite("omega's eps0 = init_sup * det_const", eps0)
+    check_positive_finite(f"omega's scale c_omega * det_const for holder_const = {model.holder_const!r} "
+                          f"and rho = {model.rho!r}", scale)
+    return supbound.field_bound(eps0, *_heat_metric(box, model.rho, scale, model.alpha))
 
 
 def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
@@ -247,6 +243,7 @@ def she_growth_envelope(
     if p == math.inf:
         raise ValueError(f"p must be finite, got {p}")
     check_positive_finite("halfwidth", halfwidth)
+    check_positive_finite(f"strip width 2 * halfwidth for halfwidth = {halfwidth!r}", 2.0 * halfwidth)
     box, prof, fam = _heat_metric(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth),
                                   model.hurst, model.c_v, 2.0)
     # exp(H/2), not v_bound_inputs' math.e ** (H/2), which can differ in the last bit

@@ -31,25 +31,16 @@ or sampling call and SciPy at its first kernel or Clopper-Pearson call.  So
 Only V is sampled; the bound for the smoothed field omega comes from its
 Holder constants (heat.omega_bound_inputs) and needs no covariance.
 
-The grid is the product of a time axis and a space axis.  The two Kummer
-terms depend on t + s or |t - s| and on |x - y| only, so covariance_matrix
-evaluates them once, on the grid of distinct time values (every t + s and
-|t - s|) by distinct distances, tabulates Cov V over time pairs and
-distances, and gathers the matrix from that table.
-v_covariance is one entry of a 2 x 2 grid: the kernel has this one route.
-
-simulate-verify makes four calls: covariance_matrix, factor_covariance,
-sample_sups on that factor, and empirical_sup_tail.  make_grid leaves out
-the time t = 0, where V is 0, and the repeats of an axis with b == a, so the
-covariance of its grid is positive definite and the factor is its plain
-Cholesky factor.  One runner draws block b
-of SAMPLE_BLOCK replicas from the stream (seed, b) and hands it to a
-consumer, serially or on w threads, which agree to the byte.  The
-consumer of sample_sups keeps the block's grid suprema, so m points and n
-replicas take O(m^2 + w m SAMPLE_BLOCK + n) memory; that of sample_fields
-keeps the whole (n, m) array.  The empirical tail sorts the suprema once and
-counts each u by binary search, and ``verdicts`` marks each u PASS, FAIL or
-INVALID against the bound column.
+simulate-verify makes four calls on the product grid of ``make_grid``:
+``covariance_matrix``, one table of Kummer terms over the distinct time
+values and distances (``v_covariance`` is one entry of a 2 x 2 grid, so the
+kernel has one route); ``factor_covariance``, plain Cholesky;
+``sample_sups`` on that factor, in blocks of SAMPLE_BLOCK replicas that agree
+to the byte on any number of threads; and ``empirical_sup_tail``.
+``verdicts`` marks each u PASS, FAIL or INVALID.  make_grid leaves out t = 0
+and the repeats of a degenerate axis, so the covariance is positive definite
+in exact arithmetic; grid points that coincide in floating point, such as
+those of a side of 1e-300, make Cholesky fail, with an error naming the grid.
 """
 
 from __future__ import annotations
@@ -167,18 +158,19 @@ def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float)
     return table[:, :, d_idx].transpose(0, 2, 1, 3).reshape(m, m)
 
 
-def factor_covariance(cov: np.ndarray) -> np.ndarray:
+def factor_covariance(cov: np.ndarray, grid: str = "") -> np.ndarray:
     """Lower-triangular L with L L^T = cov exactly, by Cholesky, which adds
     nothing to the diagonal: cov must be positive definite, as it is on a
-    ``make_grid`` grid.  A zero variance (V at t = 0), a repeated point or a
-    negative eigenvalue raises FactorizationError.
+    ``make_grid`` grid in exact arithmetic.  A zero variance, a repeated
+    point or a negative eigenvalue raises FactorizationError, whose message
+    names the grid by the text ``grid``.
     """
     import numpy as np
 
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"covariance not positive definite: {exc}") from exc
+        raise FactorizationError(f"covariance{grid} not positive definite: {exc}") from exc
 
 
 # Replicas per block.  Block b draws its normals from the stream (seed, b),

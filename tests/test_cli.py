@@ -608,6 +608,19 @@ class TestSimulateVerify:
         assert "largest |x - y| is 1e+300" in err
         assert not out.exists()
 
+    def test_coinciding_grid_points_named(self, tmp_path, capsys):
+        # b2 = 1e-300: the three space points coincide in the covariance, which
+        # Cholesky rejects; the error named neither the grid nor the box
+        payload = {"field": "v", "model": V_MODEL, "box": {**BOX, "b2": 1e-300}, "grid": {"nt": 3, "nx": 3},
+                   "samples": 10, "u_grid": [1.0]}
+        code, out = run(tmp_path, "simulate-verify", payload, "--seed", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("suptail simulate-verify: error: covariance of the grid nt = 3, nx = 3 on the box "
+                              "[0.1, 1.0] x [0.0, 1e-300] not positive definite: ")
+        assert not out.exists()
+
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         # a grid too large for memory raises MemoryError, raised here without allocating
         def out_of_memory(*args):
@@ -797,8 +810,10 @@ class TestScalarValues:
         "sup-side-overflow": ("bound-sup", {"field": "v", "model": MODEL, "box": {**BOX, "a2": -1e308, "b2": 1e308},
                                             "u_grid": [80.0, 1e300]},
                               "box side b2 - a2 must be finite, got inf from [-1e+308, 1e+308]"),
+        # the strip [-A, A] of a finite halfwidth A = 1e308 is 2e308 wide: the
+        # error named the box side b2 - a2, which the config does not write
         "growth-side-overflow": ("bound-growth", {"model": V_MODEL, "halfwidth": 1e308, "u_grid": [900.0]},
-                                 "box side b2 - a2 must be finite, got inf from [-1e+308, 1e+308]"),
+                                 "strip width 2 * halfwidth for halfwidth = 1e+308 must be finite, got inf"),
         "eps-nan": ("covering", {"box": BOX, "eps": math.nan}, "'eps' must be finite, got nan"),
         "eps-string": ("covering", {"box": BOX, "eps": "0.5"}, "'eps' must be a number, got '0.5'"),
         "eps0-nan": ("bound-sup", {**GENERIC, "eps0": math.nan}, "'eps0' must be finite, got nan"),
@@ -870,7 +885,22 @@ class TestScalarValues:
         # both exited 1 with "theta = 0.0 is not in (0, theta_cap) = (0, 0.0)"
         "sup-omega-eps0-overflow": ("bound-sup", {"field": "omega", "box": BOX, "u_grid": [80.0],
                                                   "model": {**MODEL, "init_sup": 1e300, "det_const": 1e300}},
-                                    "eps0 must be finite, got inf"),
+                                    "omega's eps0 = init_sup * det_const must be finite, got inf"),
+        # omega's modulus scale c_omega c_phi and the entropy constant c1 past
+        # the float range: the errors read "scale must be finite, got inf" and
+        # "c1 must be finite, got inf", names that no config writes
+        "sup-omega-scale-overflow": ("bound-sup", {"field": "omega", "box": BOX, "u_grid": [80.0],
+                                                   "model": {**MODEL, "holder_const": 1e300}},
+                                     "omega's scale c_omega * det_const for holder_const = 1e+300 and rho = 0.5 "
+                                     "must be finite, got inf"),
+        "sup-generic-c1-overflow": ("bound-sup", {**GENERIC, "profile": {"scale": 1.0, "exponent": 1.0},
+                                                  "box": {**BOX, "h1": 1e-308, "h2": 1.0}},
+                                    "entropy constant c1 of box (0.1, 1.0, 0.0, 1.0, 1e-308, 1.0) and profile "
+                                    "(1.0, 1.0) must be finite, got inf"),
+        # gamma*beta is no config key: the error named it alone
+        "sup-generic-gamma-beta": ("bound-sup", GENERIC,
+                                   "the entropy integral diverges: profile exponent 0.5 times beta = 2.0 of "
+                                   "alpha = 2.0 is gamma*beta = 1.0 <= 1"),
         "sup-generic-cap-underflow": ("bound-sup", {**GENERIC, "eps0": 1e300,
                                                     "profile": {"scale": 1e-300, "exponent": 1.0},
                                                     "box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0,

@@ -12,6 +12,7 @@ from suptail.entropy import HolderProfile, c1_constant
 from suptail.metric import AnisotropicBox
 from suptail.orlicz import PhiFamily, phi_conjugate
 from suptail.supbound import (
+    _below_cap,
     field_bound,
     min_threshold,
     optimize_theta,
@@ -209,6 +210,95 @@ class TestOptimizeTheta:
             else:
                 n_free += 1
         assert min(n_capped, n_free, n_invalid) >= 10, (n_capped, n_free, n_invalid)
+
+
+UNIT_SQUARE = AnisotropicBox(0.0, 1.0, 0.0, 1.0)
+
+
+def run_generic(tmp_path, eps0, scale, exponent, u_grid):
+    """Exit code and curve rows of bound-sup generic on the unit square at alpha = 2."""
+    config, out = tmp_path / "generic.json", tmp_path / "out"
+    config.write_text(json.dumps({"field": "generic", "fam": 2.0, "eps0": eps0,
+                                  "profile": {"scale": scale, "exponent": exponent},
+                                  "box": {"a1": 0.0, "b1": 1.0, "a2": 0.0, "b2": 1.0}, "u_grid": u_grid}))
+    code = main(["bound-sup", "--config", str(config), "--out", str(out)])
+    return code, json.loads((out / "bound_sup.json").read_text())["curve"] if code == 0 else None
+
+
+class TestThetaRule:
+    """Every theta the library takes lies in (0, cap), for every cap above 5e-324."""
+
+    @pytest.mark.parametrize("cap", [1.0, 0.2, 1e-300, 2.3e-308])
+    def test_below_cap_of_a_normal_cap_keeps_its_margin(self, cap):
+        assert _below_cap(cap) == cap * (1.0 - 1e-12) < cap
+
+    @pytest.mark.parametrize("cap", [2e-312, 1e-320, 1e-323])
+    def test_below_cap_of_a_subnormal_cap_is_the_next_double(self, cap):
+        # the margin rounds back to the cap itself, which is not a valid theta
+        assert cap * (1.0 - 1e-12) == cap
+        assert 0.0 < _below_cap(cap) == math.nextafter(cap, 0.0) < cap
+
+    def test_ratio_floor(self, tmp_path):
+        # 2k / gb / u = 4e-150 / 1e300 underflows to 0; theta* = 5e-324^(2/3).
+        # This exited 1 with "theta = 0.0 is not in (0, theta_cap) = (0, 1.0)".
+        bound = field_bound(1e-300, UNIT_SQUARE, HolderProfile(1.0, 1.0), PhiFamily(2.0))
+        theta, value = optimize_theta(1e300, bound)
+        assert theta == math.ulp(0.0) ** (2.0 / 3.0) and value == 0.0
+        code, rows = run_generic(tmp_path, 1e-300, 1.0, 1.0, [1.0, 1e300])
+        assert code == 0
+        assert [(r["bound"], r["validity"]) for r in rows] == [(0.0, "VALID")] * 2
+
+    def test_ratio_floor_keeps_the_entropy_term_in_range(self):
+        # gamma*beta = 1.01: theta = 5e-324 itself would overflow theta^(-1/gb)
+        # in the float power; the floor's power 5e-324^(1.01/2.01) does not
+        bound = field_bound(1.0, UNIT_SQUARE, HolderProfile(1e-160, 0.505), PhiFamily(2.0))
+        theta, value = optimize_theta(1e300, bound)
+        assert 0.0 < theta < bound.cap and value == 0.0
+        with pytest.raises(OverflowError):
+            math.ulp(0.0) ** (-1.0 / bound.gamma_beta)
+
+    def test_subnormal_cap(self, tmp_path):
+        # cap 2e-312: cap * (1 - 1e-12) rounded back to the cap, and the run
+        # exited 1 with "theta = 2e-312 is not in (0, theta_cap) = (0, 2e-312)"
+        bound = field_bound(1e300, UNIT_SQUARE, HolderProfile(1e-12, 1.0), PhiFamily(2.0))
+        assert bound.cap == 2e-312
+        threshold = min_threshold(bound)
+        assert threshold == u_threshold(math.nextafter(bound.cap, 0.0), bound)
+        assert math.isnan(optimize_theta(threshold * (1.0 - 1e-9), bound)[1])
+        theta, value = optimize_theta(threshold * 2.0, bound)
+        assert theta == math.nextafter(bound.cap, 0.0) and 0.0 < value < 1.0
+        code, rows = run_generic(tmp_path, 1e300, 1e-12, 1.0, [1.0])
+        assert code == 0 and rows[0]["validity"] == "INVALID"
+
+    def test_subnormal_theta_entropy_by_quotient(self):
+        # gamma*beta = 1.01 and cap 1.4e-312: theta^(-1/gb) overflows, while
+        # the entropy term 2k theta^(-1/gb) is about 2.6e302
+        bound = field_bound(1e300, UNIT_SQUARE, HolderProfile(1e-12, 0.505), PhiFamily(2.0))
+        theta = _below_cap(bound.cap)
+        with pytest.raises(OverflowError):
+            theta ** (-1.0 / bound.gamma_beta)
+        threshold = min_threshold(bound)
+        assert threshold == 2.0 * bound.k / theta ** (1.0 / bound.gamma_beta) / (1.0 - theta)
+        assert 1e302 < threshold < 1e303
+        assert optimize_theta(2.0 * threshold, bound) == (theta, 0.0)
+
+    def test_cap_without_a_double_below_rejected(self, tmp_path, capsys):
+        # gamma0 / eps0 = 5e-24 / 1e300 rounds to 5e-324, the least double
+        message = ("cap min(1, gamma0/eps0) for eps0 = 1e+300, profile scale 2.5e-24 "
+                   "and box diameter 2.0 must be positive, got 0.0")
+        with pytest.raises(ValueError) as info:
+            field_bound(1e300, UNIT_SQUARE, HolderProfile(2.5e-24, 1.0), PhiFamily(2.0))
+        assert str(info.value) == message
+        assert run_generic(tmp_path, 1e300, 2.5e-24, 1.0, [1.0]) == (1, None)
+        assert capsys.readouterr().err == f"suptail bound-sup: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("u", [8.9e307, 1.5e308, 1.7976931348623157e308])
+    def test_u_near_the_float_maximum(self, u):
+        # gamma*beta u = 2u overflows past 9e307, where theta* used a second formula
+        theta, value = optimize_theta(u, STD)
+        assert 0.0 < theta < STD.cap and value == 0.0
+        assert theta == (2.0 * STD.k / STD.gamma_beta / u) ** (2.0 / 3.0)
 
 
 # Known answer: X(t, x) = W1(t^(2 h1)) + W2(x^(2 h2)) on [0, T1] x [0, T2], with W1
