@@ -161,6 +161,8 @@ def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
     count, span = auto.get("count", 12), float(auto.get("max", 2.0))
     # pad the low end below the minimal threshold so the first entries are invalid
     thr = supbound.min_threshold(bound)
+    if thr == math.inf:
+        raise ConfigError("the minimal threshold is inf, so no u gets a bound; give 'u_grid', not u_auto")
     if not math.isfinite(span * thr):
         raise ConfigError(
             f"u_auto 'max' = {span!r} times the minimal threshold {thr!r} overflows the float range"

@@ -19,9 +19,9 @@ tolerance on the remainders.  The caller builds it once, and
 ``optimize_theta_growth`` evaluates it at the closed-form theta*, as the box
 bound is, with nan where it is not asserted.
 
-NumPy is imported by ``_polylog`` at its first call, not with this module, so
-``bound-growth`` loads it when it sums Li_p, and nothing else here loads
-it.  Nothing here uses SciPy.
+``_polylog`` sums Li_p over one array of a closed-form length, its tail capped
+by zeta(p), and imports NumPy at its first call, not with this module, so
+``bound-growth`` loads it when it sums Li_p.  Nothing here uses SciPy.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class SeriesSum(namedtuple("SeriesSum", "value remainder n_terms")):
 
 
 _EPS = sys.float_info.epsilon
-_POLYLOG_MAX_TERMS = 2 ** 24
 # Relative rounding bound on the products and sums that combine zeta(p) and
 # Li_p with the model constants; the series' own errors are their remainders.
 _CLOSED_FORM_RTOL = 16.0 * _EPS
@@ -81,34 +80,31 @@ def _zeta(p: float) -> SeriesSum:
     return SeriesSum(value, omitted + len(terms) * _EPS * value, len(terms))
 
 
-def _polylog(p: float, ln_x: float) -> SeriesSum:
-    """Li_p(x) = sum_{k>=1} x^k / k^p for 0 < x < 1, given ln x < 0.
+def _polylog(p: float, ln_x: float, ceiling: float) -> SeriesSum:
+    """Li_p(x) = sum_{k>=1} x^k / k^p for 0 < x < 1, given ln x < 0 and ceiling >= zeta(p).
 
-    Terms exp(a_k), a_k = k ln x - p ln k, are summed in doubling chunks until
-    the geometric tail bound x^(n+1) / ((n+1)^p (1-x)) falls below the
-    rounding of the sum, or for at most 2^24 terms.  The remainder adds to that
-    tail a rounding bound: a_k is off by at most 3 ulps of |a_k|, largest at
-    the last term that did not underflow to 0, and summing n terms loses at
-    most n ulps of the sum, which also covers the underflowed terms (each
-    below 5e-324, against a sum of at least x).
+    The terms exp(a_k), a_k = k ln x - p ln k, are summed for k <= n, the least
+    of ln(eps x (1-x)) / ln x, (eps x (1-x))^(-1/(p+1)) and 2^20, taken in log
+    space: past the first, x^n n^-p / (1-x) is below eps x, past the second below
+    eps n x.  The tail is int_n^m t^-p dt + x^m m^-p / (1-x), m = max(n, 1/(1-x)),
+    or ceiling minus the sum where smaller.  The remainder adds the rounding to it
+    and is at least that: eps n times the sum, for the additions and underflowed
+    terms, plus eps t_k (3 |a_k| + 1) for each term, whose a_k is off by 3 ulps.
     """
     import numpy as np
 
-    total, n, chunk, a_max = 0.0, 0, 1024, 0.0
-    while True:
-        ks = np.arange(n + 1, n + chunk + 1, dtype=float)
-        args = ks * ln_x - p * np.log(ks)
-        terms = np.exp(args)
-        total += float(np.sum(terms))
-        n += chunk
-        live = np.count_nonzero(terms)  # the terms decrease, so the nonzero ones lead
-        if live:
-            a_max = -float(args[live - 1])
-        rounding = (n + 3.0 * a_max + 2.0) * _EPS * total
-        tail = math.exp((n + 1) * ln_x - p * math.log(n + 1)) / -math.expm1(ln_x)
-        if tail <= rounding or n >= _POLYLOG_MAX_TERMS:
-            return SeriesSum(total, tail + rounding, n)
-        chunk = min(2 * chunk, 2 ** 20, _POLYLOG_MAX_TERMS - n)
+    one_minus_x = -math.expm1(ln_x)
+    ln_target = math.log(_EPS) + ln_x + math.log(one_minus_x)  # ln(eps x (1-x))
+    n = math.ceil(min(ln_target / ln_x, math.exp(min(-ln_target / (p + 1.0), 14.0)), 2.0 ** 20))  # e^14 > 2^20
+    ks = np.arange(1, n + 1, dtype=float)
+    args = ks * ln_x - p * np.log(ks)  # a_k <= 0
+    terms = np.exp(args)
+    total = float(np.sum(terms))
+    rounding = _EPS * (n * total + float(terms @ (1.0 - 3.0 * args)))
+    m = max(n, 1.0 / one_minus_x)  # inf where 1 - x is below 1/DBL_MAX
+    tail = (n ** (1.0 - p) * -math.expm1((1.0 - p) * math.log(m / n)) / (p - 1.0)
+            + math.exp(m * ln_x - p * math.log(m)) / one_minus_x)
+    return SeriesSum(total, min(tail + rounding, max(ceiling - total, rounding)), n)
 
 
 def series_c_sum(eps0: float, p: float) -> SeriesSum:
@@ -130,7 +126,7 @@ def series_s_sum(time_axis: float, space_axis: float, p: float, hurst: float) ->
     e^(kH/4) and its space axis does not.  n_terms counts the Li_p terms summed.
     """
     zeta_p = _zeta(p)
-    li = _polylog(p, -hurst / 4.0)
+    li = _polylog(p, -hurst / 4.0, zeta_p.value + zeta_p.remainder)
     value = time_axis * (1.0 + zeta_p.value) + space_axis * (1.0 + li.value)
     error = time_axis * zeta_p.remainder + space_axis * li.remainder
     return SeriesSum(value, _CLOSED_FORM_RTOL * value + error, li.n_terms)

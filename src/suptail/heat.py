@@ -120,8 +120,9 @@ def omega_holder_constant(holder_const: float, rho: float) -> float:
         ||omega(t,x) - omega(s,y)||_2 <= c_omega (|t-s|^(rho/2) + |x-y|^rho).
     """
     check_positive_finite("holder_const", holder_const)
-    c = 2.0 * holder_const * max(kernel_moment_constant(rho), holder_const)
-    return math.sqrt(c)
+    c_omega = math.sqrt(2.0 * holder_const * max(kernel_moment_constant(rho), holder_const))
+    check_positive_finite(f"c_omega for holder_const = {holder_const!r} and rho = {rho!r}", c_omega)
+    return c_omega
 
 
 class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const alpha")):
@@ -139,7 +140,7 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
     a_h, c_v and c_omega are ``sup_norm_coefficient``, ``increment_constant``
     and ``omega_holder_constant``.  ``__post_init__`` validates every input,
     alpha through ``PhiFamily`` whether or not a bound reads it, and rejects
-    a hurst so small that a_h or c_v is not finite.
+    a tiny hurst or a huge holder_const, whose a_h, c_v or c_omega is not finite.
     """
 
     __slots__ = ()
@@ -157,7 +158,7 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
                 f"hurst = {self.hurst!r} is too small: its constants a_h = {self.a_h} "
                 f"and c_v = {self.c_v} are not finite"
             )
-        omega_holder_constant(self.holder_const, self.rho)  # validates holder_const and rho
+        omega_holder_constant(self.holder_const, self.rho)  # validates holder_const, rho and c_omega
         PhiFamily(self.alpha)
         check_positive_finite("init_sup", self.init_sup)
         check_positive_finite("det_const", self.det_const)

@@ -185,6 +185,20 @@ class TestBoundSup:
         code, _ = run(tmp_path, "bound-sup", payload)
         assert code == 1
 
+    def test_infinite_threshold_points_to_u_grid(self, tmp_path, capsys):
+        # min_threshold is inf here (found by a domain sweep at seed 11), and the
+        # default u_auto blamed its 'max' of 2.0, which no value would mend
+        payload = {"field": "omega", "model": {"hurst": 2.4e-203, "rho": 3.3e-233, "init_sup": 1.3e83},
+                   "box": {"a1": 0.0, "b1": 0.0, "a2": 0.0, "b2": 6.8e-65}}
+        code, out = run(tmp_path, "bound-sup", payload)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "suptail bound-sup: error: the minimal threshold is inf, so no u gets a bound; give 'u_grid', not u_auto\n")
+        code, out = run(tmp_path, "bound-sup", {**payload, "u_grid": [1.0, 1e300]})
+        assert code == 0
+        rows = json.loads((out / "bound_sup.json").read_text())["curve"]
+        assert [row["validity"] for row in rows] == ["INVALID", "INVALID"]
+
     @pytest.mark.parametrize("command", ["constants", "bound-sup", "bound-growth", "covering", "simulate-verify"])
     def test_tol_rejected(self, tmp_path, capsys, command):
         # no command takes a tolerance or an output format: every curve is JSON
@@ -432,14 +446,27 @@ class TestBoundGrowth:
         assert math.isnan(rows[0][0]) and math.isnan(rows[0][1])
         assert [r["validity"] for r in data["curve"]] == ["INVALID", "VALID", "VALID", "VALID"]
 
-    @pytest.mark.parametrize("p", [1e6, 1e100, 1e300])
+    @pytest.mark.parametrize("p", [1e6, 1e100, 1e300, 1e308])
     def test_huge_p_certifies(self, tmp_path, p):
-        # the Li_p terms past k = 1 underflow to 0 and add no rounding
+        # the Li_p terms past k = 1 underflow to 0 and add no rounding; at
+        # p = 1e308 a sum of 1024 terms overflowed p ln k with a RuntimeWarning
         payload = {"model": V_MODEL, "p": p, "halfwidth": 1.0, "u_grid": [900.0, 1500.0]}
         code, out = run(tmp_path, "bound-growth", payload)
         assert code == 0
         series = json.loads((out / "bound_growth.json").read_text())["series"]
         assert series["s_tilde_remainder"] <= 1e-6
+
+    @pytest.mark.parametrize("hurst", [1e-100, 1e-300])
+    @pytest.mark.parametrize("p", [1.001, 1.1, 2.0, 3.0])
+    def test_tiny_hurst_remainder_below_sum(self, tmp_path, hurst, p):
+        # the S~ remainder was 3e186 at H = 1e-100 and p = 2, and inf at
+        # H = 1e-300: the geometric tail bound of Li_p(e^(-H/4)) grows as 4/H
+        payload = {"model": {"hurst": hurst}, "p": p, "u_grid": [1e300]}
+        code, out = run(tmp_path, "bound-growth", payload)
+        assert code == 0
+        series = json.loads((out / "bound_growth.json").read_text())["series"]
+        assert math.isfinite(series["s_tilde_remainder"])
+        assert series["s_tilde_remainder"] <= series["s_tilde"]
 
     def test_divergent_config_errors(self, tmp_path):
         payload = {"model": V_MODEL, "p": 0.9, "halfwidth": 1.0, "u_grid": [10.0]}
@@ -890,9 +917,20 @@ class TestScalarValues:
         # the float range: the errors read "scale must be finite, got inf" and
         # "c1 must be finite, got inf", names that no config writes
         "sup-omega-scale-overflow": ("bound-sup", {"field": "omega", "box": BOX, "u_grid": [80.0],
-                                                   "model": {**MODEL, "holder_const": 1e300}},
-                                     "omega's scale c_omega * det_const for holder_const = 1e+300 and rho = 0.5 "
+                                                   "model": {**MODEL, "holder_const": 1e100, "det_const": 1e300}},
+                                     "omega's scale c_omega * det_const for holder_const = 1e+100 and rho = 0.5 "
                                      "must be finite, got inf"),
+        # c_omega itself past the float range: constants wrote
+        # "omega_holder_constant": Infinity, and omega's error named its scale;
+        # every model command reads c_omega, the v field of bound-sup too
+        "constants-c_omega-overflow": ("constants", {"model": {"hurst": 0.5, "holder_const": 1e300}},
+                                       "c_omega for holder_const = 1e+300 and rho = 1.0 must be finite, got inf"),
+        "sup-omega-c_omega-overflow": ("bound-sup", {"field": "omega", "box": BOX, "u_grid": [80.0],
+                                                     "model": {**MODEL, "holder_const": 1e300}},
+                                       "c_omega for holder_const = 1e+300 and rho = 0.5 must be finite, got inf"),
+        "sup-v-c_omega-overflow": ("bound-sup", {"field": "v", "box": BOX, "u_grid": [80.0],
+                                                 "model": {**MODEL, "holder_const": 1e300}},
+                                   "c_omega for holder_const = 1e+300 and rho = 0.5 must be finite, got inf"),
         "sup-generic-c1-overflow": ("bound-sup", {**GENERIC, "profile": {"scale": 1.0, "exponent": 1.0},
                                                   "box": {**BOX, "h1": 1e-308, "h2": 1.0}},
                                     "entropy constant c1 of box (0.1, 1.0, 0.0, 1.0, 1e-308, 1.0) and profile "

@@ -23,9 +23,7 @@ from suptail.orlicz import PhiFamily
 from suptail.supbound import field_bound, min_threshold
 
 SEED = 20261020
-# bound-growth at a hurst below about 1e-6 sums 2^24 Li_p terms, about 0.2 s
-# a config, so it gets fewer draws than bound-sup
-COUNTS = {"v": 100, "omega": 100, "generic": 100, "bound-growth": 40, "simulate-verify": 40}
+COUNTS = {"v": 100, "omega": 100, "generic": 100, "bound-growth": 100, "simulate-verify": 40}
 
 
 def positive(rng):

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from series_oracle import SeriesError, sum_series
 from suptail.entropy import HolderProfile, c1_constant
@@ -150,23 +151,58 @@ def _cell_ratios(model, halfwidth, k_max):
 
 
 class TestClosedFormSeriesLargeP:
-    """bound-growth takes any finite p > 1.  At large p the terms of Li_p underflow
-    to 0 inside the first chunk of 1024, so the remainder's rounding term is read
-    at the last term that did not underflow, and three terms give the sum."""
+    """bound-growth takes any finite p > 1.  At large p the power count of
+    ``_polylog`` is one or two terms, p ln k stays finite (a chunk of 1024
+    terms overflowed it, with a RuntimeWarning, for p above about 2.6e307),
+    and the terms from k = 3 on are below the rounding of the sum."""
 
-    @pytest.mark.parametrize("p", [200.0, 1000.0, 1e6])
-    def test_polylog_first_chunk_underflows(self, p):
+    @pytest.mark.parametrize("p", [200.0, 1000.0, 1e6, 1e308])
+    def test_polylog_terms_underflow(self, p):
         ln_x = -1.0 / 8.0
-        assert math.exp(1024 * ln_x - p * math.log(1024)) == 0.0  # the chunk's last term
-        got = _polylog(p, ln_x)
         x = math.exp(ln_x)
-        assert got.n_terms == 1024 and math.isfinite(got.remainder)
+        zeta_p = _zeta(p)
+        got = _polylog(p, ln_x, zeta_p.value + zeta_p.remainder)
+        assert got.n_terms <= 2 and math.isfinite(got.remainder)
         assert abs(got.value - (x + x * x * 2.0 ** -p + x ** 3 * 3.0 ** -p)) <= got.remainder
 
-    @pytest.mark.parametrize("p", [200.0, 1000.0, 1e6])
+    @pytest.mark.parametrize("p", [200.0, 1000.0, 1e6, 1e308])
     def test_zeta_is_one_plus_two_to_minus_p(self, p):
         got = _zeta(p)
         assert abs(got.value - (1.0 + 2.0 ** -p)) <= got.remainder
+
+
+class TestClosedFormSeriesSmallHurst:
+    """At a tiny hurst, x = e^(-H/4) is within H/4 of 1 and the terms of
+    Li_p(x) decay as k^-p alone for k up to about 4/H: 2^20 terms leave a
+    tail far below the geometric bound x^(n+1) (n+1)^-p / (1-x), which was
+    1.4e86 at H = 1e-100 and p = 2."""
+
+    @pytest.mark.parametrize("hurst", [1e-100, 1e-300])
+    @pytest.mark.parametrize("p", [1.001, 1.1, 2.0])
+    def test_remainder_within_zeta(self, hurst, p):
+        zeta_p = _zeta(p)
+        ceiling = zeta_p.value + zeta_p.remainder
+        got = _polylog(p, -hurst / 4.0, ceiling)
+        assert got.n_terms == 2 ** 20
+        assert math.isfinite(got.remainder) and got.remainder <= ceiling - got.value
+        # near x = e^-mu = 1, Li_p(x) = zeta(p) + Gamma(1-p) mu^(p-1) + O(mu) at a
+        # p that is not an integer, and Li_2(x) = zeta(2) + mu (ln mu - 1) + O(mu^2)
+        mu = hurst / 4.0
+        near_one = mu * (math.log(mu) - 1.0) if p == 2.0 else math.gamma(1.0 - p) * mu ** (p - 1.0)
+        assert abs(zeta(p) + near_one - got.value) <= got.remainder
+        # the upper end is within 1 % of Li_p(x): at p = 1.001, Li_p(x) is 207 at
+        # H = 1e-100 and 500 at 1e-300, where zeta(p) is 1000.6
+        assert got.value + got.remainder <= 1.01 * (zeta(p) + near_one)
+
+    @pytest.mark.parametrize("hurst, p", [(1e-3, 3.0), (1e-4, 2.0), (1e-6, 1.1)])
+    def test_remainder_covers_twice_the_terms(self, hurst, p):
+        # the tail bound past the closed-form count, or the zeta cap, covers
+        # the terms from n + 1 to 2n
+        zeta_p = _zeta(p)
+        got = _polylog(p, -hurst / 4.0, zeta_p.value + zeta_p.remainder)
+        ks = np.arange(1, 2 * got.n_terms + 1, dtype=float)
+        longer = math.fsum(np.exp(ks * (-hurst / 4.0) - p * np.log(ks)))
+        assert abs(longer - got.value) <= got.remainder
 
 
 class TestThetaSup:
