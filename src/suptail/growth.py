@@ -84,18 +84,21 @@ def _polylog(p: float, ln_x: float, ceiling: float) -> SeriesSum:
     """Li_p(x) = sum_{k>=1} x^k / k^p for 0 < x < 1, given ln x < 0 and ceiling >= zeta(p).
 
     The terms exp(a_k), a_k = k ln x - p ln k, are summed for k <= n, the least
-    of ln(eps x (1-x)) / ln x, (eps x (1-x))^(-1/(p+1)) and 2^20, taken in log
-    space: past the first, x^n n^-p / (1-x) is below eps x, past the second below
-    eps n x.  The tail is int_n^m t^-p dt + x^m m^-p / (1-x), m = max(n, 1/(1-x)),
-    or ceiling minus the sum where smaller.  The remainder adds the rounding to it
-    and is at least that: eps n times the sum, for the additions and underflowed
-    terms, plus eps t_k (3 |a_k| + 1) for each term, whose a_k is off by 3 ulps.
+    of ln(eps x (1-x)) / ln x, (eps x (1-x))^(-1/(p+1)), ((p-1) eps x / p)^(-1/p)
+    and 2^20, taken in log space.  The tail is int_n^m t^-p dt + x^m m^-p / (1-x),
+    m = max(n, 1/(1-x)), or ceiling minus the sum where smaller: past the first
+    count it is below eps x, past the second or third below eps n x.  The
+    remainder adds the rounding to it and is at least that: eps n times the
+    sum, for the additions and underflowed terms, plus eps t_k (3 |a_k| + 1)
+    for each term, whose a_k is off by 3 ulps.
     """
     import numpy as np
 
     one_minus_x = -math.expm1(ln_x)
     ln_target = math.log(_EPS) + ln_x + math.log(one_minus_x)  # ln(eps x (1-x))
-    n = math.ceil(min(ln_target / ln_x, math.exp(min(-ln_target / (p + 1.0), 14.0)), 2.0 ** 20))  # e^14 > 2^20
+    ln_power = math.log(_EPS) + ln_x + math.log((p - 1.0) / p)  # ln((p-1) eps x / p)
+    ln_count = min(-ln_target / (p + 1.0), -ln_power / p, 14.0)  # e^14 > 2^20
+    n = math.ceil(min(ln_target / ln_x, math.exp(ln_count), 2.0 ** 20))
     ks = np.arange(1, n + 1, dtype=float)
     args = ks * ln_x - p * np.log(ks)  # a_k <= 0
     terms = np.exp(args)
@@ -132,7 +135,7 @@ def series_s_sum(time_axis: float, space_axis: float, p: float, hurst: float) ->
     return SeriesSum(value, _CLOSED_FORM_RTOL * value + error, li.n_terms)
 
 
-def theta_sup(c_v: float, a_h: float, hurst: float) -> float:
+def theta_sup(hurst: float) -> float:
     """inf_k gamma_k / eps_k over the cells of V, in closed form.
 
     With the metric exponents (H/2, H), gamma_k = c_V ((e^k (e-1))^(H/2) +
@@ -141,9 +144,10 @@ def theta_sup(c_v: float, a_h: float, hurst: float) -> float:
         gamma_k / eps_k = (c_V / A(H)) (((e-1)/e)^(H/2) + (2A)^H e^(-(k+1)H/2))
 
     decreases to its k -> inf limit (c_V / A(H)) ((e-1)/e)^(H/2), which no
-    cell attains.
+    cell attains.  c_V^2 / A(H)^2 = 3 (c_1H + c_2H) / c_1H = 3 * 2^(1-H), so the
+    limit depends on H alone, and it is above 1.8 for H in (0, 1/2].
     """
-    return c_v / a_h * ((math.e - 1.0) / math.e) ** (hurst / 2.0)
+    return math.sqrt(3.0 * 2.0 ** (1.0 - hurst)) * ((math.e - 1.0) / math.e) ** (hurst / 2.0)
 
 
 def optimize_theta_growth(u: float, bound: TailBound) -> tuple[float, float]:

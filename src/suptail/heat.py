@@ -90,13 +90,16 @@ def space_increment_coefficient(hurst: float) -> float:
 
 
 def increment_constant(hurst: float) -> float:
-    """c_V = sqrt(3 C_H max(c_1H + c_2H, c_3H)); the Holder scale of V in
+    """c_V = sqrt(3 C_H (c_1H + c_2H)); the Holder scale of V in
 
         ||V(t,x) - V(s,y)||_2 <= c_V (|t-s|^(H/2) + |x-y|^H).
+
+    The general bound takes max(c_1H + c_2H, c_3H) under the root, and the
+    time part always wins: C_H c_3H = 1/4, and by the reflection formula
+    C_H (c_1H + c_2H) = Gamma(2H+1) / (2 Gamma(H+1)) >= min Gamma / 2 > 0.44.
     """
     time_part = variance_coefficient(hurst) + time_increment_coefficient(hurst)
-    space_part = space_increment_coefficient(hurst)
-    return math.sqrt(3.0 * noise_constant(hurst) * max(time_part, space_part))
+    return math.sqrt(3.0 * noise_constant(hurst) * time_part)
 
 
 def sup_norm_coefficient(hurst: float) -> float:
@@ -252,7 +255,8 @@ def she_growth_envelope(
     c_sum = series_c_sum(eps0, p)
     time_axis, space_axis = (math.sqrt(eps0) * term for term in c1_axis_terms(box, prof, fam))
     s_sum = series_s_sum(time_axis, space_axis, p, model.hurst)
-    # c_V^2 >= 3 A(H)^2, so theta_sup >= sqrt(3) ((e-1)/e)^(1/4) > 1
-    cap = min(1.0, theta_sup(model.c_v, model.a_h, model.hurst))
+    cap = min(1.0, theta_sup(model.hurst))  # theta_sup > 1
     k, scale = s_sum.value + s_sum.remainder, c_sum.value + c_sum.remainder
+    # T and X grow as 1/H: S~ overflows below a hurst of 1e-307 at p = 2
+    check_positive_finite(f"S~ upper end for hurst = {model.hurst!r}", k)
     return supbound.TailBound(k, scale, prof.exponent * fam.beta, cap, fam), c_sum, s_sum

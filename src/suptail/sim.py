@@ -35,12 +35,13 @@ simulate-verify makes four calls on the product grid of ``make_grid``:
 ``covariance_matrix``, one table of Kummer terms over the distinct time
 values and distances (``v_covariance`` is one entry of a 2 x 2 grid, so the
 kernel has one route); ``factor_covariance``, plain Cholesky;
-``sample_sups`` on that factor, in blocks of SAMPLE_BLOCK replicas that agree
-to the byte on any number of threads; and ``empirical_sup_tail``.
-``verdicts`` marks each u PASS, FAIL or INVALID.  make_grid leaves out t = 0
-and the repeats of a degenerate axis, so the covariance is positive definite
-in exact arithmetic; grid points that coincide in floating point, such as
-those of a side of 1e-300, make Cholesky fail, with an error naming the grid.
+``sample_sups`` on that factor, which reduces each block of SAMPLE_BLOCK
+replicas as it is drawn and joins the blocks once, to the same bytes on any
+number of threads; and ``empirical_sup_tail``.  ``verdicts`` marks each u
+PASS, FAIL or INVALID.  make_grid leaves out t = 0 and the repeats of a
+degenerate axis, so the covariance is positive definite in exact arithmetic;
+grid points that coincide in floating point, such as those of a side of
+1e-300, make Cholesky fail, with an error naming the grid.
 """
 
 from __future__ import annotations
@@ -178,14 +179,13 @@ def factor_covariance(cov: np.ndarray, grid: str = "") -> np.ndarray:
 SAMPLE_BLOCK = 512
 
 
-def _each_block(chol: np.ndarray, n: int, seed: int, workers: int, shape: tuple, consume) -> np.ndarray:
-    """An array of the given shape, filled by consume(out, lo, hi, chol z^T) for each block.
+def _blocks(chol: np.ndarray, n: int, seed: int, workers: int, reduce) -> list:
+    """reduce(chol z^T) for each block of replicas, in block order.
 
-    Block b holds replicas [lo, hi) = [b*SAMPLE_BLOCK, min((b+1)*SAMPLE_BLOCK, n)),
-    and z their normals, one standard_normal draw from the stream (seed, b).
-    n and seed are checked before the array is allocated.  The blocks run
-    serially or on up to min(workers, os.cpu_count()) threads, since the
-    pool starts a thread per block submitted while its threads are busy.
+    Block b holds replicas [b*SAMPLE_BLOCK, min((b+1)*SAMPLE_BLOCK, n)) and draws
+    z, their normals, from the stream (seed, b); n = 0 gives one empty block, to
+    join.  Blocks run serially or on at most min(workers, os.cpu_count()) threads:
+    the pool starts a thread per block submitted while its threads are busy.
     """
     import numpy as np
 
@@ -193,22 +193,18 @@ def _each_block(chol: np.ndarray, n: int, seed: int, workers: int, shape: tuple,
         raise ValueError(f"n must be nonnegative, got {n}")
     if seed is None:
         raise ValueError("a seed is required for reproducible sampling")
-    out = np.empty(shape)
 
-    def run(lo: int) -> None:
-        hi = min(lo + SAMPLE_BLOCK, n)
-        key = np.random.SeedSequence(seed, spawn_key=(lo // SAMPLE_BLOCK,))
-        consume(out, lo, hi, chol @ np.random.default_rng(key).standard_normal((hi - lo, len(chol))).T)
+    def run(lo: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // SAMPLE_BLOCK,)))
+        return reduce(chol @ rng.standard_normal((min(lo + SAMPLE_BLOCK, n) - lo, len(chol))).T)
 
-    blocks = range(0, n, SAMPLE_BLOCK)
+    blocks = range(0, max(n, 1), SAMPLE_BLOCK)
     if workers <= 1:
-        list(map(run, blocks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return list(map(run, blocks))
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            list(pool.map(run, blocks))
-    return out
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        return list(pool.map(run, blocks))
 
 
 def sample_fields(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -219,13 +215,11 @@ def sample_fields(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.n
     one standard_normal draw from the stream (seed, b), whatever n or the
     worker count, so serial and threaded runs produce identical bytes and a
     shorter run is a prefix of a longer one.  The result is the transpose of
-    an (m, n) C-ordered buffer, so each grid point's samples are contiguous.
+    the blocks' (m, n) C-ordered join, so each grid point's samples are contiguous.
     """
+    import numpy as np
 
-    def store(out, lo, hi, block):
-        out[:, lo:hi] = block
-
-    return _each_block(chol, n, seed, workers, (len(chol), n), store).T
+    return np.hstack(_blocks(chol, n, seed, workers, lambda block: block)).T
 
 
 def sample_sups(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -237,10 +231,7 @@ def sample_sups(chol: np.ndarray, n: int, seed: int, workers: int = 1) -> np.nda
     """
     import numpy as np
 
-    def reduce(out, lo, hi, block):
-        np.abs(block, out=block).max(axis=0, out=out[lo:hi])
-
-    return _each_block(chol, n, seed, workers, (n,), reduce)
+    return np.concatenate(_blocks(chol, n, seed, workers, lambda b: np.abs(b, out=b).max(axis=0)))
 
 
 # Two-sided confidence level of the Clopper-Pearson limits.

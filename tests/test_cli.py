@@ -468,6 +468,27 @@ class TestBoundGrowth:
         assert math.isfinite(series["s_tilde_remainder"])
         assert series["s_tilde_remainder"] <= series["s_tilde"]
 
+    @pytest.mark.parametrize("p, most", [(5.0, 1413), (10.0, 38)])
+    def test_tiny_hurst_large_p_sums_few_terms(self, tmp_path, p, most):
+        # past ((p-1) eps x / p)^(-1/p) terms the tail of Li_p(e^(-H/4)) is
+        # below eps n x; the other counts ran to 2^20 terms at this hurst
+        code, out = run(tmp_path, "bound-growth", {"model": {"hurst": 1e-100}, "p": p, "u_grid": [1e300]})
+        assert code == 0
+        series = json.loads((out / "bound_growth.json").read_text())["series"]
+        assert series["s_tilde_terms"] <= most
+        assert series["s_tilde_remainder"] <= 1e-12 * series["s_tilde"]
+
+    @pytest.mark.parametrize("hurst, p", [(6e-309, 2.0), (1e-308, 2.0), (1e-300, 1 + 1e-10)])
+    def test_s_tilde_past_float_range_names_hurst(self, tmp_path, capsys, hurst, p):
+        # T and X of S~ grow as 1/H, times 1 + zeta(p): here their sum passes
+        # the float range, and the run wrote "s_tilde": Infinity
+        code, out = run(tmp_path, "bound-growth", {"model": {"hurst": hurst}, "p": p, "u_grid": [1e300]})
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"suptail bound-growth: error: S~ upper end for hurst = {hurst!r} must be finite, got inf\n"
+        )
+        assert not out.exists()
+
     def test_divergent_config_errors(self, tmp_path):
         payload = {"model": V_MODEL, "p": 0.9, "halfwidth": 1.0, "u_grid": [10.0]}
         code, _ = run(tmp_path, "bound-growth", payload)

@@ -209,7 +209,7 @@ class TestThetaSup:
     def test_matches_direct_computation(self):
         for hurst in (0.5, 0.35, 0.25):
             model = SheModel(hurst=hurst)
-            got = theta_sup(model.c_v, model.a_h, hurst)
+            got = theta_sup(hurst)
             for halfwidth in (0.3, 1.0, 4.0):
                 direct = min(_cell_ratios(model, halfwidth, 700))
                 assert got == pytest.approx(direct, rel=1e-12)
@@ -221,7 +221,16 @@ class TestThetaSup:
         model = SheModel(hurst=0.5)
         ratios = _cell_ratios(model, 1.0, 40)
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
-        assert min(ratios) > theta_sup(model.c_v, model.a_h, 0.5)
+        assert min(ratios) > theta_sup(0.5)
+
+    def test_depends_on_hurst_alone(self):
+        # c_V / A(H) = sqrt(3 2^(1-H)), so the limit needs neither constant
+        for hurst in (*np.geomspace(1e-300, 0.5, 100), 0.35, 0.25):
+            model = SheModel(hurst=float(hurst))
+            want = model.c_v / model.a_h * ((math.e - 1) / math.e) ** (hurst / 2)
+            got = theta_sup(float(hurst))
+            assert abs(got - want) <= 8 * math.ulp(want)
+            assert got > 1.8
 
 
 class TestGrowthTailBound:

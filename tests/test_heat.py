@@ -180,6 +180,25 @@ class TestCompositeConstants:
         expected = math.sqrt(3 * noise_constant(0.5) * c12)
         assert increment_constant(0.5) == pytest.approx(expected, rel=1e-12)
 
+    def test_time_part_always_wins(self):
+        # C_H c_3H = 1/4 and C_H (c_1H + c_2H) = Gamma(2H+1) / (2 Gamma(H+1)),
+        # at least min Gamma / 2 > 0.44, so c_V takes the time part alone and
+        # c_V / A(H) = sqrt(3 2^(1-H)) depends on H alone
+        for hurst in [*np.geomspace(1e-300, 0.5, 200), *np.linspace(0.001, 0.5, 200),
+                      *(0.5 - 10.0 ** -k for k in range(4, 16))]:
+            hurst = float(hurst)
+            c_h = noise_constant(hurst)
+            space = c_h * space_increment_coefficient(hurst)
+            time = c_h * (variance_coefficient(hurst) + time_increment_coefficient(hurst))
+            pairs = (
+                (space, 0.25),
+                (time, math.gamma(2 * hurst + 1) / (2 * math.gamma(hurst + 1))),
+                (increment_constant(hurst) / sup_norm_coefficient(hurst), math.sqrt(3 * 2 ** (1 - hurst))),
+            )
+            for got, want in pairs:
+                assert abs(got - want) <= 16 * math.ulp(want), hurst
+            assert time >= 1.9 * space
+
 
 class TestKernelMomentConstant:
     def test_half_value(self):
@@ -426,7 +445,7 @@ class TestGrowthEnvelope:
     def test_theta_cap_is_exact_infimum(self, hurst):
         model = SheModel(hurst=hurst)
         bound, _, _ = she_growth_envelope(model, p=2.0, halfwidth=1.0)
-        cap = theta_sup(model.c_v, model.a_h, hurst)
+        cap = theta_sup(hurst)
         assert bound.cap == min(1.0, cap) == 1.0
         # the k -> inf limit of gamma_k / eps_k, read off the cells' diameters
         box, prof = _cell(model, 700, 1.0)
