@@ -144,8 +144,8 @@ def theta_sup(hurst: float) -> float:
         gamma_k / eps_k = (c_V / A(H)) (((e-1)/e)^(H/2) + (2A)^H e^(-(k+1)H/2))
 
     decreases to its k -> inf limit (c_V / A(H)) ((e-1)/e)^(H/2), which no
-    cell attains.  c_V^2 / A(H)^2 = 3 (c_1H + c_2H) / c_1H = 3 * 2^(1-H), so the
-    limit depends on H alone, and it is above 1.8 for H in (0, 1/2].
+    cell attains.  c_V^2 / A(H)^2 = (3r/2) / (2^(H-2) r) = 3 * 2^(1-H), r =
+    ``heat.gamma_ratio``, so the limit depends on H alone, and it is above 1.8.
     """
     return math.sqrt(3.0 * 2.0 ** (1.0 - hurst)) * ((math.e - 1.0) / math.e) ** (hurst / 2.0)
 

@@ -14,11 +14,9 @@ Conventions fixed here:
 
 * each constant has one formula, its public function below; ``SheModel``
   has only the three that its bounds read (a_h, c_v, c_omega), as properties.
-* ``variance_coefficient`` is the exact value Gamma(1-H) 2^(H-1) / H of the
-  time-integrated spectral integral, so Var V(t,x) = C_H * c_1H * t^H is an
-  identity (cross-checked against space-time white noise at H = 1/2).
-* ``time_increment_coefficient`` is exact too, with the even integrand of
-  c_2H read through |u|; its docstring derives the closed form.
+* C_H, c_1H, c_2H and c_3H are exact closed forms of their integrals, so
+  Var V(t,x) = C_H c_1H t^H is an identity.  A(H), c_V and ``sim``'s covariance
+  prefactor read one ratio of them, ``gamma_ratio``, finite at every valid hurst.
 """
 
 from __future__ import annotations
@@ -34,8 +32,9 @@ from . import supbound
 
 
 def _check_hurst(hurst: float) -> None:
-    if not (0.0 < hurst <= 0.5):
-        raise ValueError(f"Hurst index must lie in (0, 1/2], got {hurst}")
+    # the one hurst rule; below about 5.6e-309, c_1H + c_2H = Gamma(1-H)/H is past the float range
+    if not (0.0 < hurst <= 0.5 and 1.0 / hurst < math.inf):
+        raise ValueError(f"hurst must lie in (0, 1/2] and have a finite 1/hurst, got {hurst!r}")
 
 
 def noise_constant(hurst: float) -> float:
@@ -89,22 +88,23 @@ def space_increment_coefficient(hurst: float) -> float:
     return math.pi / (2.0 * math.gamma(2.0 * hurst + 1.0) * math.sin(math.pi * hurst))
 
 
+def gamma_ratio(hurst: float) -> float:
+    """r = Gamma(2H+1) / Gamma(H+1), in [0.88, 1.13]: by the reflection formula
+    C_H c_1H = 2^(H-2) r, C_H (c_1H + c_2H) = r/2 and C_H Gamma(1-H)/(2H) = r/4."""
+    _check_hurst(hurst)
+    return math.gamma(2.0 * hurst + 1.0) / math.gamma(hurst + 1.0)
+
+
 def increment_constant(hurst: float) -> float:
-    """c_V = sqrt(3 C_H (c_1H + c_2H)); the Holder scale of V in
-
-        ||V(t,x) - V(s,y)||_2 <= c_V (|t-s|^(H/2) + |x-y|^H).
-
-    The general bound takes max(c_1H + c_2H, c_3H) under the root, and the
-    time part always wins: C_H c_3H = 1/4, and by the reflection formula
-    C_H (c_1H + c_2H) = Gamma(2H+1) / (2 Gamma(H+1)) >= min Gamma / 2 > 0.44.
-    """
-    time_part = variance_coefficient(hurst) + time_increment_coefficient(hurst)
-    return math.sqrt(3.0 * noise_constant(hurst) * time_part)
+    """c_V = sqrt(3 C_H (c_1H + c_2H)) = sqrt(3r/2), the Holder scale of V in
+    ||V(t,x) - V(s,y)||_2 <= c_V (|t-s|^(H/2) + |x-y|^H).  The general bound takes
+    max(c_1H + c_2H, c_3H), and the time part wins: C_H c_3H = 1/4 < 0.44 < r/2."""
+    return math.sqrt(1.5 * gamma_ratio(hurst))
 
 
 def sup_norm_coefficient(hurst: float) -> float:
-    """A(H) = sqrt(C_H c_1H); gives ||V(t,x)||_2 = A(H) t^(H/2) exactly."""
-    return math.sqrt(noise_constant(hurst) * variance_coefficient(hurst))
+    """A(H) = sqrt(C_H c_1H) = sqrt(2^(H-2) r); gives ||V(t,x)||_2 = A(H) t^(H/2) exactly."""
+    return math.sqrt(2.0 ** (hurst - 2.0) * gamma_ratio(hurst))
 
 
 def kernel_moment_constant(rho: float) -> float:
@@ -142,8 +142,8 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
     An immutable named tuple of these six inputs.  The read-only properties
     a_h, c_v and c_omega are ``sup_norm_coefficient``, ``increment_constant``
     and ``omega_holder_constant``.  ``__post_init__`` validates every input,
-    alpha through ``PhiFamily`` whether or not a bound reads it, and rejects
-    a tiny hurst or a huge holder_const, whose a_h, c_v or c_omega is not finite.
+    alpha through ``PhiFamily`` whether or not a bound reads it, hurst by the
+    rule of every constant function, and rejects a holder_const whose c_omega is not finite.
     """
 
     __slots__ = ()
@@ -156,11 +156,6 @@ class SheModel(namedtuple("SheModel", "hurst rho holder_const init_sup det_const
 
     def __post_init__(self) -> None:
         _check_hurst(self.hurst)
-        if not (math.isfinite(self.a_h) and math.isfinite(self.c_v)):  # hurst near 0
-            raise ValueError(
-                f"hurst = {self.hurst!r} is too small: its constants a_h = {self.a_h} "
-                f"and c_v = {self.c_v} are not finite"
-            )
         omega_holder_constant(self.holder_const, self.rho)  # validates holder_const, rho and c_omega
         PhiFamily(self.alpha)
         check_positive_finite("init_sup", self.init_sup)
@@ -203,7 +198,8 @@ def omega_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBou
     check_positive_finite("omega's eps0 = init_sup * det_const", eps0)
     check_positive_finite(f"omega's scale c_omega * det_const for holder_const = {model.holder_const!r} "
                           f"and rho = {model.rho!r}", scale)
-    return supbound.field_bound(eps0, *_heat_metric(box, model.rho, scale, model.alpha))
+    return supbound.field_bound(eps0, *_heat_metric(box, model.rho, scale, model.alpha),
+                                f"omega for rho = {model.rho!r}, scale {scale!r} and box {tuple(box)[:4]!r}")
 
 
 def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
@@ -216,7 +212,8 @@ def v_bound_inputs(box: AnisotropicBox, model: SheModel) -> supbound.TailBound:
     metric = _heat_metric(box, model.hurst, model.c_v, 2.0)
     if box.b1 == 0:  # b1 >= a1 >= 0
         raise ValueError("box 'b1' must be positive for V: the box lies at t = 0, where V is 0")
-    return supbound.field_bound(model.a_h * box.b1 ** (model.hurst / 2.0), *metric)
+    return supbound.field_bound(model.a_h * box.b1 ** (model.hurst / 2.0), *metric,
+                                f"V for hurst = {model.hurst!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ int w^{-1-H} M(1-H; 1/2; -w) dw = -w^{-H} M(-H; 1/2; -w) / H it becomes
     Cov V = C_H Gamma(1-H) / (2H) * [ (t+s)^H M(-H; 1/2; -z^2/(4(t+s)))
                                       - |t-s|^H M(-H; 1/2; -z^2/(4|t-s|)) ],
 
-with M = scipy.special.hyp1f1.  At |t-s| = 0 the second term is its limit
-(z^2/4)^H sqrt(pi) / Gamma(H+1/2); at z = 0 the bracket is (2t)^H and gives the
-variance identity C_H c_1H t^H.
+with M = scipy.special.hyp1f1 and the prefactor r/4, r = ``heat.gamma_ratio``.
+At |t-s| = 0 the second term is its limit (z^2/4)^H sqrt(pi) / Gamma(H+1/2); at
+z = 0 the bracket is (2t)^H and gives the variance identity A(H)^2 t^H.
 
 V is self-similar: for every c > 0, V(ct, sqrt(c) x) has the law of
 c^(H/2) V(t, x), jointly over all points.  V is a centred Gaussian field, and
@@ -50,7 +50,7 @@ import math
 import os
 from collections.abc import Sequence
 
-from .heat import noise_constant
+from .heat import gamma_ratio
 from .metric import AnisotropicBox
 
 
@@ -90,8 +90,8 @@ def _kummer_term(r: np.ndarray, z2: np.ndarray, hurst: float) -> np.ndarray:
 def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
     """Covariance of the stochastic convolution V at (t,x), (s,y), in closed form.
 
-    C_H Gamma(1-H)/(2H) [(t+s)^H M(-H; 1/2; -z^2/(4(t+s)))
-    - |t-s|^H M(-H; 1/2; -z^2/(4|t-s|))] with z = x - y and M the Kummer
+    r/4 [(t+s)^H M(-H; 1/2; -z^2/(4(t+s))) - |t-s|^H M(-H; 1/2; -z^2/(4|t-s|))]
+    with r = Gamma(2H+1) / Gamma(H+1), z = x - y and M the Kummer
     function, from integrating the spectral form term by term (see the module
     docstring).  Symmetric, depends on x, y only through |x - y|, zero when
     either time is 0, and v_covariance(t,x,t,x) = C_H * c_1H * t^H exactly.
@@ -152,7 +152,7 @@ def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float)
                               return_inverse=True)
         terms = _kummer_term(*np.broadcast_arrays(rs[:, None], dists * dists / 4.0), hurst)
         terms = terms[r_idx.reshape(2, nt, nt)]  # flat before NumPy 2
-        table = noise_constant(hurst) * math.gamma(1.0 - hurst) / (2.0 * hurst) * (terms[0] - terms[1])
+        table = gamma_ratio(hurst) / 4.0 * (terms[0] - terms[1])
     if not np.isfinite(table).all():
         raise ValueError(f"covariance is not finite on this grid: its largest |x - y| is "
                          f"{float(dists[-1])!r} and its largest time {float(times.max())!r}")

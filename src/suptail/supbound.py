@@ -46,17 +46,19 @@ class TailBound(namedtuple("TailBound", "k scale gamma_beta cap fam")):
 
 
 def field_bound(
-    eps0: float, box: AnisotropicBox, prof: HolderProfile, fam: PhiFamily
+    eps0: float, box: AnisotropicBox, prof: HolderProfile, fam: PhiFamily, inputs: str = ""
 ) -> TailBound:
     """The bound for a field of Orlicz norm at most eps0 and modulus prof on box.
 
     k = c1 eps0^q with c1 computed once; gamma0 = prof.sigma(box diameter)
     keeps theta*eps0 < gamma0, so the cap is min(1, gamma0/eps0).  The caps
-    0 and 5e-324 leave no theta in (0, cap) and raise ValueError.
+    0 and 5e-324 leave no theta in (0, cap) and raise ValueError, as does a c1 past
+    the float range, naming ``inputs``, what c1 is built from (default: box and prof).
     """
     check_positive_finite("eps0", eps0)
     c1 = c1_constant(box, prof, fam)
-    check_positive_finite(f"entropy constant c1 of box {tuple(box)!r} and profile {tuple(prof)!r}", c1)
+    inputs = inputs or f"box {tuple(box)!r} and profile {tuple(prof)!r}"
+    check_positive_finite(f"entropy constant c1 of {inputs}", c1)
     k = entropy_integral_closed(eps0, c1, prof, fam)
     diameter = box.diameter
     cap = min(1.0, prof.sigma(diameter) / eps0)

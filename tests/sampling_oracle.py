@@ -6,17 +6,17 @@ as it is drawn.  The routes here work on a list of (t, x) points instead: the
 covariance keys (min(t,s), max(t,s), |x-y|) of all m^2 pairs are sorted with
 np.unique, the kernel is evaluated once per key and scattered back, and the
 sampler stores every replica in an (m, n) array.  Both call the same Kummer
-term and the same Cholesky factor as the library and draw block b's normals
-from the stream (seed, b), so their values must agree with the library's to
-the byte.
+term, the same prefactor ``heat.gamma_ratio(hurst) / 4`` and the same
+Cholesky factor as the library and draw block b's normals from the stream
+(seed, b), so their values must agree with the library's to the byte.  The
+prefactor is checked on its own route by the variance identity and by the
+QAWF quadrature of the spectral integral.
 """
-
-import math
 
 import numpy as np
 
 from suptail import sim
-from suptail.heat import noise_constant
+from suptail.heat import gamma_ratio
 
 
 def covariance_from_points(points, hurst: float) -> np.ndarray:
@@ -39,7 +39,7 @@ def covariance_from_points(points, hurst: float) -> np.ndarray:
 def v_kernel(lo, hi, dist, hurst: float) -> np.ndarray:
     """Cov V elementwise from min(t,s), max(t,s) and |x-y|, one Kummer term per entry."""
     z2 = dist * dist / 4.0
-    scale = noise_constant(hurst) * math.gamma(1.0 - hurst) / (2.0 * hurst)
+    scale = gamma_ratio(hurst) / 4.0
     return scale * (sim._kummer_term(lo + hi, z2, hurst) - sim._kummer_term(hi - lo, z2, hurst))
 
 

@@ -915,12 +915,25 @@ class TestScalarValues:
         "verify-field-int": ("simulate-verify", {"field": 1, "model": V_MODEL, "box": BOX, "samples": 10,
                                                  "u_grid": [80.0]},
                              "'field' must be one of ['v'], got 1"),
-        # a_h and c_v were nan at 5e-324, and at 1e-310 the error named the profile scale
+        # a_h and c_v were nan at 5e-324, and at 1e-310 the error named the profile scale;
+        # one rule rejects every hurst whose 1/hurst is not finite
         "hurst-subnormal": ("constants", {"model": {**MODEL, "hurst": 5e-324}},
-                            "hurst = 5e-324 is too small: its constants a_h = nan and c_v = nan are not finite"),
+                            "hurst must lie in (0, 1/2] and have a finite 1/hurst, got 5e-324"),
         "sup-hurst-tiny": ("bound-sup", {"field": "v", "model": {**MODEL, "hurst": 1e-310}, "box": BOX,
                                          "u_grid": [80.0]},
-                           "hurst = 1e-310 is too small: its constants a_h = inf and c_v = inf are not finite"),
+                           "hurst must lie in (0, 1/2] and have a finite 1/hurst, got 1e-310"),
+        # an entropy constant c1 past the float range named the box's exponents
+        # (H/2, H) or (rho/2, rho) and the profile scale c_V, values no config writes
+        "sup-v-c1-overflow": ("bound-sup", {"field": "v", "model": {**MODEL, "hurst": 1e-308}, "box": BOX,
+                                            "u_grid": [80.0]},
+                              "entropy constant c1 of V for hurst = 1e-308 must be finite, got inf"),
+        "verify-c1-overflow": ("simulate-verify", {"model": {"hurst": 2e-308}, "box": BOX, "samples": 10,
+                                                   "u_grid": [80.0]},
+                               "entropy constant c1 of V for hurst = 2e-308 must be finite, got inf"),
+        "sup-omega-c1-overflow": ("bound-sup", {"field": "omega", "model": {**MODEL, "rho": 1e-308}, "box": BOX,
+                                                "u_grid": [80.0]},
+                                  "entropy constant c1 of omega for rho = 1e-308, scale 1.4142135623730951 and "
+                                  "box (0.1, 1.0, 0.0, 1.0) must be finite, got inf"),
         "holder_const-nan": ("constants", {"model": {**MODEL, "holder_const": math.nan}},
                              "model 'holder_const' must be finite, got nan"),
         "det_const-inf": ("bound-sup", {"field": "omega", "model": {**MODEL, "det_const": math.inf},
@@ -976,6 +989,32 @@ class TestScalarValues:
         err = capsys.readouterr().err
         assert err == f"suptail {command}: error: {message}\n"
         assert not out.exists()
+
+    # the hurst rule's floor: 1/hurst is inf here and finite at the next double up
+    HURST_FLOOR = 5.562684646268003e-309
+
+    @pytest.mark.parametrize("command, payload", [
+        ("constants", {}),
+        ("bound-sup", {"field": "v", "box": BOX, "u_grid": [80.0]}),
+        ("bound-growth", {"u_grid": [900.0]}),
+        ("simulate-verify", {"box": BOX, "samples": 10, "u_grid": [80.0]}),
+    ], ids=["constants", "bound-sup", "bound-growth", "simulate-verify"])
+    def test_hurst_floor_rejected_naming_hurst(self, tmp_path, capsys, command, payload):
+        assert 1.0 / self.HURST_FLOOR == math.inf
+        code, out = run(tmp_path, command, {"model": {"hurst": self.HURST_FLOOR}, **payload}, "--seed", "1")
+        assert code == 1
+        assert capsys.readouterr().err == (f"suptail {command}: error: hurst must lie in (0, 1/2] and have a "
+                                           f"finite 1/hurst, got {self.HURST_FLOOR!r}\n")
+        assert not out.exists()
+
+    def test_constants_finite_above_hurst_floor(self, tmp_path):
+        def reject(name):
+            raise AssertionError(f"constants.json holds {name}")
+
+        code, out = run(tmp_path, "constants", {"model": {"hurst": math.nextafter(self.HURST_FLOOR, 1.0)}})
+        assert code == 0
+        payload = json.loads((out / "constants.json").read_text(), parse_constant=reject)
+        assert all(0.0 < value < math.inf for value in payload["constants"].values())
 
     def test_integers_read_as_floats(self, tmp_path):
         payload = {"box": {**BOX, "h1": 1.0, "h2": 1.0}, "eps": 1, "resolution": 21}

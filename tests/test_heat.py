@@ -13,6 +13,7 @@ from suptail.entropy import HolderProfile, c1_constant
 from suptail.growth import _polylog, _zeta, optimize_theta_growth, theta_sup
 from suptail.heat import (
     SheModel,
+    gamma_ratio,
     increment_constant,
     kernel_moment_constant,
     noise_constant,
@@ -165,6 +166,7 @@ class TestSpaceIncrementCoefficient:
 
 
 class TestCompositeConstants:
+    @pytest.mark.pinned
     def test_frozen_values_at_half(self):
         assert sup_norm_coefficient(0.5) == pytest.approx((2 * math.pi) ** -0.25, rel=1e-12)
         assert increment_constant(0.5) == pytest.approx(1.3009876058761163, rel=1e-9)
@@ -183,7 +185,9 @@ class TestCompositeConstants:
     def test_time_part_always_wins(self):
         # C_H c_3H = 1/4 and C_H (c_1H + c_2H) = Gamma(2H+1) / (2 Gamma(H+1)),
         # at least min Gamma / 2 > 0.44, so c_V takes the time part alone and
-        # c_V / A(H) = sqrt(3 2^(1-H)) depends on H alone
+        # c_V / A(H) = sqrt(3 2^(1-H)) depends on H alone.  A(H)^2 and the
+        # covariance prefactor r/4 read gamma_ratio; the coefficient functions'
+        # own closed forms, C_H c_1H and C_H (c_1H + c_2H) / 2, are their second route
         for hurst in [*np.geomspace(1e-300, 0.5, 200), *np.linspace(0.001, 0.5, 200),
                       *(0.5 - 10.0 ** -k for k in range(4, 16))]:
             hurst = float(hurst)
@@ -194,6 +198,8 @@ class TestCompositeConstants:
                 (space, 0.25),
                 (time, math.gamma(2 * hurst + 1) / (2 * math.gamma(hurst + 1))),
                 (increment_constant(hurst) / sup_norm_coefficient(hurst), math.sqrt(3 * 2 ** (1 - hurst))),
+                (sup_norm_coefficient(hurst) ** 2, c_h * variance_coefficient(hurst)),
+                (gamma_ratio(hurst) / 4, time / 2),
             )
             for got, want in pairs:
                 assert abs(got - want) <= 16 * math.ulp(want), hurst
@@ -260,6 +266,7 @@ class TestOmegaHolderConstant:
 
 
 class TestSheModel:
+    @pytest.mark.pinned
     def test_constants_dict(self):
         m = SheModel(hurst=0.5, rho=0.5)
         cs = m.constants()

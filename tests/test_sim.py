@@ -288,8 +288,9 @@ class TestCovarianceMatrix:
 
     @pytest.mark.parametrize("hurst", [0.5, 0.35, 0.25, 0.1, 0.02])
     def test_diagonal_is_sup_norm_coefficient_squared(self, hurst):
-        # Var V(t, x) = A(H)^2 t^H: the Kummer route shares only noise_constant
-        # with heat.sup_norm_coefficient, so a wrong A(H) fails here
+        # Var V(t, x) = A(H)^2 t^H: both sides read heat.gamma_ratio r, as r/4 and
+        # 2^(H-2) r, so a wrong factor around r in A(H) or in the prefactor fails
+        # here; r itself is checked against quadrature and the coefficients
         times, xs = (0.0, 1e-3, 0.1, 0.5, 1.0, 2.7), (-0.4, 0.0, 0.3, 1.0)
         cov = covariance_matrix(times, xs, hurst)
         assert not cov[: len(xs)].any() and not cov[:, : len(xs)].any()

@@ -129,8 +129,11 @@ class TestNonFiniteInputsRejected:
     @pytest.mark.parametrize("hurst, constants", [(5e-324, "nan"), (1e-310, "inf")])
     def test_hurst_with_nonfinite_constants(self, hurst, constants):
         # 5e-324 was accepted with a_h = c_v = nan; at 1e-310 they were inf,
-        # and the first error named the profile scale
-        message = rf"hurst = {hurst!r} is too small: its constants a_h = {constants} and c_v = {constants}"
+        # and the first error named the profile scale.  Below the hurst rule's
+        # floor the product form C_H (c_1H + c_2H) of r/2 is nan or inf
+        c_h = math.gamma(2 * hurst + 1) * math.sin(math.pi * hurst) / (2 * math.pi)
+        assert str(c_h * (math.gamma(1 - hurst) / hurst)) == constants
+        message = rf"hurst must lie in \(0, 1/2\] and have a finite 1/hurst, got {hurst!r}"
         with pytest.raises(ValueError, match=message):
             SheModel(hurst=hurst)
         assert math.isfinite(SheModel(hurst=1e-308).c_v)
