@@ -16,8 +16,8 @@ The growth bound is ``supbound.TailBound`` with cap min(1, ``theta_sup``),
 and k = S~ and scale C~ each taken at its value plus its remainder: the
 bound is nondecreasing in both, so these upper ends certify it with no
 tolerance on the remainders.  The caller builds it once, and
-``optimize_theta_growth`` evaluates it at the closed-form theta*, as the box
-bound is, with nan where it is not asserted.
+``optimize_theta_growth``, a named call of ``supbound.optimize_theta``,
+evaluates it at theta*, with nan where it is not asserted.
 
 ``_polylog`` sums Li_p over one array of a closed-form length, its tail capped
 by zeta(p), and imports NumPy at its first call, not with this module, so
@@ -30,7 +30,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .supbound import TailBound, _theta_star, sup_tail_bound
+from .supbound import TailBound, optimize_theta
 
 
 class SeriesSum(namedtuple("SeriesSum", "value remainder n_terms")):
@@ -151,9 +151,7 @@ def theta_sup(hurst: float) -> float:
 
 
 def optimize_theta_growth(u: float, bound: TailBound) -> tuple[float, float]:
-    """Minimize the growth tail bound over theta, in closed form, as
-    ``supbound.optimize_theta`` does for the box bound: (theta*, nan) where no
-    theta asserts a bound.  A function of its own so that a trace times and
-    counts the two bounds' optimizations apart."""
-    theta = _theta_star(u, bound)
-    return theta, sup_tail_bound(u, theta, bound)
+    """``supbound.optimize_theta`` on the growth bound: (theta*, nan) where no
+    theta asserts a bound.  A name of its own so that a trace times the growth
+    rows apart from the box bound's."""
+    return optimize_theta(u, bound)

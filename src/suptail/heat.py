@@ -237,7 +237,7 @@ def she_growth_envelope(
     C~, each its value plus its remainder, an upper end of the true sum; the
     bound is nondecreasing in both, so it holds whatever the remainders.  Its
     cap is min(1, ``growth.theta_sup``), which is exactly 1.
-    ``growth.optimize_theta_growth`` evaluates the bound at each u.
+    ``growth.optimize_theta_growth``, that is ``supbound.optimize_theta``, evaluates it at each u.
     """
     if not p > 1.0:  # also rejects nan
         raise ValueError(f"p must exceed 1 for the envelope series to converge, got {p}")

@@ -94,7 +94,8 @@ def v_covariance(t: float, x: float, s: float, y: float, hurst: float) -> float:
     with r = Gamma(2H+1) / Gamma(H+1), z = x - y and M the Kummer
     function, from integrating the spectral form term by term (see the module
     docstring).  Symmetric, depends on x, y only through |x - y|, zero when
-    either time is 0, and v_covariance(t,x,t,x) = C_H * c_1H * t^H exactly.
+    either time is 0, and v_covariance(t,x,t,x) = C_H * c_1H * t^H to rounding
+    (1.1e-15 relative over 2000 draws of H in [1e-3, 1/2], t in [1e-3, 1e3]).
     Entry (0, 3) of covariance_matrix((t, s), (x, y), hurst), with its checks.
     """
     return float(covariance_matrix((t, s), (x, y), hurst)[0, 3])
@@ -160,9 +161,10 @@ def covariance_matrix(times: Sequence[float], xs: Sequence[float], hurst: float)
 
 
 def factor_covariance(cov: np.ndarray, grid: str = "") -> np.ndarray:
-    """Lower-triangular L with L L^T = cov exactly, by Cholesky, which adds
-    nothing to the diagonal: cov must be positive definite, as it is on a
-    ``make_grid`` grid in exact arithmetic.  A zero variance, a repeated
+    """Lower-triangular L with L L^T = cov to rounding (within 1.2e-15 of the
+    largest variance on ``make_grid`` grids up to 24 x 24), by Cholesky, which
+    adds nothing to the diagonal: cov must be positive definite, as it is on
+    such a grid in exact arithmetic.  A zero variance, a repeated
     point or a negative eigenvalue raises FactorizationError, whose message
     names the grid by the text ``grid``.
     """

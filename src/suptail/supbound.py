@@ -21,8 +21,8 @@ never an error.  Where cap binds, min_threshold and theta* take
 ``_below_cap``: cap (1 - 1e-12), whose margin keeps theta eps0 < gamma0 in
 floating point, or the next double below a subnormal cap.  theta* divides 2k
 by gamma*beta and then by u, so no product overflows, and reads a ratio that
-underflows to 0 as 5e-324.  At a subnormal theta, where theta^(-1/(gamma*beta))
-can pass the float range, the entropy term is 2k / theta^(1/(gamma*beta)).
+underflows to 0 as 5e-324.  ``optimize_theta`` evaluates both bounds at
+theta*, and the entropy term is 2k / theta^(1/(gamma*beta)) at every theta.
 
 Separability of the field on the box is a modeling assumption the caller must
 supply; it is not checkable numerically.
@@ -68,13 +68,11 @@ def field_bound(
 
 
 def _entropy(theta: float, bound: TailBound) -> float:
-    """2 k theta^(-1/(gamma*beta)); raises unless 0 < theta < cap."""
+    """2 k / theta^(1/(gamma*beta)), whose power lies in [theta, 1) and so neither
+    overflows nor rounds to 0; raises unless 0 < theta < cap."""
     if not 0.0 < theta < bound.cap:
         raise ValueError(f"theta = {theta} is not in (0, theta_cap) = (0, {bound.cap})")
-    try:
-        return 2.0 * bound.k * theta ** (-1.0 / bound.gamma_beta)
-    except OverflowError:  # a subnormal theta; a quotient past the float range is inf
-        return 2.0 * bound.k / theta ** (1.0 / bound.gamma_beta)
+    return 2.0 * bound.k / theta ** (1.0 / bound.gamma_beta)
 
 
 def u_threshold(theta: float, bound: TailBound) -> float:
@@ -109,24 +107,17 @@ def sup_tail_bound(u: float, theta: float, bound: TailBound) -> float:
     return rv_tail_bound(level, bound.scale, bound.fam) if level > 0.0 else math.nan
 
 
-def _theta_star(u: float, bound: TailBound) -> float:
-    """Maximizer of the level u*(1-theta) - 2 k theta^(-1/gb) over (0, cap).
+def optimize_theta(u: float, bound: TailBound) -> tuple[float, float]:
+    """Minimize the tail bound over valid theta, in closed form: (theta*, bound).
 
-    Its derivative -u + (2k/gb) theta^(-1/gb - 1) vanishes at
-    theta* = (2k / (gb u))^(gb/(gb+1)); the level increases up to theta*, so
-    theta* capped just below cap is the constrained maximizer.  For u <= 0
-    the level is negative at every theta, and the cap is returned.
+    theta* maximizes the level u*(1-theta) - 2 k theta^(-1/gb) over (0, cap):
+    its derivative -u + (2k/gb) theta^(-1/gb - 1) vanishes at
+    (2k / (gb u))^(gb/(gb+1)), up to which the level increases, so that root
+    capped just below cap is the constrained maximizer; for u <= 0, where the
+    level is negative at every theta, the cap is taken.  The bound is nan if
+    the level at theta* is not positive: then no theta has u > u_threshold(theta).
     """
     gb = bound.gamma_beta
     ratio = 2.0 * bound.k / gb / u if u > 0.0 else math.inf
-    return min((ratio or math.ulp(0.0)) ** (gb / (gb + 1.0)), _below_cap(bound.cap))
-
-
-def optimize_theta(u: float, bound: TailBound) -> tuple[float, float]:
-    """Minimize the tail bound over valid theta, in closed form.
-
-    Returns (theta_star, bound).  The bound is nan if the level at
-    theta_star is not positive: then no theta satisfies u > u_threshold(theta).
-    """
-    theta = _theta_star(u, bound)
+    theta = min((ratio or math.ulp(0.0)) ** (gb / (gb + 1.0)), _below_cap(bound.cap))
     return theta, sup_tail_bound(u, theta, bound)

@@ -71,7 +71,8 @@ def test_criterion_01_bound_vs_simulation():
 
 
 def test_criterion_02_variance_identity():
-    """v_covariance(t,x,t,x) = C_H c_1H t^H within 1e-8 on 50 random points."""
+    """v_covariance(t,x,t,x) = C_H c_1H t^H within 16 ulps on 50 random points:
+    r/4 (2t)^H from the Kummer table against the coefficients' own closed forms."""
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(50):
@@ -80,8 +81,8 @@ def test_criterion_02_variance_identity():
         x = float(rng.uniform(-2.0, 2.0))
         got = v_covariance(t, x, t, x, hurst)
         want = noise_constant(hurst) * variance_coefficient(hurst) * t ** hurst
-        worst = max(worst, abs(got - want))
-    report(2, worst <= 1e-8, f"max |kernel - closed| = {worst:.2e} <= 1e-8")
+        worst = max(worst, abs(got - want) / math.ulp(want))
+    report(2, worst <= 16, f"max |kernel - closed| = {worst:.1f} ulps <= 16")
 
 
 def test_criterion_03_increment_bound():

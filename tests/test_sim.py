@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, gamma, hyp1f1
 
+from known_answers import equicorrelated_max_tail
 from quadrature_oracle import QuadratureError
 from sampling_oracle import covariance_from_points, fields_from_points, v_kernel
 from suptail import sim
@@ -128,7 +129,7 @@ class TestVCovariance:
             t = rng.uniform(0.05, 2.0)
             x = rng.uniform(-1.0, 1.0)
             target = noise_constant(hurst) * variance_coefficient(hurst) * t ** hurst
-            assert v_covariance(t, x, t, x, hurst) == pytest.approx(target, abs=1e-8)
+            assert abs(v_covariance(t, x, t, x, hurst) - target) <= 16 * math.ulp(target)
 
     def test_zero_time(self):
         assert v_covariance(0.0, 0.3, 0.7, 0.1, 0.5) == 0.0
@@ -447,9 +448,7 @@ class TestFactorCovariance:
         assert np.array_equal(chol, np.tril(chol))
         assert np.allclose(chol @ chol.T, cov, atol=1e-10)
 
-    def test_escalating_jitter_fixes_tiny_negatives(self):
-        # The name is the one the jitter ladder's test had; no jitter is added
-        # any more, so a tiny negative eigenvalue is rejected, not fixed.
+    def test_tiny_negative_eigenvalue_rejected(self):
         with pytest.raises(FactorizationError, match="not positive definite"):
             factor_covariance(slightly_indefinite())
 
@@ -460,10 +459,9 @@ class TestFactorCovariance:
             factor_covariance(covariance_matrix((0.5, 0.5), (0.2, 0.7), 0.5))
 
     @pytest.mark.parametrize("fixture", ["random_psd", "slightly_indefinite", "zero_time_rows"])
-    def test_rung_against_eigh_oracle(self, fixture):
-        """The one rung left is zero jitter: where eigh finds a negative
-        eigenvalue beyond rounding there is no factor, elsewhere L L^T equals
-        cov and the eigh root's square."""
+    def test_factor_matches_eigh_oracle(self, fixture):
+        """Where eigh finds a negative eigenvalue beyond rounding there is no
+        factor; elsewhere L L^T equals cov and the eigh root's square."""
         if fixture == "random_psd":
             a = np.random.default_rng(17).standard_normal((8, 8))
             cov = a @ a.T
@@ -716,6 +714,37 @@ class TestEmpiricalSupTail:
             lo = 0.0 if k == 0 else beta.ppf(alpha / 2, k, n - k + 1)
             hi = 1.0 if k == n else beta.ppf(1 - alpha / 2, k + 1, n - k)
             assert clopper_pearson(k, n) == (lo, hi)
+
+
+class TestExactSupLaw:
+    """The sampled supremum against an exact law: m standard Gaussians of
+    covariance rho 11^T + (1 - rho) I through factor_covariance, sample_sups
+    and empirical_sup_tail.  Every u's Clopper-Pearson interval, each at
+    level 0.99, must hold P(max |X_i| > u), so the 7 u of one case hold it
+    together with probability at least 0.93 (Bonferroni); the law of the
+    field scaled by 0.97, the tail at u / 0.97, must fall outside one."""
+
+    U_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+
+    @pytest.mark.parametrize("m, rho", [(9, 0.0), (9, 0.5), (36, 0.9)])
+    def test_intervals_hold_the_exact_law(self, m, rho):
+        cov = rho * np.ones((m, m)) + (1.0 - rho) * np.eye(m)
+        sups = sample_sups(factor_covariance(cov), 20000, seed=2024)
+        _, ci_lo, ci_hi = empirical_sup_tail(sups, self.U_GRID)
+        exact = [equicorrelated_max_tail(u, m, rho) for u in self.U_GRID]
+        assert all(lo <= p <= hi for lo, p, hi in zip(ci_lo, exact, ci_hi)), (exact, ci_lo, ci_hi)
+        scaled = [equicorrelated_max_tail(u / 0.97, m, rho) for u in self.U_GRID]
+        assert not all(lo <= p <= hi for lo, p, hi in zip(ci_lo, scaled, ci_hi)), (scaled, ci_lo, ci_hi)
+
+    @pytest.mark.parametrize("m, rho", [(9, 0.5), (36, 0.9), (9, 1e-12)])
+    def test_quadrature_error(self, m, rho):
+        # doubling the nodes moves the law by rounding only, far below the
+        # intervals' widths; near rho = 0 the integral meets erf(u / sqrt 2)^m
+        for u in self.U_GRID:
+            value = equicorrelated_max_tail(u, m, rho)
+            assert abs(value - equicorrelated_max_tail(u, m, rho, nodes=800)) < 1e-12
+            if rho < 1e-9:
+                assert value == pytest.approx(1.0 - math.erf(u / math.sqrt(2.0)) ** m, abs=1e-12)
 
 
 class TestVerifyBound:
