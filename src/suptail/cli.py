@@ -3,9 +3,10 @@
 One JSON config per run, read through the schema that the command table
 holds for its command, one schema per field for the commands that take a
 "field": unknown keys are rejected and every value is read (numbers checked
-finite, sizes checked integral) before any computation.  Every bound curve
-is at the closed-form theta*, one JSON row {u, theta, bound, validity} per
-u; simulate-verify also writes a CSV.
+finite, sizes checked integral) before any computation, and each model, box
+and profile block is built there as its value type, which the commands take.
+Every bound curve is at the closed-form theta*, one JSON row {u, theta, bound,
+validity} per u; simulate-verify also writes a CSV.
 The arguments are a command, then --config, --out and --seed by their full
 names, each as "--name value" or "--name=value".
 Outputs are byte-stable for a fixed config and seed, carry the config hash,
@@ -89,7 +90,8 @@ def _span(value, name: str) -> float:
 
 # A schema is (readers, required keys).  Each allowed key maps to the reader
 # of its value, to the schema of its block, or to None for "field", which
-# load_config has already checked.  A value type's block allows its fields.
+# load_config has already checked.  A value type's block allows its fields,
+# and load_config builds the block as that type.
 _MODEL = (dict.fromkeys(heat.SheModel._fields, _number), {"hurst"})
 # bound-growth and simulate-verify bound V, which reads "hurst" alone
 _V_MODEL = ({"hurst": _number}, {"hurst"})
@@ -103,6 +105,8 @@ _PROFILE = (dict.fromkeys(HolderProfile._fields, _number), set(HolderProfile._fi
 _CURVE = {"field": None, "u_grid": _listed_u,
           "u_auto": ({"count": partial(_positive_int, least=2), "max": _span}, set())}
 _HEAT_CURVE = ({**_CURVE, "box": _HEAT_BOX, "model": _MODEL}, {"box", "model"})
+# each block's value type, built in this order, so a bad model is named before a bad box
+_VALUES = {"model": heat.SheModel, "box": AnisotropicBox, "profile": HolderProfile}
 
 
 def _read(block, schema: tuple, where: str, prefix: str = "") -> dict:
@@ -127,7 +131,8 @@ def _read(block, schema: tuple, where: str, prefix: str = "") -> dict:
 
 
 def load_config(path: str, command: str) -> tuple[dict, str]:
-    """The config with every value read, and the hash of the config as written."""
+    """The config with every value read and each model, box or profile block
+    built as its value type, and the hash of the config as written."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     schema, where = _COMMANDS[command][1], f"config for {command}"
@@ -141,7 +146,9 @@ def load_config(path: str, command: str) -> tuple[dict, str]:
     # where u_auto is unknown, _read names it
     if "u_auto" in schema[0] and "u_grid" in raw and "u_auto" in raw:
         raise ConfigError("'u_grid' and 'u_auto' are exclusive; give one of them")
-    return _read(raw, schema, where), config_hash(raw)
+    cfg = _read(raw, schema, where)
+    cfg.update({key: kind(**cfg[key]) for key, kind in _VALUES.items() if key in cfg})
+    return cfg, config_hash(raw)
 
 
 def config_hash(cfg: dict) -> str:
@@ -158,7 +165,7 @@ def _u_grid(cfg: dict, bound: supbound.TailBound) -> list[float]:
     if "u_grid" in cfg:
         return cfg["u_grid"]
     auto = cfg.get("u_auto", {})
-    count, span = auto.get("count", 12), float(auto.get("max", 2.0))
+    count, span = auto.get("count", 12), auto.get("max", 2.0)
     # pad the low end below the minimal threshold so the first entries are invalid
     thr = supbound.min_threshold(bound)
     if thr == math.inf:
@@ -214,7 +221,7 @@ def write_csv(out: str, name: str, header: list[str], rows: list[tuple], meta: d
 
 
 def cmd_constants(cfg: dict, out: str, meta: dict) -> int:
-    constants = heat.SheModel(**cfg["model"]).constants()
+    constants = cfg["model"].constants()
     notes = [
         "variance_coefficient is the exact spectral time-integral "
         "Gamma(1-H) 2^(H-1) / H, so the variance identity holds",
@@ -224,20 +231,6 @@ def cmd_constants(cfg: dict, out: str, meta: dict) -> int:
     ]
     write_json(out, "constants.json", {"constants": constants, "provenance": {"notes": notes}, **meta})
     return 0
-
-
-def _bound_inputs(cfg: dict) -> supbound.TailBound:
-    kind = cfg.get("field", "v")
-    if kind == "generic":
-        return supbound.field_bound(
-            cfg["eps0"],
-            AnisotropicBox(**cfg["box"]),
-            HolderProfile(**cfg["profile"]),
-            PhiFamily(cfg["fam"]),
-        )
-    model = heat.SheModel(**cfg["model"])
-    box = AnisotropicBox(**cfg["box"])
-    return (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(box, model)
 
 
 def _bound_curve(us: list[float], bound: supbound.TailBound, optimize) -> list[dict]:
@@ -254,15 +247,18 @@ def _bound_curve(us: list[float], bound: supbound.TailBound, optimize) -> list[d
 
 
 def cmd_bound_sup(cfg: dict, out: str, meta: dict) -> int:
-    bound = _bound_inputs(cfg)
+    kind = cfg.get("field", "v")
+    if kind == "generic":
+        bound = supbound.field_bound(cfg["eps0"], cfg["box"], cfg["profile"], PhiFamily(cfg["fam"]))
+    else:
+        bound = (heat.v_bound_inputs if kind == "v" else heat.omega_bound_inputs)(cfg["box"], cfg["model"])
     curve = _bound_curve(_u_grid(cfg, bound), bound, supbound.optimize_theta)
     write_json(out, "bound_sup.json", {"curve": curve, **meta})
     return 0
 
 
 def cmd_bound_growth(cfg: dict, out: str, meta: dict) -> int:
-    model = heat.SheModel(**cfg["model"])
-    bound, c_tilde, s_tilde = heat.she_growth_envelope(model, cfg.get("p", 2.0), cfg.get("halfwidth", 1.0))
+    bound, c_tilde, s_tilde = heat.she_growth_envelope(cfg["model"], cfg.get("p", 2.0), cfg.get("halfwidth", 1.0))
     curve = _bound_curve(cfg["u_grid"], bound, growth.optimize_theta_growth)
     series = {"theta_cap": bound.cap}
     for name, sums in (("c_tilde", c_tilde), ("s_tilde", s_tilde)):
@@ -272,8 +268,7 @@ def cmd_bound_growth(cfg: dict, out: str, meta: dict) -> int:
 
 
 def cmd_covering(cfg: dict, out: str, meta: dict) -> int:
-    box = AnisotropicBox(**cfg["box"])
-    eps, resolution = cfg["eps"], cfg.get("resolution", 101)
+    box, eps, resolution = cfg["box"], cfg["eps"], cfg.get("resolution", 101)
     bound = covering_upper_bound(box, eps)
     oracle = covering_oracle(box, eps, resolution)
     write_json(
@@ -296,9 +291,7 @@ def cmd_simulate_verify(cfg: dict, out: str, meta: dict) -> int:
         raise ConfigError("simulate-verify requires an explicit --seed")
     if seed < 0:
         raise ConfigError(f"--seed must be an integer >= 0, got {seed}")
-    model = heat.SheModel(**cfg["model"])
-    box = AnisotropicBox(**cfg["box"])
-    grid = cfg.get("grid", {})
+    model, box, grid = cfg["model"], cfg["box"], cfg.get("grid", {})
     nt, nx = grid.get("nt", 24), grid.get("nx", 24)
     n_samples = cfg["samples"]
 

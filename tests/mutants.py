@@ -11,9 +11,10 @@ coefficients, the covariance diagonal, an exact law).  An unmutated copy runs
 first and must pass, so that a kill means the mutant.
 
 Each row has a class.  A ``truth`` mutant must be killed.  A ``survivor`` is a
-change that no test can see, such as a proof constant that a Gaussian truth
-does not reach: it is run and reported with its reason, and does not fail the
-script.  Exits 1 if the unmutated copy fails or any truth mutant survives.
+change that no second route can see, such as a proof constant that a Gaussian
+truth does not reach; tests that restate its formula may still fail on it.  It
+is run and reported with its reason and killers, and does not fail the script.
+Exits 1 if the unmutated copy fails or any truth mutant survives.
 """
 
 import os
@@ -56,10 +57,27 @@ MUTANTS = [
      "lambda b: np.abs(b, out=b).max(axis=0)",
      "lambda b: b.max(axis=0)",
      "truth", "one-sided supremum max V in place of max |V| in sample_sups"),
+    ("src/suptail/entropy.py",
+     "return time_axis + space_axis",
+     "return 0.05 * (time_axis + space_axis)",
+     "truth", "entropy constant c1 = T + X as 0.05 (T + X) in c1_constant"),
     ("src/suptail/supbound.py",
      "return 2.0 * bound.k / theta",
      "return bound.k / theta",
      "survivor", "entropy term 2k as k in _entropy: a proof constant a Gaussian truth cannot see"),
+    ("src/suptail/orlicz.py",
+     "min(1.0, 2.0 * math.exp(-phi_conjugate(u / tau, fam)))",
+     "min(1.0, 1.0 * math.exp(-phi_conjugate(u / tau, fam)))",
+     "survivor", "two-sided tail 2 exp(-phi*) as exp(-phi*) in rv_tail_bound: "
+                 "P(|Z| > x) <= exp(-x^2/2) already, so no Gaussian truth sees the 2"),
+    ("src/suptail/supbound.py",
+     "k = entropy_integral_closed(eps0, c1, prof, fam)",
+     "k = 0.3 * entropy_integral_closed(eps0, c1, prof, fam)",
+     "survivor", "k x 0.3 in field_bound: the entropy term's slack hides it from every truth"),
+    ("src/suptail/heat.py",
+     "c_omega = math.sqrt(2.0 * holder_const",
+     "c_omega = 0.7 * math.sqrt(2.0 * holder_const",
+     "survivor", "c_omega x 0.7 in omega_holder_constant: no truth of the field omega exists"),
 ]
 
 

@@ -572,6 +572,16 @@ class TestSimulateVerify:
         assert err == "suptail simulate-verify: error: --seed must be an integer >= 0, got -3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "-3"]], ids=["no-seed", "negative-seed"])
+    def test_bad_block_reported_before_seed(self, tmp_path, capsys, seed):
+        # the box is built when the config is read, before the seed is checked
+        payload = {**self.PAYLOAD, "box": {**BOX, "a1": 1.0, "b1": 0.5}}
+        code, out = run(tmp_path, "simulate-verify", payload, *seed)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "suptail simulate-verify: error: box endpoints must satisfy b_i >= a_i\n"
+        assert not out.exists()
+
     def test_zero_samples_rejected(self, tmp_path):
         payload = {**self.PAYLOAD, "samples": 0}
         code, _ = run(tmp_path, "simulate-verify", payload, "--seed", "1")
@@ -1193,6 +1203,38 @@ class TestUGridUAutoExclusive:
         assert code == 1
         assert "'u_grid' and 'u_auto' are exclusive" in capsys.readouterr().err
         assert not out.exists()
+
+
+# One valid config of each (command, field) whose schema has a model, box or
+# profile block, and the value type load_config builds from each block.
+VALUE_TYPES = {"model": SheModel, "box": AnisotropicBox, "profile": HolderProfile}
+VALUE_CONFIGS = {
+    ("constants", None): {"model": MODEL},
+    ("bound-sup", "v"): {"field": "v", "model": MODEL, "box": BOX, "u_grid": [100.0]},
+    ("bound-sup", "omega"): {"field": "omega", "model": {**MODEL, "alpha": 1.5}, "box": BOX, "u_grid": [100.0]},
+    ("bound-sup", "generic"): {"field": "generic", "fam": 2.0, "eps0": 1.0, "profile": {"scale": 2.0, "exponent": 0.75},
+                               "box": {**BOX, "h1": 0.5, "h2": 0.25}, "u_grid": [100.0]},
+    ("bound-growth", None): {"model": {"hurst": 0.25}, "u_grid": [100.0]},
+    ("covering", None): {"box": {**BOX, "h1": 0.5}, "eps": 0.5},
+    ("simulate-verify", "v"): {**TestSimulateVerify.PAYLOAD, "box": {**BOX, "b2": 2.0}},
+}
+
+
+class TestValueBlocks:
+    def test_every_command_with_a_block_is_listed(self):
+        schemas = ((c, f, s if f is None else s[f]) for c, (_, s) in cli._COMMANDS.items()
+                   for f in (s if isinstance(s, dict) else [None]))
+        assert {(c, f) for c, f, (readers, _) in schemas if readers.keys() & VALUE_TYPES.keys()} == set(VALUE_CONFIGS)
+
+    @pytest.mark.parametrize("command, field", list(VALUE_CONFIGS), ids=str)
+    def test_blocks_read_as_value_types(self, tmp_path, command, field):
+        payload = VALUE_CONFIGS[command, field]
+        cfg, _ = load_config(write_config(tmp_path, payload), command)
+        blocks = payload.keys() & VALUE_TYPES.keys()
+        assert blocks
+        for key in blocks:
+            assert type(cfg[key]) is VALUE_TYPES[key], key
+            assert cfg[key] == VALUE_TYPES[key](**payload[key]), key
 
 
 # The README's per-command key table: its "model keys" and "box keys" cells
