@@ -48,7 +48,7 @@ def c1_axis_terms(
     c1 = c1_1 + c1_2, with
 
         c1_i = 2^(1/beta) c^(1/(gamma*beta)) / (1 - 1/(gamma*beta))
-               * (1/h_i) (T_i/2)^(h_i/beta)
+               * (1/h_i) (T_i/2)^(h_i/beta),   T_i = b_i - a_i the side of axis i,
 
     and c1_i = 0 for a degenerate axis.  Requires gamma*beta > 1; otherwise the entropy
     integral diverges at 0 and the closed form is invalid.
@@ -59,7 +59,7 @@ def c1_axis_terms(
     front = 2.0 ** (1.0 / fam.beta) * prof.scale ** (1.0 / gb) / (1.0 - 1.0 / gb)
     time_axis, space_axis = (
         front * (t_i / 2.0) ** (h_i / fam.beta) / h_i if t_i > 0 else 0.0
-        for t_i, h_i in ((box.t1, box.h1), (box.t2, box.h2))
+        for t_i, h_i in ((box.b1 - box.a1, box.h1), (box.b2 - box.a2, box.h2))
     )
     return time_axis, space_axis
 

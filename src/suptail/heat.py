@@ -228,7 +228,8 @@ def she_growth_envelope(
 
     f(t) = (t^(H/2) (log t)^p) v 1 over the cells [e^k, e^(k+1)] x [-A, A],
     A = halfwidth.  Cell 0 is the box [1, e] x [-A, A] with V's metric and
-    eps_0 = A(H) e^(H/2); T + X = sqrt(eps_0) c1(0) split by axis give
+    the eps_0 = A(H) b1^(H/2) of ``v_bound_inputs`` at b1 = e; T + X =
+    sqrt(eps_0) c1(0) split by axis give
 
         C~ = eps_0 (1 + zeta(p)),   S~ = T (1 + zeta(p)) + X (1 + Li_p(e^(-H/4)))
 
@@ -247,8 +248,7 @@ def she_growth_envelope(
     check_positive_finite(f"strip width 2 * halfwidth for halfwidth = {halfwidth!r}", 2.0 * halfwidth)
     box, prof, fam = _heat_metric(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth),
                                   model.hurst, model.c_v, 2.0)
-    # exp(H/2), not v_bound_inputs' math.e ** (H/2), which can differ in the last bit
-    eps0 = model.a_h * math.exp(model.hurst / 2.0)
+    eps0 = model.a_h * box.b1 ** (model.hurst / 2.0)
     c_sum = series_c_sum(eps0, p)
     time_axis, space_axis = (math.sqrt(eps0) * term for term in c1_axis_terms(box, prof, fam))
     s_sum = series_s_sum(time_axis, space_axis, p, model.hurst)

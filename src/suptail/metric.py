@@ -42,14 +42,6 @@ class AnisotropicBox(namedtuple("AnisotropicBox", "a1 b1 a2 b2 h1 h2")):
         return super().__new__(cls, a1, b1, a2, b2, h1, h2)
 
     @property
-    def t1(self) -> float:
-        return self.b1 - self.a1
-
-    @property
-    def t2(self) -> float:
-        return self.b2 - self.a2
-
-    @property
     def axes(self) -> tuple[tuple[int, float, float, float], ...]:
         """(i, a_i, b_i, h_i) of each nondegenerate axis (b_i > a_i), time axis first."""
         return tuple(axis for axis in ((1, self.a1, self.b1, self.h1), (2, self.a2, self.b2, self.h2))

@@ -186,8 +186,8 @@ def _blocks(chol: np.ndarray, n: int, seed: int, workers: int, reduce) -> list:
 
     Block b holds replicas [b*SAMPLE_BLOCK, min((b+1)*SAMPLE_BLOCK, n)) and draws
     z, their normals, from the stream (seed, b); n = 0 gives one empty block, to
-    join.  Blocks run serially or on at most min(workers, os.cpu_count()) threads:
-    the pool starts a thread per block submitted while its threads are busy.
+    join.  Blocks run on min(workers, blocks, os.cpu_count() or 1) threads, serially
+    when that is 1: the pool starts a thread per block submitted while its threads are busy.
     """
     import numpy as np
 
@@ -201,11 +201,12 @@ def _blocks(chol: np.ndarray, n: int, seed: int, workers: int, reduce) -> list:
         return reduce(chol @ rng.standard_normal((min(lo + SAMPLE_BLOCK, n) - lo, len(chol))).T)
 
     blocks = range(0, max(n, 1), SAMPLE_BLOCK)
-    if workers <= 1:
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
+    if threads <= 1:
         return list(map(run, blocks))
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(run, blocks))
 
 

@@ -5,10 +5,11 @@ file.  For each entry of MUTANTS it copies ``src/`` to a temporary directory,
 checks that the old text occurs exactly once in the file, replaces it with the
 new text and runs ``pytest -q -m "not pinned"`` on ``tests/`` against the
 copy, printing the ids of the tests that fail.  The ``pinned`` tests assert
-frozen literals of A(H) and c_V, so a mutant is killed only by a test that
-checks a value against a second route (quadrature, an identity between the
-coefficients, the covariance diagonal, an exact law).  An unmutated copy runs
-first and must pass, so that a kill means the mutant.
+frozen literals of derived constants (A(H), c_V, the heat coefficients,
+bounds at a fixed theta), so a mutant is killed only by a test that checks a
+value against a second route (quadrature, an identity between the
+coefficients, the covariance diagonal, an exact law) or restates a formula.
+An unmutated copy runs first and must pass, so that a kill means the mutant.
 
 Each row has a class.  A ``truth`` mutant must be killed.  A ``survivor`` is a
 change that no second route can see, such as a proof constant that a Gaussian
@@ -64,16 +65,26 @@ MUTANTS = [
     ("src/suptail/supbound.py",
      "return 2.0 * bound.k / theta",
      "return bound.k / theta",
-     "survivor", "entropy term 2k as k in _entropy: a proof constant a Gaussian truth cannot see"),
+     "survivor", "entropy term 2k as k in _entropy: a proof constant a Gaussian truth cannot see; "
+                 "its killers restate 2k or find theta*, which still reads 2k, off the threshold"),
     ("src/suptail/orlicz.py",
      "min(1.0, 2.0 * math.exp(-phi_conjugate(u / tau, fam)))",
      "min(1.0, 1.0 * math.exp(-phi_conjugate(u / tau, fam)))",
      "survivor", "two-sided tail 2 exp(-phi*) as exp(-phi*) in rv_tail_bound: "
-                 "P(|Z| > x) <= exp(-x^2/2) already, so no Gaussian truth sees the 2"),
+                 "P(|Z| > x) <= exp(-x^2/2) already, so no Gaussian truth sees the 2; "
+                 "its killers restate the formula"),
     ("src/suptail/supbound.py",
      "k = entropy_integral_closed(eps0, c1, prof, fam)",
      "k = 0.3 * entropy_integral_closed(eps0, c1, prof, fam)",
      "survivor", "k x 0.3 in field_bound: the entropy term's slack hides it from every truth"),
+    ("src/suptail/supbound.py",
+     "k = entropy_integral_closed(eps0, c1, prof, fam)",
+     "k = 0.05 * entropy_integral_closed(eps0, c1, prof, fam)",
+     "survivor", "k x 0.05 in field_bound: the entropy term's slack hides it from every truth"),
+    ("src/suptail/heat.py",
+     "return box, HolderProfile(scale, 1.0), PhiFamily(alpha)",
+     "return box, HolderProfile(0.5 * scale, 1.0), PhiFamily(alpha)",
+     "survivor", "profile scale x 1/2 in _heat_metric: the entropy term's slack hides it from every truth"),
     ("src/suptail/heat.py",
      "c_omega = math.sqrt(2.0 * holder_const",
      "c_omega = 0.7 * math.sqrt(2.0 * holder_const",

@@ -66,6 +66,7 @@ class TestCellConstant:
     def test_degenerate_strip(self):
         assert _cell_constant(0.0, 2.0, 0.0, 1.0, 1.0) == pytest.approx(2 * math.sqrt(2), rel=1e-12)
 
+    @pytest.mark.pinned
     def test_half_exponents_frozen(self):
         # ((1/0.5)(1)^(1/4) + (1/0.5)(1)^(1/4)) * 2 sqrt(2) = 8 sqrt(2)
         assert _cell_constant(0.0, 2.0, 1.0, 0.5, 0.5) == pytest.approx(8 * math.sqrt(2), rel=1e-12)
@@ -236,6 +237,7 @@ class TestThetaSup:
 class TestGrowthTailBound:
     """The growth bound at fixed theta: ``sup_tail_bound`` with k = S and scale C."""
 
+    @pytest.mark.pinned
     def test_frozen_value_unit_series(self):
         val = sup_tail_bound(10.0, 0.5, UNIT)
         expected = 2 * math.exp(-0.5 * (5.0 - 2.0 * math.sqrt(2.0)) ** 2)

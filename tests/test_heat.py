@@ -87,6 +87,7 @@ def _polylog_quad(p, hurst):
 
 
 class TestNoiseConstant:
+    @pytest.mark.pinned
     def test_values(self):
         assert noise_constant(0.5) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
         assert noise_constant(0.25) == pytest.approx(0.09973557010035816, rel=1e-12)
@@ -101,6 +102,7 @@ class TestNoiseConstant:
 
 
 class TestVarianceCoefficient:
+    @pytest.mark.pinned
     def test_frozen_values(self):
         assert variance_coefficient(0.5) == pytest.approx(math.sqrt(2 * math.pi), rel=1e-13)
         assert variance_coefficient(0.25) == pytest.approx(2.9145485228295227, rel=1e-12)
@@ -136,6 +138,7 @@ class TestTimeIncrementCoefficient:
             tail = quad(f, 1.0, np.inf, epsabs=5e-11, epsrel=1e-12, limit=200)[0]
             assert time_increment_coefficient(hurst) == pytest.approx(core + tail, rel=1e-9)
 
+    @pytest.mark.pinned
     def test_frozen_quarter(self):
         assert time_increment_coefficient(0.25) == pytest.approx(1.9871182870301753, rel=1e-9)
 
@@ -481,6 +484,20 @@ class TestGrowthEnvelope:
             PhiFamily(2.0),
         )
         assert bound == growth
+
+    def test_first_cell_is_the_box_bound(self):
+        # C~ = eps_0 (1 + zeta(p)) with eps_0 the bounded-domain bound's scale
+        # on cell 0 = [1, e] x [-A, A], bit for bit; the draws hold hurst values
+        # where exp(H/2) and e^(H/2) round apart, so a restated eps_0 shows
+        rng = np.random.default_rng(54)
+        draws = [(0.5 - rng.uniform(0.0, 0.5), rng.uniform(0.1, 10.0), 3.0 - rng.uniform(0.0, 2.0))
+                 for _ in range(400)]
+        assert any(math.exp(h / 2) != math.e ** (h / 2) for h, _, _ in draws)
+        for hurst, halfwidth, p in draws:
+            model = SheModel(hurst=hurst)
+            _, c_tilde, _ = she_growth_envelope(model, p=p, halfwidth=halfwidth)
+            eps0 = v_bound_inputs(AnisotropicBox(1.0, math.e, -halfwidth, halfwidth), model).scale
+            assert c_tilde.value == eps0 * (1.0 + _zeta(p).value), (hurst, halfwidth, p)
 
     def test_power_cells_already_substituted(self):
         # the bounded-box norm of cell k is the power form A(H) e^((k+1)H/2)

@@ -20,8 +20,8 @@ def full_grid_greedy(box, eps, resolution, cap):
     centered at the first uncovered point in lexicographic order and updating
     the whole grid; the count stops at cap.  A reference cover that shares
     no code with ``covering_oracle``."""
-    xs = np.linspace(box.a1, box.b1, resolution) if box.t1 > 0 else np.array([box.a1])
-    ys = np.linspace(box.a2, box.b2, resolution) if box.t2 > 0 else np.array([box.a2])
+    xs = np.linspace(box.a1, box.b1, resolution) if box.b1 > box.a1 else np.array([box.a1])
+    ys = np.linspace(box.a2, box.b2, resolution) if box.b2 > box.a2 else np.array([box.a2])
     p1, p2 = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
     uncovered = np.ones(p1.size, dtype=bool)
     count = 0
@@ -52,7 +52,7 @@ def cover_misses(box, eps, resolution, counts):
 def even_split(box, eps):
     """Tiles per nondegenerate axis of the tiling that gives each of the m
     nondegenerate axes eps/m."""
-    sides = [(t, h) for t, h in ((box.t1, box.h1), (box.t2, box.h2)) if t > 0]
+    sides = [(t, h) for t, h in ((box.b1 - box.a1, box.h1), (box.b2 - box.a2, box.h2)) if t > 0]
     return [max(1, math.ceil(t / (2.0 * (eps / len(sides)) ** (1.0 / h)))) for t, h in sides]
 
 

@@ -603,7 +603,7 @@ class TestSampleFields:
     def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, threads):
         # the pool starts a thread, each holding a block, per block submitted
         # while its threads are busy; an inline pool records its size and
-        # starts no thread
+        # starts no thread.  One thread, or one block, runs serially: no pool
         import concurrent.futures
 
         sizes = []
@@ -623,10 +623,12 @@ class TestSampleFields:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
-        chol, n = small_factor(), 3 * sim.SAMPLE_BLOCK
+        chol, n = small_factor(), 64 * sim.SAMPLE_BLOCK
         got = sample_sups(chol, n, seed=22, workers=100_000)
-        assert sizes == [threads]
+        one_block = sample_sups(chol, sim.SAMPLE_BLOCK, seed=22, workers=100_000)
+        assert sizes == ([threads] if threads > 1 else [])
         assert np.array_equal(got, sample_sups(chol, n, seed=22))
+        assert np.array_equal(one_block, got[:sim.SAMPLE_BLOCK])
 
     def test_sups_and_tail_memory(self):
         # one (m, n) array of the README config alone takes 92 MB
